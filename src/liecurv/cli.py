@@ -77,6 +77,22 @@ def _resolve_document(args) -> tuple[Document, catalog.CatalogCase | None]:
     return doc, case
 
 
+def _residual_line(alg, violation) -> str:
+    i, j, k, res = violation
+    triple = ", ".join(alg.labels[t] for t in (i, j, k))
+    return f"residual on ({triple}): {res.describe(alg.labels)}"
+
+
+def _lie_algebra(doc: Document):
+    """The document's algebra; a Jacobi failure is an input error (exit 1)."""
+    alg = doc.algebra()
+    violations = check_jacobi(alg).violations
+    if violations:
+        raise InputError("not a Lie algebra: jacobi: FAIL, "
+                         + _residual_line(alg, violations[0]))
+    return alg
+
+
 def _vector_json(v: Vector, precision: int) -> list:
     return [scalar_to_json(x, precision) for x in v]
 
@@ -119,9 +135,7 @@ def cmd_check(args) -> CommandResult:
     }
     text = [f"antisymmetry: {'pass' if report.antisymmetry_ok else 'FAIL'}",
             f"jacobi: {'pass' if not report.violations else 'FAIL'}"]
-    for (i, j, k, res) in report.violations:
-        triple = ", ".join(alg.labels[t] for t in (i, j, k))
-        text.append(f"  residual on ({triple}): {res.describe(alg.labels)}")
+    text += [f"  {_residual_line(alg, v)}" for v in report.violations]
     text.append(f"metric: {'positive definite' if pd else 'NOT positive definite'}")
     text.append(f"check: {'pass' if passed else 'FAIL'}")
     return CommandResult(sections, text, status=0 if passed else 1,
@@ -206,7 +220,7 @@ def _two_vectors(args, doc: Document, names: tuple[str, str]) -> tuple[Vector, V
 def cmd_sectional(args) -> CommandResult:
     doc, _ = _resolve_document(args)
     u, v = _two_vectors(args, doc, ("u", "v"))
-    conn = levi_civita(doc.algebra(), doc.metric)
+    conn = levi_civita(_lie_algebra(doc), doc.metric)
     rt = riemann_tensor(conn)
     num, value = sectional(rt, doc.metric, u, v)
     p = args.precision
@@ -218,7 +232,7 @@ def cmd_sectional(args) -> CommandResult:
 
 def cmd_scalar(args) -> CommandResult:
     doc, _ = _resolve_document(args)
-    conn = levi_civita(doc.algebra(), doc.metric)
+    conn = levi_civita(_lie_algebra(doc), doc.metric)
     value = scalar_curvature(riemann_tensor(conn), doc.metric)
     sections = {"scalar": scalar_to_json(value, args.precision)}
     return CommandResult(sections, [f"scalar curvature: {format_scalar(value, args.precision)}"],
@@ -227,7 +241,7 @@ def cmd_scalar(args) -> CommandResult:
 
 def cmd_parallel(args) -> CommandResult:
     doc, _ = _resolve_document(args)
-    alg = doc.algebra()
+    alg = _lie_algebra(doc)
     par = parallel_fields(levi_civita(alg, doc.metric))
     sections = {"basis": [_vector_json(v, args.precision) for v in par],
                 "dimension": len(par)}
@@ -240,7 +254,7 @@ def cmd_randers(args) -> CommandResult:
     doc, _ = _resolve_document(args)
     if doc.drift is None:
         raise InputError("randers needs a drift: give --drift or a document drift field")
-    alg = doc.algebra()
+    alg = _lie_algebra(doc)
     labels = alg.labels
     conn = levi_civita(alg, doc.metric)
     rm = build_randers(doc.metric, doc.drift, conn)
@@ -290,7 +304,7 @@ def cmd_flag(args) -> CommandResult:
     if doc.drift is None:
         raise InputError("flag needs a drift: give --drift or a document drift field")
     pole, edge = _two_vectors(args, doc, ("pole", "edge"))
-    conn = levi_civita(doc.algebra(), doc.metric)
+    conn = levi_civita(_lie_algebra(doc), doc.metric)
     rm = build_randers(doc.metric, doc.drift, conn)
     value = flag_curvature(rm, riemann_tensor(conn), Flag(pole, edge))
     sections = {"flag_curvature": scalar_to_json(value, args.precision)}

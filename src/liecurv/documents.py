@@ -86,6 +86,10 @@ class _ScalarReader:
         return exprs.evaluate(tree, self.params)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _require_keys(obj: dict, allowed: set, where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
@@ -100,7 +104,7 @@ def parse_document(obj: dict, extras: frozenset = frozenset()) -> Document:
     _require_keys(obj, _TOP_KEYS | set(extras), "document")
 
     dim = obj.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise InputError("document.dim must be a positive integer")
 
     labels = obj.get("basis", None)
@@ -133,7 +137,7 @@ def parse_document(obj: dict, extras: frozenset = frozenset()) -> Document:
             raise InputError(f"{where}: must be an object")
         _require_keys(entry, _BRACKET_KEYS, where)
         i, j = entry.get("i"), entry.get("j")
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (_is_int(i) and _is_int(j)):
             raise InputError(f"{where}: i and j must be integers")
         if not (0 <= i < j < dim):
             raise InputError(f"{where}: need 0 <= i < j < dim, got ({i}, {j})")
@@ -204,7 +208,12 @@ def serialize_document(doc: Document, precision: int = 12) -> dict:
 
 
 def document_digest(doc: Document) -> str:
-    """Stable sha256 over the canonical serialization."""
-    canonical = json.dumps(serialize_document(doc), sort_keys=True,
+    """Stable sha256 over the canonical serialization.
+
+    Floats are serialized at 17 significant digits, which round-trips every
+    float, so documents that differ in any float get different digests.
+    Exact scalars ignore the precision, so exact digests do not depend on it.
+    """
+    canonical = json.dumps(serialize_document(doc, precision=17), sort_keys=True,
                            separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -1,9 +1,10 @@
 """Small dense linear algebra over exact rationals, with float fallbacks.
 
 Exact mode is the point: nullspace dimensions and table comparisons must not
-depend on a tolerance. Rational input therefore goes through fraction-free
-(Bareiss) elimination on integer-cleared rows; only genuinely floating input
-is handed to numpy.
+depend on a tolerance. One Gaussian elimination serves solve, determinant,
+rank, nullspace and positive-definiteness. All-exact input is eliminated over
+`Fraction`; any float entry switches the whole matrix to float arithmetic
+with partial pivoting and the global tolerance.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .errors import DegeneratePlaneError, InputError
 from .scalars import TOLERANCE, Scalar, is_exact, sqrt_scalar
@@ -26,43 +25,51 @@ def _flatten(rows):
     return [x for row in rows for x in row]
 
 
-# --- exact elimination ------------------------------------------------------
+# --- elimination ------------------------------------------------------------
 
 
-def _integer_rows(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (nullspace-preserving)."""
-    out = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        scale = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        out.append([int(f * scale) for f in fracs])
-    return out
+def _eliminate(rows: Sequence[Sequence[Scalar]], pivot_cols: int,
+               swap: bool = True):
+    """Row echelon form by Gaussian elimination.
 
-
-def _bareiss_echelon(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form; returns (matrix, pivot columns)."""
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
+    Pivots are sought in the first pivot_cols columns only; row operations
+    act on whole rows, so later columns carry right-hand sides along. Exact
+    mode takes the first nonzero entry as pivot (any pivot gives the same
+    answer). Float mode takes the largest |x| and reads |x| <= TOLERANCE as
+    zero. With swap=False only the current row may hold the pivot, and a
+    column whose entry there is zero gets none. Returns (echelon rows, pivot
+    columns, permutation sign, element type: Fraction or float).
+    """
+    kind = Fraction if all_exact(_flatten(rows)) else float
+    mat = [[kind(x) for x in row] for row in rows]
     pivots: list[int] = []
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                # Bareiss two-step update; the division by the previous pivot
-                # is exact over the integers.
-                mat[i][j] = (mat[i][j] * mat[r][c] - mat[r][j] * mat[i][c]) // prev
-            mat[i][c] = 0
-        prev = mat[r][c]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+    sign = kind(1)
+    for c in range(pivot_cols):
+        r = len(pivots)
+        if r == len(mat):
             break
-    return mat, pivots
+        candidates = range(r, len(mat) if swap else r + 1)
+        if kind is Fraction:
+            p = next((i for i in candidates if mat[i][c]), None)
+        else:
+            p = max(candidates, key=lambda i: abs(mat[i][c]))
+            if abs(mat[p][c]) <= TOLERANCE:
+                p = None
+        if p is None:
+            continue
+        if p != r:
+            mat[r], mat[p] = mat[p], mat[r]
+            sign = -sign
+        top = mat[r]
+        live = [j for j in range(c + 1, len(top)) if top[j]]
+        for row in mat[r + 1:]:
+            if row[c]:
+                f = row[c] / top[c]
+                row[c] = kind(0)
+                for j in live:
+                    row[j] -= f * top[j]
+        pivots.append(c)
+    return mat, pivots, sign, kind
 
 
 def _primitive(vec: list[Fraction]) -> list[Fraction]:
@@ -78,52 +85,28 @@ def _primitive(vec: list[Fraction]) -> list[Fraction]:
     return [Fraction(x) for x in ints]
 
 
-def nullspace_exact(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Fraction]]:
-    mat = _integer_rows(rows)
-    if not mat:
-        mat = [[0] * ncols]
-    echelon, pivots = _bareiss_echelon(mat)
-    free = [c for c in range(ncols) if c not in pivots]
+def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Scalar]]:
+    """Basis of {x : A x = 0}, one vector per free column.
+
+    Each vector sets its free column to 1, the other free columns to 0, and
+    back-substitutes the pivot columns. Exact vectors are then scaled to
+    coprime integers with a positive leading entry.
+    """
+    mat, pivots, _, kind = _eliminate(rows, ncols)
     basis = []
-    for f in free:
-        x: list[Fraction] = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        # Back-substitute pivot variables from the bottom up.
+    for f in (c for c in range(ncols) if c not in pivots):
+        x: list[Scalar] = [0] * ncols
+        x[f] = 1
         for r in reversed(range(len(pivots))):
-            c = pivots[r]
-            s = sum((Fraction(echelon[r][j]) * x[j] for j in range(c + 1, ncols)),
-                    Fraction(0))
-            x[c] = -s / Fraction(echelon[r][c])
-        basis.append(_primitive(x))
+            c, row = pivots[r], mat[r]
+            s = sum(row[j] * x[j] for j in range(c + 1, ncols) if x[j])
+            x[c] = -s / row[c] if s else 0
+        basis.append(_primitive(x) if kind is Fraction else [float(v) for v in x])
     return basis
 
 
-def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Scalar]]:
-    """Basis of {x : A x = 0}. Exact rows use Bareiss, floats use SVD."""
-    if all_exact(_flatten(rows)):
-        return nullspace_exact(rows, ncols)
-    a = np.array([[float(x) for x in row] for row in rows], dtype=float)
-    if a.size == 0:
-        a = np.zeros((1, ncols))
-    _, s, vt = np.linalg.svd(a)
-    tol = max(a.shape) * (s[0] if len(s) else 0.0) * 1e-12 + TOLERANCE
-    null_rows = [vt[i] for i in range(vt.shape[0]) if i >= len(s) or s[i] <= tol]
-    out = []
-    for row in null_rows:
-        lead = next((x for x in row if abs(x) > TOLERANCE), 1.0)
-        out.append([float(x) / math.copysign(1.0, lead) for x in row])
-    return out
-
-
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    flat = _flatten(rows)
-    if not flat:
-        return 0
-    if all_exact(flat):
-        _, pivots = _bareiss_echelon(_integer_rows(rows))
-        return len(pivots)
-    a = np.array([[float(x) for x in row] for row in rows], dtype=float)
-    return int(np.linalg.matrix_rank(a, tol=TOLERANCE))
+    return len(_eliminate(rows, len(rows[0]) if rows else 0)[1])
 
 
 def solve_many(matrix: Sequence[Sequence[Scalar]],
@@ -132,29 +115,38 @@ def solve_many(matrix: Sequence[Sequence[Scalar]],
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise InputError("solve_many needs a square matrix")
-    if all_exact(_flatten(matrix)) and all_exact(_flatten(rhs_list)):
-        aug = [[Fraction(matrix[i][j]) for j in range(n)]
-               + [Fraction(b[i]) for b in rhs_list] for i in range(n)]
-        width = n + len(rhs_list)
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if aug[i][c] != 0), None)
-            if pivot_row is None:
-                raise InputError("singular matrix in exact solve")
-            aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
-            inv = 1 / aug[c][c]
-            aug[c] = [x * inv for x in aug[c]]
-            for i in range(n):
-                if i != c and aug[i][c] != 0:
-                    f = aug[i][c]
-                    aug[i] = [aug[i][j] - f * aug[c][j] for j in range(width)]
-        return [[aug[i][n + k] for i in range(n)] for k in range(len(rhs_list))]
-    a = np.array([[float(x) for x in row] for row in matrix], dtype=float)
-    b = np.array([[float(x) for x in rhs] for rhs in rhs_list], dtype=float).T
-    try:
-        sol = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise InputError(f"singular matrix in solve: {exc}") from None
-    return [list(sol[:, k]) for k in range(sol.shape[1])]
+    aug = [list(matrix[i]) + [b[i] for b in rhs_list] for i in range(n)]
+    mat, pivots, _, _ = _eliminate(aug, n)
+    if len(pivots) < n:
+        raise InputError("singular matrix in solve")
+    solutions = []
+    for k in range(n, n + len(rhs_list)):
+        x: list[Scalar] = [0] * n
+        for r in reversed(range(n)):
+            row = mat[r]
+            x[r] = (row[k] - sum(row[j] * x[j] for j in range(r + 1, n) if x[j])) / row[r]
+        solutions.append(x)
+    return solutions
+
+
+def determinant(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
+    """Signed product of the pivots; zero (of the matrix's mode) if singular."""
+    n = len(matrix)
+    mat, pivots, sign, kind = _eliminate(matrix, n)
+    if len(pivots) < n:
+        return kind(0)
+    return math.prod((mat[r][r] for r in range(n)), start=sign)
+
+
+def is_positive_definite(gram: Sequence[Sequence[Scalar]]) -> bool:
+    """Sylvester: eliminating without row swaps gives only positive pivots.
+
+    The k-th pivot is the ratio of the k-th to the (k-1)-th leading minor.
+    A float pivot must exceed TOLERANCE, the threshold that solve_many uses.
+    """
+    n = len(gram)
+    mat, pivots, _, _ = _eliminate(gram, n, swap=False)
+    return len(pivots) == n and all(mat[r][r] > 0 for r in range(n))
 
 
 # --- metric helpers ---------------------------------------------------------
@@ -171,41 +163,6 @@ def inner(gram: Sequence[Sequence[Scalar]], u: Sequence[Scalar],
         row = gram[i]
         total = total + ui * sum(row[j] * v[j] for j in range(n))
     return total
-
-
-def determinant(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
-    n = len(matrix)
-    if all_exact(_flatten(matrix)):
-        m = [[Fraction(x) for x in row] for row in matrix]
-        det = Fraction(1)
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    f = m[i][c] * inv
-                    m[i] = [m[i][j] - f * m[c][j] for j in range(n)]
-        return det
-    return float(np.linalg.det(np.array([[float(x) for x in row] for row in matrix])))
-
-
-def is_positive_definite(gram: Sequence[Sequence[Scalar]]) -> bool:
-    """Sylvester minors in exact mode, eigenvalue signs in floating mode."""
-    n = len(gram)
-    if all_exact(_flatten(gram)):
-        for k in range(1, n + 1):
-            minor = [[gram[i][j] for j in range(k)] for i in range(k)]
-            if determinant(minor) <= 0:
-                return False
-        return True
-    a = np.array([[float(x) for x in row] for row in gram], dtype=float)
-    return bool(np.linalg.eigvalsh(a).min() > TOLERANCE)
 
 
 def gram_schmidt(gram: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:

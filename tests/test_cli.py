@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -220,6 +224,24 @@ def test_check_jacobi_failure_exits_one(capsys, tmp_path):
     code, out, _ = run(capsys, "check", path)
     assert code == 1
     assert "jacobi: FAIL" in out and "residual" in out
+    # [X,Y] = Y, [Y,Z] = X fails Jacobi on (X, Y, Z); geometry commands refuse
+    # it with the residual that check reports, analyze still reports it.
+    path = write_doc(tmp_path, {
+        "dim": 3,
+        "brackets": [{"i": 0, "j": 1, "coeffs": [0, 1, 0]},
+                     {"i": 1, "j": 2, "coeffs": [1, 0, 0]}]}, name="nonlie.json")
+    code, out, _ = run(capsys, "check", path)
+    assert code == 1 and "residual on (X, Y, Z): X" in out
+    code, doc, _ = run_json(capsys, "analyze", path)
+    assert code == 0 and doc["sections"]["jacobi_passed"] is False
+    vectors = {"sectional": ("--u", "1,0,0", "--v", "0,1,0"),
+               "scalar": (), "parallel": (), "randers": ("--drift", "0,0,1/2"),
+               "flag": ("--drift", "0,0,1/2", "--pole", "1,0,0", "--edge", "0,1,0")}
+    for command, extra in vectors.items():
+        code, out, err = run(capsys, command, path, *extra)
+        assert code == 1, command
+        assert out == "", command
+        assert "jacobi: FAIL" in err and "residual on (X, Y, Z): X" in err, command
 
 
 def test_check_degenerate_metric(capsys, tmp_path):
@@ -266,6 +288,12 @@ def test_report_grid(capsys):
     assert len(cases) == 2
     assert [c["params"] for c in cases] == [{"alpha": "0", "beta": "0"},
                                             {"alpha": "1", "beta": "0"}]
+    # a range starting with '-' must be attached with '='
+    code, doc, _ = run_json(capsys, "report", "--case", "4",
+                            "--alpha-grid=-2:-1", "--beta-grid=-1:-1")
+    assert code == 0
+    assert [c["params"] for c in doc["sections"]["cases"]] == [
+        {"alpha": "-2", "beta": "-1"}, {"alpha": "-1", "beta": "-1"}]
 
 
 def test_report_bad_grid(capsys):
@@ -290,3 +318,15 @@ def test_report_all_writes_file(capsys, tmp_path):
     assert len(saved["sections"]["cases"]) == 21  # 5 plain + 16 grid points
     assert saved["sections"]["passed"] is True
     assert len(saved["discrepancies"]) == 1
+
+
+# --- import path ----------------------------------------------------------------
+
+
+def test_cli_import_does_not_load_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import liecurv.cli, sys; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

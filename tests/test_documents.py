@@ -66,6 +66,8 @@ def test_bracket_validation():
         parse_document(minimal(brackets=[{"i": 1, "j": 0, "coeffs": ["0"] * 4}]))
     with pytest.raises(InputError, match="coeffs"):
         parse_document(minimal(brackets=[{"i": 0, "j": 1, "coeffs": ["0"] * 3}]))
+    with pytest.raises(InputError, match=r"brackets\[0\]: i and j must be integers"):
+        parse_document(minimal(brackets=[{"i": False, "j": True, "coeffs": ["0"] * 4}]))
 
 
 def test_params_gate_free_names():
@@ -148,3 +150,8 @@ def test_digest_distinguishes_documents():
     assert document_digest(d1) != document_digest(d2)
     assert document_digest(d1) == document_digest(parse_document(minimal()))
     assert len(document_digest(d1)) == 64
+    # floats that agree to 12 significant digits still digest apart
+    f1, f2 = (parse_document(minimal(
+        brackets=[{"i": 0, "j": 1, "coeffs": [0, 0, x, 0]}]))
+        for x in (1.0000000000001, 1.0000000000002))
+    assert document_digest(f1) != document_digest(f2)

@@ -56,12 +56,25 @@ def test_solve_many_singular():
 def test_determinant():
     assert linalg.determinant([[F(2), F(1)], [F(1), F(3)]]) == 5
     assert linalg.determinant([[F(1), F(2)], [F(2), F(4)]]) == 0
+    assert linalg.determinant([[F(0), F(1)], [F(1), F(0)]]) == -1
+    assert linalg.determinant([[0.0, 1.0], [1.0, 0.0]]) == -1.0
 
 
 def test_is_positive_definite():
     assert linalg.is_positive_definite([[F(2), F(1)], [F(1), F(2)]])
     assert not linalg.is_positive_definite([[F(1), F(0)], [F(0), F(0)]])
     assert not linalg.is_positive_definite([[F(-1)]])
+    assert not linalg.is_positive_definite([[F(0), F(1)], [F(1), F(0)]])
+    # float pivots, not leading minors, are held to TOLERANCE: a small-scale
+    # metric is positive definite, as its exact twin is
+    small = [[0.005 if i == j else 0.0 for j in range(4)] for i in range(4)]
+    assert linalg.is_positive_definite(small)
+    assert linalg.is_positive_definite([[F(1, 200) if i == j else F(0) for j in range(4)]
+                                        for i in range(4)])
+    # a pivot at or below TOLERANCE is zero, as in solve_many
+    assert not linalg.is_positive_definite([[1e6, 0.0], [0.0, 1e-10]])
+    with pytest.raises(InputError):
+        linalg.solve_many([[1e6, 0.0], [0.0, 1e-10]], [[1.0, 1.0]])
 
 
 def test_gram_schmidt_orthogonal_not_normalized():
