@@ -11,10 +11,9 @@ from .errors import (DegeneratePlaneError, DimensionMismatchError, InputError,
                      PreconditionError, UndefinedAtOriginError)
 from .randers import (Flag, RandersMetric, build_randers,
                       check_finsler_positivity, flag_curvature, g_y,
-                      g_y_hessian_oracle, parallel_fields, randers_norm)
+                      parallel_fields, randers_norm)
 from .riemann import (Connection, CurvatureTensor, curvature_apply,
-                      levi_civita, riemann_tensor, scalar_curvature, sectional,
-                      sectional_plane_invariance_check)
+                      levi_civita, riemann_tensor, scalar_curvature, sectional)
 from .scalars import TOLERANCE, Scalar
 
 __version__ = "0.1.0"
@@ -27,9 +26,8 @@ __all__ = [
     "TOLERANCE", "UndefinedAtOriginError", "Vector", "bracket",
     "build_randers", "check_finsler_positivity", "check_jacobi",
     "check_para_hypercomplex", "curvature_apply", "document_digest",
-    "fixture_line", "flag_curvature", "g_y", "g_y_hessian_oracle", "get_case",
-    "levi_civita", "load_document", "nijenhuis", "parallel_fields",
-    "parse_document", "randers_norm", "reproduce", "riemann_tensor",
-    "scalar_curvature", "sectional", "sectional_plane_invariance_check",
-    "serialize_document",
+    "fixture_line", "flag_curvature", "g_y", "get_case", "levi_civita",
+    "load_document", "nijenhuis", "parallel_fields", "parse_document",
+    "randers_norm", "reproduce", "riemann_tensor", "scalar_curvature",
+    "sectional", "serialize_document",
 ]

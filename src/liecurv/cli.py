@@ -43,7 +43,12 @@ def _parse_vector(text: str, dim: int, flag_name: str) -> Vector:
         raise InputError(f"{flag_name}: {exc}") from None
 
 
-def _parse_grid(text: str, flag_name: str) -> list:
+# Largest number of (alpha, beta) points `report` reproduces; each point is
+# one full catalog reproduction.
+MAX_GRID_POINTS = 256
+
+
+def _parse_grid(text: str, flag_name: str) -> range:
     lo, sep, hi = text.partition(":")
     try:
         lo_n, hi_n = int(lo), int(hi)
@@ -51,7 +56,7 @@ def _parse_grid(text: str, flag_name: str) -> list:
         raise InputError(f"{flag_name} must look like lo:hi, got {text!r}") from None
     if not sep or lo_n > hi_n:
         raise InputError(f"{flag_name} must be an inclusive integer range lo:hi")
-    return list(range(lo_n, hi_n + 1))
+    return range(lo_n, hi_n + 1)
 
 
 def _resolve_document(args) -> tuple[Document, catalog.CatalogCase | None]:
@@ -318,6 +323,10 @@ def cmd_report(args) -> CommandResult:
     ids = catalog.case_ids() if args.all else [args.case]
     alpha_grid = _parse_grid(args.alpha_grid, "--alpha-grid")
     beta_grid = _parse_grid(args.beta_grid, "--beta-grid")
+    points = len(alpha_grid) * len(beta_grid)
+    if points > MAX_GRID_POINTS:
+        raise InputError(f"--alpha-grid x --beta-grid has {points} points; "
+                         f"the ceiling is {MAX_GRID_POINTS}")
     reports = []
     for cid in ids:
         if cid not in catalog.case_ids():

@@ -11,10 +11,11 @@ Schema (strict, unknown keys rejected):
       "params": {"alpha": "-1", "beta": "0"}    // optional
     }
 
-Brackets are listed for i < j only. Scalars are integers, 'p/q' strings, or
-decimals; any decimal marks the document floating-mode. When params are
-declared, coefficient strings may also be expressions over the declared
-names ('-(1+alpha)/2'), which is how the parameterized catalog case ships.
+dim is at most MAX_DIM. Brackets are listed for i < j only. Scalars are
+integers, 'p/q' strings, or decimals; any decimal marks the document
+floating-mode. When params are declared, coefficient strings may also be
+expressions over the declared names ('-(1+alpha)/2'), which is how the
+parameterized catalog case ships.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ from . import exprs
 from .algebra import LieAlgebra, MetricTensor, Vector, default_labels
 from .errors import InputError
 from .scalars import Scalar, parse_rational, scalar_to_json
+
+# Largest accepted dimension. The curvature table is an O(dim^5) loop over
+# Fractions: `analyze` on an exact solvable algebra R x_D R^(dim-1) takes
+# 0.6 s at dim 8, 2.2 s at dim 10 and 6.0 s at dim 12 on a 2-vCPU Xeon VM.
+MAX_DIM = 12
 
 _TOP_KEYS = {"dim", "basis", "brackets", "metric", "drift", "params"}
 _PARAM_KEYS = {"alpha", "beta"}
@@ -106,6 +112,8 @@ def parse_document(obj: dict, extras: frozenset = frozenset()) -> Document:
     dim = obj.get("dim")
     if not _is_int(dim) or dim < 1:
         raise InputError("document.dim must be a positive integer")
+    if dim > MAX_DIM:
+        raise InputError(f"document.dim is {dim}; the ceiling is {MAX_DIM}")
 
     labels = obj.get("basis", None)
     if labels is None:

@@ -2,14 +2,19 @@
 
 A left-invariant drift Q with nabla Q = 0 and g(Q,Q) < 1 gives a Berwald-type
 Randers metric whose Chern connection coincides with the Levi-Civita
-connection of g; flag curvature is then computed from the Riemannian
-curvature tensor with all inner products taken in the fundamental tensor
+connection of g. Its flag curvature is then the Riemannian sectional
+curvature of the flag's plane, rescaled by the norm of the pole:
+
+    K_F(P, y) = g(y,y) / F(y)^2 * K_g(P).
+
+The fundamental tensor
 
     g_y(u, v) = g(u,v) + g(Q,u) g(Q,v)
                 - g(Q,y) g(y,u) g(y,v) / g(y,y)^(3/2)
-                + ( g(Q,u) g(y,v) + g(Q,y) g(u,v) + g(Q,v) g(y,u) ) / sqrt(g(y,y)).
+                + ( g(Q,u) g(y,v) + g(Q,y) g(u,v) + g(Q,v) g(y,u) ) / sqrt(g(y,y))
 
-Exact zeros short-circuit the square-root terms, so the drift = 0 limit
+is kept for printing and for the fixtures' fundamental-tensor checks. Exact
+zeros short-circuit the square-root terms in both, so the drift = 0 limit
 degenerates to g exactly, not merely within tolerance.
 """
 
@@ -23,7 +28,7 @@ from . import linalg
 from .algebra import MetricTensor, Vector, as_vector
 from .errors import (DegeneratePlaneError, InputError, NonBerwaldError,
                      NormBoundError, UndefinedAtOriginError)
-from .riemann import Connection, CurvatureTensor, curvature_apply
+from .riemann import Connection, CurvatureTensor, sectional
 from .scalars import (Scalar, is_exact_zero, is_zero, scalar_to_json,
                       sqrt_scalar)
 
@@ -133,32 +138,28 @@ def g_y(rm: RandersMetric, ybar, u, v) -> Scalar:
     return total
 
 
-def g_y_hessian_oracle(rm: RandersMetric, ybar, u, v, h: float = 1e-4) -> float:
-    """Finite-difference check value for g_y: central mixed second difference
-    of (1/2) F^2 along u and v around ybar. Always floating."""
-    n = rm.dim
-    ybar = as_vector(ybar, n)
-    u = as_vector(u, n)
-    v = as_vector(v, n)
-
-    def f_sq(point: Vector) -> float:
-        return float(randers_norm(rm, point)) ** 2
-
-    def shifted(su: float, tv: float) -> Vector:
-        return Vector(float(ybar[i]) + su * float(u[i]) + tv * float(v[i])
-                      for i in range(n))
-
-    mixed = (f_sq(shifted(h, h)) - f_sq(shifted(h, -h))
-             - f_sq(shifted(-h, h)) + f_sq(shifted(-h, -h))) / (4.0 * h * h)
-    return 0.5 * mixed
-
-
 def flag_curvature(rm: RandersMetric, rt: CurvatureTensor, flag: Flag) -> Scalar:
-    """Flag curvature K(P, y) = g_y(R(e,y)y, e) / (g_y(y,y) g_y(e,e) - g_y(y,e)^2)
-    for pole y and edge e.
+    """Flag curvature K(P, y) of the plane P = span{y, e} with pole y and edge e.
 
     Only supported for Berwald type (parallel drift), where the curvature of
-    the Chern connection is the Riemannian tensor of g.
+    the Chern connection is the Riemannian tensor of g. The definition
+
+        K(P, y) = g_y(R(e,y)y, e) / (g_y(y,y) g_y(e,e) - g_y(y,e)^2)
+
+    then reduces to g(y,y) K_g(P) / F(y)^2. Write alpha = sqrt(g(y,y)),
+    beta = g(Q,y) and F = alpha + beta. Both sides are unchanged when e is
+    replaced by e + t y, so take e orthogonal to y in g. Since Q is parallel,
+    R(.,.)Q = 0, so w = R(e,y)y satisfies g(w,y) = 0 and
+    g(w,Q) = -g(R(e,y)Q, y) = 0, and the closed form of g_y gives
+    g_y(w, e) = (F/alpha) g(w, e). With g(y,e) = 0 it also gives
+    g_y(y,y) = F^2, g_y(y,e) = F g(Q,e) and
+    g_y(e,e) = (F/alpha) g(e,e) + g(Q,e)^2, so the plane determinant is
+    F^3 g(e,e) / alpha. The ratio is g(w,e) / (F^2 g(e,e)), and
+    K_g(P) = g(w,e) / (alpha^2 g(e,e)).
+
+    F^2 is built as g(y,y) + 2 beta sqrt(g(y,y)) + beta^2. An exact zero beta
+    returns K_g(P) itself, so a zero drift, or a pole g-orthogonal to the
+    drift, never meets an irrational square root.
     """
     if not rm.berwald:
         raise NonBerwaldError(
@@ -167,18 +168,18 @@ def flag_curvature(rm: RandersMetric, rt: CurvatureTensor, flag: Flag) -> Scalar
     if rt.dim != rm.dim:
         raise InputError("curvature tensor dimension differs from Randers metric")
     pole = as_vector(flag.pole, rm.dim)
-    edge = as_vector(flag.edge, rm.dim)
     g = rm.base
-    if is_zero(g.norm_sq(pole)):
+    yy = g.norm_sq(pole)
+    if is_zero(yy):
         raise UndefinedAtOriginError("flag pole must be nonzero")
-    plane_det = g.norm_sq(pole) * g.norm_sq(edge) - g.inner(pole, edge) ** 2
-    if is_zero(plane_det):
-        raise DegeneratePlaneError("flag pole and edge are linearly dependent")
-    rvyy = curvature_apply(rt, edge, pole, pole)
-    num = g_y(rm, pole, rvyy, edge)
-    den = (g_y(rm, pole, pole, pole) * g_y(rm, pole, edge, edge)
-           - g_y(rm, pole, pole, edge) ** 2)
-    return num / den
+    try:
+        _, k = sectional(rt, g, pole, flag.edge)
+    except DegeneratePlaneError:
+        raise DegeneratePlaneError("flag pole and edge are linearly dependent") from None
+    beta = g.inner(rm.drift, pole)
+    if is_exact_zero(beta):
+        return k
+    return yy * k / (yy + 2 * beta * sqrt_scalar(yy) + beta ** 2)
 
 
 @dataclass

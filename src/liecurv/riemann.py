@@ -12,14 +12,12 @@ g(R(v,u)u, v) / (g(u,u) g(v,v) - g(u,v)^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .algebra import LieAlgebra, MetricTensor, Vector, as_vector
-from .errors import (DegeneratePlaneError, DimensionMismatchError, InputError,
-                     PreconditionError)
-from .scalars import Scalar, approx_equal, is_exact_zero, is_zero, scalar_to_json
+from .errors import DegeneratePlaneError, DimensionMismatchError, InputError
+from .scalars import Scalar, is_exact_zero, is_zero
 
 
 class Connection:
@@ -191,40 +189,6 @@ def sectional(rt: CurvatureTensor, metric: MetricTensor, u, v) -> tuple[Scalar, 
     if is_zero(den):
         raise DegeneratePlaneError("sectional curvature needs independent spanning vectors")
     return numerator, numerator / den
-
-
-@dataclass
-class PlaneInvarianceReport:
-    value: Scalar
-    value_transformed: Scalar
-
-    @property
-    def passed(self) -> bool:
-        return approx_equal(self.value, self.value_transformed)
-
-    def to_dict(self, precision: int = 12) -> dict:
-        return {"value": scalar_to_json(self.value, precision),
-                "value_transformed": scalar_to_json(self.value_transformed, precision),
-                "passed": self.passed}
-
-
-def sectional_plane_invariance_check(rt: CurvatureTensor, metric: MetricTensor,
-                                     u, v, transform) -> PlaneInvarianceReport:
-    """Recompute sectional curvature after an invertible 2x2 change of span.
-
-    transform = (a, b, c, d) maps the pair to (a u + b v, c u + d v).
-    """
-    a, b, c, d = transform
-    if is_zero(a * d - b * c):
-        raise PreconditionError("plane transform must be invertible (det != 0)")
-    n = rt.dim
-    u = as_vector(u, n)
-    v = as_vector(v, n)
-    u2 = u.scale(a) + v.scale(b)
-    v2 = u.scale(c) + v.scale(d)
-    _, value = sectional(rt, metric, u, v)
-    _, value2 = sectional(rt, metric, u2, v2)
-    return PlaneInvarianceReport(value, value2)
 
 
 def scalar_curvature(rt: CurvatureTensor, metric: MetricTensor) -> Scalar:

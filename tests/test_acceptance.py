@@ -15,11 +15,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import g_y_hessian_oracle
 from liecurv import catalog, exprs, linalg
 from liecurv.algebra import MetricTensor, Vector
 from liecurv.errors import DegeneratePlaneError
 from liecurv.randers import (Flag, build_randers, flag_curvature, g_y,
-                             g_y_hessian_oracle, parallel_fields, randers_norm)
+                             parallel_fields, randers_norm)
 from liecurv.riemann import (curvature_apply, levi_civita, riemann_tensor,
                              scalar_curvature, sectional)
 

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from liecurv.cli import main
+from liecurv.cli import MAX_GRID_POINTS, main
+from liecurv.documents import MAX_DIM
 
 ENVELOPE_KEYS = {"command", "digest", "discrepancies", "sections", "status"}
 
@@ -301,6 +302,16 @@ def test_report_bad_grid(capsys):
     assert code == 1 and "lo:hi" in err
 
 
+def test_report_grid_over_ceiling(capsys):
+    # 17 x 17 = 289 points; refused before any case is reproduced
+    assert 17 * 17 > MAX_GRID_POINTS
+    code, out, err = run(capsys, "report", "--case", "4",
+                         "--alpha-grid=-8:8", "--beta-grid=-8:8")
+    assert code == 1 and out == ""
+    assert "--alpha-grid x --beta-grid has 289 points" in err
+    assert f"ceiling is {MAX_GRID_POINTS}" in err
+
+
 def test_report_needs_exactly_one_target(capsys):
     code, _, err = run(capsys, "report")
     assert code == 1
@@ -318,6 +329,17 @@ def test_report_all_writes_file(capsys, tmp_path):
     assert len(saved["sections"]["cases"]) == 21  # 5 plain + 16 grid points
     assert saved["sections"]["passed"] is True
     assert len(saved["discrepancies"]) == 1
+
+
+def test_dim_over_ceiling(capsys, tmp_path):
+    path = write_doc(tmp_path, {"dim": MAX_DIM, "brackets": [], "metric": "identity"})
+    code, _, _ = run(capsys, "check", path)
+    assert code == 0
+    path = write_doc(tmp_path, {"dim": MAX_DIM + 1, "brackets": [], "metric": "identity"})
+    for command in ("check", "scalar"):
+        code, out, err = run(capsys, command, path)
+        assert code == 1 and out == ""
+        assert f"document.dim is {MAX_DIM + 1}; the ceiling is {MAX_DIM}" in err
 
 
 # --- import path ----------------------------------------------------------------

@@ -51,3 +51,13 @@ def test_fixture_style_polynomial():
     env = {"a": Fraction(1), "b": Fraction(0), "d": Fraction(0),
            "ta": Fraction(0), "tb": Fraction(1), "td": Fraction(0)}
     assert evaluate(e, env) == -1
+
+
+def test_parse_is_memoized_and_errors_are_not():
+    src = "7*memo_a - 3/memo_b"
+    assert parse_expr(src) is parse_expr(src)
+    before = parse_expr.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(InputError):
+            parse_expr("7 * (memo_c")
+    assert parse_expr.cache_info().currsize == before

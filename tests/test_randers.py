@@ -1,17 +1,18 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import rand_vector
+from conftest import change_basis, invert, rand_fraction, rand_invertible, rand_vector
+from oracles import flag_curvature_four_g_y, g_y_hessian_oracle
 from liecurv import catalog
 from liecurv.algebra import Vector
 from liecurv.errors import (DegeneratePlaneError, NonBerwaldError,
                             NormBoundError, UndefinedAtOriginError)
 from liecurv.linalg import orthonormal_pair
 from liecurv.randers import (Flag, build_randers, check_finsler_positivity,
-                             flag_curvature, g_y, g_y_hessian_oracle,
-                             parallel_fields, randers_norm)
+                             flag_curvature, g_y, parallel_fields, randers_norm)
 from liecurv.riemann import curvature_apply, levi_civita, riemann_tensor, sectional
 
 F = Fraction
@@ -221,6 +222,106 @@ def test_flag_zero_drift_equals_sectional(rng):
         except DegeneratePlaneError:
             continue
         assert flag_curvature(rm, rt, Flag(u, v)) == k_riem
+
+
+# Integer vectors with an integer Euclidean norm (the catalog metrics are the
+# identity, so these poles keep sqrt(g(y,y)) rational).
+PYTHAGOREAN = ((1, 2, 2, 0), (2, 3, 6, 0), (1, 4, 8, 0), (2, 4, 5, 6),
+               (1, 1, 1, 1), (2, 2, 4, 5))
+
+
+def oracle_setups():
+    """(label, connection, metric, curvature tensor, parallel basis, coords)
+    for the five flag cases and for cases 1 and 6 carried to a non-identity
+    Gram matrix. coords maps catalog-basis coordinates to the setup's basis."""
+    out = []
+    for case_id, params in ((1, {}), (2, {}), (3, {}), (6, {}),
+                            (4, {"alpha": F(-1), "beta": F(0)})):
+        case = catalog.get_case(case_id, **params)
+        out.append((f"case {case_id}", case.algebra, case.metric, lambda x: x))
+    rng = random.Random(4040)
+    for case_id in (1, 6):
+        case = catalog.get_case(case_id)
+        while True:
+            rows = rand_invertible(rng, 4)
+            alg, metric = change_basis(case.algebra, case.metric, rows)
+            if any(metric.gram[i][j] != int(i == j)
+                   for i in range(4) for j in range(4)):
+                break
+        back = invert([[rows[j][i] for j in range(4)] for i in range(4)])
+        out.append((f"case {case_id} carried", alg, metric,
+                    lambda x, m=back: Vector(sum(m[i][j] * x[j] for j in range(4))
+                                             for i in range(4))))
+    for label, alg, metric, coords in out:
+        conn = levi_civita(alg, metric)
+        yield label, conn, metric, riemann_tensor(conn), parallel_fields(conn), coords
+
+
+def random_drift(rng, metric, basis):
+    """A random combination of the parallel basis, scaled into g(Q,Q) < 1."""
+    q = Vector.zero(4)
+    for b in basis:
+        q = q + b.scale(rand_fraction(rng, span=3))
+    norm_sq = metric.norm_sq(q)
+    if norm_sq >= 1:
+        q = q.scale(F(1, 2 * math.ceil(norm_sq)))
+    return q
+
+
+def test_flag_matches_four_g_y_oracle():
+    """The Berwald identity against the definition in the fundamental tensor.
+
+    An exact oracle value must come back as the identical Fraction; floats
+    must agree within 1e-9 relative to max(1, |oracle|). The new value may be
+    exact where the oracle's is floating only when g(Q, pole) is an exact
+    zero: the oracle's g_y(y,e,e) then takes an irrational root that cancels
+    in its ratio, and the two must agree within 1e-12.
+    """
+    rng = random.Random(5151)
+    kinds = {"exact": 0, "float": 0, "exact_vs_float": 0}
+    flags = 0
+    for label, conn, metric, rt, basis, coords in oracle_setups():
+        assert basis, label
+        drifts = [Vector.zero(4)] + [random_drift(rng, metric, basis) for _ in range(3)]
+        randers = [build_randers(metric, q, conn) for q in drifts]
+        assert all(rm.berwald for rm in randers), label
+        for n in range(80):
+            q, rm = drifts[n % 4], randers[n % 4]
+            shape = (n // 4) % 3
+            if shape == 0:
+                base = list(rng.choice(PYTHAGOREAN))
+                rng.shuffle(base)
+                pole = coords(Vector(F(rng.choice((-1, 1)) * x) for x in base))
+            else:
+                pole = rand_vector(rng, 4)
+            if shape == 2 and not q.is_zero():
+                # project the pole to g(Q, pole) = 0
+                pole = pole - q.scale(metric.inner(q, pole) / metric.norm_sq(q))
+                if pole.is_zero():
+                    continue
+            edge = rand_vector(rng, 4)
+            flag = Flag(pole, edge)
+            where = (label, n, list(q), list(pole), list(edge))
+            try:
+                want = flag_curvature_four_g_y(rm, rt, flag)
+            except DegeneratePlaneError:
+                with pytest.raises(DegeneratePlaneError):
+                    flag_curvature(rm, rt, flag)
+                continue
+            got = flag_curvature(rm, rt, flag)
+            flags += 1
+            if isinstance(want, F):
+                assert isinstance(got, F) and got == want, where
+                kinds["exact"] += 1
+            elif isinstance(got, F):
+                assert metric.inner(q, pole) == 0, where
+                assert abs(got - want) <= 1e-12, where
+                kinds["exact_vs_float"] += 1
+            else:
+                assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), where
+                kinds["float"] += 1
+    assert flags >= 500
+    assert all(kinds.values()), kinds
 
 
 def test_parallel_fields_match_connection(rng):

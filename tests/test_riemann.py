@@ -5,13 +5,13 @@ import pytest
 
 from conftest import (cayley_rotation, change_basis, rand_invertible,
                       rand_pd_metric, rand_vector)
+from oracles import sectional_plane_invariance_check
 from liecurv import catalog
 from liecurv.algebra import LieAlgebra, MetricTensor, Vector
 from liecurv.errors import DegeneratePlaneError, InputError
 from liecurv.randers import parallel_fields
 from liecurv.riemann import (curvature_apply, levi_civita, riemann_tensor,
-                             scalar_curvature, sectional,
-                             sectional_plane_invariance_check)
+                             scalar_curvature, sectional)
 
 F = Fraction
 
