@@ -13,8 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .errors import DimensionMismatchError, InputError
-from .scalars import (Scalar, approx_equal, format_scalar, is_exact_zero,
-                      is_zero, scalar_to_json)
+from .scalars import Scalar, approx_equal, format_scalar, is_zero, scalar_to_json
 
 _DEFAULT_LABELS = ("X", "Y", "Z", "W")
 
@@ -178,7 +177,7 @@ class MetricTensor:
     def inner(self, u, v) -> Scalar:
         u = as_vector(u, self.dim)
         v = as_vector(v, self.dim)
-        return linalg.inner(self.gram, u.coeffs, v.coeffs)
+        return linalg.contract(self.gram, u.coeffs, v.coeffs)
 
     def norm_sq(self, v) -> Scalar:
         return self.inner(v, v)
@@ -213,8 +212,7 @@ class Endomorphism:
 
     def apply(self, v) -> Vector:
         v = as_vector(v, self.dim)
-        return Vector(sum(self.matrix[i][j] * v[j] for j in range(self.dim))
-                      for i in range(self.dim))
+        return Vector(linalg.contract(tuple(zip(*self.matrix)), v.coeffs))
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         if other.dim != self.dim:
@@ -243,20 +241,7 @@ def bracket(alg: LieAlgebra, u, v) -> Vector:
     """[u, v] extended bilinearly from the structure constants."""
     u = as_vector(u, alg.dim)
     v = as_vector(v, alg.dim)
-    out = [Fraction(0)] * alg.dim
-    for i in range(alg.dim):
-        ui = u[i]
-        if is_exact_zero(ui):
-            continue
-        for j in range(alg.dim):
-            vj = v[j]
-            if is_exact_zero(vj):
-                continue
-            row = alg.structure[i][j]
-            for k in range(alg.dim):
-                if row[k] != 0:
-                    out[k] = out[k] + ui * vj * row[k]
-    return Vector(out)
+    return Vector(linalg.contract(alg.structure, u.coeffs, v.coeffs))
 
 
 @dataclass

@@ -4,7 +4,9 @@ Exact mode is the point: nullspace dimensions and table comparisons must not
 depend on a tolerance. One Gaussian elimination serves solve, determinant,
 rank, nullspace and positive-definiteness. All-exact input is eliminated over
 `Fraction`; any float entry switches the whole matrix to float arithmetic
-with partial pivoting and the global tolerance.
+with partial pivoting and the global tolerance. One skip-zero contraction,
+`contract`, evaluates every multilinear form in the package: brackets,
+covariant derivatives, curvature, inner products and endomorphisms.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegeneratePlaneError, InputError
-from .scalars import TOLERANCE, Scalar, is_exact, sqrt_scalar
+from .scalars import TOLERANCE, Scalar, is_exact, is_exact_zero, sqrt_scalar
 
 
 def all_exact(values) -> bool:
@@ -149,39 +151,39 @@ def is_positive_definite(gram: Sequence[Sequence[Scalar]]) -> bool:
     return len(pivots) == n and all(mat[r][r] > 0 for r in range(n))
 
 
-# --- metric helpers ---------------------------------------------------------
+# --- contraction and metric helpers -----------------------------------------
 
 
-def inner(gram: Sequence[Sequence[Scalar]], u: Sequence[Scalar],
-          v: Sequence[Scalar]) -> Scalar:
-    n = len(gram)
-    total: Scalar = 0
-    for i in range(n):
-        ui = u[i]
-        if is_exact(ui) and ui == 0:
-            continue
-        row = gram[i]
-        total = total + ui * sum(row[j] * v[j] for j in range(n))
-    return total
+def contract(table, *vectors) -> Scalar | list[Scalar]:
+    """sum over i_1..i_k of v_1[i_1] ... v_k[i_k] table[i_1]...[i_k].
 
-
-def gram_schmidt(gram: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    """Orthogonalize the standard basis against the metric, no normalization.
-
-    Square roots are deliberately deferred: downstream sectional curvature
-    needs only ratios, so rational metrics stay rational throughout.
+    The vectors contract the leading axes in order. A term is skipped when a
+    vector coefficient is an exact zero or the table entry is zero, so an
+    exact zero never brings a float into an exact result, while a float
+    coefficient (0.0 included) that meets a nonzero entry gives a float.
+    Returns a scalar when there is one vector per axis, else a list over the
+    last axis.
     """
-    n = len(gram)
-    basis: list[list[Scalar]] = []
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        b: list[Scalar] = e
-        for prev in basis:
-            coeff = inner(gram, b, prev) / inner(gram, prev, prev)
-            b = [b[j] - coeff * prev[j] for j in range(n)]
-        basis.append(b)
-    return basis
+    live = [[(i, x) for i, x in enumerate(vec) if not is_exact_zero(x)]
+            for vec in vectors]
+    terms = [(x, table[i]) for i, x in live[0]]
+    for pairs in live[1:]:
+        terms = [(w * x, sub[i]) for w, sub in terms for i, x in pairs]
+    tail = table
+    for _ in vectors:
+        tail = tail[0]
+    if not isinstance(tail, (list, tuple)):
+        total: Scalar = Fraction(0)
+        for w, entry in terms:
+            if entry:
+                total = total + w * entry
+        return total
+    out: list[Scalar] = [Fraction(0)] * len(tail)
+    for w, row in terms:
+        for l, entry in enumerate(row):
+            if entry:
+                out[l] = out[l] + w * entry
+    return out
 
 
 def orthonormal_pair(gram: Sequence[Sequence[Scalar]], u: Sequence[Scalar],
@@ -190,15 +192,15 @@ def orthonormal_pair(gram: Sequence[Sequence[Scalar]], u: Sequence[Scalar],
 
     Stays exact when both norms are perfect rational squares, else floats.
     """
-    uu = inner(gram, u, u)
-    if is_exact(uu) and uu == 0:
+    uu = contract(gram, u, u)
+    if is_exact_zero(uu):
         raise DegeneratePlaneError("zero vector cannot span a plane")
     nu = sqrt_scalar(uu)
     u_hat = [x / nu for x in u]
-    coeff = inner(gram, u, v) / uu
+    coeff = contract(gram, u, v) / uu
     w = [v[j] - coeff * u[j] for j in range(len(v))]
-    ww = inner(gram, w, w)
-    if is_exact(ww) and ww == 0:
+    ww = contract(gram, w, w)
+    if is_exact_zero(ww):
         raise DegeneratePlaneError("spanning vectors are linearly dependent")
     nw = sqrt_scalar(ww)
     return u_hat, [x / nw for x in w]

@@ -5,9 +5,14 @@ formula loses its derivative terms and reads
 
     2 g(nabla_U V, W) = g([U,V], W) - g([V,W], U) + g([W,U], V).
 
+With the structure constants lowered once, c_abk = g([e_a,e_b], e_k), the
+right-hand side is (c_ijk - c_jki + c_kij) / 2 for U = e_i, V = e_j, W = e_k.
+
 Curvature convention: R(U,V)W = nabla_U nabla_V W - nabla_V nabla_U W
 - nabla_[U,V] W. Sectional curvature of span{u, v} is
-g(R(v,u)u, v) / (g(u,u) g(v,v) - g(u,v)^2).
+g(R(v,u)u, v) / (g(u,u) g(v,v) - g(u,v)^2). The Ricci tensor is the trace
+Ric(V,W) = tr(U -> R(U,V)W), i.e. Ric_jk = sum_i r[i][j][k][i], and the
+scalar curvature is its metric trace g^{jk} Ric_jk.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from fractions import Fraction
 from . import linalg
 from .algebra import LieAlgebra, MetricTensor, Vector, as_vector
 from .errors import DegeneratePlaneError, DimensionMismatchError, InputError
-from .scalars import Scalar, is_exact_zero, is_zero
+from .scalars import Scalar, is_zero
 
 
 class Connection:
@@ -39,18 +44,7 @@ class Connection:
         """nabla_u v for left-invariant u, v (bilinear over scalars)."""
         u = as_vector(u, self.dim)
         v = as_vector(v, self.dim)
-        out = [Fraction(0)] * self.dim
-        for i in range(self.dim):
-            if is_exact_zero(u[i]):
-                continue
-            for j in range(self.dim):
-                if is_exact_zero(v[j]):
-                    continue
-                row = self.gamma[i][j]
-                for k in range(self.dim):
-                    if row[k] != 0:
-                        out[k] = out[k] + u[i] * v[j] * row[k]
-        return Vector(out)
+        return Vector(linalg.contract(self.gamma, u.coeffs, v.coeffs))
 
     def torsion(self, i: int, j: int) -> Vector:
         """nabla_i e_j - nabla_j e_i - [e_i, e_j]; zero for Levi-Civita."""
@@ -66,8 +60,8 @@ class Connection:
 def levi_civita(alg: LieAlgebra, metric: MetricTensor) -> Connection:
     """Solve the Koszul system for every basis pair.
 
-    The right-hand side is assembled from structure constants; one Gram
-    elimination serves all dim^2 pairs. Exact input stays exact.
+    The right-hand side is assembled from the lowered structure constants;
+    one Gram elimination serves all dim^2 pairs. Exact input stays exact.
     """
     if metric.dim != alg.dim:
         raise DimensionMismatchError("metric dimension differs from algebra")
@@ -76,20 +70,10 @@ def levi_civita(alg: LieAlgebra, metric: MetricTensor) -> Connection:
     n = alg.dim
     g = metric.gram
     c = alg.structure
-
-    def lowered_bracket(a: int, b: int, k: int) -> Scalar:
-        return sum(c[a][b][m] * g[m][k] for m in range(n))
-
+    low = [[linalg.contract(g, c[a][b]) for b in range(n)] for a in range(n)]
     half = Fraction(1, 2)
-    rhs_list = []
-    for i in range(n):
-        for j in range(n):
-            rhs_list.append([
-                half * (lowered_bracket(i, j, k)
-                        - lowered_bracket(j, k, i)
-                        + lowered_bracket(k, i, j))
-                for k in range(n)
-            ])
+    rhs_list = [[half * (low[i][j][k] - low[j][k][i] + low[k][i][j]) for k in range(n)]
+                for i in range(n) for j in range(n)]
     solutions = linalg.solve_many(g, rhs_list)
     gamma = [[solutions[i * n + j] for j in range(n)] for i in range(n)]
     return Connection(alg, metric, gamma)
@@ -117,11 +101,6 @@ class CurvatureTensor:
 
     def basis_value(self, i: int, j: int, k: int) -> Vector:
         return Vector(self.table[i][j][k])
-
-    def lowered(self, i: int, j: int, k: int, l: int) -> Scalar:
-        """g(R(e_i, e_j) e_k, e_l)."""
-        el = Vector.basis(self.dim, l)
-        return self.metric.inner(self.basis_value(i, j, k), el)
 
 
 def riemann_tensor(conn: Connection) -> CurvatureTensor:
@@ -156,22 +135,7 @@ def curvature_apply(rt: CurvatureTensor, u, v, w) -> Vector:
     u = as_vector(u, n)
     v = as_vector(v, n)
     w = as_vector(w, n)
-    out = [Fraction(0)] * n
-    for i in range(n):
-        if is_exact_zero(u[i]):
-            continue
-        for j in range(n):
-            if is_exact_zero(v[j]):
-                continue
-            uv = u[i] * v[j]
-            for k in range(n):
-                if is_exact_zero(w[k]):
-                    continue
-                row = rt.table[i][j][k]
-                for l in range(n):
-                    if row[l] != 0:
-                        out[l] = out[l] + uv * w[k] * row[l]
-    return Vector(out)
+    return Vector(linalg.contract(rt.table, u.coeffs, v.coeffs, w.coeffs))
 
 
 def sectional(rt: CurvatureTensor, metric: MetricTensor, u, v) -> tuple[Scalar, Scalar]:
@@ -192,21 +156,13 @@ def sectional(rt: CurvatureTensor, metric: MetricTensor, u, v) -> tuple[Scalar, 
 
 
 def scalar_curvature(rt: CurvatureTensor, metric: MetricTensor) -> Scalar:
-    """Sum of sectional curvatures over ordered orthonormal basis pairs.
+    """Metric trace of the Ricci tensor, g^{jk} Ric_jk.
 
-    The basis is Gram-Schmidt orthogonalized without normalization (exact for
-    rational metrics); each plane is then normalized by its Gram determinant,
-    which is all the sum needs. Ordered pairs j != k count each plane twice.
+    g^{jk} comes from one Gram solve against the rows of Ric, so rational
+    metrics stay rational.
     """
-    ortho = linalg.gram_schmidt(metric.gram)
     n = rt.dim
-    total: Scalar = Fraction(0)
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            bj = Vector(ortho[j])
-            bk = Vector(ortho[k])
-            _, value = sectional(rt, metric, bj, bk)
-            total = total + value
-    return total
+    table = rt.table
+    ric = [[sum(table[i][j][k][i] for i in range(n)) for k in range(n)] for j in range(n)]
+    solved = linalg.solve_many(metric.gram, ric)
+    return sum((solved[k][k] for k in range(n)), Fraction(0))

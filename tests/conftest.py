@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from liecurv.algebra import LieAlgebra, MetricTensor, Vector, bracket
-from liecurv.linalg import determinant, solve_many
+from liecurv.linalg import determinant, rank, solve_many
 
 
 def rand_fraction(rng: random.Random, span: int = 6, den: int = 4) -> Fraction:
@@ -18,6 +18,15 @@ def rand_vector(rng: random.Random, dim: int) -> Vector:
         v = Vector(rand_fraction(rng) for _ in range(dim))
         if not v.is_zero():
             return v
+
+
+def rand_pair(rng: random.Random, dim: int) -> tuple:
+    """Two random rational vectors spanning a plane."""
+    while True:
+        u = Vector(rand_fraction(rng) for _ in range(dim))
+        v = Vector(rand_fraction(rng) for _ in range(dim))
+        if rank([list(u), list(v)]) == 2:
+            return u, v
 
 
 def rand_invertible(rng: random.Random, dim: int) -> list:

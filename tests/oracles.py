@@ -7,7 +7,10 @@ another way; tests compare the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
 
+from liecurv import linalg
 from liecurv.algebra import MetricTensor, Vector, as_vector
 from liecurv.errors import (DegeneratePlaneError, InputError, NonBerwaldError,
                             PreconditionError, UndefinedAtOriginError)
@@ -40,6 +43,44 @@ def flag_curvature_four_g_y(rm: RandersMetric, rt: CurvatureTensor,
     den = (g_y(rm, pole, pole, pole) * g_y(rm, pole, edge, edge)
            - g_y(rm, pole, pole, edge) ** 2)
     return num / den
+
+
+def gram_schmidt(gram: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
+    """Orthogonalize the standard basis against the metric, no normalization.
+
+    Square roots are deliberately deferred: sectional curvature needs only
+    ratios, so rational metrics stay rational throughout.
+    """
+    n = len(gram)
+    basis: list[list[Scalar]] = []
+    for i in range(n):
+        e = [Fraction(0)] * n
+        e[i] = Fraction(1)
+        b: list[Scalar] = e
+        for prev in basis:
+            coeff = linalg.contract(gram, b, prev) / linalg.contract(gram, prev, prev)
+            b = [b[j] - coeff * prev[j] for j in range(n)]
+        basis.append(b)
+    return basis
+
+
+def scalar_curvature_gram_schmidt(rt: CurvatureTensor, metric: MetricTensor) -> Scalar:
+    """Sum of sectional curvatures over ordered orthonormal basis pairs.
+
+    The basis is Gram-Schmidt orthogonalized without normalization (exact for
+    rational metrics); each plane is then normalized by its Gram determinant,
+    which is all the sum needs. Ordered pairs j != k count each plane twice.
+    """
+    ortho = gram_schmidt(metric.gram)
+    n = rt.dim
+    total: Scalar = Fraction(0)
+    for j in range(n):
+        for k in range(n):
+            if j == k:
+                continue
+            _, value = sectional(rt, metric, Vector(ortho[j]), Vector(ortho[k]))
+            total = total + value
+    return total
 
 
 def g_y_hessian_oracle(rm: RandersMetric, ybar, u, v, h: float = 1e-4) -> float:

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import rand_fraction, rand_pair
 from oracles import g_y_hessian_oracle
 from liecurv import catalog, exprs, linalg
 from liecurv.algebra import MetricTensor, Vector
@@ -44,18 +45,6 @@ def flag_cases():
     out = [catalog.get_case(cid) for cid in (1, 2, 3, 6)]
     out.append(catalog.get_case(4, alpha=F(-1), beta=F(0)))
     return out
-
-
-def rand_fraction(rng):
-    return F(rng.randint(-6, 6), rng.randint(1, 4))
-
-
-def rand_pair(rng, dim):
-    while True:
-        u = Vector(rand_fraction(rng) for _ in range(dim))
-        v = Vector(rand_fraction(rng) for _ in range(dim))
-        if linalg.rank([list(u), list(v)]) == 2:
-            return u, v
 
 
 def rand_drift_env(rng, case):

@@ -182,6 +182,17 @@ def test_randers_full_output(capsys):
     assert s["g_pole"][2][2] == "5/4"
 
 
+def test_randers_mixed_pole_keeps_exact_entries(capsys):
+    # 0.5 meets only zero Gram entries in g(y, X): with a zero drift the X
+    # row of g_y stays exact, while the Y row, which 0.5 does meet, is float
+    code, doc, _ = run_json(capsys, "randers", "--case", "1",
+                            "--drift", "0,0,0,0", "--pole=1,0.5,0,0")
+    assert code == 0
+    g_pole = doc["sections"]["g_pole"]
+    assert g_pole[0][0] == "1" and g_pole[2][2] == "1"
+    assert g_pole[1][1] == 1.0
+
+
 def test_randers_edge_without_pole(capsys):
     code, _, err = run(capsys, "randers", "--case", "1",
                        "--drift", "0,0,1/2,0", "--edge", "0,1,0,0")

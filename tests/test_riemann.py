@@ -5,7 +5,8 @@ import pytest
 
 from conftest import (cayley_rotation, change_basis, rand_invertible,
                       rand_pd_metric, rand_vector)
-from oracles import sectional_plane_invariance_check
+from oracles import scalar_curvature_gram_schmidt, sectional_plane_invariance_check
+from test_exact_vs_float import semidirect_documents
 from liecurv import catalog
 from liecurv.algebra import LieAlgebra, MetricTensor, Vector
 from liecurv.errors import DegeneratePlaneError, InputError
@@ -189,6 +190,38 @@ def test_scalar_invariant_under_rotation(rng):
         # rotations keep the Gram matrix the identity
         assert g2.gram == MetricTensor.identity(4).gram
         assert scalar_curvature(riemann_tensor(levi_civita(alg2, g2)), g2) == base
+
+
+def test_ricci_trace_matches_gram_schmidt_oracle():
+    """The Ricci trace against the sum of sectional curvatures over a
+    Gram-Schmidt basis: the identical Fraction when exact, 1e-9 relative
+    when floating."""
+    rng = random.Random(20130514)
+    inputs = [(c.algebra, c.metric) for c in
+              [catalog.get_case(i) for i in (1, 2, 3, 5, 6)]
+              + [catalog.get_case(4, alpha=a, beta=b)
+                 for a in range(-2, 2) for b in range(-2, 2)]]
+    for case_id in (1, 6):
+        case = catalog.get_case(case_id)
+        for rows in (rand_invertible(rng, 4), rand_invertible(rng, 4),
+                     cayley_rotation(rng, 4)):
+            inputs.append(change_basis(case.algebra, case.metric, rows))
+    for dim in range(2, 7):
+        for _ in range(2):
+            inputs += [(doc.algebra(), doc.metric)
+                       for doc in semidirect_documents(rng, dim)]
+    floating = 0
+    for alg, metric in inputs:
+        rt = riemann_tensor(levi_civita(alg, metric))
+        got = scalar_curvature(rt, metric)
+        want = scalar_curvature_gram_schmidt(rt, metric)
+        if isinstance(want, float):
+            floating += 1
+            assert isinstance(got, float)
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+        else:
+            assert type(got) is F and got == want
+    assert floating == 10
 
 
 # --- parallel fields ---------------------------------------------------------
