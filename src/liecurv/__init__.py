@@ -9,8 +9,7 @@ from .documents import (Document, document_digest, load_document,
 from .errors import (DegeneratePlaneError, DimensionMismatchError, InputError,
                      LiecurvError, NonBerwaldError, NormBoundError,
                      PreconditionError, UndefinedAtOriginError)
-from .randers import (Flag, RandersMetric, build_randers,
-                      check_finsler_positivity, flag_curvature, g_y,
+from .randers import (Flag, RandersMetric, build_randers, flag_curvature, g_y,
                       parallel_fields, randers_norm)
 from .riemann import (Connection, CurvatureTensor, curvature_apply,
                       levi_civita, riemann_tensor, scalar_curvature, sectional)
@@ -24,10 +23,9 @@ __all__ = [
     "LieAlgebra", "LiecurvError", "MetricTensor", "NonBerwaldError",
     "NormBoundError", "PreconditionError", "RandersMetric", "Scalar",
     "TOLERANCE", "UndefinedAtOriginError", "Vector", "bracket",
-    "build_randers", "check_finsler_positivity", "check_jacobi",
-    "check_para_hypercomplex", "curvature_apply", "document_digest",
-    "fixture_line", "flag_curvature", "g_y", "get_case", "levi_civita",
-    "load_document", "nijenhuis", "parallel_fields", "parse_document",
-    "randers_norm", "reproduce", "riemann_tensor", "scalar_curvature",
-    "sectional", "serialize_document",
+    "build_randers", "check_jacobi", "check_para_hypercomplex",
+    "curvature_apply", "document_digest", "fixture_line", "flag_curvature",
+    "g_y", "get_case", "levi_civita", "load_document", "nijenhuis",
+    "parallel_fields", "parse_document", "randers_norm", "reproduce",
+    "riemann_tensor", "scalar_curvature", "sectional", "serialize_document",
 ]

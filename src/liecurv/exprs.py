@@ -182,8 +182,10 @@ def _eval(expr: Expr, env: Mapping[str, Scalar]) -> Scalar:
     if op == "^":
         if isinstance(b, float) and not b.is_integer():
             raise InputError("only integer exponents are supported")
-        n = int(b)
-        if is_exact(a):
-            return Fraction(a) ** n
-        return a ** n
+        try:
+            return (Fraction(a) if is_exact(a) else a) ** int(b)
+        except ZeroDivisionError:
+            raise InputError("division by zero in expression") from None
+        except OverflowError:
+            raise InputError("expression overflows a float") from None
     raise InputError(f"unknown operator {op!r}")

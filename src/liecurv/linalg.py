@@ -1,8 +1,8 @@
 """Small dense linear algebra over exact rationals, with float fallbacks.
 
 Exact mode is the point: nullspace dimensions and table comparisons must not
-depend on a tolerance. One Gaussian elimination serves solve, determinant,
-rank, nullspace and positive-definiteness. All-exact input is eliminated over
+depend on a tolerance. One Gaussian elimination serves solve, rank,
+nullspace and positive-definiteness. All-exact input is eliminated over
 `Fraction`; any float entry switches the whole matrix to float arithmetic
 with partial pivoting and the global tolerance. One skip-zero contraction,
 `contract`, evaluates every multilinear form in the package: brackets,
@@ -40,12 +40,11 @@ def _eliminate(rows: Sequence[Sequence[Scalar]], pivot_cols: int,
     answer). Float mode takes the largest |x| and reads |x| <= TOLERANCE as
     zero. With swap=False only the current row may hold the pivot, and a
     column whose entry there is zero gets none. Returns (echelon rows, pivot
-    columns, permutation sign, element type: Fraction or float).
+    columns, element type: Fraction or float).
     """
     kind = Fraction if all_exact(_flatten(rows)) else float
     mat = [[kind(x) for x in row] for row in rows]
     pivots: list[int] = []
-    sign = kind(1)
     for c in range(pivot_cols):
         r = len(pivots)
         if r == len(mat):
@@ -59,9 +58,7 @@ def _eliminate(rows: Sequence[Sequence[Scalar]], pivot_cols: int,
                 p = None
         if p is None:
             continue
-        if p != r:
-            mat[r], mat[p] = mat[p], mat[r]
-            sign = -sign
+        mat[r], mat[p] = mat[p], mat[r]
         top = mat[r]
         live = [j for j in range(c + 1, len(top)) if top[j]]
         for row in mat[r + 1:]:
@@ -71,7 +68,7 @@ def _eliminate(rows: Sequence[Sequence[Scalar]], pivot_cols: int,
                 for j in live:
                     row[j] -= f * top[j]
         pivots.append(c)
-    return mat, pivots, sign, kind
+    return mat, pivots, kind
 
 
 def _primitive(vec: list[Fraction]) -> list[Fraction]:
@@ -94,7 +91,7 @@ def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Scalar]
     back-substitutes the pivot columns. Exact vectors are then scaled to
     coprime integers with a positive leading entry.
     """
-    mat, pivots, _, kind = _eliminate(rows, ncols)
+    mat, pivots, kind = _eliminate(rows, ncols)
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
         x: list[Scalar] = [0] * ncols
@@ -118,7 +115,7 @@ def solve_many(matrix: Sequence[Sequence[Scalar]],
     if any(len(row) != n for row in matrix):
         raise InputError("solve_many needs a square matrix")
     aug = [list(matrix[i]) + [b[i] for b in rhs_list] for i in range(n)]
-    mat, pivots, _, _ = _eliminate(aug, n)
+    mat, pivots, _ = _eliminate(aug, n)
     if len(pivots) < n:
         raise InputError("singular matrix in solve")
     solutions = []
@@ -131,15 +128,6 @@ def solve_many(matrix: Sequence[Sequence[Scalar]],
     return solutions
 
 
-def determinant(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Signed product of the pivots; zero (of the matrix's mode) if singular."""
-    n = len(matrix)
-    mat, pivots, sign, kind = _eliminate(matrix, n)
-    if len(pivots) < n:
-        return kind(0)
-    return math.prod((mat[r][r] for r in range(n)), start=sign)
-
-
 def is_positive_definite(gram: Sequence[Sequence[Scalar]]) -> bool:
     """Sylvester: eliminating without row swaps gives only positive pivots.
 
@@ -147,7 +135,7 @@ def is_positive_definite(gram: Sequence[Sequence[Scalar]]) -> bool:
     A float pivot must exceed TOLERANCE, the threshold that solve_many uses.
     """
     n = len(gram)
-    mat, pivots, _, _ = _eliminate(gram, n, swap=False)
+    mat, pivots, _ = _eliminate(gram, n, swap=False)
     return len(pivots) == n and all(mat[r][r] > 0 for r in range(n))
 
 

@@ -20,17 +20,14 @@ degenerates to g exactly, not merely within tolerance.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from . import linalg
 from .algebra import MetricTensor, Vector, as_vector
 from .errors import (DegeneratePlaneError, InputError, NonBerwaldError,
                      NormBoundError, UndefinedAtOriginError)
 from .riemann import Connection, CurvatureTensor, sectional
-from .scalars import (Scalar, is_exact_zero, is_zero, scalar_to_json,
-                      sqrt_scalar)
+from .scalars import Scalar, is_exact_zero, is_zero, sqrt_scalar
 
 
 @dataclass
@@ -180,46 +177,3 @@ def flag_curvature(rm: RandersMetric, rt: CurvatureTensor, flag: Flag) -> Scalar
     if is_exact_zero(beta):
         return k
     return yy * k / (yy + 2 * beta * sqrt_scalar(yy) + beta ** 2)
-
-
-@dataclass
-class PositivityReport:
-    """Sampled positive-definiteness check of the fundamental tensor."""
-
-    samples: int
-    failures: list = field(default_factory=list)  # offending ybar vectors
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def to_dict(self, precision: int = 12) -> dict:
-        return {
-            "samples": self.samples,
-            "passed": self.passed,
-            "failures": [[scalar_to_json(x, precision) for x in y] for y in self.failures],
-        }
-
-
-def check_finsler_positivity(rm: RandersMetric, samples: int = 100,
-                             seed: int = 0) -> PositivityReport:
-    """Sample nonzero rational reference vectors and test [g_y(e_i, e_j)] > 0.
-
-    Deterministic for a given seed. With g(Q,Q) < 1 this must always pass;
-    the check exists to catch violated preconditions and future regressions.
-    """
-    rng = random.Random(seed)
-    n = rm.dim
-    report = PositivityReport(samples=samples)
-    basis = [Vector.basis(n, i) for i in range(n)]
-    for _ in range(samples):
-        while True:
-            ybar = Vector(Fraction(rng.randint(-40, 40), rng.randint(1, 12))
-                          for _ in range(n))
-            if not ybar.is_zero():
-                break
-        matrix = [[g_y(rm, ybar, basis[i], basis[j]) for j in range(n)]
-                  for i in range(n)]
-        if not linalg.is_positive_definite(matrix):
-            report.failures.append(ybar)
-    return report

@@ -9,7 +9,8 @@ With the structure constants lowered once, c_abk = g([e_a,e_b], e_k), the
 right-hand side is (c_ijk - c_jki + c_kij) / 2 for U = e_i, V = e_j, W = e_k.
 
 Curvature convention: R(U,V)W = nabla_U nabla_V W - nabla_V nabla_U W
-- nabla_[U,V] W. Sectional curvature of span{u, v} is
+- nabla_[U,V] W. The table is computed for i < j only: R(e_j,e_i) is
+-R(e_i,e_j) and R(e_i,e_i) = 0. Sectional curvature of span{u, v} is
 g(R(v,u)u, v) / (g(u,u) g(v,v) - g(u,v)^2). The Ricci tensor is the trace
 Ric(V,W) = tr(U -> R(U,V)W), i.e. Ric_jk = sum_i r[i][j][k][i], and the
 scalar curvature is its metric trace g^{jk} Ric_jk.
@@ -104,28 +105,29 @@ class CurvatureTensor:
 
 
 def riemann_tensor(conn: Connection) -> CurvatureTensor:
-    """Contract the connection into the full curvature table."""
+    """Contract the connection into the full curvature table.
+
+    Row (i, j, k) for i < j is nabla_i(nabla_j e_k) - nabla_j(nabla_i e_k)
+    - nabla_{[e_i,e_j]} e_k, one contraction per term; the row (j, i, k) is
+    its negation and the rows (i, i, k) stay zero.
+    """
     n = conn.dim
     gamma = conn.gamma
     c = conn.algebra.structure
-    table = [[[[Fraction(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    # by_target[k][m] = nabla_{e_m} e_k, so contracting its first axis with
+    # [e_i,e_j] gives nabla_{[e_i,e_j]} e_k.
+    by_target = [[gamma[m][k] for m in range(n)] for k in range(n)]
+    zero = [Fraction(0)] * n
+    table = [[[zero] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
-        for j in range(n):
+        for j in range(i + 1, n):
             for k in range(n):
-                row = table[i][j][k]
-                for m in range(n):
-                    gjk = gamma[j][k][m]
-                    gik = gamma[i][k][m]
-                    cij = c[i][j][m]
-                    for l in range(n):
-                        acc = row[l]
-                        if gjk != 0:
-                            acc = acc + gjk * gamma[i][m][l]
-                        if gik != 0:
-                            acc = acc - gik * gamma[j][m][l]
-                        if cij != 0:
-                            acc = acc - cij * gamma[m][k][l]
-                        row[l] = acc
+                row = [a - b - d for a, b, d in zip(
+                    linalg.contract(gamma[i], gamma[j][k]),
+                    linalg.contract(gamma[j], gamma[i][k]),
+                    linalg.contract(by_target[k], c[i][j]))]
+                table[i][j][k] = row
+                table[j][i][k] = [0 - x for x in row]  # 0 - 0.0 is 0.0, not -0.0
     return CurvatureTensor(conn, table)
 
 

@@ -62,7 +62,8 @@ def parse_rational(text: str) -> Scalar:
 
     Decimal input (containing '.' or an exponent) comes back as float; the
     caller is responsible for flagging the surrounding document as
-    floating-mode. Anything else is an InputError.
+    floating-mode. A decimal that overflows to infinity, and anything else,
+    is an InputError.
     """
     s = text.strip()
     if not s:
@@ -79,9 +80,13 @@ def parse_rational(text: str) -> Scalar:
         pass
     if any(ch in s for ch in ".eE"):
         try:
-            return float(s)
+            out = float(s)
         except ValueError:
             pass
+        else:
+            if not math.isfinite(out):
+                raise InputError(f"scalar literal {text!r} is not finite")
+            return out
     raise InputError(f"bad scalar literal {text!r}")
 
 

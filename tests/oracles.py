@@ -15,7 +15,7 @@ from liecurv.algebra import MetricTensor, Vector, as_vector
 from liecurv.errors import (DegeneratePlaneError, InputError, NonBerwaldError,
                             PreconditionError, UndefinedAtOriginError)
 from liecurv.randers import Flag, RandersMetric, g_y, randers_norm
-from liecurv.riemann import CurvatureTensor, curvature_apply, sectional
+from liecurv.riemann import Connection, CurvatureTensor, curvature_apply, sectional
 from liecurv.scalars import Scalar, approx_equal, is_zero, scalar_to_json
 
 
@@ -43,6 +43,34 @@ def flag_curvature_four_g_y(rm: RandersMetric, rt: CurvatureTensor,
     den = (g_y(rm, pole, pole, pole) * g_y(rm, pole, edge, edge)
            - g_y(rm, pole, pole, edge) ** 2)
     return num / den
+
+
+def riemann_tensor_dense(conn: Connection) -> CurvatureTensor:
+    """All n^4 curvature entries from one fused multiply-add loop over
+    R(e_i,e_j)e_k = sum_m (G_jkm G_im - G_ikm G_jm - c_ijm G_mk), with no
+    antisymmetry shortcut. A term is skipped when its coefficient == 0."""
+    n = conn.dim
+    gamma = conn.gamma
+    c = conn.algebra.structure
+    table = [[[[Fraction(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                row = table[i][j][k]
+                for m in range(n):
+                    gjk = gamma[j][k][m]
+                    gik = gamma[i][k][m]
+                    cij = c[i][j][m]
+                    for l in range(n):
+                        acc = row[l]
+                        if gjk != 0:
+                            acc = acc + gjk * gamma[i][m][l]
+                        if gik != 0:
+                            acc = acc - gik * gamma[j][m][l]
+                        if cij != 0:
+                            acc = acc - cij * gamma[m][k][l]
+                        row[l] = acc
+    return CurvatureTensor(conn, table)
 
 
 def gram_schmidt(gram: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:

@@ -353,6 +353,37 @@ def test_dim_over_ceiling(capsys, tmp_path):
         assert f"document.dim is {MAX_DIM + 1}; the ceiling is {MAX_DIM}" in err
 
 
+def _doc_2d(coeff="1", metric="identity", params=None):
+    obj = {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": ["0", coeff]}],
+           "metric": metric}
+    if params:
+        obj["params"] = params
+    return obj
+
+
+@pytest.mark.parametrize("doc, argv, where", [
+    (_doc_2d("1e999"), ("scalar",), "document.brackets[0].coeffs[1]"),
+    (_doc_2d(float("inf")), ("scalar",), "document.brackets[0].coeffs[1]"),
+    (_doc_2d(metric=[[float("nan"), 0], [0, 1]]), ("scalar",), "document.metric[0][0]"),
+    (_doc_2d("alpha*alpha", params={"alpha": "1e300"}), ("analyze",),
+     "document.brackets[0].coeffs[1]"),
+    (_doc_2d("alpha^2", params={"alpha": "1e300"}), ("scalar",),
+     "document.brackets[0].coeffs[1]"),
+    (_doc_2d("alpha^-1", params={"alpha": "0"}), ("check",),
+     "document.brackets[0].coeffs[1]"),
+    (None, ("sectional", "--case", "1", "--u", "1e999,0,0,0", "--v", "0,1,0,0"), "--u"),
+    (None, ("randers", "--case", "1", "--drift", "1e999,0,0,0"), "--drift"),
+])
+def test_non_finite_scalars_are_input_errors(capsys, tmp_path, doc, argv, where):
+    # json.dumps writes float('inf') and float('nan') as the literals
+    # Infinity and NaN, which json.load reads back as floats.
+    if doc is not None:
+        argv = argv + (write_doc(tmp_path, doc),)
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {where}:")
+
+
 # --- import path ----------------------------------------------------------------
 
 

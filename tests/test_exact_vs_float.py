@@ -119,16 +119,13 @@ def test_rank_and_nullspace_agree():
                 assert abs(sum(float(a) * x for a, x in zip(row, v))) <= TOLERANCE, rows
 
 
-def test_determinant_and_solve_agree():
+def test_rank_and_solve_agree():
     rng = random.Random(1)
     singular = 0
     for rows in square_matrices():
         floats = as_float(rows)
-        det = linalg.determinant(rows)
-        assert isinstance(det, Fraction)
-        assert close(det, linalg.determinant(floats)), rows
         rhs = rand_matrix(rng, 2, len(rows))
-        if det == 0:
+        if linalg.rank(rows) < len(rows):
             singular += 1
             for matrix, b in ((rows, rhs), (floats, as_float(rhs))):
                 with pytest.raises(InputError):

@@ -57,13 +57,6 @@ def test_solve_many_singular():
         linalg.solve_many([[F(1), F(1)], [F(2), F(2)]], [[F(1), F(0)]])
 
 
-def test_determinant():
-    assert linalg.determinant([[F(2), F(1)], [F(1), F(3)]]) == 5
-    assert linalg.determinant([[F(1), F(2)], [F(2), F(4)]]) == 0
-    assert linalg.determinant([[F(0), F(1)], [F(1), F(0)]]) == -1
-    assert linalg.determinant([[0.0, 1.0], [1.0, 0.0]]) == -1.0
-
-
 def test_is_positive_definite():
     assert linalg.is_positive_definite([[F(2), F(1)], [F(1), F(2)]])
     assert not linalg.is_positive_definite([[F(1), F(0)], [F(0), F(0)]])

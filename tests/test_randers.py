@@ -10,9 +10,9 @@ from liecurv import catalog
 from liecurv.algebra import Vector
 from liecurv.errors import (DegeneratePlaneError, NonBerwaldError,
                             NormBoundError, UndefinedAtOriginError)
-from liecurv.linalg import orthonormal_pair
-from liecurv.randers import (Flag, build_randers, check_finsler_positivity,
-                             flag_curvature, g_y, parallel_fields, randers_norm)
+from liecurv.linalg import is_positive_definite, orthonormal_pair
+from liecurv.randers import (Flag, build_randers, flag_curvature, g_y,
+                             parallel_fields, randers_norm)
 from liecurv.riemann import curvature_apply, levi_civita, riemann_tensor, sectional
 
 F = Fraction
@@ -150,10 +150,16 @@ def test_g_y_matches_hessian(rng):
 
 
 def test_positivity_report():
+    # g(Q,Q) < 1 makes [g_y(e_i, e_j)] positive definite at every ybar != 0
     _, _, _, rm = setup(1, Z_HALF)
-    report = check_finsler_positivity(rm, samples=40, seed=3)
-    assert report.passed
-    assert report.to_dict()["samples"] == 40
+    rng = random.Random(3)
+    basis = [Vector.basis(4, i) for i in range(4)]
+    for _ in range(40):
+        ybar = Vector([F(0)] * 4)
+        while ybar.is_zero():
+            ybar = Vector(F(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(4))
+        assert is_positive_definite([[g_y(rm, ybar, bi, bj) for bj in basis]
+                                     for bi in basis]), ybar
 
 
 # --- flag curvature -------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import (cayley_rotation, change_basis, rand_invertible,
                       rand_pd_metric, rand_vector)
-from oracles import scalar_curvature_gram_schmidt, sectional_plane_invariance_check
+from oracles import (riemann_tensor_dense, scalar_curvature_gram_schmidt,
+                     sectional_plane_invariance_check)
 from test_exact_vs_float import semidirect_documents
 from liecurv import catalog
 from liecurv.algebra import LieAlgebra, MetricTensor, Vector
@@ -113,6 +114,40 @@ def test_first_bianchi(rng):
         total = (curvature_apply(rt, u, v, w) + curvature_apply(rt, v, w, u)
                  + curvature_apply(rt, w, u, v))
         assert total.is_zero()
+
+
+def test_riemann_tensor_matches_dense_oracle():
+    """The i<j contraction kernel against the dense n^4 loop: the identical
+    Fraction on exact input, 1e-9 relative on floating input, and
+    R(e_j,e_i) = -R(e_i,e_j), R(e_i,e_i) = 0 on every table."""
+    rng = random.Random(20130516)
+    inputs = [(c.algebra, c.metric, False) for c in
+              [catalog.get_case(i) for i in (1, 2, 3, 5, 6)]
+              + [catalog.get_case(4, alpha=a, beta=b)
+                 for a in range(-2, 2) for b in range(-2, 2)]]
+    for dim in range(2, 7):
+        for _ in range(2):
+            inputs += [(doc.algebra(), doc.metric, doc.floating)
+                       for doc in semidirect_documents(rng, dim)]
+    floating = 0
+    for alg, metric, is_float in inputs:
+        conn = levi_civita(alg, metric)
+        got = riemann_tensor(conn).table
+        want = riemann_tensor_dense(conn).table
+        n = alg.dim
+        for i in range(n):
+            assert all(x == 0 for row in got[i][i] for x in row)
+            for j in range(i + 1, n):
+                for k in range(n):
+                    assert list(got[j][i][k]) == [-x for x in got[i][j][k]]
+        pairs = [(a, b) for i in range(n) for j in range(n) for k in range(n)
+                 for a, b in zip(got[i][j][k], want[i][j][k])]
+        if is_float:
+            floating += 1
+            assert all(abs(a - b) <= 1e-9 * max(1.0, abs(b)) for a, b in pairs)
+        else:
+            assert all(type(a) is F and type(b) is F and a == b for a, b in pairs)
+    assert floating == 10
 
 
 # --- sectional ---------------------------------------------------------------
