@@ -74,8 +74,11 @@ def case_summaries() -> list[dict]:
 
 
 def _coerce_param(name: str, value) -> Scalar:
-    if isinstance(value, str):
-        return parse_rational(value)
+    if isinstance(value, str):  # the text of --alpha or --beta
+        try:
+            return parse_rational(value)
+        except InputError as exc:
+            raise InputError(f"--{name}: {exc}") from None
     if isinstance(value, bool):
         raise InputError(f"parameter {name} must be a rational or decimal")
     if isinstance(value, int):

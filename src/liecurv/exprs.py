@@ -3,9 +3,10 @@
 Catalog fixtures store reference formulas (structure constants over alpha and
 beta, sectional and flag-curvature closed forms) as plain strings. This module
 parses each once into a small tree and evaluates them over exact or floating
-scalars. Grammar: + - * / unary minus, '^' or '**' for integer powers,
-parentheses, integer or decimal literals, bare variable names. Division of
-exact operands stays exact, so "3/4" evaluates to Fraction(3, 4).
+scalars. Grammar: + - * / unary minus, '^' or '**' for integer powers
+(|n| <= MAX_EXPONENT), parentheses, integer or decimal literals, bare
+variable names. Division of exact operands stays exact, so "3/4" evaluates
+to Fraction(3, 4).
 """
 
 from __future__ import annotations
@@ -16,13 +17,17 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .errors import InputError
-from .scalars import Scalar, is_exact
+from .scalars import Scalar, format_scalar, is_exact
 
 Expr = Union[tuple, int, float, str]
 
 # Distinct sources kept by the parse memo; reproducing all six catalog cases
 # parses 82.
 PARSE_CACHE_SIZE = 4096
+
+# Largest |n| accepted in x^n. An exact power is computed in full, so without
+# a ceiling alpha^3000000 builds a 1.4M-digit integer; the fixtures use ^2.
+MAX_EXPONENT = 64
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
@@ -180,8 +185,10 @@ def _eval(expr: Expr, env: Mapping[str, Scalar]) -> Scalar:
             return Fraction(a) / Fraction(b)
         return a / b
     if op == "^":
-        if isinstance(b, float) and not b.is_integer():
+        if b.denominator != 1 if is_exact(b) else not b.is_integer():
             raise InputError("only integer exponents are supported")
+        if abs(b) > MAX_EXPONENT:
+            raise InputError(f"exponent {format_scalar(b)} is over the ceiling {MAX_EXPONENT}")
         try:
             return (Fraction(a) if is_exact(a) else a) ** int(b)
         except ZeroDivisionError:

@@ -2,11 +2,15 @@
 
 Exact mode is the point: nullspace dimensions and table comparisons must not
 depend on a tolerance. One Gaussian elimination serves solve, rank,
-nullspace and positive-definiteness. All-exact input is eliminated over
-`Fraction`; any float entry switches the whole matrix to float arithmetic
-with partial pivoting and the global tolerance. One skip-zero contraction,
-`contract`, evaluates every multilinear form in the package: brackets,
-covariant derivatives, curvature, inner products and endomorphisms.
+nullspace and positive-definiteness. All-exact input is cleared to integer
+rows and eliminated fraction-free; any float entry switches the whole matrix
+to float arithmetic with partial pivoting and the global tolerance. One
+skip-zero contraction, `contract`, evaluates every multilinear form in the
+package: brackets, covariant derivatives, curvature, inner products and
+endomorphisms. It accumulates in the type of its products, so int tables
+stay in int arithmetic. `clear_denominators` turns an exact table into such
+a table times a common denominator, so a caller builds one Fraction per
+result instead of one per multiply-add (E. Bareiss, Math. Comp. 22, 1968).
 """
 
 from __future__ import annotations
@@ -19,12 +23,15 @@ from .errors import DegeneratePlaneError, InputError
 from .scalars import TOLERANCE, Scalar, is_exact, is_exact_zero, sqrt_scalar
 
 
-def all_exact(values) -> bool:
-    return all(is_exact(x) for x in values)
+def _leaves(table) -> list:
+    """Entries of a nested list/tuple table of uniform depth, in order."""
+    while table and isinstance(table[0], (list, tuple)):
+        table = [x for sub in table for x in sub]
+    return table
 
 
-def _flatten(rows):
-    return [x for row in rows for x in row]
+def all_exact(table) -> bool:
+    return all(is_exact(x) for x in _leaves(table))
 
 
 # --- elimination ------------------------------------------------------------
@@ -36,14 +43,18 @@ def _eliminate(rows: Sequence[Sequence[Scalar]], pivot_cols: int,
 
     Pivots are sought in the first pivot_cols columns only; row operations
     act on whole rows, so later columns carry right-hand sides along. Exact
-    mode takes the first nonzero entry as pivot (any pivot gives the same
-    answer). Float mode takes the largest |x| and reads |x| <= TOLERANCE as
-    zero. With swap=False only the current row may hold the pivot, and a
-    column whose entry there is zero gets none. Returns (echelon rows, pivot
-    columns, element type: Fraction or float).
+    mode scales each row to ints and takes the first nonzero entry as pivot
+    (any pivot gives the same answer); a row below the pivot row `top`
+    becomes top[c] * row - row[c] * top divided by its gcd, so every echelon
+    row is a nonzero int multiple of the Gaussian one. Float mode takes the
+    largest |x| and reads |x| <= TOLERANCE as zero. With swap=False only the
+    current row may hold the pivot, and a column whose entry there is zero
+    gets none. Returns (echelon rows, pivot columns, the type results are
+    built in: Fraction or float).
     """
-    kind = Fraction if all_exact(_flatten(rows)) else float
-    mat = [[kind(x) for x in row] for row in rows]
+    kind = Fraction if all_exact(rows) else float
+    mat = ([clear_denominators(row)[1] for row in rows] if kind is Fraction
+           else [[float(x) for x in row] for row in rows])
     pivots: list[int] = []
     for c in range(pivot_cols):
         r = len(pivots)
@@ -62,9 +73,16 @@ def _eliminate(rows: Sequence[Sequence[Scalar]], pivot_cols: int,
         top = mat[r]
         live = [j for j in range(c + 1, len(top)) if top[j]]
         for row in mat[r + 1:]:
-            if row[c]:
+            if not row[c]:
+                continue
+            if kind is Fraction:
+                a, b = top[c], row[c]
+                row[:] = [a * x - b * y for x, y in zip(row, top)]
+                g = math.gcd(*row) or 1
+                row[:] = [x // g for x in row]
+            else:
                 f = row[c] / top[c]
-                row[c] = kind(0)
+                row[c] = 0.0
                 for j in live:
                     row[j] -= f * top[j]
         pivots.append(c)
@@ -99,7 +117,7 @@ def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Scalar]
         for r in reversed(range(len(pivots))):
             c, row = pivots[r], mat[r]
             s = sum(row[j] * x[j] for j in range(c + 1, ncols) if x[j])
-            x[c] = -s / row[c] if s else 0
+            x[c] = -s / kind(row[c]) if s else 0
         basis.append(_primitive(x) if kind is Fraction else [float(v) for v in x])
     return basis
 
@@ -115,16 +133,21 @@ def solve_many(matrix: Sequence[Sequence[Scalar]],
     if any(len(row) != n for row in matrix):
         raise InputError("solve_many needs a square matrix")
     aug = [list(matrix[i]) + [b[i] for b in rhs_list] for i in range(n)]
-    mat, pivots, _ = _eliminate(aug, n)
+    mat, pivots, kind = _eliminate(aug, n)
     if len(pivots) < n:
         raise InputError("singular matrix in solve")
+    # Exact rows are ints. The denominators of x divide the pivot product D,
+    # so y = D x is an int vector and each back-substitution step divides
+    # exactly; x = y / D is one Fraction per entry.
+    scale = math.prod(mat[r][r] for r in range(n)) if kind is Fraction else 1
     solutions = []
     for k in range(n, n + len(rhs_list)):
-        x: list[Scalar] = [0] * n
+        y: list[Scalar] = [0] * n
         for r in reversed(range(n)):
             row = mat[r]
-            x[r] = (row[k] - sum(row[j] * x[j] for j in range(r + 1, n) if x[j])) / row[r]
-        solutions.append(x)
+            t = scale * row[k] - sum(row[j] * y[j] for j in range(r + 1, n) if y[j])
+            y[r] = t // row[r] if kind is Fraction else t / row[r]
+        solutions.append([Fraction(v, scale) for v in y] if kind is Fraction else y)
     return solutions
 
 
@@ -132,7 +155,9 @@ def is_positive_definite(gram: Sequence[Sequence[Scalar]]) -> bool:
     """Sylvester: eliminating without row swaps gives only positive pivots.
 
     The k-th pivot is the ratio of the k-th to the (k-1)-th leading minor.
-    A float pivot must exceed TOLERANCE, the threshold that solve_many uses.
+    An exact pivot differs from it by a positive factor and a product of
+    earlier pivots, so its sign is the ratio's while those are positive. A
+    float pivot must exceed TOLERANCE, the threshold that solve_many uses.
     """
     n = len(gram)
     mat, pivots, _ = _eliminate(gram, n, swap=False)
@@ -140,6 +165,8 @@ def is_positive_definite(gram: Sequence[Sequence[Scalar]]) -> bool:
 
 
 # --- contraction and metric helpers -----------------------------------------
+
+_ZERO = Fraction(0)
 
 
 def contract(table, *vectors) -> Scalar | list[Scalar]:
@@ -149,10 +176,12 @@ def contract(table, *vectors) -> Scalar | list[Scalar]:
     vector coefficient is an exact zero or the table entry is zero, so an
     exact zero never brings a float into an exact result, while a float
     coefficient (0.0 included) that meets a nonzero entry gives a float.
-    Returns a scalar when there is one vector per axis, else a list over the
-    last axis.
+    Each sum starts from its first live product, so int input gives an int
+    and Fraction input a Fraction; a sum that no term reaches is
+    Fraction(0). Returns a scalar when there is one vector per axis, else a
+    list over the last axis.
     """
-    live = [[(i, x) for i, x in enumerate(vec) if not is_exact_zero(x)]
+    live = [[(i, x) for i, x in enumerate(vec) if x or isinstance(x, float)]
             for vec in vectors]
     terms = [(x, table[i]) for i, x in live[0]]
     for pairs in live[1:]:
@@ -160,18 +189,36 @@ def contract(table, *vectors) -> Scalar | list[Scalar]:
     tail = table
     for _ in vectors:
         tail = tail[0]
+    # A product of live exact factors is never zero, so a zero product is a
+    # float +-0.0; a sum starts from it as 0.0, never as -0.0.
     if not isinstance(tail, (list, tuple)):
-        total: Scalar = Fraction(0)
+        total = None
         for w, entry in terms:
             if entry:
-                total = total + w * entry
-        return total
-    out: list[Scalar] = [Fraction(0)] * len(tail)
+                p = w * entry
+                total = (p or 0.0) if total is None else total + p
+        return _ZERO if total is None else total
+    out: list = [None] * len(tail)
     for w, row in terms:
         for l, entry in enumerate(row):
             if entry:
-                out[l] = out[l] + w * entry
-    return out
+                p = w * entry
+                acc = out[l]
+                out[l] = (p or 0.0) if acc is None else acc + p
+    return [_ZERO if x is None else x for x in out]
+
+
+def clear_denominators(table) -> tuple[int, list]:
+    """(L, L * table) for an exact nested table, with L the lcm of its
+    denominators: every entry of the scaled table is an int."""
+    scale = math.lcm(*(x.denominator for x in _leaves(table)))
+
+    def scaled(t):
+        if t and isinstance(t[0], (list, tuple)):
+            return [scaled(s) for s in t]
+        return [x.numerator * (scale // x.denominator) for x in t]
+
+    return scale, scaled(table)
 
 
 def orthonormal_pair(gram: Sequence[Sequence[Scalar]], u: Sequence[Scalar],
@@ -185,7 +232,7 @@ def orthonormal_pair(gram: Sequence[Sequence[Scalar]], u: Sequence[Scalar],
         raise DegeneratePlaneError("zero vector cannot span a plane")
     nu = sqrt_scalar(uu)
     u_hat = [x / nu for x in u]
-    coeff = contract(gram, u, v) / uu
+    coeff = contract(gram, u, v) / (Fraction(uu) if is_exact(uu) else uu)
     w = [v[j] - coeff * u[j] for j in range(len(v))]
     ww = contract(gram, w, w)
     if is_exact_zero(ww):

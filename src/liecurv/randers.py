@@ -26,7 +26,7 @@ from . import linalg
 from .algebra import MetricTensor, Vector, as_vector
 from .errors import (DegeneratePlaneError, InputError, NonBerwaldError,
                      NormBoundError, UndefinedAtOriginError)
-from .riemann import Connection, CurvatureTensor, sectional
+from .riemann import Connection, CurvatureTensor, curvature_apply
 from .scalars import Scalar, is_exact_zero, is_zero, sqrt_scalar
 
 
@@ -165,14 +165,17 @@ def flag_curvature(rm: RandersMetric, rt: CurvatureTensor, flag: Flag) -> Scalar
     if rt.dim != rm.dim:
         raise InputError("curvature tensor dimension differs from Randers metric")
     pole = as_vector(flag.pole, rm.dim)
+    edge = as_vector(flag.edge, rm.dim)
     g = rm.base
     yy = g.norm_sq(pole)
     if is_zero(yy):
         raise UndefinedAtOriginError("flag pole must be nonzero")
-    try:
-        _, k = sectional(rt, g, pole, flag.edge)
-    except DegeneratePlaneError:
-        raise DegeneratePlaneError("flag pole and edge are linearly dependent") from None
+    # K_g(P) as riemann.sectional computes it, reusing g(y,y)
+    numerator = g.inner(curvature_apply(rt, edge, pole, pole), edge)
+    den = yy * g.norm_sq(edge) - g.inner(pole, edge) ** 2
+    if is_zero(den):
+        raise DegeneratePlaneError("flag pole and edge are linearly dependent")
+    k = numerator / den
     beta = g.inner(rm.drift, pole)
     if is_exact_zero(beta):
         return k

@@ -10,7 +10,9 @@ right-hand side is (c_ijk - c_jki + c_kij) / 2 for U = e_i, V = e_j, W = e_k.
 
 Curvature convention: R(U,V)W = nabla_U nabla_V W - nabla_V nabla_U W
 - nabla_[U,V] W. The table is computed for i < j only: R(e_j,e_i) is
--R(e_i,e_j) and R(e_i,e_i) = 0. Sectional curvature of span{u, v} is
+-R(e_i,e_j) and R(e_i,e_i) = 0. Exact tables are contracted with their
+denominators cleared, so each entry costs one Fraction, not one per
+multiply-add. Sectional curvature of span{u, v} is
 g(R(v,u)u, v) / (g(u,u) g(v,v) - g(u,v)^2). The Ricci tensor is the trace
 Ric(V,W) = tr(U -> R(U,V)W), i.e. Ric_jk = sum_i r[i][j][k][i], and the
 scalar curvature is its metric trace g^{jk} Ric_jk.
@@ -109,25 +111,40 @@ def riemann_tensor(conn: Connection) -> CurvatureTensor:
 
     Row (i, j, k) for i < j is nabla_i(nabla_j e_k) - nabla_j(nabla_i e_k)
     - nabla_{[e_i,e_j]} e_k, one contraction per term; the row (j, i, k) is
-    its negation and the rows (i, i, k) stay zero.
+    its negation and the rows (i, i, k) stay zero. On exact input the
+    denominators are cleared once, Gamma as L * gamma and c as M * c, so the
+    contractions run over ints: the first two terms come out scaled by L^2,
+    the third by L M, and a last contraction with (M, -M, -L) gives the int
+    numerator of each entry, Fraction(M (a - b) - L d, L^2 M). Float tables
+    are contracted as they are, each entry a - b - d.
     """
     n = conn.dim
     gamma = conn.gamma
     c = conn.algebra.structure
+    exact = linalg.all_exact((gamma, c))
+    if exact:
+        L, gamma = linalg.clear_denominators(gamma)
+        M, c = linalg.clear_denominators(c)
+        den = L * L * M
     # by_target[k][m] = nabla_{e_m} e_k, so contracting its first axis with
     # [e_i,e_j] gives nabla_{[e_i,e_j]} e_k.
     by_target = [[gamma[m][k] for m in range(n)] for k in range(n)]
-    zero = [Fraction(0)] * n
-    table = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    zero = Fraction(0)
+    table = [[[[zero] * n] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
-                row = [a - b - d for a, b, d in zip(
-                    linalg.contract(gamma[i], gamma[j][k]),
-                    linalg.contract(gamma[j], gamma[i][k]),
-                    linalg.contract(by_target[k], c[i][j]))]
+                terms = (linalg.contract(gamma[i], gamma[j][k]),
+                         linalg.contract(gamma[j], gamma[i][k]),
+                         linalg.contract(by_target[k], c[i][j]))
+                if exact:
+                    row = [Fraction(v, den) if v else zero
+                           for v in linalg.contract(terms, (M, -M, -L))]
+                    table[j][i][k] = [-x for x in row]
+                else:
+                    row = [a - b - d for a, b, d in zip(*terms)]
+                    table[j][i][k] = [0 - x for x in row]  # 0 - 0.0 is 0.0, not -0.0
                 table[i][j][k] = row
-                table[j][i][k] = [0 - x for x in row]  # 0 - 0.0 is 0.0, not -0.0
     return CurvatureTensor(conn, table)
 
 

@@ -91,7 +91,11 @@ def parse_rational(text: str) -> Scalar:
 
 
 def format_scalar(x: Scalar, precision: int = 12) -> str:
-    """Render a scalar: exact values as 'p/q' or 'n', floats to precision."""
+    """Render a scalar: exact values as 'p/q' or 'n', floats to precision.
+
+    A float zero renders as '0' whatever its sign: -0.0 is an artefact of
+    the order of float operations, not a value.
+    """
     if isinstance(x, bool):
         raise InputError("boolean is not a scalar")
     if isinstance(x, int):
@@ -100,11 +104,11 @@ def format_scalar(x: Scalar, precision: int = 12) -> str:
         if x.denominator == 1:
             return str(x.numerator)
         return f"{x.numerator}/{x.denominator}"
-    return f"{x:.{precision}g}"
+    return f"{x + 0.0:.{precision}g}"  # -0.0 + 0.0 is 0.0
 
 
 def scalar_to_json(x: Scalar, precision: int = 12):
     """JSON value for a scalar: exact -> 'p/q' string, float -> number."""
     if is_exact(x):
         return format_scalar(x)
-    return float(f"{x:.{precision}g}")
+    return float(format_scalar(x, precision))

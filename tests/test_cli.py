@@ -373,6 +373,8 @@ def _doc_2d(coeff="1", metric="identity", params=None):
      "document.brackets[0].coeffs[1]"),
     (None, ("sectional", "--case", "1", "--u", "1e999,0,0,0", "--v", "0,1,0,0"), "--u"),
     (None, ("randers", "--case", "1", "--drift", "1e999,0,0,0"), "--drift"),
+    (None, ("scalar", "--case", "4", "--alpha", "1e999", "--beta", "0"), "--alpha"),
+    (None, ("analyze", "--case", "4", "--alpha", "0", "--beta=-1e999"), "--beta"),
 ])
 def test_non_finite_scalars_are_input_errors(capsys, tmp_path, doc, argv, where):
     # json.dumps writes float('inf') and float('nan') as the literals
@@ -382,6 +384,16 @@ def test_non_finite_scalars_are_input_errors(capsys, tmp_path, doc, argv, where)
     code, out, err = run(capsys, *argv, "--format", "json")
     assert code == 1 and out == ""
     assert err.startswith(f"error: {where}:")
+
+
+def test_exponent_over_ceiling_is_an_input_error(capsys, tmp_path):
+    # 3^3000000 would be a 1.4M-digit integer; the ceiling refuses it first
+    path = write_doc(tmp_path, _doc_2d("alpha^3000000", params={"alpha": "3"}))
+    for command in ("check", "scalar"):
+        code, out, err = run(capsys, command, path)
+        assert code == 1 and out == ""
+        assert err.startswith("error: document.brackets[0].coeffs[1]: exponent 3000000 "
+                              "is over the ceiling 64")
 
 
 # --- import path ----------------------------------------------------------------

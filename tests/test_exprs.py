@@ -21,6 +21,16 @@ def test_caret_and_doublestar_agree():
     assert ev("a**2 + a^2", a=5) == 50
 
 
+def test_exponent_rules():
+    assert ev("a^64", a=2) == 2 ** 64 and ev("a^-64", a=2) == Fraction(1, 2 ** 64)
+    for src in ("a^65", "a^-65", "(a^2)^100", "a^(2*40)"):
+        with pytest.raises(InputError, match="ceiling 64"):
+            ev(src, a=3)
+    for src in ("a^(1/2)", "a^2.5"):
+        with pytest.raises(InputError, match="integer exponents"):
+            ev(src, a=4)
+
+
 def test_variables_and_free_names():
     e = parse_expr("-(1+alpha)^2/2 - 2*beta^2 - 6")
     assert free_names(e) == {"alpha", "beta"}

@@ -57,6 +57,42 @@ def test_solve_many_singular():
         linalg.solve_many([[F(1), F(1)], [F(2), F(2)]], [[F(1), F(0)]])
 
 
+def leibniz_det(m):
+    n = len(m)
+    total = F(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod((F(m[i][perm[i]]) for i in range(n)), start=F(1))
+    return total
+
+
+def test_fraction_free_elimination_is_exact():
+    """Exact elimination runs over integer rows; every consumer must still
+    give exact answers: solutions with zero residual, nullspace vectors of
+    the right count, and Sylvester's criterion on independent minors."""
+    rng = random.Random(1968)
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        a = [[rng.choice((0, rng.randint(-6, 6), F(rng.randint(-6, 6), rng.randint(1, 999))))
+              for _ in range(n)] for _ in range(n)]
+        minors = [leibniz_det([row[:k] for row in a[:k]]) for k in range(1, n + 1)]
+        rhs = [[F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)] for _ in range(2)]
+        if minors[-1]:
+            for b, x in zip(rhs, linalg.solve_many(a, rhs)):
+                assert all(type(v) is F for v in x)
+                assert [sum(F(a[i][j]) * x[j] for j in range(n)) for i in range(n)] == b
+        basis = linalg.nullspace(a, n)
+        assert len(basis) == n - linalg.rank(a) and (len(basis) == 0) == (minors[-1] != 0)
+        assert all(sum(F(a[i][j]) * v[j] for j in range(n)) == 0 for v in basis for i in range(n))
+        sym = [[a[i][j] + a[j][i] + (2 * n * 36 if i == j and rng.random() < 0.7 else 0)
+                for j in range(n)] for i in range(n)]
+        want = all(leibniz_det([row[:k] for row in sym[:k]]) > 0 for k in range(1, n + 1))
+        assert linalg.is_positive_definite(sym) == want
+        seen[want] += 1
+    assert seen[True] > 20 and seen[False] > 20
+
+
 def test_is_positive_definite():
     assert linalg.is_positive_definite([[F(2), F(1)], [F(1), F(2)]])
     assert not linalg.is_positive_definite([[F(1), F(0)], [F(0), F(0)]])
@@ -203,3 +239,35 @@ def test_contract_skip_rule_examples():
     assert type(linalg.contract(eye, [F(0), F(0)], [0.5, 0.5])) is F
     # one vector short of the table's depth: a list over the last axis
     assert linalg.contract([[F(1), F(1)], [F(0), F(1)]], [F(2), F(-1)]) == [F(2), F(1)]
+
+
+def test_contract_result_types():
+    # each sum is in the type of its products: Fraction in, Fraction out...
+    assert type(linalg.contract([[F(1, 2), F(1)]], [F(2)], [F(1), F(3)])) is F
+    # ...int in, int out, scalar and list alike
+    assert type(linalg.contract([[2, 3], [5, 7]], [1, 2], [3, 0])) is int
+    assert all(type(x) is int for x in linalg.contract([[2, 0], [5, 7]], [1, 2]))
+    # a sum that no term reaches is Fraction(0), whatever the inputs
+    assert type(linalg.contract([[2, 0], [5, 7]], [1, 0], [0, 1])) is F
+    assert [type(x) for x in linalg.contract([[2, 0], [0, 0]], [0.5, 3])] == [float, F]
+    # a float zero sum is 0.0, never -0.0, as Fraction(0) + (-0.0) would give
+    for got in (linalg.contract([[-3.0]], [0.0], [1]),
+                linalg.contract([[-3]], [0.0], [F(1)]),
+                linalg.contract([[1], [-1]], [0.0, 0.0], [1]),
+                linalg.contract([[F(1)], [F(-1)]], [0.5, 0.5], [1]),
+                *linalg.contract([[-3, F(-2)]], [0.0])):
+        assert got == 0 and type(got) is float and math.copysign(1, got) == 1
+
+
+def test_clear_denominators():
+    scale, ints = linalg.clear_denominators([[F(1, 2), 3], [F(-1, 3), F(0)]])
+    assert (scale, ints) == (6, [[3, 18], [-2, 0]])
+    assert all(type(x) is int for row in ints for x in row)
+    assert linalg.clear_denominators(((1, -2), (0, 5))) == (1, [[1, -2], [0, 5]])
+
+
+def test_orthonormal_pair_int_gram_stays_exact():
+    # int g(u,v) / int g(u,u) must not become a float division
+    u, v = linalg.orthonormal_pair([[1, 0], [0, 1]], [3, 0], [1, 2])
+    assert u == [F(1), F(0)] and v == [F(0), F(1)]
+    assert all(type(x) is F for x in u + v)

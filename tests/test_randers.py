@@ -7,7 +7,7 @@ import pytest
 from conftest import change_basis, invert, rand_fraction, rand_invertible, rand_vector
 from oracles import flag_curvature_four_g_y, g_y_hessian_oracle
 from liecurv import catalog
-from liecurv.algebra import Vector
+from liecurv.algebra import MetricTensor, Vector
 from liecurv.errors import (DegeneratePlaneError, NonBerwaldError,
                             NormBoundError, UndefinedAtOriginError)
 from liecurv.linalg import is_positive_definite, orthonormal_pair
@@ -201,6 +201,19 @@ def test_flag_berwald_correction_identity(rng):
             assert abs(got - want) < 1e-9
         else:
             assert got == want
+
+
+def test_flag_reads_the_metric_five_times(monkeypatch):
+    # g(y,y), g(e,e), g(y,e), the curvature numerator and g(Q,y), each once
+    _, _, rt, rm = setup(1, Z_HALF)
+    calls = []
+    inner = MetricTensor.inner
+    monkeypatch.setattr(MetricTensor, "inner",
+                        lambda self, u, v: calls.append(1) or inner(self, u, v))
+    pole = Vector([F(2, 3), F(1, 3), F(2, 3), F(0)])
+    edge = Vector([F(1, 3), F(2, 3), F(-2, 3), F(0)])
+    assert flag_curvature(rm, rt, Flag(pole, edge)) == F(-1, 16)
+    assert len(calls) == 5
 
 
 def test_flag_requires_berwald():

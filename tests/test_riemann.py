@@ -8,7 +8,7 @@ from conftest import (cayley_rotation, change_basis, rand_invertible,
 from oracles import (riemann_tensor_dense, scalar_curvature_gram_schmidt,
                      sectional_plane_invariance_check)
 from test_exact_vs_float import semidirect_documents
-from liecurv import catalog
+from liecurv import catalog, linalg
 from liecurv.algebra import LieAlgebra, MetricTensor, Vector
 from liecurv.errors import DegeneratePlaneError, InputError
 from liecurv.randers import parallel_fields
@@ -116,10 +116,31 @@ def test_first_bianchi(rng):
         assert total.is_zero()
 
 
-def test_riemann_tensor_matches_dense_oracle():
+def assert_matches_dense(alg, metric, is_float):
     """The i<j contraction kernel against the dense n^4 loop: the identical
     Fraction on exact input, 1e-9 relative on floating input, and
-    R(e_j,e_i) = -R(e_i,e_j), R(e_i,e_i) = 0 on every table."""
+    R(e_j,e_i) = -R(e_i,e_j), R(e_i,e_i) = 0."""
+    conn = levi_civita(alg, metric)
+    got = riemann_tensor(conn).table
+    want = riemann_tensor_dense(conn).table
+    n = alg.dim
+    for i in range(n):
+        assert all(x == 0 for row in got[i][i] for x in row)
+        for j in range(i + 1, n):
+            for k in range(n):
+                assert list(got[j][i][k]) == [-x for x in got[i][j][k]]
+    pairs = [(a, b) for i in range(n) for j in range(n) for k in range(n)
+             for a, b in zip(got[i][j][k], want[i][j][k])]
+    if is_float:
+        assert all(abs(a - b) <= 1e-9 * max(1.0, abs(b)) for a, b in pairs)
+    else:
+        assert all(type(a) is F and type(b) is F and a == b for a, b in pairs)
+    return got
+
+
+def test_riemann_tensor_matches_dense_oracle():
+    """The kernel against the dense oracle on the six cases, the case-4 grid
+    and R x_D R^(n-1) documents of dims 2-6, exact and floating."""
     rng = random.Random(20130516)
     inputs = [(c.algebra, c.metric, False) for c in
               [catalog.get_case(i) for i in (1, 2, 3, 5, 6)]
@@ -131,23 +152,45 @@ def test_riemann_tensor_matches_dense_oracle():
                        for doc in semidirect_documents(rng, dim)]
     floating = 0
     for alg, metric, is_float in inputs:
-        conn = levi_civita(alg, metric)
-        got = riemann_tensor(conn).table
-        want = riemann_tensor_dense(conn).table
-        n = alg.dim
-        for i in range(n):
-            assert all(x == 0 for row in got[i][i] for x in row)
-            for j in range(i + 1, n):
-                for k in range(n):
-                    assert list(got[j][i][k]) == [-x for x in got[i][j][k]]
-        pairs = [(a, b) for i in range(n) for j in range(n) for k in range(n)
-                 for a, b in zip(got[i][j][k], want[i][j][k])]
-        if is_float:
-            floating += 1
-            assert all(abs(a - b) <= 1e-9 * max(1.0, abs(b)) for a, b in pairs)
-        else:
-            assert all(type(a) is F and type(b) is F and a == b for a, b in pairs)
+        assert_matches_dense(alg, metric, is_float)
+        floating += is_float
     assert floating == 10
+
+
+def test_riemann_tensor_matches_dense_oracle_on_wide_tables(monkeypatch):
+    """Exact tables the cleared kernel must not get wrong: dims 7 and 8,
+    metric denominators near 10^6, and all-int structure constants, which
+    must still take the cleared exact path."""
+    rng = random.Random(20130517)
+    for dim in (7, 8):
+        exact_doc, _ = semidirect_documents(rng, dim)
+        assert_matches_dense(exact_doc.algebra(), exact_doc.metric, False)
+    # gram = A A^T, A unit lower triangular with entries k/991 and k/997
+    a = [[F(int(i == j)) if j >= i else F(rng.randint(1, 9), rng.choice((991, 997)))
+          for j in range(5)] for i in range(5)]
+    gram = [[sum(a[i][m] * a[j][m] for m in range(5)) for j in range(5)] for i in range(5)]
+    assert max(x.denominator for row in gram for x in row) >= 10 ** 6
+    exact_doc, float_doc = semidirect_documents(rng, 5, gram=gram)
+    assert_matches_dense(exact_doc.algebra(), exact_doc.metric, False)
+    assert_matches_dense(float_doc.algebra(), float_doc.metric, True)
+
+    cleared = []
+    clear = linalg.clear_denominators
+    monkeypatch.setattr(linalg, "clear_denominators",
+                        lambda table: cleared.append(table) or clear(table))
+    for case_id in (1, 3, 5):
+        case = catalog.get_case(case_id)
+        assert all(x.denominator == 1 for block in case.algebra.structure
+                   for row in block for x in row)
+        ints = [[[int(x) for x in row] for row in block] for block in case.algebra.structure]
+        alg = LieAlgebra(ints)
+        got = assert_matches_dense(alg, case.metric, False)
+        assert all(type(x) is F for plane in got for block in plane
+                   for row in block for x in row)
+        conn = levi_civita(alg, case.metric)
+        cleared.clear()
+        riemann_tensor(conn)
+        assert cleared == [conn.gamma, alg.structure]  # the cleared exact path
 
 
 # --- sectional ---------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -54,6 +56,15 @@ def test_format_scalar():
     assert format_scalar(Fraction(-7, 2)) == "-7/2"
     assert format_scalar(Fraction(4)) == "4"
     assert format_scalar(0.25, precision=3) == "0.25"
+
+
+def test_float_zero_is_unsigned():
+    assert format_scalar(-0.0) == "0" and format_scalar(0.0) == "0"
+    assert math.copysign(1, scalar_to_json(-0.0)) == 1
+    assert json.dumps([scalar_to_json(-0.0), scalar_to_json(0.0)]) == "[0.0, 0.0]"
+    # only zero loses its sign: tiny values keep theirs
+    assert format_scalar(-1e-300) == "-1e-300" and scalar_to_json(-1e-300) == -1e-300
+    assert format_scalar(-2.5e-13, precision=3) == "-2.5e-13"
 
 
 def test_scalar_to_json_rationals_are_strings():
