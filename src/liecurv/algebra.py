@@ -3,6 +3,8 @@
 Conventions: a basis e_0..e_{n-1} with [e_i, e_j] = sum_k c[i][j][k] e_k.
 Structure constants are stored as a dense dim x dim x dim table; inputs list
 brackets only for i < j and the antisymmetric completion is generated.
+An endomorphism J is a square table of basis images, row i = J e_i, so
+J w = linalg.contract(j, w) and "a after b" has rows contract(a, b[i]).
 """
 
 from __future__ import annotations
@@ -69,10 +71,8 @@ class Vector:
 
     __rmul__ = scale
 
-    def is_zero(self, tol: float | None = None) -> bool:
-        if tol is None:
-            return all(is_zero(a) for a in self.coeffs)
-        return all(is_zero(a, tol) for a in self.coeffs)
+    def is_zero(self) -> bool:
+        return all(is_zero(a) for a in self.coeffs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Vector) and self.coeffs == other.coeffs
@@ -189,51 +189,6 @@ class MetricTensor:
         return f"MetricTensor(dim={self.dim})"
 
 
-class Endomorphism:
-    """Linear map in basis coordinates; column j is the image of e_j."""
-
-    def __init__(self, matrix: Sequence[Sequence[Scalar]]):
-        n = len(matrix)
-        if any(len(row) != n for row in matrix):
-            raise InputError("endomorphism matrix must be square")
-        self.dim = n
-        self.matrix = tuple(tuple(row) for row in matrix)
-
-    @classmethod
-    def identity(cls, dim: int) -> "Endomorphism":
-        return cls([[Fraction(1) if i == j else Fraction(0) for j in range(dim)]
-                    for i in range(dim)])
-
-    @classmethod
-    def from_images(cls, images: Sequence[Sequence[Scalar]]) -> "Endomorphism":
-        """Build from the images of the basis vectors (row per basis vector)."""
-        n = len(images)
-        return cls([[images[j][i] for j in range(n)] for i in range(n)])
-
-    def apply(self, v) -> Vector:
-        v = as_vector(v, self.dim)
-        return Vector(linalg.contract(tuple(zip(*self.matrix)), v.coeffs))
-
-    def compose(self, other: "Endomorphism") -> "Endomorphism":
-        if other.dim != self.dim:
-            raise DimensionMismatchError("endomorphism dimensions differ")
-        n = self.dim
-        return Endomorphism([[sum(self.matrix[i][k] * other.matrix[k][j]
-                                  for k in range(n)) for j in range(n)]
-                             for i in range(n)])
-
-    def scale(self, s: Scalar) -> "Endomorphism":
-        return Endomorphism([[s * x for x in row] for row in self.matrix])
-
-    def equals(self, other: "Endomorphism", tol: float | None = None) -> bool:
-        return all(approx_equal(a, b) if tol is None else abs(a - b) <= tol
-                   for ra, rb in zip(self.matrix, other.matrix)
-                   for a, b in zip(ra, rb))
-
-    def __repr__(self) -> str:
-        return f"Endomorphism(dim={self.dim})"
-
-
 # --- bracket and Jacobi -----------------------------------------------------
 
 
@@ -297,92 +252,70 @@ def check_jacobi(alg: LieAlgebra) -> JacobiReport:
 # --- Nijenhuis tensors and para-hypercomplex structure -----------------------
 
 
-def nijenhuis(alg: LieAlgebra, endo: Endomorphism, kind: str, u, v) -> Vector:
-    """N(u, v) = [Ju, Jv] - J([u, Jv] + [Ju, v]) -+ [u, v].
+def _after(a, b) -> list:
+    """The table of a after b: row i is a(b e_i)."""
+    return [linalg.contract(a, row) for row in b]
 
-    kind='complex' subtracts the plain bracket (almost complex structures,
-    J^2 = -Id); kind='product' adds it (almost product structures, J^2 = Id).
-    The two differ only in that final sign, hence the explicit parameter.
+
+def _same(a, b) -> bool:
+    return all(approx_equal(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def _require_square(alg: LieAlgebra, j) -> None:
+    if len(j) != alg.dim or any(len(row) != alg.dim for row in j):
+        raise DimensionMismatchError("endomorphism table must be dim x dim for the algebra")
+
+
+def nijenhuis(alg: LieAlgebra, j, u, v) -> Vector:
+    """N(u, v) = [Ju, Jv] - J([Ju, v] + [u, Jv]) + J^2 [u, v].
+
+    j is a table of basis images, row i = J e_i, so Jw = contract(j, w).
+    The last term is -[u, v] for an almost complex structure (J^2 = -Id)
+    and +[u, v] for an almost product structure (J^2 = Id): one formula
+    covers both, and the sign follows from J itself.
     """
-    if kind not in ("complex", "product"):
-        raise InputError(f"nijenhuis kind must be 'complex' or 'product', got {kind!r}")
+    _require_square(alg, j)
     u = as_vector(u, alg.dim)
     v = as_vector(v, alg.dim)
-    if endo.dim != alg.dim:
-        raise DimensionMismatchError("endomorphism dimension differs from algebra")
-    ju, jv = endo.apply(u), endo.apply(v)
-    core = bracket(alg, ju, jv) - endo.apply(bracket(alg, u, jv) + bracket(alg, ju, v))
-    plain = bracket(alg, u, v)
-    return core - plain if kind == "complex" else core + plain
+
+    def apply(w: Vector) -> Vector:
+        return Vector(linalg.contract(j, w.coeffs))
+
+    ju, jv = apply(u), apply(v)
+    return (bracket(alg, ju, jv) - apply(bracket(alg, ju, v) + bracket(alg, u, jv))
+            + apply(apply(bracket(alg, u, v))))
 
 
-@dataclass
-class AxiomCheck:
-    code: str
-    description: str
-    passed: bool
-    failures: list = field(default_factory=list)
+def check_para_hypercomplex(alg: LieAlgebra, j1, j2) -> dict[str, list[str]]:
+    """Check the para-hypercomplex axioms for (J1, J2, J3 = J1 J2).
 
-    def to_dict(self) -> dict:
-        return {"code": self.code, "description": self.description,
-                "passed": self.passed, "failures": list(self.failures)}
-
-
-@dataclass
-class ParaHypercomplexReport:
-    axioms: list
-
-    @property
-    def passed(self) -> bool:
-        return all(a.passed for a in self.axioms)
-
-    def to_dict(self, precision: int = 12) -> dict:
-        return {"passed": self.passed, "axioms": [a.to_dict() for a in self.axioms]}
-
-
-def check_para_hypercomplex(alg: LieAlgebra, j1: Endomorphism, j2: Endomorphism,
-                            j3: Endomorphism) -> ParaHypercomplexReport:
-    """Check the para-hypercomplex axioms for a candidate triple (J1, J2, J3).
-
-    Axioms: J1^2 = -Id; J2^2 = Id with J2 != +-Id; J1 J2 = -J2 J1 = J3;
-    the Nijenhuis tensors N1 (complex kind) and N2, N3 (product kind) vanish.
-    Bilinearity makes basis pairs sufficient for the vanishing checks.
+    j1 and j2 are basis-image tables (row i = J e_i). Axioms, by code:
+    j1_square J1^2 = -Id; j2_square J2^2 = Id with J2 != +-Id;
+    j3_consistency J2 J1 = -J3; n1, n2, n3 the Nijenhuis tensors of J1, J2,
+    J3 vanish, on basis pairs (enough by bilinearity). Returns
+    {code: failures}; an empty list means the axiom holds.
     """
+    _require_square(alg, j1)
+    _require_square(alg, j2)
     n = alg.dim
-    for endo in (j1, j2, j3):
-        if endo.dim != n:
-            raise DimensionMismatchError("endomorphism dimension differs from algebra")
-    ident = Endomorphism.identity(n)
-    axioms = []
-
-    axioms.append(AxiomCheck(
-        "j1_square", "J1^2 = -Id",
-        j1.compose(j1).equals(ident.scale(Fraction(-1)))))
-
-    j2_sq_ok = j2.compose(j2).equals(ident)
-    j2_trivial = j2.equals(ident) or j2.equals(ident.scale(Fraction(-1)))
-    check = AxiomCheck("j2_square", "J2^2 = Id and J2 != +-Id",
-                       j2_sq_ok and not j2_trivial)
-    if j2_sq_ok and j2_trivial:
-        check.failures.append("J2 is +-identity")
-    axioms.append(check)
-
-    axioms.append(AxiomCheck(
-        "j3_consistency", "J1 J2 = J3 and J2 J1 = -J3",
-        j1.compose(j2).equals(j3)
-        and j2.compose(j1).equals(j3.scale(Fraction(-1)))))
-
-    for code, endo, kind in (("n1", j1, "complex"), ("n2", j2, "product"),
-                             ("n3", j3, "product")):
-        check = AxiomCheck(code, f"Nijenhuis tensor of {code.upper()} vanishes ({kind} kind)", True)
-        for i in range(n):
-            for j in range(i + 1, n):
-                value = nijenhuis(alg, endo, kind,
-                                  Vector.basis(n, i), Vector.basis(n, j))
+    ident = [[int(i == k) for k in range(n)] for i in range(n)]  # rows: basis vectors
+    minus = [[-x for x in row] for row in ident]
+    j3 = _after(j1, j2)
+    report = {"j1_square": [] if _same(_after(j1, j1), minus) else ["J1^2 != -Id"]}
+    if not _same(_after(j2, j2), ident):
+        report["j2_square"] = ["J2^2 != Id"]
+    elif _same(j2, ident) or _same(j2, minus):
+        report["j2_square"] = ["J2 is +-identity"]
+    else:
+        report["j2_square"] = []
+    report["j3_consistency"] = ([] if _same(_after(j2, j1), [[-x for x in row] for row in j3])
+                                else ["J2 J1 != -J1 J2"])
+    for code, j in (("n1", j1), ("n2", j2), ("n3", j3)):
+        report[code] = []
+        for a in range(n):
+            for b in range(a + 1, n):
+                value = nijenhuis(alg, j, ident[a], ident[b])
                 if not value.is_zero():
-                    check.passed = False
-                    check.failures.append(
-                        f"N({alg.labels[i]}, {alg.labels[j]}) = {value.describe(alg.labels)}")
-        axioms.append(check)
-
-    return ParaHypercomplexReport(axioms)
+                    report[code].append(f"N({alg.labels[a]}, {alg.labels[b]}) = "
+                                        f"{value.describe(alg.labels)}")
+    return report

@@ -268,28 +268,29 @@ def cmd_randers(args) -> CommandResult:
             "drift is not parallel (nabla Q != 0): not a Berwald-type metric; "
             "run `parallel` to list the admissible drifts")
     p = args.precision
+    basis = [Vector.basis(alg.dim, i) for i in range(alg.dim)]
+    norms = [randers_norm(rm, b) for b in basis]
     sections = {
         "drift": _vector_json(rm.drift, p),
         "drift_norm_sq": scalar_to_json(rm.drift_norm_sq, p),
         "berwald": rm.berwald,
         "parallel_basis": [_vector_json(v, p) for v in parallel_fields(conn)],
-        "norms": {labels[i]: scalar_to_json(randers_norm(rm, Vector.basis(alg.dim, i)), p)
-                  for i in range(alg.dim)},
+        "norms": {label: scalar_to_json(f, p) for label, f in zip(labels, norms)},
     }
     text = [f"drift: {rm.drift.describe(labels)}",
             f"g(Q,Q): {format_scalar(rm.drift_norm_sq, p)}",
             f"berwald: {str(rm.berwald).lower()}",
             "F on the basis: "
-            + ", ".join(f"F({labels[i]}) = {format_scalar(randers_norm(rm, Vector.basis(alg.dim, i)), p)}"
-                        for i in range(alg.dim))]
+            + ", ".join(f"F({label}) = {format_scalar(f, p)}"
+                        for label, f in zip(labels, norms))]
     if args.pole is not None:
         pole = _parse_vector(args.pole, doc.dim, "--pole")
-        basis = [Vector.basis(alg.dim, i) for i in range(alg.dim)]
         table = [[g_y(rm, pole, bi, bj) for bj in basis] for bi in basis]
+        f_pole = randers_norm(rm, pole)
         sections["pole"] = _vector_json(pole, p)
         sections["g_pole"] = [[scalar_to_json(x, p) for x in row] for row in table]
-        sections["f_pole"] = scalar_to_json(randers_norm(rm, pole), p)
-        text.append(f"F(pole) = {format_scalar(randers_norm(rm, pole), p)}")
+        sections["f_pole"] = scalar_to_json(f_pole, p)
+        text.append(f"F(pole) = {format_scalar(f_pole, p)}")
         text.append("fundamental tensor at the pole:")
         for row in table:
             text.append("  [" + ", ".join(format_scalar(x, p) for x in row) + "]")
@@ -320,7 +321,8 @@ def cmd_flag(args) -> CommandResult:
 def cmd_report(args) -> CommandResult:
     if args.all == (args.case is not None):
         raise InputError("report needs exactly one of --all or --case N")
-    ids = catalog.case_ids() if args.all else [args.case]
+    takes_params = {row["id"]: bool(row["parameters"]) for row in catalog.case_summaries()}
+    ids = list(takes_params) if args.all else [args.case]
     alpha_grid = _parse_grid(args.alpha_grid, "--alpha-grid")
     beta_grid = _parse_grid(args.beta_grid, "--beta-grid")
     points = len(alpha_grid) * len(beta_grid)
@@ -329,10 +331,7 @@ def cmd_report(args) -> CommandResult:
                          f"the ceiling is {MAX_GRID_POINTS}")
     reports = []
     for cid in ids:
-        if cid not in catalog.case_ids():
-            raise InputError(f"no catalog case {cid}; valid ids: {catalog.case_ids()}")
-        entry_needs_params = bool(catalog.case_summaries()[catalog.case_ids().index(cid)]["parameters"])
-        if entry_needs_params:
+        if takes_params.get(cid):  # an unknown id falls through to get_case's error
             for alpha in alpha_grid:
                 for beta in beta_grid:
                     reports.append(catalog.reproduce(catalog.get_case(cid, alpha=alpha, beta=beta)))

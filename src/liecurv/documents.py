@@ -197,7 +197,7 @@ def load_document(path: str) -> Document:
             obj = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read document {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an int literal past the int-string limit
         raise InputError(f"document {path!r} is not valid JSON: {exc}") from None
     return parse_document(obj)
 

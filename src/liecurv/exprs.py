@@ -29,6 +29,13 @@ PARSE_CACHE_SIZE = 4096
 # a ceiling alpha^3000000 builds a 1.4M-digit integer; the fixtures use ^2.
 MAX_EXPONENT = 64
 
+# Largest estimated size, in bits, of an exact power's result: |n| times the
+# bit length of the base, refused before the power is computed. A nest of
+# powers each under MAX_EXPONENT, ((3^64)^64)^64, would otherwise build a
+# 125k-digit integer. 8192 bits are about 2466 decimal digits, under Python's
+# default 4300-digit limit on int-to-string conversion.
+MAX_POWER_BITS = 8192
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>\*\*|[-+*/^()]))"
@@ -50,7 +57,10 @@ def _tokenize(src: str) -> list:
             if any(ch in text for ch in ".eE"):
                 tokens.append(("num", float(text)))
             else:
-                tokens.append(("num", int(text)))
+                try:
+                    tokens.append(("num", int(text)))
+                except ValueError as exc:  # past the int-string digit limit
+                    raise InputError(f"integer literal too long: {exc}") from None
         elif m.group("name") is not None:
             tokens.append(("name", m.group("name")))
         else:
@@ -189,8 +199,14 @@ def _eval(expr: Expr, env: Mapping[str, Scalar]) -> Scalar:
             raise InputError("only integer exponents are supported")
         if abs(b) > MAX_EXPONENT:
             raise InputError(f"exponent {format_scalar(b)} is over the ceiling {MAX_EXPONENT}")
+        if is_exact(a):
+            a = Fraction(a)
+            bits = abs(int(b)) * max(a.numerator.bit_length(), a.denominator.bit_length())
+            if bits > MAX_POWER_BITS:
+                raise InputError(f"power of about {bits} bits is over the ceiling "
+                                 f"{MAX_POWER_BITS}")
         try:
-            return (Fraction(a) if is_exact(a) else a) ** int(b)
+            return a ** int(b)
         except ZeroDivisionError:
             raise InputError("division by zero in expression") from None
         except OverflowError:

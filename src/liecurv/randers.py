@@ -27,7 +27,7 @@ from .algebra import MetricTensor, Vector, as_vector
 from .errors import (DegeneratePlaneError, InputError, NonBerwaldError,
                      NormBoundError, UndefinedAtOriginError)
 from .riemann import Connection, CurvatureTensor, curvature_apply
-from .scalars import Scalar, is_exact_zero, is_zero, sqrt_scalar
+from .scalars import Scalar, format_scalar, is_exact_zero, is_zero, sqrt_scalar
 
 
 @dataclass
@@ -42,10 +42,6 @@ class RandersMetric:
     @property
     def dim(self) -> int:
         return self.base.dim
-
-    @property
-    def drift_norm(self) -> Scalar:
-        return sqrt_scalar(self.drift_norm_sq)
 
     @property
     def is_riemannian(self) -> bool:
@@ -86,7 +82,7 @@ def build_randers(metric: MetricTensor, drift, conn: Connection) -> RandersMetri
     norm_sq = metric.norm_sq(drift)
     if not norm_sq < 1:
         raise NormBoundError(
-            f"drift must satisfy g(Q,Q) < 1 strictly, got g(Q,Q) = {norm_sq}")
+            f"drift must satisfy g(Q,Q) < 1 strictly, got g(Q,Q) = {format_scalar(norm_sq)}")
     n = metric.dim
     berwald = all(conn.derivative(Vector.basis(n, i), drift).is_zero()
                   for i in range(n))

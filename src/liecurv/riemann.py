@@ -91,14 +91,6 @@ class CurvatureTensor:
                            for plane in table)
 
     @property
-    def algebra(self) -> LieAlgebra:
-        return self.connection.algebra
-
-    @property
-    def metric(self) -> MetricTensor:
-        return self.connection.metric
-
-    @property
     def dim(self) -> int:
         return self.connection.dim
 

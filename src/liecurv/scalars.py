@@ -94,16 +94,20 @@ def format_scalar(x: Scalar, precision: int = 12) -> str:
     """Render a scalar: exact values as 'p/q' or 'n', floats to precision.
 
     A float zero renders as '0' whatever its sign: -0.0 is an artefact of
-    the order of float operations, not a value.
+    the order of float operations, not a value. An exact value past Python's
+    limit on int-to-string conversion is an InputError.
     """
     if isinstance(x, bool):
         raise InputError("boolean is not a scalar")
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+    try:
+        if isinstance(x, int):
+            return str(x)
+        if isinstance(x, Fraction):
+            if x.denominator == 1:
+                return str(x.numerator)
+            return f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:
+        raise InputError(f"exact value too large to print: {exc}") from None
     return f"{x + 0.0:.{precision}g}"  # -0.0 + 0.0 is 0.0
 
 

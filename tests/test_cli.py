@@ -8,6 +8,7 @@ import pytest
 
 from liecurv.cli import MAX_GRID_POINTS, main
 from liecurv.documents import MAX_DIM
+from liecurv.exprs import MAX_POWER_BITS
 
 ENVELOPE_KEYS = {"command", "digest", "discrepancies", "sections", "status"}
 
@@ -162,6 +163,10 @@ def test_randers_requires_drift(capsys):
 def test_randers_norm_bound(capsys):
     code, _, err = run(capsys, "randers", "--case", "1", "--drift", "0,0,1,0")
     assert code == 2 and "g(Q,Q) < 1" in err
+    # g(Q,Q) of a 2500-digit drift is too large to print in the message
+    code, out, err = run(capsys, "randers", "--case", "1", "--drift", f"0,0,{'7' * 2500},0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: exact value too large to print")
 
 
 def test_randers_non_berwald_is_precondition_error(capsys):
@@ -394,6 +399,43 @@ def test_exponent_over_ceiling_is_an_input_error(capsys, tmp_path):
         assert code == 1 and out == ""
         assert err.startswith("error: document.brackets[0].coeffs[1]: exponent 3000000 "
                               "is over the ceiling 64")
+
+
+def test_power_over_bit_ceiling_is_an_input_error(capsys, tmp_path):
+    # each exponent is under 64, but the result would have 125k digits
+    path = write_doc(tmp_path, _doc_2d("((alpha^64)^64)^64", params={"alpha": "3"}))
+    for command in ("check", "scalar"):
+        code, out, err = run(capsys, command, path)
+        assert code == 1 and out == ""
+        assert err.startswith("error: document.brackets[0].coeffs[1]: power of about "
+                              f"415552 bits is over the ceiling {MAX_POWER_BITS}")
+
+
+def test_value_too_large_to_print_is_an_input_error(capsys, tmp_path):
+    # c = 7...7 (2500 digits) prints, but the scalar curvature -c^2/2 does not
+    path = write_doc(tmp_path, _doc_2d("7" * 2500))
+    assert run(capsys, "check", path)[0] == 0
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "scalar", path, "--format", fmt)
+        assert code == 1 and out == ""
+        assert err.startswith("error: exact value too large to print")
+
+
+@pytest.mark.parametrize("coeff", ["7" * 5000, "alpha + " + "7" * 5000])
+def test_literal_past_int_string_limit_is_an_input_error(capsys, tmp_path, coeff):
+    path = write_doc(tmp_path, _doc_2d(coeff, params={"alpha": "1"}))
+    code, out, err = run(capsys, "check", path)
+    assert code == 1 and out == ""
+    assert err.startswith("error: document.brackets[0].coeffs[1]: integer literal too long")
+
+
+def test_json_int_past_int_string_limit_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": [0, %s]}]}'
+                    % ("7" * 5000))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 1 and out == ""
+    assert "is not valid JSON" in err
 
 
 # --- import path ----------------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from liecurv.errors import InputError
-from liecurv.exprs import evaluate, free_names, parse_expr
+from liecurv.exprs import MAX_POWER_BITS, evaluate, free_names, parse_expr
 
 
 def ev(src, **env):
@@ -29,6 +29,15 @@ def test_exponent_rules():
     for src in ("a^(1/2)", "a^2.5"):
         with pytest.raises(InputError, match="integer exponents"):
             ev(src, a=4)
+
+
+def test_power_bit_ceiling():
+    # |n| times the base's bit length: 64 * 102 bits for (3^64)^64 passes
+    assert ev("(a^64)^64", a=3) == 3 ** 4096
+    assert ev("a^-2", a=Fraction(1, 2 ** 4000)) == 2 ** 8000
+    for src, a in (("((a^64)^64)^64", 3), ("a^2", 2 ** 4096), ("a^2", Fraction(1, 2 ** 4096))):
+        with pytest.raises(InputError, match=f"ceiling {MAX_POWER_BITS}"):
+            ev(src, a=a)
 
 
 def test_variables_and_free_names():
