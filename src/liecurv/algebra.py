@@ -63,9 +63,6 @@ class Vector:
     def __sub__(self, other: "Vector") -> "Vector":
         return Vector(a - b for a, b in zip(self.coeffs, other.coeffs))
 
-    def __neg__(self) -> "Vector":
-        return Vector(-a for a in self.coeffs)
-
     def scale(self, s: Scalar) -> "Vector":
         return Vector(s * a for a in self.coeffs)
 

@@ -21,7 +21,7 @@ from .errors import InputError, LiecurvError, NonBerwaldError, PreconditionError
 from .randers import (Flag, build_randers, flag_curvature, g_y,
                       parallel_fields, randers_norm)
 from .riemann import levi_civita, riemann_tensor, scalar_curvature, sectional
-from .scalars import format_scalar, parse_rational, scalar_to_json
+from .scalars import format_scalar, is_zero, parse_rational, scalar_to_json
 
 
 @dataclasses.dataclass
@@ -102,13 +102,21 @@ def _vector_json(v: Vector, precision: int) -> list:
     return [scalar_to_json(x, precision) for x in v]
 
 
+def _entry_json(v: Vector, precision: int) -> list:
+    """Coefficients of a connection or curvature entry. A float that is_zero
+    reads as zero is roundoff whose digits follow summation order; it is
+    written 0.0, as the text output leaves it out."""
+    return [0.0 if isinstance(x, float) and is_zero(x) else scalar_to_json(x, precision)
+            for x in v]
+
+
 def _connection_entries(conn, precision: int) -> list:
     out = []
     for i in range(conn.dim):
         for j in range(conn.dim):
             value = conn.nabla(i, j)
             if not value.is_zero():
-                out.append({"i": i, "j": j, "coeffs": _vector_json(value, precision)})
+                out.append({"i": i, "j": j, "coeffs": _entry_json(value, precision)})
     return out
 
 
@@ -120,7 +128,7 @@ def _curvature_entries(rt, precision: int) -> list:
                 value = rt.basis_value(i, j, k)
                 if not value.is_zero():
                     out.append({"i": i, "j": j, "k": k,
-                                "coeffs": _vector_json(value, precision)})
+                                "coeffs": _entry_json(value, precision)})
     return out
 
 

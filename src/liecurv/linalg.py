@@ -24,8 +24,9 @@ from .scalars import TOLERANCE, Scalar, is_exact, is_exact_zero, sqrt_scalar
 
 
 def _leaves(table) -> list:
-    """Entries of a nested list/tuple table of uniform depth, in order."""
-    while table and isinstance(table[0], (list, tuple)):
+    """Entries of a nested table of uniform depth, in order. Every entry that
+    is not a scalar is a row: a list, a tuple or a Vector."""
+    while table and not isinstance(table[0], (int, Fraction, float)):
         table = [x for sub in table for x in sub]
     return table
 
@@ -214,7 +215,7 @@ def clear_denominators(table) -> tuple[int, list]:
     scale = math.lcm(*(x.denominator for x in _leaves(table)))
 
     def scaled(t):
-        if t and isinstance(t[0], (list, tuple)):
+        if t and not isinstance(t[0], (int, Fraction, float)):
             return [scaled(s) for s in t]
         return [x.numerator * (scale // x.denominator) for x in t]
 

@@ -43,10 +43,6 @@ class RandersMetric:
     def dim(self) -> int:
         return self.base.dim
 
-    @property
-    def is_riemannian(self) -> bool:
-        return self.drift.is_zero()
-
 
 @dataclass
 class Flag:

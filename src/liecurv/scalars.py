@@ -28,17 +28,17 @@ def is_exact_zero(x: Scalar) -> bool:
     return is_exact(x) and x == 0
 
 
-def is_zero(x: Scalar, tol: float = TOLERANCE) -> bool:
-    """Exact zero for exact scalars, |x| <= tol for floats."""
+def is_zero(x: Scalar) -> bool:
+    """Exact zero for exact scalars, |x| <= TOLERANCE for floats."""
     if is_exact(x):
         return x == 0
-    return abs(x) <= tol
+    return abs(x) <= TOLERANCE
 
 
-def approx_equal(a: Scalar, b: Scalar, tol: float = TOLERANCE) -> bool:
+def approx_equal(a: Scalar, b: Scalar) -> bool:
     if is_exact(a) and is_exact(b):
         return a == b
-    return abs(a - b) <= tol
+    return abs(a - b) <= TOLERANCE
 
 
 def sqrt_scalar(x: Scalar) -> Scalar:

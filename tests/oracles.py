@@ -6,17 +6,20 @@ another way; tests compare the two.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence, Union
 
 from liecurv import linalg
 from liecurv.algebra import MetricTensor, Vector, as_vector
 from liecurv.errors import (DegeneratePlaneError, InputError, NonBerwaldError,
                             PreconditionError, UndefinedAtOriginError)
+from liecurv.exprs import MAX_EXPONENT, MAX_POWER_BITS
 from liecurv.randers import Flag, RandersMetric, g_y, randers_norm
 from liecurv.riemann import Connection, CurvatureTensor, curvature_apply, sectional
-from liecurv.scalars import Scalar, approx_equal, is_zero, scalar_to_json
+from liecurv.scalars import (Scalar, approx_equal, format_scalar, is_exact, is_zero,
+                             scalar_to_json)
 
 
 def flag_curvature_four_g_y(rm: RandersMetric, rt: CurvatureTensor,
@@ -163,3 +166,183 @@ def sectional_plane_invariance_check(rt: CurvatureTensor, metric: MetricTensor,
     _, value = sectional(rt, metric, u, v)
     _, value2 = sectional(rt, metric, u2, v2)
     return PlaneInvarianceReport(value, value2)
+
+
+# --- reference expression parser ---------------------------------------------
+# The recursive-descent parser and tree evaluator that liecurv.exprs used
+# before it compiled expressions to postfix programs, kept unchanged (bar the
+# names of parse_expr, free_names and evaluate) as the reference for the differential
+# tests. They recurse once per nesting level, so they take inputs of modest
+# depth only, and they have no token ceiling.
+
+Expr = Union[tuple, int, float, str]
+
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>\*\*|[-+*/^()]))"
+)
+
+
+def _tokenize(src: str) -> list:
+    tokens = []
+    pos = 0
+    while pos < len(src):
+        m = _TOKEN.match(src, pos)
+        if m is None:
+            if src[pos:].strip() == "":
+                break
+            raise InputError(f"bad character in expression at {src[pos:]!r}")
+        pos = m.end()
+        if m.group("num") is not None:
+            text = m.group("num")
+            if any(ch in text for ch in ".eE"):
+                tokens.append(("num", float(text)))
+            else:
+                try:
+                    tokens.append(("num", int(text)))
+                except ValueError as exc:  # past the int-string digit limit
+                    raise InputError(f"integer literal too long: {exc}") from None
+        elif m.group("name") is not None:
+            tokens.append(("name", m.group("name")))
+        else:
+            op = m.group("op")
+            tokens.append(("op", "^" if op == "**" else op))
+    tokens.append(("end", ""))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list, src: str):
+        self.tokens = tokens
+        self.pos = 0
+        self.src = src
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def accept_op(self, *ops: str) -> str | None:
+        kind, value = self.peek()
+        if kind == "op" and value in ops:
+            self.next()
+            return value
+        return None
+
+    def parse(self) -> Expr:
+        node = self.expr()
+        if self.peek()[0] != "end":
+            raise InputError(f"trailing input in expression {self.src!r}")
+        return node
+
+    def expr(self) -> Expr:
+        node = self.term()
+        while True:
+            op = self.accept_op("+", "-")
+            if op is None:
+                return node
+            node = (op, node, self.term())
+
+    def term(self) -> Expr:
+        node = self.factor()
+        while True:
+            op = self.accept_op("*", "/")
+            if op is None:
+                return node
+            node = (op, node, self.factor())
+
+    def factor(self) -> Expr:
+        if self.accept_op("-"):
+            return ("neg", self.factor())
+        if self.accept_op("+"):
+            return self.factor()
+        return self.power()
+
+    def power(self) -> Expr:
+        node = self.atom()
+        if self.accept_op("^"):
+            return ("^", node, self.factor())
+        return node
+
+    def atom(self) -> Expr:
+        kind, value = self.next()
+        if kind == "num":
+            return value
+        if kind == "name":
+            return ("var", value)
+        if kind == "op" and value == "(":
+            node = self.expr()
+            if not self.accept_op(")"):
+                raise InputError(f"missing ')' in expression {self.src!r}")
+            return node
+        raise InputError(f"unexpected token {value!r} in expression {self.src!r}")
+
+
+def parse_expr_reference(src: str) -> Expr:
+    return _Parser(_tokenize(src), src).parse()
+
+
+def free_names_reference(expr: Expr) -> set:
+    if isinstance(expr, tuple):
+        if expr[0] == "var":
+            return {expr[1]}
+        out = set()
+        for child in expr[1:]:
+            out |= free_names_reference(child)
+        return out
+    return set()
+
+
+def evaluate_reference(expr: Expr, env: Mapping[str, Scalar] | None = None) -> Scalar:
+    """Evaluate a parsed tree (or source string) over the given bindings."""
+    if isinstance(expr, str):
+        expr = parse_expr_reference(expr)
+    return _eval(expr, env or {})
+
+
+def _eval(expr: Expr, env: Mapping[str, Scalar]) -> Scalar:
+    if isinstance(expr, (int, float)):
+        return expr
+    op = expr[0]
+    if op == "var":
+        try:
+            return env[expr[1]]
+        except KeyError:
+            raise InputError(f"unbound variable {expr[1]!r} in expression") from None
+    if op == "neg":
+        return -_eval(expr[1], env)
+    a = _eval(expr[1], env)
+    b = _eval(expr[2], env)
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        if b == 0:
+            raise InputError("division by zero in expression")
+        if is_exact(a) and is_exact(b):
+            return Fraction(a) / Fraction(b)
+        return a / b
+    if op == "^":
+        if b.denominator != 1 if is_exact(b) else not b.is_integer():
+            raise InputError("only integer exponents are supported")
+        if abs(b) > MAX_EXPONENT:
+            raise InputError(f"exponent {format_scalar(b)} is over the ceiling {MAX_EXPONENT}")
+        if is_exact(a):
+            a = Fraction(a)
+            bits = abs(int(b)) * max(a.numerator.bit_length(), a.denominator.bit_length())
+            if bits > MAX_POWER_BITS:
+                raise InputError(f"power of about {bits} bits is over the ceiling "
+                                 f"{MAX_POWER_BITS}")
+        try:
+            return a ** int(b)
+        except ZeroDivisionError:
+            raise InputError("division by zero in expression") from None
+        except OverflowError:
+            raise InputError("expression overflows a float") from None
+    raise InputError(f"unknown operator {op!r}")

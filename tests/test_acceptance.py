@@ -380,7 +380,7 @@ def test_criterion_8_zero_drift_flag_equals_sectional():
         rng = random.Random(800 + case.id)
         conn, rt = build(case)
         rm = build_randers(case.metric, Vector.zero(4), conn)
-        assert rm.is_riemannian and rm.berwald
+        assert rm.drift.is_zero() and rm.berwald
         for _ in range(25):
             u, v = rand_pair(rng, 4)
             _, k_riem = sectional(rt, case.metric, u, v)

@@ -1,14 +1,17 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from test_exact_vs_float import close, semidirect_objects
 from liecurv.cli import MAX_GRID_POINTS, main
 from liecurv.documents import MAX_DIM
-from liecurv.exprs import MAX_POWER_BITS
+from liecurv.exprs import MAX_EXPR_TOKENS, MAX_POWER_BITS
 
 ENVELOPE_KEYS = {"command", "digest", "discrepancies", "sections", "status"}
 
@@ -411,6 +414,29 @@ def test_power_over_bit_ceiling_is_an_input_error(capsys, tmp_path):
                               f"415552 bits is over the ceiling {MAX_POWER_BITS}")
 
 
+def test_deeply_nested_expression_evaluates(capsys, tmp_path):
+    path = write_doc(tmp_path, _doc_2d("(" * 400 + "alpha" + ")" * 400, params={"alpha": "3"}))
+    assert run(capsys, "check", path)[0] == 0
+
+
+CHAIN = "+".join(["alpha"] * 512)  # 1023 tokens
+
+
+@pytest.mark.parametrize("coeff", ["-" * 3000 + "alpha", "+".join(["alpha"] * 3000),
+                                   "--" + CHAIN], ids=["minus_3000", "sum_3000", "tokens_1025"])
+def test_expression_over_token_ceiling_is_an_input_error(capsys, tmp_path, coeff):
+    path = write_doc(tmp_path, _doc_2d(coeff, params={"alpha": "3"}))
+    code, out, err = run(capsys, "check", path)
+    assert code == 1 and out == ""
+    assert err == (f"error: document.brackets[0].coeffs[1]: expression has more than "
+                   f"{MAX_EXPR_TOKENS} tokens\n")
+
+
+def test_expression_at_token_ceiling_is_accepted(capsys, tmp_path):
+    path = write_doc(tmp_path, _doc_2d("-" + CHAIN, params={"alpha": "3"}))
+    assert run(capsys, "check", path)[0] == 0
+
+
 def test_value_too_large_to_print_is_an_input_error(capsys, tmp_path):
     # c = 7...7 (2500 digits) prints, but the scalar curvature -c^2/2 does not
     path = write_doc(tmp_path, _doc_2d("7" * 2500))
@@ -436,6 +462,27 @@ def test_json_int_past_int_string_limit_is_an_input_error(capsys, tmp_path):
     code, out, err = run(capsys, "check", str(path))
     assert code == 1 and out == ""
     assert "is not valid JSON" in err
+
+
+def test_analyze_writes_float_roundoff_as_zero(capsys, tmp_path):
+    # Float connection and curvature entries carry the zero pattern of their
+    # exact twins: roundoff that is_zero reads as zero is written 0.0, not as
+    # digits that depend on summation order.
+    rng = random.Random(5)
+    zeroed = 0
+    for dim in (3, 4, 5, 6):
+        for _ in range(6):
+            exact, floating = (run_json(capsys, "analyze", write_doc(tmp_path, obj))[1]["sections"]
+                               for obj in semidirect_objects(rng, dim))
+            for key in ("connection", "curvature"):
+                assert len(exact[key]) == len(floating[key])
+                for e, f in zip(exact[key], floating[key]):
+                    assert e.keys() == f.keys() and all(e[k] == f[k] for k in e if k != "coeffs")
+                    for x, y in zip(e["coeffs"], f["coeffs"]):
+                        assert type(y) is float and (y == 0) == (x == "0")
+                        assert close(Fraction(x), y)
+                        zeroed += x == "0"
+    assert zeroed > 0
 
 
 # --- import path ----------------------------------------------------------------

@@ -150,8 +150,8 @@ def test_positive_definiteness_agrees():
 # --- whole pipeline on R semidirect_D R^(n-1) ------------------------------------
 
 
-def semidirect_documents(rng, dim, gram=None):
-    """One algebra as an exact and as a floating document.
+def semidirect_objects(rng, dim, gram=None):
+    """One algebra as an exact and as a floating document object, unparsed.
 
     [e_0, e_j] = D e_j with the ideal R^(dim-1) abelian, so Jacobi holds. A
     sparse D leaves some parallel fields; the metric defaults to
@@ -166,13 +166,17 @@ def semidirect_documents(rng, dim, gram=None):
     brackets = [(j, [F(0)] + [d[k][j - 1] for k in range(m)]) for j in range(1, dim)]
 
     def document(text):
-        return parse_document({
-            "dim": dim,
-            "brackets": [{"i": 0, "j": j, "coeffs": [text(c) for c in coeffs]}
-                         for j, coeffs in brackets],
-            "metric": [[text(x) for x in row] for row in gram]})
+        return {"dim": dim,
+                "brackets": [{"i": 0, "j": j, "coeffs": [text(c) for c in coeffs]}
+                             for j, coeffs in brackets],
+                "metric": [[text(x) for x in row] for row in gram]}
 
     return document(format_scalar), document(float)
+
+
+def semidirect_documents(rng, dim, gram=None):
+    """semidirect_objects, parsed: (exact document, floating document)."""
+    return tuple(parse_document(obj) for obj in semidirect_objects(rng, dim, gram))
 
 
 def flat(table):

@@ -1,9 +1,14 @@
+import json
+import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
+from oracles import evaluate_reference, free_names_reference, parse_expr_reference
 from liecurv.errors import InputError
-from liecurv.exprs import MAX_POWER_BITS, evaluate, free_names, parse_expr
+from liecurv.exprs import (MAX_EXPR_TOKENS, MAX_POWER_BITS, evaluate, free_names,
+                           parse_expr)
 
 
 def ev(src, **env):
@@ -80,3 +85,105 @@ def test_parse_is_memoized_and_errors_are_not():
         with pytest.raises(InputError):
             parse_expr("7 * (memo_c")
     assert parse_expr.cache_info().currsize == before
+
+
+def test_deep_and_long_inputs_do_not_recurse():
+    # each of these overflowed the stack of a recursive-descent parser
+    assert ev("(" * 511 + "a" + ")" * 511, a=3) == 3
+    assert ev("-" * 1023 + "a", a=3) == -3
+    assert ev("+".join(["a"] * 512), a=3) == 1536
+    assert ev("a" + "^1" * 511, a=3) == 3
+
+
+def test_token_ceiling():
+    chain = "+".join(["a"] * 512)  # 1023 tokens
+    assert ev("-" + chain, a=1) == 510
+    for src in ("--" + chain, "(" * 1025, "1+" * 10 ** 6 + "1"):
+        with pytest.raises(InputError, match=f"more than {MAX_EXPR_TOKENS} tokens"):
+            parse_expr(src)
+
+
+# --- differential test against the recursive reference ------------------------
+
+NUMBERS = ("0", "1", "2", "3", "7", "10", "64", "65", "0.0", "0.5", "2.0", "1e3", "1e400")
+NAMES = ("a", "b", "alpha", "unbound")
+OPERATORS = ("+", "-", "*", "/", "^", "**", "(", ")")
+
+
+def fixture_strings() -> list:
+    out = []
+
+    def walk(node):
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, (list, dict)):
+            for child in node.values() if isinstance(node, dict) else node:
+                walk(child)
+
+    walk(json.loads(resources.files("liecurv").joinpath("data/cases.json").read_text()))
+    return out
+
+
+def random_tokens(rng) -> str:
+    pool = rng.choice((NUMBERS, NAMES, OPERATORS, OPERATORS, ("$", ".", " ")))
+    words = [rng.choice(pool) if rng.random() < 0.2 else
+             rng.choice(rng.choice((NUMBERS, NAMES, OPERATORS)))
+             for _ in range(rng.randint(1, 12))]
+    return "".join(w + rng.choice(("", "", " ")) for w in words)
+
+
+def grammar_expr(rng, depth: int) -> str:
+    roll = rng.random()
+    if depth == 0 or roll < 0.25:
+        return rng.choice(NUMBERS[:11] + NAMES)
+    if roll < 0.35:
+        return f"({grammar_expr(rng, depth - 1)})"
+    if roll < 0.45:
+        return rng.choice(("-", "+", "- ", "--")) + grammar_expr(rng, depth - 1)
+    if roll < 0.6:
+        exponent = rng.choice(("2", "3", "-1", "-2", "0", "64", "-65", "(1/2)", "2.0", "b", "-b",
+                               "1^2"))
+        return grammar_expr(rng, depth - 1) + rng.choice(("^", "**", " ^ ")) + exponent
+    op = rng.choice((" + ", "-", " - ", "*", " * ", "/", " / "))
+    return grammar_expr(rng, depth - 1) + op + grammar_expr(rng, depth - 1)
+
+
+def outcome(parse, run, names, src, envs):
+    """Refusal message, or (free names, [value type and repr or error per env])."""
+    try:
+        program = parse(src)
+    except InputError as exc:
+        return str(exc)
+    values = []
+    for env in envs:
+        try:
+            value = run(program, env)
+        except InputError as exc:
+            values.append(str(exc))
+        else:
+            values.append((type(value), repr(value)))
+    return names(program), values
+
+
+def test_postfix_matches_recursive_reference():
+    rng = random.Random(1961)
+    fixtures = fixture_strings()
+    sources = (fixtures + [random_tokens(rng) for _ in range(20000)]
+               + [grammar_expr(rng, rng.randint(1, 4)) for _ in range(5000)])
+    bound = set()
+    for src in fixtures:
+        try:
+            bound |= free_names_reference(parse_expr_reference(src))
+        except InputError:
+            pass
+    bound |= {"a", "b", "alpha"}
+    exact = {name: Fraction(rng.randint(-7, 7), rng.randint(1, 4)) for name in sorted(bound)}
+    exact["b"] = 2
+    envs = (exact, {name: float(value) for name, value in exact.items()})
+    accepted = 0
+    for src in sources:
+        want = outcome(parse_expr_reference, evaluate_reference, free_names_reference,
+                       src, envs)
+        assert outcome(parse_expr, evaluate, free_names, src, envs) == want, src
+        accepted += not isinstance(want, str)
+    assert len(fixtures) == 499 and accepted > 6000

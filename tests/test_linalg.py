@@ -7,6 +7,7 @@ import pytest
 
 from oracles import gram_schmidt
 from liecurv import linalg
+from liecurv.algebra import Vector
 from liecurv.errors import DegeneratePlaneError, InputError
 from liecurv.scalars import is_exact_zero
 
@@ -264,6 +265,20 @@ def test_clear_denominators():
     assert (scale, ints) == (6, [[3, 18], [-2, 0]])
     assert all(type(x) is int for row in ints for x in row)
     assert linalg.clear_denominators(((1, -2), (0, 5))) == (1, [[1, -2], [0, 5]])
+
+
+def test_vector_rows_are_rows():
+    # A Vector row is a row of entries, not one non-exact entry: elimination
+    # stays exact and gives the same Fractions as list rows.
+    rows = [[F(1, 3), 1, 0], [F(2, 3), 2, F(1, 7)]]
+    vrows = [Vector(row) for row in rows]
+    assert linalg.nullspace(vrows, 3) == linalg.nullspace(rows, 3) == [[3, -1, 0]]
+    assert all(type(x) is F for x in linalg.nullspace(vrows, 3)[0])
+    assert (linalg.clear_denominators(vrows) == linalg.clear_denominators(rows)
+            == (21, [[7, 21, 0], [14, 42, 3]]))
+    # rows 10^-12 apart: exact rank 2, float rank 1
+    near = [[1, 1], [1, 1 + F(1, 10 ** 12)]]
+    assert linalg.rank([Vector(row) for row in near]) == linalg.rank(near) == 2
 
 
 def test_orthonormal_pair_int_gram_stays_exact():

@@ -34,7 +34,7 @@ def test_parallel_drift_is_berwald():
     _, _, _, rm = setup(1, Z_HALF)
     assert rm.berwald
     assert rm.drift_norm_sq == F(1, 4)
-    assert not rm.is_riemannian
+    assert not rm.drift.is_zero()
 
 
 def test_nonparallel_drift_is_not_berwald():
@@ -44,7 +44,7 @@ def test_nonparallel_drift_is_not_berwald():
 
 def test_zero_drift_is_riemannian():
     _, _, _, rm = setup(1, Vector.zero(4))
-    assert rm.is_riemannian and rm.berwald
+    assert rm.drift.is_zero() and rm.berwald
 
 
 def test_norm_bound_is_strict():
