@@ -8,10 +8,13 @@ basis, the Randers drift template, the fundamental-tensor components at an
 orthonormal pair, and the flag-curvature closed form. reproduce() recomputes
 everything from the structure constants and diffs.
 
-Mismatches are reported, never auto-resolved. A mismatch whose computed
-value is recorded in the fixture's `annotations` block (with a hand
-derivation) is flagged `annotated` and does not fail the report; anything
-else does. Discrepancy entries cite the fixture line of the offending item.
+Mismatches are reported, never auto-resolved. Every comparison that fails
+records one Discrepancy in the report's ledger, citing the fixture line of
+the offending item. A mismatch whose computed value is recorded in the
+fixture's `annotations` block (with a hand derivation) is flagged
+`annotated`. A section passes when every discrepancy it records is
+annotated (and, for jacobi, randers and sign, when its own condition
+holds); the report passes when every section does.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
@@ -176,7 +179,8 @@ def get_case(case_id: int, alpha=None, beta=None) -> CatalogCase:
         if set(given) != {"alpha", "beta"}:
             raise InputError(f"case {case_id} requires both alpha and beta")
         obj = dict(entry)
-        obj["params"] = {k: scalar_to_json(v) for k, v in given.items()}
+        # 17 significant digits round-trip every float
+        obj["params"] = {k: scalar_to_json(v, 17) for k, v in given.items()}
     else:
         if given:
             raise InputError(f"case {case_id} takes no parameters")
@@ -244,13 +248,9 @@ class Discrepancy:
     derivation: str | None = None
 
     def to_dict(self) -> dict:
-        out = {"case": self.case, "item": self.item,
-               "paper_value": self.paper_value,
-               "computed_value": self.computed_value,
-               "fixture_line": self.fixture_line,
-               "annotated": self.annotated}
-        if self.derivation:
-            out["derivation"] = self.derivation
+        out = asdict(self)
+        if self.derivation is None:
+            del out["derivation"]
         return out
 
 
@@ -261,7 +261,7 @@ class ReportItem:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass
@@ -295,23 +295,11 @@ def _vectors_match(a: Vector, b: Vector) -> bool:
     return all(approx_equal(x, y) for x, y in zip(a, b))
 
 
-def _rand_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-
-
 def _rand_vector(rng: random.Random, dim: int) -> Vector:
     while True:
-        v = Vector(_rand_fraction(rng) for _ in range(dim))
+        v = Vector(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim))
         if not v.is_zero():
             return v
-
-
-def _rand_pair(rng: random.Random, dim: int) -> tuple[Vector, Vector]:
-    while True:
-        u = _rand_vector(rng, dim)
-        v = _rand_vector(rng, dim)
-        if rank([u, v]) == 2:
-            return u, v
 
 
 def _coord_env(pole, edge) -> dict:
@@ -328,35 +316,6 @@ def _sample_drift_env(rng: random.Random, names: list) -> dict:
             for name in names}
 
 
-def _neutral_drift_env(names: list) -> dict:
-    return {name: Fraction(1, 2 + 2 * pos) for pos, name in enumerate(names)}
-
-
-class _Differ:
-    """Collects mismatches for one report section, honoring annotations."""
-
-    def __init__(self, case: CatalogCase, report: CaseReport):
-        self.case = case
-        self.report = report
-        self.failed = False
-
-    def record(self, item: str, fixture_value, computed, render=format_scalar) -> None:
-        note = self.case.annotation_for(item)
-        # annotations pin scalar values; a typo is only excused when the
-        # recomputation agrees with the hand derivation on file
-        annotated = (note is not None and not isinstance(computed, Vector)
-                     and not isinstance(computed, str)
-                     and approx_equal(self.case._eval(note["computed_value"]), computed))
-        self.report.discrepancies.append(Discrepancy(
-            case=self.case.id, item=item,
-            paper_value=render(fixture_value), computed_value=render(computed),
-            fixture_line=fixture_line(self.case.id, item),
-            annotated=annotated,
-            derivation=note["derivation"] if annotated else None))
-        if not annotated:
-            self.failed = True
-
-
 def reproduce(case: CatalogCase, samples: int = 20, seed: int = 11) -> CaseReport:
     """Recompute the full pipeline for one case and diff against the fixture.
 
@@ -369,172 +328,148 @@ def reproduce(case: CatalogCase, samples: int = 20, seed: int = 11) -> CaseRepor
     rng = random.Random(seed)
     alg, metric = case.algebra, case.metric
     n = alg.dim
-    labels = alg.labels
     report = CaseReport(case_id=case.id, name=case.name, params=dict(case.params))
+    ledger = report.discrepancies
+    section_start = 0
 
     def describe(v: Vector) -> str:
-        return v.describe(labels)
+        return v.describe(alg.labels)
+
+    def record(item: str, fixture_value, computed, render) -> bool:
+        """Ledger one mismatch; True when an annotation excuses it."""
+        note = case.annotation_for(item)
+        # annotations pin scalar values; a typo is only excused when the
+        # recomputation agrees with the hand derivation on file
+        annotated = (note is not None and not isinstance(computed, (Vector, str))
+                     and approx_equal(case._eval(note["computed_value"]), computed))
+        ledger.append(Discrepancy(
+            case=case.id, item=item,
+            paper_value=render(fixture_value), computed_value=render(computed),
+            fixture_line=fixture_line(case.id, item), annotated=annotated,
+            derivation=note["derivation"] if annotated else None))
+        return annotated
+
+    def check(item: str, fixture_value, computed) -> bool:
+        """Compare a Vector or a scalar; True when a mismatch is excused."""
+        if isinstance(computed, Vector):
+            if not _vectors_match(fixture_value, computed):
+                return record(item, fixture_value, computed, describe)
+        elif not approx_equal(fixture_value, computed):
+            return record(item, fixture_value, computed, format_scalar)
+        return False
+
+    def verdict(name: str, detail: str, ok: bool = True) -> None:
+        """Close a section: it passes when ok and all it recorded is annotated."""
+        nonlocal section_start
+        ok = ok and all(d.annotated for d in ledger[section_start:])
+        section_start = len(ledger)
+        report.items.append(ReportItem(name, ok, detail))
 
     jac = check_jacobi(alg)
-    report.items.append(ReportItem(
-        "jacobi", jac.passed,
-        "pass" if jac.passed else f"{len(jac.violations)} violating triples"))
+    verdict("jacobi", "pass" if jac.passed else f"{len(jac.violations)} violating triples",
+            jac.passed)
 
     conn = levi_civita(alg, metric)
-    diff = _Differ(case, report)
     expected_conn = case.expected_connection()
     for i in range(n):
         for j in range(n):
-            exp = expected_conn.get((i, j), Vector.zero(n))
-            got = conn.nabla(i, j)
-            if not _vectors_match(exp, got):
-                diff.record(f"connection[{i}][{j}]", exp, got, describe)
-    report.items.append(ReportItem(
-        "connection", not diff.failed,
-        f"{len(expected_conn)} printed entries, {n * n} derivatives checked"))
+            check(f"connection[{i}][{j}]", expected_conn.get((i, j), Vector.zero(n)),
+                  conn.nabla(i, j))
+    verdict("connection", f"{len(expected_conn)} printed entries, {n * n} derivatives checked")
 
     rt = riemann_tensor(conn)
-    diff = _Differ(case, report)
     expected_curv = case.expected_curvature()
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
-                exp = expected_curv.get((i, j, k), Vector.zero(n))
-                got = rt.basis_value(i, j, k)
-                if not _vectors_match(exp, got):
-                    diff.record(f"curvature[{i}][{j}][{k}]", exp, got, describe)
-    report.items.append(ReportItem(
-        "curvature", not diff.failed,
-        f"{len(expected_curv)} printed entries, {n * n * (n - 1) // 2} values checked"))
+                check(f"curvature[{i}][{j}][{k}]",
+                      expected_curv.get((i, j, k), Vector.zero(n)), rt.basis_value(i, j, k))
+    verdict("curvature", f"{len(expected_curv)} printed entries, "
+            f"{n * n * (n - 1) // 2} values checked")
 
-    diff = _Differ(case, report)
     for _ in range(samples):
         u = _rand_vector(rng, n)
         v = _rand_vector(rng, n)
         env = _coord_env(u, v)
-        got_vec = curvature_apply(rt, v, u, u)
-        exp_vec = Vector(case._eval(text, env) for text in case.expected["rvuu"])
-        if not _vectors_match(exp_vec, got_vec):
-            diff.record("rvuu", exp_vec, got_vec, describe)
-        got_num = metric.inner(got_vec, v)
-        exp_num = case._eval(case.expected["sectional_numerator"], env)
-        if not approx_equal(exp_num, got_num):
-            diff.record("sectional_numerator", exp_num, got_num)
-    report.items.append(ReportItem(
-        "closed_forms", not diff.failed,
-        f"R(V,U)U and sectional numerator at {samples} rational pairs"))
+        got = curvature_apply(rt, v, u, u)
+        check("rvuu", Vector(case._eval(text, env) for text in case.expected["rvuu"]), got)
+        check("sectional_numerator", case._eval(case.expected["sectional_numerator"], env),
+              metric.inner(got, v))
+    verdict("closed_forms", f"R(V,U)U and sectional numerator at {samples} rational pairs")
 
-    diff = _Differ(case, report)
     scalar = scalar_curvature(rt, metric)
-    exp_scalar = case.expected_scalar()
-    if not approx_equal(exp_scalar, scalar):
-        diff.record("scalar", exp_scalar, scalar)
-    annotated_note = (report.discrepancies[-1].annotated
-                      if report.discrepancies and report.discrepancies[-1].item == "scalar"
-                      else False)
-    report.items.append(ReportItem(
-        "scalar", not diff.failed,
-        f"computed {format_scalar(scalar)}"
-        + (" (printed value differs; annotated fixture typo)" if annotated_note else "")))
+    excused = check("scalar", case.expected_scalar(), scalar)
+    verdict("scalar", f"computed {format_scalar(scalar)}"
+            + (" (printed value differs; annotated fixture typo)" if excused else ""))
 
-    diff = _Differ(case, report)
     computed_par = parallel_fields(conn)
     expected_par = case.expected_parallel()
-    spans_equal = (len(computed_par) == len(expected_par)
-                   and (not computed_par or rank(computed_par) == rank(expected_par)
-                        == rank(computed_par + expected_par)))
-    if not spans_equal:
-        diff.record("parallel",
-                    ", ".join(describe(v) for v in expected_par) or "none",
-                    ", ".join(describe(v) for v in computed_par) or "none",
-                    render=str)
-    report.items.append(ReportItem(
-        "parallel", not diff.failed, f"dimension {len(computed_par)}"))
+    if not (len(computed_par) == len(expected_par)
+            and (not computed_par or rank(computed_par) == rank(expected_par)
+                 == rank(computed_par + expected_par))):
+        record("parallel", ", ".join(describe(v) for v in expected_par) or "none",
+               ", ".join(describe(v) for v in computed_par) or "none", str)
+    verdict("parallel", f"dimension {len(computed_par)}")
 
-    _reproduce_randers(case, report, conn, rt, rng, samples)
-    return report
-
-
-def _reproduce_randers(case: CatalogCase, report: CaseReport, conn, rt,
-                       rng: random.Random, samples: int) -> None:
     if case.expected["randers"] is None:
-        report.items.append(ReportItem("randers", True,
-                                       "not applicable: no parallel fields"))
-        return
+        verdict("randers", "not applicable: no parallel fields")
+        return report
     if not case.randers_applicable():
-        report.items.append(ReportItem("randers", True,
-                                       "not applicable at these parameters"))
-        return
-    metric = case.metric
+        verdict("randers", "not applicable at these parameters")
+        return report
     names = case.drift_vars()
-    flag_expr = case.expected["randers"]["flag_curvature"]
     fundamental = case.expected["fundamental"]
-    diff = _Differ(case, report)
-
-    rm0 = build_randers(metric, case.drift_vector(_neutral_drift_env(names)), conn)
+    rm0 = build_randers(metric, case.drift_vector(
+        {name: Fraction(1, 2 + 2 * pos) for pos, name in enumerate(names)}), conn)
     berwald_ok = rm0.berwald
     values = []
     for _ in range(samples):
         drift_env = _sample_drift_env(rng, names)
         rm = build_randers(metric, case.drift_vector(drift_env), conn)
         berwald_ok = berwald_ok and rm.berwald
-        while True:
-            u, v = _rand_pair(rng, case.algebra.dim)
+        while True:  # redraw until the two vectors span a plane
             try:
-                pole, edge = orthonormal_pair(metric.gram, u, v)
+                pole, edge = map(Vector, orthonormal_pair(
+                    metric.gram, _rand_vector(rng, n), _rand_vector(rng, n)))
                 break
             except DegeneratePlaneError:
                 continue
         env = _coord_env(pole, edge)
         env.update(drift_env)
-        got = flag_curvature(rm, rt, Flag(Vector(pole), Vector(edge)))
+        got = flag_curvature(rm, rt, Flag(pole, edge))
         values.append(got)
-        exp = case._eval(flag_expr, env)
-        if not approx_equal(exp, got):
-            diff.record("flag_curvature", exp, got)
-        pole_v, edge_v = Vector(pole), Vector(edge)
+        check("flag_curvature", case._eval(case.expected["randers"]["flag_curvature"], env),
+              got)
         computed_fund = {
-            "pole_pole": g_y(rm, pole_v, pole_v, pole_v),
-            "pole_edge": g_y(rm, pole_v, pole_v, edge_v),
-            "edge_edge": g_y(rm, pole_v, edge_v, edge_v),
-            "flag_numerator": g_y(rm, pole_v,
-                                  curvature_apply(rt, edge_v, pole_v, pole_v), edge_v),
+            "pole_pole": g_y(rm, pole, pole, pole),
+            "pole_edge": g_y(rm, pole, pole, edge),
+            "edge_edge": g_y(rm, pole, edge, edge),
+            "flag_numerator": g_y(rm, pole, curvature_apply(rt, edge, pole, pole), edge),
         }
         for key, got_f in computed_fund.items():
-            exp_f = case._eval(fundamental[key], env)
-            if not approx_equal(exp_f, got_f):
-                diff.record(f"fundamental.{key}", exp_f, got_f)
-    report.items.append(ReportItem(
-        "randers", berwald_ok and not diff.failed,
-        f"berwald={berwald_ok}, flag curvature and fundamental tensor at "
-        f"{samples} orthonormalized samples"))
+            check(f"fundamental.{key}", case._eval(fundamental[key], env), got_f)
+    verdict("randers", f"berwald={berwald_ok}, flag curvature and fundamental tensor at "
+            f"{samples} orthonormalized samples", berwald_ok)
 
     claim = case.expected["randers"]["sign"]
     if claim is None:
-        return
-    n = case.algebra.dim
-    probe_rm = rm0
+        return report
     for i in range(n):
         for j in range(n):
-            if i == j:
-                continue
-            values.append(flag_curvature(
-                probe_rm, rt, Flag(Vector.basis(n, i), Vector.basis(n, j))))
+            if i != j:
+                values.append(flag_curvature(
+                    rm0, rt, Flag(Vector.basis(n, i), Vector.basis(n, j))))
     if claim == "nonpositive":
         ok = all(value <= 0 or is_zero(value) for value in values)
         detail = f"max sampled value {format_scalar(max(values), 6)}"
     elif claim == "indefinite":
-        has_pos = any(value > 0 and not is_zero(value) for value in values)
-        has_neg = any(value < 0 and not is_zero(value) for value in values)
-        ok = has_pos and has_neg
+        ok = (any(value > 0 and not is_zero(value) for value in values)
+              and any(value < 0 and not is_zero(value) for value in values))
         detail = (f"range [{format_scalar(min(values), 6)}, "
                   f"{format_scalar(max(values), 6)}]")
     else:
         raise InputError(f"unknown sign claim {claim!r} in fixture")
-    item = f"sign ({claim})"
     if not ok:
-        differ = _Differ(case, report)
-        differ.record("sign", claim, detail, render=str)
-        report.items.append(ReportItem(item, False, detail))
-    else:
-        report.items.append(ReportItem(item, True, detail))
+        record("sign", claim, detail, str)
+    verdict(f"sign ({claim})", detail, ok)
+    return report

@@ -222,12 +222,8 @@ def cmd_analyze(args) -> CommandResult:
 
 
 def _two_vectors(args, doc: Document, names: tuple[str, str]) -> tuple[Vector, Vector]:
-    raw_u = getattr(args, names[0], None)
-    raw_v = getattr(args, names[1], None)
-    if raw_u is None or raw_v is None:
-        raise InputError(f"--{names[0]} and --{names[1]} are both required")
-    return (_parse_vector(raw_u, doc.dim, f"--{names[0]}"),
-            _parse_vector(raw_v, doc.dim, f"--{names[1]}"))
+    return tuple(_parse_vector(getattr(args, name), doc.dim, f"--{name}")
+                 for name in names)
 
 
 def cmd_sectional(args) -> CommandResult:
@@ -333,7 +329,9 @@ def cmd_report(args) -> CommandResult:
     ids = list(takes_params) if args.all else [args.case]
     alpha_grid = _parse_grid(args.alpha_grid, "--alpha-grid")
     beta_grid = _parse_grid(args.beta_grid, "--beta-grid")
-    points = len(alpha_grid) * len(beta_grid)
+    # int arithmetic: len() of a range past sys.maxsize raises OverflowError
+    points = ((alpha_grid.stop - alpha_grid.start)
+              * (beta_grid.stop - beta_grid.start))
     if points > MAX_GRID_POINTS:
         raise InputError(f"--alpha-grid x --beta-grid has {points} points; "
                          f"the ceiling is {MAX_GRID_POINTS}")
@@ -478,6 +476,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.precision < 1:
+            raise InputError(f"--precision must be at least 1, got {args.precision}")
         result = _COMMANDS[args.cmd](args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)

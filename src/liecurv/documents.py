@@ -50,54 +50,46 @@ class Document:
     metric: MetricTensor
     drift: Vector | None
     params: dict
-    floating: bool
 
     def algebra(self) -> LieAlgebra:
         return LieAlgebra.from_brackets(self.dim, self.brackets, self.labels)
 
 
-class _ScalarReader:
-    """Tracks floating-ness while parsing scalars and param expressions."""
-
-    def __init__(self, params: dict):
-        self.params = params
-        self.floating = False
-
-    def read(self, value, where: str) -> Scalar:
-        if isinstance(value, bool):
-            raise InputError(f"{where}: booleans are not scalars")
-        if isinstance(value, int):
-            return value
-        if isinstance(value, float):
-            out = value
-        elif isinstance(value, str):
-            try:
-                out = parse_rational(value)
-            except InputError:
-                out = self._read_expression(value, where)
-        else:
-            raise InputError(f"{where}: expected a scalar, got {type(value).__name__}")
-        if isinstance(out, float):
-            if not math.isfinite(out):
-                raise InputError(f"{where}: scalar {value!r} is not finite")
-            self.floating = True
-        return out
-
-    def _read_expression(self, text: str, where: str) -> Scalar:
+def _read_scalar(value, where: str, params: dict) -> Scalar:
+    """One document scalar: an int, a float, a literal or an expression over
+    the declared params."""
+    if isinstance(value, bool):
+        raise InputError(f"{where}: booleans are not scalars")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float):
+        out = value
+    elif isinstance(value, str):
         try:
-            tree = exprs.parse_expr(text)
-        except InputError as exc:
-            raise InputError(f"{where}: {exc}") from None
-        free = exprs.free_names(tree)
-        unknown = free - set(self.params)
-        if unknown:
-            raise InputError(
-                f"{where}: expression uses undeclared names {sorted(unknown)}; "
-                f"declare them under 'params'")
-        try:
-            return exprs.evaluate(tree, self.params)
-        except InputError as exc:
-            raise InputError(f"{where}: {exc}") from None
+            out = parse_rational(value)
+        except InputError:
+            out = _read_expression(value, where, params)
+    else:
+        raise InputError(f"{where}: expected a scalar, got {type(value).__name__}")
+    if isinstance(out, float) and not math.isfinite(out):
+        raise InputError(f"{where}: scalar {value!r} is not finite")
+    return out
+
+
+def _read_expression(text: str, where: str, params: dict) -> Scalar:
+    try:
+        tree = exprs.parse_expr(text)
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from None
+    unknown = exprs.free_names(tree) - set(params)
+    if unknown:
+        raise InputError(
+            f"{where}: expression uses undeclared names {sorted(unknown)}; "
+            f"declare them under 'params'")
+    try:
+        return exprs.evaluate(tree, params)
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from None
 
 
 def _is_int(x) -> bool:
@@ -138,10 +130,8 @@ def parse_document(obj: dict, extras: frozenset = frozenset()) -> Document:
     if not isinstance(params_obj, dict):
         raise InputError("document.params must be an object")
     _require_keys(params_obj, _PARAM_KEYS, "document.params")
-    reader = _ScalarReader({})
-    params = {name: reader.read(value, f"document.params.{name}")
+    params = {name: _read_scalar(value, f"document.params.{name}", {})
               for name, value in params_obj.items()}
-    reader.params = params
 
     brackets_obj = obj.get("brackets")
     if not isinstance(brackets_obj, list):
@@ -162,7 +152,7 @@ def parse_document(obj: dict, extras: frozenset = frozenset()) -> Document:
         coeffs = entry.get("coeffs")
         if not isinstance(coeffs, list) or len(coeffs) != dim:
             raise InputError(f"{where}.coeffs: need exactly {dim} scalars")
-        brackets[(i, j)] = tuple(reader.read(c, f"{where}.coeffs[{k}]")
+        brackets[(i, j)] = tuple(_read_scalar(c, f"{where}.coeffs[{k}]", params)
                                  for k, c in enumerate(coeffs))
 
     metric_obj = obj.get("metric", "identity")
@@ -175,7 +165,7 @@ def parse_document(obj: dict, extras: frozenset = frozenset()) -> Document:
         for r, row in enumerate(metric_obj):
             if not isinstance(row, list) or len(row) != dim:
                 raise InputError(f"document.metric[{r}]: need {dim} entries")
-            rows.append([reader.read(x, f"document.metric[{r}][{c}]")
+            rows.append([_read_scalar(x, f"document.metric[{r}][{c}]", params)
                          for c, x in enumerate(row)])
         metric = MetricTensor(rows)
 
@@ -184,11 +174,11 @@ def parse_document(obj: dict, extras: frozenset = frozenset()) -> Document:
     if drift_obj is not None:
         if not isinstance(drift_obj, list) or len(drift_obj) != dim:
             raise InputError(f"document.drift must list {dim} scalars")
-        drift = Vector(reader.read(x, f"document.drift[{k}]")
+        drift = Vector(_read_scalar(x, f"document.drift[{k}]", params)
                        for k, x in enumerate(drift_obj))
 
     return Document(dim=dim, labels=labels, brackets=brackets, metric=metric,
-                    drift=drift, params=params, floating=reader.floating)
+                    drift=drift, params=params)
 
 
 def load_document(path: str) -> Document:
@@ -202,8 +192,10 @@ def load_document(path: str) -> Document:
     return parse_document(obj)
 
 
-def serialize_document(doc: Document, precision: int = 12) -> dict:
-    """Canonical JSON form: exact scalars as 'p/q' strings, i < j brackets."""
+def serialize_document(doc: Document) -> dict:
+    """Canonical JSON form: exact scalars as 'p/q' strings, i < j brackets,
+    floats at 17 significant digits, which round-trips every float."""
+    precision = 17
     out: dict = {"dim": doc.dim, "basis": list(doc.labels)}
     out["brackets"] = [
         {"i": i, "j": j, "coeffs": [scalar_to_json(c, precision) for c in coeffs]}
@@ -226,10 +218,9 @@ def serialize_document(doc: Document, precision: int = 12) -> dict:
 def document_digest(doc: Document) -> str:
     """Stable sha256 over the canonical serialization.
 
-    Floats are serialized at 17 significant digits, which round-trips every
-    float, so documents that differ in any float get different digests.
-    Exact scalars ignore the precision, so exact digests do not depend on it.
+    serialize_document round-trips every float, so documents that differ in
+    any float get different digests.
     """
-    canonical = json.dumps(serialize_document(doc, precision=17), sort_keys=True,
+    canonical = json.dumps(serialize_document(doc), sort_keys=True,
                            separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -37,6 +39,11 @@ def test_get_case_param_coercion():
         case = catalog.get_case(4, alpha=alpha, beta=beta)
         assert case.params == {"alpha": F(-1), "beta": F(0)}
         assert list(case.algebra.bracket_basis(1, 3)) == [-1, 0, 0, 0]
+
+
+def test_get_case_keeps_float_params_exactly():
+    case = catalog.get_case(4, alpha=0.1234567890123456, beta=1 / 3)
+    assert case.params == {"alpha": 0.1234567890123456, "beta": 1 / 3}
 
 
 def test_expected_tables_evaluate():
@@ -126,3 +133,47 @@ def test_case_report_dict_shape():
     assert set(d) == {"case", "name", "params", "items", "discrepancies", "passed"}
     assert d["case"] == 2 and d["passed"] is True
     assert all({"name", "passed", "detail"} == set(i) for i in d["items"])
+
+
+def _plus_one(text):
+    return text + "+1"
+
+
+# (case, path into `expected`, change, discrepancy item, failing report item)
+UNEXCUSED = {
+    "connection": (1, ("connection", 0, "coeffs"), lambda c: ["0", "-2", "0", "0"],
+                   "connection[1][0]", "connection"),
+    "curvature": (1, ("curvature", 0, "coeffs"), lambda c: ["0", "2", "0", "0"],
+                  "curvature[0][1][0]", "curvature"),
+    "rvuu": (1, ("rvuu", 0), _plus_one, "rvuu", "closed_forms"),
+    "sectional_numerator": (1, ("sectional_numerator",), _plus_one,
+                            "sectional_numerator", "closed_forms"),
+    "scalar": (1, ("scalar",), lambda s: "-5", "scalar", "scalar"),
+    "annotation": (6, ("annotations", 0, "computed_value"), lambda s: "-7/2",
+                   "scalar", "scalar"),
+    "parallel": (1, ("parallel", "basis"), lambda b: [["0", "1", "0", "0"]],
+                 "parallel", "parallel"),
+    "flag_curvature": (1, ("randers", "flag_curvature"), _plus_one,
+                       "flag_curvature", "randers"),
+    "fundamental": (1, ("fundamental", "pole_pole"), _plus_one,
+                    "fundamental.pole_pole", "randers"),
+    "sign": (1, ("randers", "sign"), lambda s: "indefinite", "sign", "sign (indefinite)"),
+}
+
+
+@pytest.mark.parametrize("case_id, path, change, item, section",
+                         UNEXCUSED.values(), ids=UNEXCUSED.keys())
+def test_unexcused_mismatch_fails_its_section_only(case_id, path, change, item, section):
+    case = catalog.get_case(case_id)
+    expected = copy.deepcopy(case.expected)
+    node = expected
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = change(node[path[-1]])
+    base = catalog.reproduce(case, samples=4)
+    report = catalog.reproduce(dataclasses.replace(case, expected=expected), samples=4)
+    assert base.passed and not report.passed
+    assert [i.name for i in report.items if not i.passed] == [section]
+    new = [d for d in report.discrepancies if d not in base.discrepancies]
+    assert new and all(d.item == item and not d.annotated for d in new)
+    assert all(d.fixture_line == catalog.fixture_line(case_id, item) for d in new)

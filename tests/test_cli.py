@@ -62,6 +62,16 @@ def test_scalar_case4_with_params(capsys):
     assert "-25/2" in out
 
 
+def test_float_case_parameters_keep_every_digit(capsys):
+    alpha, beta = 0.1234567890123456, 0.3333333333333333
+    code, out, _ = run(capsys, "scalar", "--case", "4", "--alpha", repr(alpha),
+                       "--beta", repr(beta), "--precision", "17")
+    assert code == 0
+    # parameters rounded to 12 significant digits move the value by 8e-13
+    closed_form = -(1 + alpha) ** 2 / 2 - 2 * beta ** 2 - 6
+    assert abs(float(out.split(":")[1]) - closed_form) <= 1e-14
+
+
 def test_json_envelope_schema(capsys):
     code, doc, _ = run_json(capsys, "scalar", "--case", "2")
     assert code == 0
@@ -329,6 +339,19 @@ def test_report_grid_over_ceiling(capsys):
     assert code == 1 and out == ""
     assert "--alpha-grid x --beta-grid has 289 points" in err
     assert f"ceiling is {MAX_GRID_POINTS}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--all", "--alpha-grid=0:100000000000000000000"],
+    ["report", "--case", "4", "--beta-grid=-100000000000000000000:0"],
+    ["scalar", "--case", "4", "--alpha", "0.5", "--beta", "0", "--precision=-3"],
+    ["scalar", "--case", "4", "--alpha", "0.5", "--beta", "0", "--precision=0"],
+], ids=["alpha_grid_past_ssize_t", "beta_grid_past_ssize_t", "precision_negative",
+        "precision_zero"])
+def test_out_of_range_option_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --") and "Traceback" not in err
 
 
 def test_report_needs_exactly_one_target(capsys):

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from test_exact_vs_float import is_exact_document
 from liecurv import catalog
 from liecurv.documents import (document_digest, load_document, parse_document,
                                serialize_document)
 from liecurv.errors import InputError
+from liecurv.linalg import all_exact
 
 F = Fraction
 
@@ -24,7 +26,7 @@ def test_parse_minimal_document():
     assert doc.dim == 4
     assert doc.labels == ("X", "Y", "Z", "W")
     assert doc.metric.gram[0][0] == 1
-    assert not doc.floating
+    assert is_exact_document(doc)
     alg = doc.algebra()
     assert list(alg.bracket_basis(0, 1)) == [0, 0, 1, 0]
     assert list(alg.bracket_basis(1, 0)) == [0, 0, -1, 0]
@@ -87,7 +89,7 @@ def test_params_restricted_to_known_names():
 
 def test_float_entries_mark_floating():
     doc = parse_document(minimal(drift=[0.25, 0, 0, 0]))
-    assert doc.floating
+    assert not all_exact(doc.drift)
     assert doc.drift[0] == 0.25
 
 

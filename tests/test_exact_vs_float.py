@@ -179,6 +179,10 @@ def semidirect_documents(rng, dim, gram=None):
     return tuple(parse_document(obj) for obj in semidirect_objects(rng, dim, gram))
 
 
+def is_exact_document(doc):
+    return linalg.all_exact(list(doc.brackets.values())) and linalg.all_exact(doc.metric.gram)
+
+
 def flat(table):
     if isinstance(table, (list, tuple)):
         return [x for item in table for x in flat(item)]
@@ -187,7 +191,7 @@ def flat(table):
 
 def assert_documents_agree(exact_doc, float_doc):
     """Return the dimension of the space of parallel fields."""
-    assert not exact_doc.floating and float_doc.floating
+    assert is_exact_document(exact_doc) and not is_exact_document(float_doc)
     results = []
     for doc in (exact_doc, float_doc):
         conn = levi_civita(doc.algebra(), doc.metric)
