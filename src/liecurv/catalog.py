@@ -1,12 +1,15 @@
 """Six built-in Lie algebra fixtures and the pipeline that reproduces their
 published geometry.
 
-Fixtures live in data/cases.json as ordinary algebra documents plus an
-`expected` block: connection and curvature tables, closed-form expressions
-for R(V,U)U and the sectional numerator, the scalar curvature, the parallel
-basis, the Randers drift template, the fundamental-tensor components at an
-orthonormal pair, and the flag-curvature closed form. reproduce() recomputes
-everything from the structure constants and diffs.
+Geometry is that pipeline for one document: algebra, Jacobi scan,
+Levi-Civita connection, curvature, scalar curvature and parallel fields,
+each computed once, on first use. A CatalogCase is a Geometry plus its
+fixture from data/cases.json: an id, a name and an `expected` block of
+connection and curvature tables, closed-form expressions for R(V,U)U and
+the sectional numerator, the scalar curvature, the parallel basis, the
+Randers drift template, the fundamental-tensor components at an orthonormal
+pair, and the flag-curvature closed form. reproduce() diffs the stages
+against it.
 
 Mismatches are reported, never auto-resolved. Every comparison that fails
 records one Discrepancy in the report's ledger, citing the fixture line of
@@ -28,12 +31,13 @@ from functools import cached_property
 from importlib import resources
 
 from . import exprs
-from .algebra import LieAlgebra, MetricTensor, Vector, check_jacobi
+from .algebra import JacobiReport, LieAlgebra, MetricTensor, Vector, check_jacobi
 from .documents import Document, parse_document
 from .errors import DegeneratePlaneError, InputError
 from .linalg import orthonormal_pair, rank
 from .randers import Flag, build_randers, flag_curvature, g_y, parallel_fields
-from .riemann import curvature_apply, levi_civita, riemann_tensor, scalar_curvature
+from .riemann import (Connection, CurvatureTensor, curvature_apply, levi_civita,
+                      riemann_tensor, scalar_curvature)
 from .scalars import (Scalar, approx_equal, format_scalar, is_zero, parse_rational,
                       scalar_to_json)
 
@@ -92,15 +96,10 @@ def _coerce_param(name: str, value) -> Scalar:
 
 
 @dataclass
-class CatalogCase:
-    id: int
-    name: str
-    document: Document
-    expected: dict
+class Geometry:
+    """One document's stage chain; each stage runs once, on first use."""
 
-    @cached_property
-    def algebra(self) -> LieAlgebra:
-        return self.document.algebra()
+    document: Document
 
     @property
     def metric(self) -> MetricTensor:
@@ -109,6 +108,37 @@ class CatalogCase:
     @property
     def params(self) -> dict:
         return self.document.params
+
+    @cached_property
+    def algebra(self) -> LieAlgebra:
+        return self.document.algebra()
+
+    @cached_property
+    def jacobi(self) -> JacobiReport:
+        return check_jacobi(self.algebra)
+
+    @cached_property
+    def connection(self) -> Connection:
+        return levi_civita(self.algebra, self.metric)
+
+    @cached_property
+    def curvature(self) -> CurvatureTensor:
+        return riemann_tensor(self.connection)
+
+    @cached_property
+    def scalar(self) -> Scalar:
+        return scalar_curvature(self.curvature, self.metric)
+
+    @cached_property
+    def parallel(self) -> list[Vector]:
+        return parallel_fields(self.connection)
+
+
+@dataclass
+class CatalogCase(Geometry):
+    id: int
+    name: str
+    expected: dict
 
     def _eval(self, text: str, env: dict | None = None) -> Scalar:
         full = dict(self.params)
@@ -276,10 +306,6 @@ class CaseReport:
     def passed(self) -> bool:
         return all(item.passed for item in self.items)
 
-    @property
-    def unannotated(self) -> list:
-        return [d for d in self.discrepancies if not d.annotated]
-
     def to_dict(self, precision: int = 12) -> dict:
         return {
             "case": self.case_id,
@@ -317,9 +343,9 @@ def _sample_drift_env(rng: random.Random, names: list) -> dict:
 
 
 def reproduce(case: CatalogCase, samples: int = 20, seed: int = 11) -> CaseReport:
-    """Recompute the full pipeline for one case and diff against the fixture.
+    """Diff one case's cached pipeline stages against the fixture.
 
-    Runs: Jacobi scan, Levi-Civita connection, curvature tensor, the printed
+    Checks: Jacobi scan, Levi-Civita connection, curvature tensor, the printed
     closed forms for R(V,U)U and the sectional numerator at random rational
     pairs, scalar curvature, parallel fields, and (when a parallel drift
     exists) the Randers layer: Berwald flag, fundamental-tensor components
@@ -365,19 +391,18 @@ def reproduce(case: CatalogCase, samples: int = 20, seed: int = 11) -> CaseRepor
         section_start = len(ledger)
         report.items.append(ReportItem(name, ok, detail))
 
-    jac = check_jacobi(alg)
+    jac = case.jacobi
     verdict("jacobi", "pass" if jac.passed else f"{len(jac.violations)} violating triples",
             jac.passed)
 
-    conn = levi_civita(alg, metric)
     expected_conn = case.expected_connection()
     for i in range(n):
         for j in range(n):
             check(f"connection[{i}][{j}]", expected_conn.get((i, j), Vector.zero(n)),
-                  conn.nabla(i, j))
+                  case.connection.nabla(i, j))
     verdict("connection", f"{len(expected_conn)} printed entries, {n * n} derivatives checked")
 
-    rt = riemann_tensor(conn)
+    rt = case.curvature
     expected_curv = case.expected_curvature()
     for i in range(n):
         for j in range(i + 1, n):
@@ -397,12 +422,11 @@ def reproduce(case: CatalogCase, samples: int = 20, seed: int = 11) -> CaseRepor
               metric.inner(got, v))
     verdict("closed_forms", f"R(V,U)U and sectional numerator at {samples} rational pairs")
 
-    scalar = scalar_curvature(rt, metric)
-    excused = check("scalar", case.expected_scalar(), scalar)
-    verdict("scalar", f"computed {format_scalar(scalar)}"
+    excused = check("scalar", case.expected_scalar(), case.scalar)
+    verdict("scalar", f"computed {format_scalar(case.scalar)}"
             + (" (printed value differs; annotated fixture typo)" if excused else ""))
 
-    computed_par = parallel_fields(conn)
+    computed_par = case.parallel
     expected_par = case.expected_parallel()
     if not (len(computed_par) == len(expected_par)
             and (not computed_par or rank(computed_par) == rank(expected_par)
@@ -420,12 +444,12 @@ def reproduce(case: CatalogCase, samples: int = 20, seed: int = 11) -> CaseRepor
     names = case.drift_vars()
     fundamental = case.expected["fundamental"]
     rm0 = build_randers(metric, case.drift_vector(
-        {name: Fraction(1, 2 + 2 * pos) for pos, name in enumerate(names)}), conn)
+        {name: Fraction(1, 2 + 2 * pos) for pos, name in enumerate(names)}), case.connection)
     berwald_ok = rm0.berwald
     values = []
     for _ in range(samples):
         drift_env = _sample_drift_env(rng, names)
-        rm = build_randers(metric, case.drift_vector(drift_env), conn)
+        rm = build_randers(metric, case.drift_vector(drift_env), case.connection)
         berwald_ok = berwald_ok and rm.berwald
         while True:  # redraw until the two vectors span a plane
             try:

@@ -15,12 +15,11 @@ import json
 import sys
 
 from . import catalog
-from .algebra import Vector, check_jacobi
-from .documents import Document, document_digest, load_document
+from .algebra import Vector
+from .documents import document_digest, load_document
 from .errors import InputError, LiecurvError, NonBerwaldError, PreconditionError
-from .randers import (Flag, build_randers, flag_curvature, g_y,
-                      parallel_fields, randers_norm)
-from .riemann import levi_civita, riemann_tensor, scalar_curvature, sectional
+from .randers import Flag, build_randers, flag_curvature, g_y, randers_norm
+from .riemann import sectional
 from .scalars import format_scalar, is_zero, parse_rational, scalar_to_json
 
 
@@ -59,27 +58,23 @@ def _parse_grid(text: str, flag_name: str) -> range:
     return range(lo_n, hi_n + 1)
 
 
-def _resolve_document(args) -> tuple[Document, catalog.CatalogCase | None]:
-    """Load from file or catalog, apply --drift/--alpha/--beta overrides."""
+def _resolve_document(args) -> catalog.Geometry:
+    """Load from file or catalog (a CatalogCase), apply --drift/--alpha/--beta."""
     if args.document and args.case is not None:
         raise InputError("give either a document file or --case, not both")
     if args.case is not None:
-        case = catalog.get_case(args.case, alpha=args.alpha, beta=args.beta)
-        doc = case.document
+        geo = catalog.get_case(args.case, alpha=args.alpha, beta=args.beta)
     else:
         if not args.document:
             raise InputError("no input: give a document file or --case N")
         if args.alpha is not None or args.beta is not None:
             raise InputError("--alpha/--beta only apply with --case; "
                              "put params in the document instead")
-        doc = load_document(args.document)
-        case = None
+        geo = catalog.Geometry(load_document(args.document))
     if args.drift is not None:
-        drift = _parse_vector(args.drift, doc.dim, "--drift")
-        doc = dataclasses.replace(doc, drift=drift)
-        if case is not None:
-            case = dataclasses.replace(case, document=doc)
-    return doc, case
+        drift = _parse_vector(args.drift, geo.document.dim, "--drift")
+        geo = dataclasses.replace(geo, document=dataclasses.replace(geo.document, drift=drift))
+    return geo
 
 
 def _residual_line(alg, violation) -> str:
@@ -88,14 +83,13 @@ def _residual_line(alg, violation) -> str:
     return f"residual on ({triple}): {res.describe(alg.labels)}"
 
 
-def _lie_algebra(doc: Document):
-    """The document's algebra; a Jacobi failure is an input error (exit 1)."""
-    alg = doc.algebra()
-    violations = check_jacobi(alg).violations
+def _lie_checked(geo: catalog.Geometry) -> catalog.Geometry:
+    """geo, once its algebra passes Jacobi; a failure is an input error (exit 1)."""
+    violations = geo.jacobi.violations
     if violations:
         raise InputError("not a Lie algebra: jacobi: FAIL, "
-                         + _residual_line(alg, violations[0]))
-    return alg
+                         + _residual_line(geo.algebra, violations[0]))
+    return geo
 
 
 def _vector_json(v: Vector, precision: int) -> list:
@@ -110,36 +104,13 @@ def _entry_json(v: Vector, precision: int) -> list:
             for x in v]
 
 
-def _connection_entries(conn, precision: int) -> list:
-    out = []
-    for i in range(conn.dim):
-        for j in range(conn.dim):
-            value = conn.nabla(i, j)
-            if not value.is_zero():
-                out.append({"i": i, "j": j, "coeffs": _entry_json(value, precision)})
-    return out
-
-
-def _curvature_entries(rt, precision: int) -> list:
-    out = []
-    for i in range(rt.dim):
-        for j in range(i + 1, rt.dim):
-            for k in range(rt.dim):
-                value = rt.basis_value(i, j, k)
-                if not value.is_zero():
-                    out.append({"i": i, "j": j, "k": k,
-                                "coeffs": _entry_json(value, precision)})
-    return out
-
-
 # --- commands -----------------------------------------------------------------
 
 
 def cmd_check(args) -> CommandResult:
-    doc, _ = _resolve_document(args)
-    alg = doc.algebra()
-    report = check_jacobi(alg)
-    pd = doc.metric.is_positive_definite()
+    geo = _resolve_document(args)
+    report = geo.jacobi
+    pd = geo.metric.is_positive_definite()
     passed = report.passed and pd
     sections = {
         "jacobi": report.to_dict(args.precision),
@@ -148,34 +119,34 @@ def cmd_check(args) -> CommandResult:
     }
     text = [f"antisymmetry: {'pass' if report.antisymmetry_ok else 'FAIL'}",
             f"jacobi: {'pass' if not report.violations else 'FAIL'}"]
-    text += [f"  {_residual_line(alg, v)}" for v in report.violations]
+    text += [f"  {_residual_line(geo.algebra, v)}" for v in report.violations]
     text.append(f"metric: {'positive definite' if pd else 'NOT positive definite'}")
     text.append(f"check: {'pass' if passed else 'FAIL'}")
     return CommandResult(sections, text, status=0 if passed else 1,
-                         digest=document_digest(doc))
+                         digest=document_digest(geo.document))
 
 
 def cmd_analyze(args) -> CommandResult:
-    doc, case = _resolve_document(args)
-    alg = doc.algebra()
-    labels = alg.labels
-    jac = check_jacobi(alg)
-    conn = levi_civita(alg, doc.metric)
-    rt = riemann_tensor(conn)
-    scalar = scalar_curvature(rt, doc.metric)
-    par = parallel_fields(conn)
-    planes = []
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            num, value = sectional(rt, doc.metric, Vector.basis(alg.dim, i),
-                                   Vector.basis(alg.dim, j))
-            planes.append((i, j, num, value))
+    geo = _resolve_document(args)
+    case = geo if isinstance(geo, catalog.CatalogCase) else None
+    labels, n = geo.algebra.labels, geo.document.dim
+    jac, conn, rt = geo.jacobi, geo.connection, geo.curvature
+    scalar, par = geo.scalar, geo.parallel
+    # the nonzero entries, walked once for both the JSON and the text
+    nablas = [(i, j, value) for i in range(n) for j in range(n)
+              if not (value := conn.nabla(i, j)).is_zero()]
+    curvatures = [(i, j, k, value) for i in range(n) for j in range(i + 1, n) for k in range(n)
+                  if not (value := rt.basis_value(i, j, k)).is_zero()]
+    planes = [(i, j, *sectional(rt, geo.metric, Vector.basis(n, i), Vector.basis(n, j)))
+              for i in range(n) for j in range(i + 1, n)]
 
     p = args.precision
     sections = {
         "jacobi_passed": jac.passed,
-        "connection": _connection_entries(conn, p),
-        "curvature": _curvature_entries(rt, p),
+        "connection": [{"i": i, "j": j, "coeffs": _entry_json(value, p)}
+                       for i, j, value in nablas],
+        "curvature": [{"i": i, "j": j, "k": k, "coeffs": _entry_json(value, p)}
+                      for i, j, k, value in curvatures],
         "sectional_basis_planes": [
             {"i": i, "j": j, "numerator": scalar_to_json(num, p),
              "value": scalar_to_json(value, p)} for (i, j, num, value) in planes],
@@ -184,10 +155,8 @@ def cmd_analyze(args) -> CommandResult:
     }
     discrepancies = []
     if case is not None:
-        sections["case"] = case.id
-        sections["name"] = case.name
         rep = catalog.reproduce(case)
-        sections["reproduce"] = rep.to_dict(p)
+        sections.update(case=case.id, name=case.name, reproduce=rep.to_dict(p))
         discrepancies = [d.to_dict() for d in rep.discrepancies]
 
     text = []
@@ -195,18 +164,11 @@ def cmd_analyze(args) -> CommandResult:
         text.append(f"case {case.id}: {case.name}")
     text.append(f"jacobi: {'pass' if jac.passed else 'FAIL'}")
     text.append("connection (nonzero covariant derivatives):")
-    entries = [(i, j, conn.nabla(i, j)) for i in range(alg.dim) for j in range(alg.dim)]
-    for i, j, value in entries:
-        if not value.is_zero():
-            text.append(f"  nabla_{labels[i]} {labels[j]} = {value.describe(labels)}")
+    text += [f"  nabla_{labels[i]} {labels[j]} = {value.describe(labels)}"
+             for i, j, value in nablas]
     text.append("curvature (nonzero R(,), first pair i<j):")
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            for k in range(alg.dim):
-                value = rt.basis_value(i, j, k)
-                if not value.is_zero():
-                    text.append(f"  R({labels[i]},{labels[j]}){labels[k]} = "
-                                f"{value.describe(labels)}")
+    text += [f"  R({labels[i]},{labels[j]}){labels[k]} = {value.describe(labels)}"
+             for i, j, k, value in curvatures]
     text.append("sectional curvature of basis planes:")
     for (i, j, _, value) in planes:
         text.append(f"  K({labels[i]},{labels[j]}) = {format_scalar(value, p)}")
@@ -214,71 +176,67 @@ def cmd_analyze(args) -> CommandResult:
     text.append("parallel fields: "
                 + (", ".join(v.describe(labels) for v in par) if par else "none"))
     if case is not None:
-        rep_passed = sections["reproduce"]["passed"]
-        text.append(f"fixture reproduction: {'pass' if rep_passed else 'FAIL'}"
+        text.append(f"fixture reproduction: {'pass' if rep.passed else 'FAIL'}"
                     + (f" ({len(discrepancies)} discrepancy entries)" if discrepancies else ""))
     return CommandResult(sections, text, discrepancies=discrepancies,
-                         digest=document_digest(doc))
+                         digest=document_digest(geo.document))
 
 
-def _two_vectors(args, doc: Document, names: tuple[str, str]) -> tuple[Vector, Vector]:
-    return tuple(_parse_vector(getattr(args, name), doc.dim, f"--{name}")
-                 for name in names)
+def _two_vectors(args, dim: int, names: tuple[str, str]) -> tuple[Vector, Vector]:
+    return tuple(_parse_vector(getattr(args, name), dim, f"--{name}") for name in names)
 
 
 def cmd_sectional(args) -> CommandResult:
-    doc, _ = _resolve_document(args)
-    u, v = _two_vectors(args, doc, ("u", "v"))
-    conn = levi_civita(_lie_algebra(doc), doc.metric)
-    rt = riemann_tensor(conn)
-    num, value = sectional(rt, doc.metric, u, v)
+    geo = _resolve_document(args)
+    u, v = _two_vectors(args, geo.document.dim, ("u", "v"))
+    num, value = sectional(_lie_checked(geo).curvature, geo.metric, u, v)
     p = args.precision
     sections = {"numerator": scalar_to_json(num, p), "value": scalar_to_json(value, p)}
     text = [f"numerator: {format_scalar(num, p)}",
             f"sectional curvature: {format_scalar(value, p)}"]
-    return CommandResult(sections, text, digest=document_digest(doc))
+    return CommandResult(sections, text, digest=document_digest(geo.document))
 
 
 def cmd_scalar(args) -> CommandResult:
-    doc, _ = _resolve_document(args)
-    conn = levi_civita(_lie_algebra(doc), doc.metric)
-    value = scalar_curvature(riemann_tensor(conn), doc.metric)
+    geo = _resolve_document(args)
+    value = _lie_checked(geo).scalar
     sections = {"scalar": scalar_to_json(value, args.precision)}
     return CommandResult(sections, [f"scalar curvature: {format_scalar(value, args.precision)}"],
-                         digest=document_digest(doc))
+                         digest=document_digest(geo.document))
 
 
 def cmd_parallel(args) -> CommandResult:
-    doc, _ = _resolve_document(args)
-    alg = _lie_algebra(doc)
-    par = parallel_fields(levi_civita(alg, doc.metric))
+    geo = _resolve_document(args)
+    labels = _lie_checked(geo).algebra.labels
+    par = geo.parallel
     sections = {"basis": [_vector_json(v, args.precision) for v in par],
                 "dimension": len(par)}
     text = [f"parallel fields: dimension {len(par)}"]
-    text += [f"  {v.describe(alg.labels)}" for v in par]
-    return CommandResult(sections, text, digest=document_digest(doc))
+    text += [f"  {v.describe(labels)}" for v in par]
+    return CommandResult(sections, text, digest=document_digest(geo.document))
 
 
 def cmd_randers(args) -> CommandResult:
-    doc, _ = _resolve_document(args)
+    if args.edge is not None and args.pole is None:
+        raise InputError("--edge needs --pole")
+    geo = _resolve_document(args)
+    doc = geo.document
     if doc.drift is None:
         raise InputError("randers needs a drift: give --drift or a document drift field")
-    alg = _lie_algebra(doc)
-    labels = alg.labels
-    conn = levi_civita(alg, doc.metric)
-    rm = build_randers(doc.metric, doc.drift, conn)
+    labels = _lie_checked(geo).algebra.labels
+    rm = build_randers(geo.metric, doc.drift, geo.connection)
     if not rm.berwald:
         raise NonBerwaldError(
             "drift is not parallel (nabla Q != 0): not a Berwald-type metric; "
             "run `parallel` to list the admissible drifts")
     p = args.precision
-    basis = [Vector.basis(alg.dim, i) for i in range(alg.dim)]
+    basis = [Vector.basis(doc.dim, i) for i in range(doc.dim)]
     norms = [randers_norm(rm, b) for b in basis]
     sections = {
         "drift": _vector_json(rm.drift, p),
         "drift_norm_sq": scalar_to_json(rm.drift_norm_sq, p),
         "berwald": rm.berwald,
-        "parallel_basis": [_vector_json(v, p) for v in parallel_fields(conn)],
+        "parallel_basis": [_vector_json(v, p) for v in geo.parallel],
         "norms": {label: scalar_to_json(f, p) for label, f in zip(labels, norms)},
     }
     text = [f"drift: {rm.drift.describe(labels)}",
@@ -300,23 +258,20 @@ def cmd_randers(args) -> CommandResult:
             text.append("  [" + ", ".join(format_scalar(x, p) for x in row) + "]")
         if args.edge is not None:
             edge = _parse_vector(args.edge, doc.dim, "--edge")
-            rt = riemann_tensor(conn)
-            value = flag_curvature(rm, rt, Flag(pole, edge))
+            value = flag_curvature(rm, geo.curvature, Flag(pole, edge))
             sections["flag_curvature"] = scalar_to_json(value, p)
             text.append(f"flag curvature: {format_scalar(value, p)}")
-    elif args.edge is not None:
-        raise InputError("--edge needs --pole")
     return CommandResult(sections, text, digest=document_digest(doc))
 
 
 def cmd_flag(args) -> CommandResult:
-    doc, _ = _resolve_document(args)
+    geo = _resolve_document(args)
+    doc = geo.document
     if doc.drift is None:
         raise InputError("flag needs a drift: give --drift or a document drift field")
-    pole, edge = _two_vectors(args, doc, ("pole", "edge"))
-    conn = levi_civita(_lie_algebra(doc), doc.metric)
-    rm = build_randers(doc.metric, doc.drift, conn)
-    value = flag_curvature(rm, riemann_tensor(conn), Flag(pole, edge))
+    pole, edge = _two_vectors(args, doc.dim, ("pole", "edge"))
+    rm = build_randers(geo.metric, doc.drift, _lie_checked(geo).connection)
+    value = flag_curvature(rm, geo.curvature, Flag(pole, edge))
     sections = {"flag_curvature": scalar_to_json(value, args.precision)}
     return CommandResult(sections, [f"flag curvature: {format_scalar(value, args.precision)}"],
                          digest=document_digest(doc))
@@ -367,17 +322,7 @@ def cmd_report(args) -> CommandResult:
     else:
         text.append("discrepancies: none")
     text.append(f"overall: {'pass' if passed else 'FAIL'}")
-    result = CommandResult(sections, text, discrepancies=discrepancies)
-    if args.out:
-        envelope = _envelope("report", result)
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(envelope, fh, sort_keys=True, indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            raise InputError(f"cannot write report {args.out!r}: {exc}") from None
-        text.append(f"wrote {args.out}")
-    return result
+    return CommandResult(sections, text, discrepancies=discrepancies)
 
 
 def cmd_catalog(args) -> CommandResult:
@@ -479,19 +424,25 @@ def main(argv=None) -> int:
         if args.precision < 1:
             raise InputError(f"--precision must be at least 1, got {args.precision}")
         result = _COMMANDS[args.cmd](args)
+        if args.strict and result.discrepancies and result.status == 0:
+            result.status = 3
+        out = getattr(args, "out", None)  # only `report` takes --out
+        if args.format == "json" or out:
+            envelope = json.dumps(_envelope(args.cmd, result), sort_keys=True, indent=2)
+        if out:
+            try:
+                with open(out, "w", encoding="utf-8") as fh:
+                    fh.write(envelope + "\n")
+            except OSError as exc:
+                raise InputError(f"cannot write report {out!r}: {exc}") from None
+            result.text.append(f"wrote {out}")
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LiecurvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.strict and result.discrepancies and result.status == 0:
-        result.status = 3
-    if args.format == "json":
-        print(json.dumps(_envelope(args.cmd, result), sort_keys=True, indent=2))
-    else:
-        for line in result.text:
-            print(line)
+    print(envelope if args.format == "json" else "\n".join(result.text))
     return result.status
 
 

@@ -49,16 +49,6 @@ class Connection:
         v = as_vector(v, self.dim)
         return Vector(linalg.contract(self.gamma, u.coeffs, v.coeffs))
 
-    def torsion(self, i: int, j: int) -> Vector:
-        """nabla_i e_j - nabla_j e_i - [e_i, e_j]; zero for Levi-Civita."""
-        return self.nabla(i, j) - self.nabla(j, i) - self.algebra.bracket_basis(i, j)
-
-    def compatibility_residual(self, i: int, j: int, k: int) -> Scalar:
-        """g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k); zero iff metric parallel."""
-        ej = Vector.basis(self.dim, j)
-        ek = Vector.basis(self.dim, k)
-        return self.metric.inner(self.nabla(i, j), ek) + self.metric.inner(ej, self.nabla(i, k))
-
 
 def levi_civita(alg: LieAlgebra, metric: MetricTensor) -> Connection:
     """Solve the Koszul system for every basis pair.

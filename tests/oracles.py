@@ -48,6 +48,18 @@ def flag_curvature_four_g_y(rm: RandersMetric, rt: CurvatureTensor,
     return num / den
 
 
+def torsion(conn: Connection, i: int, j: int) -> Vector:
+    """nabla_i e_j - nabla_j e_i - [e_i, e_j]; zero for Levi-Civita."""
+    return conn.nabla(i, j) - conn.nabla(j, i) - conn.algebra.bracket_basis(i, j)
+
+
+def compatibility_residual(conn: Connection, i: int, j: int, k: int) -> Scalar:
+    """g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k); zero iff the metric is parallel."""
+    ej = Vector.basis(conn.dim, j)
+    ek = Vector.basis(conn.dim, k)
+    return conn.metric.inner(conn.nabla(i, j), ek) + conn.metric.inner(ej, conn.nabla(i, k))
+
+
 def riemann_tensor_dense(conn: Connection) -> CurvatureTensor:
     """All n^4 curvature entries from one fused multiply-add loop over
     R(e_i,e_j)e_k = sum_m (G_jkm G_im - G_ikm G_jm - c_ijm G_mk), with no

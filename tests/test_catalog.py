@@ -96,7 +96,7 @@ def test_reproduce_all_cases_pass():
             else catalog.get_case(cid)
         report = catalog.reproduce(case, samples=6, seed=5)
         assert report.passed, (cid, [i.name for i in report.items if not i.passed])
-        assert report.unannotated == []
+        assert [d for d in report.discrepancies if not d.annotated] == []
 
 
 def test_reproduce_case6_reports_annotated_scalar():

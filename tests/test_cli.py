@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from test_exact_vs_float import close, semidirect_objects
+from liecurv import riemann
 from liecurv.cli import MAX_GRID_POINTS, main
 from liecurv.documents import MAX_DIM
 from liecurv.exprs import MAX_EXPR_TOKENS, MAX_POWER_BITS
@@ -211,10 +212,17 @@ def test_randers_mixed_pole_keeps_exact_entries(capsys):
     assert g_pole[1][1] == 1.0
 
 
-def test_randers_edge_without_pole(capsys):
-    code, _, err = run(capsys, "randers", "--case", "1",
-                       "--drift", "0,0,1/2,0", "--edge", "0,1,0,0")
-    assert code == 1 and "--pole" in err
+@pytest.mark.parametrize("argv", [
+    ["--case", "1", "--drift", "0,0,1/2,0", "--edge", "0,1,0,0"],
+    # refused before any stage runs: these two used to fail on the drift
+    # instead, as not parallel (exit 2) and as g(Q,Q) = 4 (exit 2)
+    ["--case", "2", "--drift", "1/2,0,0,0", "--edge", "0,1,0,0"],
+    ["--case", "1", "--drift", "0,0,2,0", "--edge", "0,1,0,0"],
+], ids=["berwald_drift", "non_berwald_drift", "drift_over_norm_bound"])
+def test_randers_edge_without_pole(capsys, argv):
+    code, out, err = run(capsys, "randers", *argv)
+    assert code == 1 and out == ""
+    assert err == "error: --edge needs --pole\n"
 
 
 def test_flag_command(capsys):
@@ -371,6 +379,45 @@ def test_report_all_writes_file(capsys, tmp_path):
     assert len(saved["sections"]["cases"]) == 21  # 5 plain + 16 grid points
     assert saved["sections"]["passed"] is True
     assert len(saved["discrepancies"]) == 1
+
+
+def test_report_out_holds_the_printed_envelope(capsys, tmp_path):
+    # --strict escalates the status before the file is written
+    out_path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "report", "--all", "--strict", "--out", str(out_path),
+                       "--format", "json")
+    assert code == 3
+    assert out_path.read_text() == out
+    assert json.loads(out)["status"] == 3
+
+
+def test_report_out_unwritable_is_an_input_error(capsys, tmp_path):
+    code, out, err = run(capsys, "report", "--all", "--out",
+                         str(tmp_path / "nonexistent" / "dir" / "r.json"))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write report")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--case", "1"],
+    ["analyze", "--case", "4", "--alpha=-1", "--beta=0"],
+], ids=["case1", "case4"])
+def test_analyze_runs_each_stage_once(capsys, monkeypatch, argv):
+    # spy on every liecurv namespace that binds the stage, as bench/spans.py does
+    calls = dict.fromkeys(("levi_civita", "riemann_tensor"), 0)
+    for name in calls:
+        original = getattr(riemann, name)
+
+        def spy(*a, _name=name, _original=original, **kw):
+            calls[_name] += 1
+            return _original(*a, **kw)
+
+        for key, module in list(sys.modules.items()):
+            if key.startswith("liecurv") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert calls == {"levi_civita": 1, "riemann_tensor": 1}
 
 
 def test_dim_over_ceiling(capsys, tmp_path):
