@@ -37,7 +37,7 @@ from .errors import DegeneratePlaneError, InputError
 from .linalg import orthonormal_pair, rank
 from .randers import Flag, build_randers, flag_curvature, g_y, parallel_fields
 from .riemann import (Connection, CurvatureTensor, curvature_apply, levi_civita,
-                      riemann_tensor, scalar_curvature)
+                      plane_form, riemann_tensor, scalar_curvature)
 from .scalars import (Scalar, approx_equal, format_scalar, is_zero, parse_rational,
                       scalar_to_json)
 
@@ -419,7 +419,7 @@ def reproduce(case: CatalogCase, samples: int = 20, seed: int = 11) -> CaseRepor
         got = curvature_apply(rt, v, u, u)
         check("rvuu", Vector(case._eval(text, env) for text in case.expected["rvuu"]), got)
         check("sectional_numerator", case._eval(case.expected["sectional_numerator"], env),
-              metric.inner(got, v))
+              plane_form(rt, u, v)[0])
     verdict("closed_forms", f"R(V,U)U and sectional numerator at {samples} rational pairs")
 
     excused = check("scalar", case.expected_scalar(), case.scalar)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import catalog
@@ -290,6 +291,11 @@ def cmd_report(args) -> CommandResult:
     if points > MAX_GRID_POINTS:
         raise InputError(f"--alpha-grid x --beta-grid has {points} points; "
                          f"the ceiling is {MAX_GRID_POINTS}")
+    if args.out and not os.path.lexists(args.out):  # probe before any case runs
+        _write_report(args.out, "x", "")
+        os.remove(args.out)
+    elif args.out and os.path.exists(args.out):  # "a" keeps the file; a dangling link waits
+        _write_report(args.out, "a", "")
     reports = []
     for cid in ids:
         if takes_params.get(cid):  # an unknown id falls through to get_case's error
@@ -418,6 +424,14 @@ _COMMANDS = {
 }
 
 
+def _write_report(path: str, mode: str, text: str) -> None:
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write report {path!r}: {exc}") from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -430,11 +444,7 @@ def main(argv=None) -> int:
         if args.format == "json" or out:
             envelope = json.dumps(_envelope(args.cmd, result), sort_keys=True, indent=2)
         if out:
-            try:
-                with open(out, "w", encoding="utf-8") as fh:
-                    fh.write(envelope + "\n")
-            except OSError as exc:
-                raise InputError(f"cannot write report {out!r}: {exc}") from None
+            _write_report(out, "w", envelope + "\n")
             result.text.append(f"wrote {out}")
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)

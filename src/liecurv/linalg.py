@@ -184,9 +184,9 @@ def contract(table, *vectors) -> Scalar | list[Scalar]:
     """
     live = [[(i, x) for i, x in enumerate(vec) if x or isinstance(x, float)]
             for vec in vectors]
-    terms = [(x, table[i]) for i, x in live[0]]
+    terms = [(x, table[i]) for i, x in live[0] if table[i]]
     for pairs in live[1:]:
-        terms = [(w * x, sub[i]) for w, sub in terms for i, x in pairs]
+        terms = [(w * x, sub[i]) for w, sub in terms for i, x in pairs if sub[i]]
     tail = table
     for _ in vectors:
         tail = tail[0]

@@ -26,7 +26,7 @@ from . import linalg
 from .algebra import MetricTensor, Vector, as_vector
 from .errors import (DegeneratePlaneError, InputError, NonBerwaldError,
                      NormBoundError, UndefinedAtOriginError)
-from .riemann import Connection, CurvatureTensor, curvature_apply
+from .riemann import Connection, CurvatureTensor, plane_form
 from .scalars import Scalar, format_scalar, is_exact_zero, is_zero, sqrt_scalar
 
 
@@ -144,7 +144,8 @@ def flag_curvature(rm: RandersMetric, rt: CurvatureTensor, flag: Flag) -> Scalar
     g_y(y,y) = F^2, g_y(y,e) = F g(Q,e) and
     g_y(e,e) = (F/alpha) g(e,e) + g(Q,e)^2, so the plane determinant is
     F^3 g(e,e) / alpha. The ratio is g(w,e) / (F^2 g(e,e)), and
-    K_g(P) = g(w,e) / (alpha^2 g(e,e)).
+    K_g(P) = g(w,e) / (alpha^2 g(e,e)), which riemann.plane_form gives as
+    the form op on the 2-form y^e over the Gram determinant of the plane.
 
     F^2 is built as g(y,y) + 2 beta sqrt(g(y,y)) + beta^2. An exact zero beta
     returns K_g(P) itself, so a zero drift, or a pole g-orthogonal to the
@@ -162,9 +163,7 @@ def flag_curvature(rm: RandersMetric, rt: CurvatureTensor, flag: Flag) -> Scalar
     yy = g.norm_sq(pole)
     if is_zero(yy):
         raise UndefinedAtOriginError("flag pole must be nonzero")
-    # K_g(P) as riemann.sectional computes it, reusing g(y,y)
-    numerator = g.inner(curvature_apply(rt, edge, pole, pole), edge)
-    den = yy * g.norm_sq(edge) - g.inner(pole, edge) ** 2
+    numerator, den = plane_form(rt, pole, edge)
     if is_zero(den):
         raise DegeneratePlaneError("flag pole and edge are linearly dependent")
     k = numerator / den

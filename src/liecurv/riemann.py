@@ -12,8 +12,9 @@ Curvature convention: R(U,V)W = nabla_U nabla_V W - nabla_V nabla_U W
 - nabla_[U,V] W. The table is computed for i < j only: R(e_j,e_i) is
 -R(e_i,e_j) and R(e_i,e_i) = 0. Exact tables are contracted with their
 denominators cleared, so each entry costs one Fraction, not one per
-multiply-add. Sectional curvature of span{u, v} is
-g(R(v,u)u, v) / (g(u,u) g(v,v) - g(u,v)^2). The Ricci tensor is the trace
+multiply-add. Lowered by g, they give op[(i,j)][(k,l)] = g(R(e_j,e_i)e_k, e_l)
+for i < j, k < l. With w = u^v, the sectional curvature of span{u, v} is
+w^T op w = g(R(v,u)u, v) over g(u,u) g(v,v) - g(u,v)^2. The Ricci tensor is the trace
 Ric(V,W) = tr(U -> R(U,V)W), i.e. Ric_jk = sum_i r[i][j][k][i], and the
 scalar curvature is its metric trace g^{jk} Ric_jk.
 """
@@ -21,6 +22,8 @@ scalar curvature is its metric trace g^{jk} Ric_jk.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 
 from . import linalg
 from .algebra import LieAlgebra, MetricTensor, Vector, as_vector
@@ -73,16 +76,27 @@ def levi_civita(alg: LieAlgebra, metric: MetricTensor) -> Connection:
 
 
 class CurvatureTensor:
-    """Dense table r[i][j][k][l]: R(e_i, e_j) e_k = sum_l r[i][j][k][l] e_l."""
+    """Dense table r[i][j][k][l]: R(e_i, e_j) e_k = sum_l r[i][j][k][l] e_l; rows[p][k] is
+    row (i, j, k) for the p-th pair of combinations(range(dim), 2) and op[p][q] / op_den
+    the op entries. Exact: ints, gram = (G, G g). Float: op_den = 1, gram = None."""
 
-    def __init__(self, conn: Connection, table):
+    def __init__(self, conn: Connection, table, rows, op_den: int, gram):
         self.connection = conn
         self.table = tuple(tuple(tuple(tuple(row) for row in block) for block in plane)
                            for plane in table)
+        self.rows, self.op_den, self.gram = rows, op_den, gram
 
     @property
     def dim(self) -> int:
         return self.connection.dim
+
+    @cached_property
+    def op(self) -> tuple:
+        """op[p][(k, l)]: row (p, k) lowered by -g at l, or by -G g when exact, the
+        exact 0 where no term reaches; built on first use."""
+        g = self.gram[1] if self.gram else self.connection.metric.gram
+        return tuple(tuple(-sum(x * g[m][l] for m, x in enumerate(nums[k]) if x) or 0
+                           for k, l in combinations(range(self.dim), 2)) for nums in self.rows)
 
     def basis_value(self, i: int, j: int, k: int) -> Vector:
         return Vector(self.table[i][j][k])
@@ -98,36 +112,41 @@ def riemann_tensor(conn: Connection) -> CurvatureTensor:
     contractions run over ints: the first two terms come out scaled by L^2,
     the third by L M, and a last contraction with (M, -M, -L) gives the int
     numerator of each entry, Fraction(M (a - b) - L d, L^2 M). Float tables
-    are contracted as they are, each entry a - b - d.
+    are contracted as they are, each entry a - b - d. The rows kept before
+    they become Fractions give op when it is first read.
     """
     n = conn.dim
     gamma = conn.gamma
     c = conn.algebra.structure
-    exact = linalg.all_exact((gamma, c))
+    g = conn.metric.gram
+    exact = linalg.all_exact((gamma, c)) and linalg.all_exact(g)
     if exact:
         L, gamma = linalg.clear_denominators(gamma)
         M, c = linalg.clear_denominators(c)
+        G, g = linalg.clear_denominators(g)
         den = L * L * M
     # by_target[k][m] = nabla_{e_m} e_k, so contracting its first axis with
     # [e_i,e_j] gives nabla_{[e_i,e_j]} e_k.
     by_target = [[gamma[m][k] for m in range(n)] for k in range(n)]
     zero = Fraction(0)
     table = [[[[zero] * n] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                terms = (linalg.contract(gamma[i], gamma[j][k]),
-                         linalg.contract(gamma[j], gamma[i][k]),
-                         linalg.contract(by_target[k], c[i][j]))
-                if exact:
-                    row = [Fraction(v, den) if v else zero
-                           for v in linalg.contract(terms, (M, -M, -L))]
-                    table[j][i][k] = [-x for x in row]
-                else:
-                    row = [a - b - d for a, b, d in zip(*terms)]
-                    table[j][i][k] = [0 - x for x in row]  # 0 - 0.0 is 0.0, not -0.0
-                table[i][j][k] = row
-    return CurvatureTensor(conn, table)
+    rows = []
+    for i, j in combinations(range(n), 2):
+        rows.append([])
+        for k in range(n):
+            terms = (linalg.contract(gamma[i], gamma[j][k]),
+                     linalg.contract(gamma[j], gamma[i][k]),
+                     linalg.contract(by_target[k], c[i][j]))
+            if exact:
+                num = linalg.contract(terms, (M, -M, -L))
+                row = [Fraction(v, den) if v else zero for v in num]
+                table[j][i][k] = [-x for x in row]
+            else:
+                num = row = [a - b - d for a, b, d in zip(*terms)]
+                table[j][i][k] = [0 - x for x in row]  # 0 - 0.0 is 0.0, not -0.0
+            table[i][j][k] = row
+            rows[-1].append(num)
+    return CurvatureTensor(conn, table, rows, den * G if exact else 1, (G, g) if exact else None)
 
 
 def curvature_apply(rt: CurvatureTensor, u, v, w) -> Vector:
@@ -139,18 +158,30 @@ def curvature_apply(rt: CurvatureTensor, u, v, w) -> Vector:
     return Vector(linalg.contract(rt.table, u.coeffs, v.coeffs, w.coeffs))
 
 
-def sectional(rt: CurvatureTensor, metric: MetricTensor, u, v) -> tuple[Scalar, Scalar]:
-    """Sectional curvature of span{u, v}.
+def plane_form(rt: CurvatureTensor, u, v) -> tuple[Scalar, Scalar]:
+    """(w^T op w, g(u,u) g(v,v) - g(u,v)^2) for w = u^v and g the metric of rt. Exact
+    u, v on an exact tensor are cleared to ints once, one Fraction per result. Any
+    float entry contracts in floats with exact zeros skipped, op divided entry by entry."""
+    u, v = (as_vector(x, rt.dim).coeffs for x in (u, v))
+    exact = rt.gram is not None and linalg.all_exact((u, v))
+    if exact:
+        scale, (u, v) = linalg.clear_denominators((u, v))
+    gram_den, g = rt.gram if exact else (1, rt.connection.metric.gram)
+    w = [u[i] * v[j] - u[j] * v[i] for i, j in combinations(range(rt.dim), 2)]
+    det = linalg.contract(g, u, u) * linalg.contract(g, v, v) - linalg.contract(g, u, v) ** 2
+    if exact:
+        return (Fraction(linalg.contract(rt.op, w, w), rt.op_den * scale ** 4),
+                Fraction(det, (gram_den * scale ** 2) ** 2))
+    # int / int rounds once, where an int past 1e308 times a float would overflow
+    op = rt.op if rt.op_den == 1 else [[x / rt.op_den for x in row] for row in rt.op]
+    return linalg.contract(op, w, w), det
 
-    Returns (numerator, value): the numerator g(R(v,u)u, v) matches the
-    printed per-case K(U,V) polynomials (which assume an orthonormal pair),
-    the value divides by the Gram determinant and is plane-invariant.
-    """
-    n = rt.dim
-    u = as_vector(u, n)
-    v = as_vector(v, n)
-    numerator = metric.inner(curvature_apply(rt, v, u, u), v)
-    den = metric.inner(u, u) * metric.inner(v, v) - metric.inner(u, v) ** 2
+
+def sectional(rt: CurvatureTensor, metric: MetricTensor, u, v) -> tuple[Scalar, Scalar]:
+    """Sectional curvature of span{u, v} as (numerator, value): plane_form's
+    numerator g(R(v,u)u, v), which the printed per-case K(U,V) polynomials give
+    for an orthonormal pair, and its ratio to the Gram determinant, both in rt's metric."""
+    numerator, den = plane_form(rt, u, v)
     if is_zero(den):
         raise DegeneratePlaneError("sectional curvature needs independent spanning vectors")
     return numerator, numerator / den

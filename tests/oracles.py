@@ -60,10 +60,11 @@ def compatibility_residual(conn: Connection, i: int, j: int, k: int) -> Scalar:
     return conn.metric.inner(conn.nabla(i, j), ek) + conn.metric.inner(ej, conn.nabla(i, k))
 
 
-def riemann_tensor_dense(conn: Connection) -> CurvatureTensor:
-    """All n^4 curvature entries from one fused multiply-add loop over
-    R(e_i,e_j)e_k = sum_m (G_jkm G_im - G_ikm G_jm - c_ijm G_mk), with no
-    antisymmetry shortcut. A term is skipped when its coefficient == 0."""
+def riemann_tensor_dense(conn: Connection) -> list:
+    """All n^4 curvature entries r[i][j][k][l] from one fused multiply-add
+    loop over R(e_i,e_j)e_k = sum_m (G_jkm G_im - G_ikm G_jm - c_ijm G_mk),
+    with no antisymmetry shortcut. A term is skipped when its coefficient
+    == 0."""
     n = conn.dim
     gamma = conn.gamma
     c = conn.algebra.structure
@@ -85,7 +86,32 @@ def riemann_tensor_dense(conn: Connection) -> CurvatureTensor:
                         if cij != 0:
                             acc = acc - cij * gamma[m][k][l]
                         row[l] = acc
-    return CurvatureTensor(conn, table)
+    return table
+
+
+def curvature_operator_dense(conn: Connection) -> list:
+    """op[(i,j)][(k,l)] = g(R(e_j,e_i)e_k, e_l) over the pairs i<j, k<l in
+    lexicographic order, each entry summed from the dense table and the
+    Gram matrix."""
+    n = conn.dim
+    table = riemann_tensor_dense(conn)
+    g = conn.metric.gram
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return [[sum((table[j][i][k][m] * g[m][l] for m in range(n)), Fraction(0))
+             for k, l in pairs] for i, j in pairs]
+
+
+def sectional_dense(rt: CurvatureTensor, metric: MetricTensor, u, v) -> tuple[Scalar, Scalar]:
+    """(g(R(v,u)u, v), K) for span{u, v}, by contracting the dense table
+    with v, u, u and then taking the inner product with v."""
+    n = rt.dim
+    u = as_vector(u, n)
+    v = as_vector(v, n)
+    numerator = metric.inner(curvature_apply(rt, v, u, u), v)
+    den = metric.inner(u, u) * metric.inner(v, v) - metric.inner(u, v) ** 2
+    if is_zero(den):
+        raise DegeneratePlaneError("sectional curvature needs independent spanning vectors")
+    return numerator, numerator / den
 
 
 def gram_schmidt(gram: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from test_exact_vs_float import close, semidirect_objects
-from liecurv import riemann
+from liecurv import catalog, riemann
 from liecurv.cli import MAX_GRID_POINTS, main
 from liecurv.documents import MAX_DIM
 from liecurv.exprs import MAX_EXPR_TOKENS, MAX_POWER_BITS
@@ -391,11 +391,33 @@ def test_report_out_holds_the_printed_envelope(capsys, tmp_path):
     assert json.loads(out)["status"] == 3
 
 
-def test_report_out_unwritable_is_an_input_error(capsys, tmp_path):
-    code, out, err = run(capsys, "report", "--all", "--out",
-                         str(tmp_path / "nonexistent" / "dir" / "r.json"))
-    assert code == 1 and out == ""
-    assert err.startswith("error: cannot write report")
+def test_report_out_unwritable_is_an_input_error(capsys, monkeypatch, tmp_path):
+    # the path is probed before any case is reproduced
+    def reproduce(*args, **kwargs):
+        raise AssertionError("reproduce ran before the --out path was probed")
+
+    monkeypatch.setattr(catalog, "reproduce", reproduce)
+    for path in (tmp_path / "nonexistent" / "dir" / "r.json", tmp_path):
+        code, out, err = run(capsys, "report", "--all", "--out", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write report {str(path)!r}: ")
+    # a usage error is reported before the path is probed
+    code, _, err = run(capsys, "report", "--out", str(tmp_path))
+    assert code == 1 and err.startswith("error: report needs exactly one of --all or --case N")
+
+
+def test_report_out_probe_leaves_files_as_they_were(capsys, tmp_path):
+    # a run that fails after the probe leaves no new file, an old one intact,
+    # and a dangling link as it was, with no file at its target
+    new, old, link = tmp_path / "new.json", tmp_path / "old.json", tmp_path / "link.json"
+    old.write_text("previous report\n", encoding="utf-8")
+    link.symlink_to(tmp_path / "target.json")
+    for path in (new, old, link):
+        code, _, err = run(capsys, "report", "--case", "99", "--out", str(path))
+        assert code == 1 and err.startswith("error: no catalog case 99")
+    assert not new.exists()
+    assert old.read_text(encoding="utf-8") == "previous report\n"
+    assert link.is_symlink() and not (tmp_path / "target.json").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import change_basis, invert, rand_fraction, rand_invertible, rand_vector
-from oracles import flag_curvature_four_g_y, g_y_hessian_oracle
+from oracles import flag_curvature_four_g_y, g_y_hessian_oracle, sectional_dense
+from test_exact_vs_float import semidirect_documents
+from test_riemann import assert_same_outcome, decimal_vector
 from liecurv import catalog
 from liecurv.algebra import MetricTensor, Vector
 from liecurv.errors import (DegeneratePlaneError, NonBerwaldError,
@@ -14,6 +16,7 @@ from liecurv.linalg import is_positive_definite, orthonormal_pair
 from liecurv.randers import (Flag, build_randers, flag_curvature, g_y,
                              parallel_fields, randers_norm)
 from liecurv.riemann import curvature_apply, levi_civita, riemann_tensor, sectional
+from liecurv.scalars import is_exact_zero, sqrt_scalar
 
 F = Fraction
 
@@ -203,8 +206,9 @@ def test_flag_berwald_correction_identity(rng):
             assert got == want
 
 
-def test_flag_reads_the_metric_five_times(monkeypatch):
-    # g(y,y), g(e,e), g(y,e), the curvature numerator and g(Q,y), each once
+def test_flag_reads_the_metric_twice(monkeypatch):
+    # g(y,y) and g(Q,y), each once; the plane's numerator and Gram
+    # determinant come from riemann.plane_form
     _, _, rt, rm = setup(1, Z_HALF)
     calls = []
     inner = MetricTensor.inner
@@ -213,7 +217,7 @@ def test_flag_reads_the_metric_five_times(monkeypatch):
     pole = Vector([F(2, 3), F(1, 3), F(2, 3), F(0)])
     edge = Vector([F(1, 3), F(2, 3), F(-2, 3), F(0)])
     assert flag_curvature(rm, rt, Flag(pole, edge)) == F(-1, 16)
-    assert len(calls) == 5
+    assert len(calls) == 2
 
 
 def test_flag_requires_berwald():
@@ -278,7 +282,7 @@ def oracle_setups():
 
 def random_drift(rng, metric, basis):
     """A random combination of the parallel basis, scaled into g(Q,Q) < 1."""
-    q = Vector.zero(4)
+    q = Vector.zero(metric.dim)
     for b in basis:
         q = q + b.scale(rand_fraction(rng, span=3))
     norm_sq = metric.norm_sq(q)
@@ -341,6 +345,95 @@ def test_flag_matches_four_g_y_oracle():
                 kinds["float"] += 1
     assert flags >= 500
     assert all(kinds.values()), kinds
+
+
+def flag_from_sectional_dense(rm, rt, flag):
+    """g(y,y) K_g / F(y)^2 with K_g from the dense sectional oracle, or K_g
+    itself when g(Q,y) is an exact zero: the rescaling flag_curvature makes."""
+    g = rm.base
+    _, k = sectional_dense(rt, g, flag.pole, flag.edge)
+    yy, beta = g.norm_sq(flag.pole), g.inner(rm.drift, flag.pole)
+    if is_exact_zero(beta):
+        return k
+    return yy * k / (yy + 2 * beta * sqrt_scalar(yy) + beta ** 2)
+
+
+def differential_setups():
+    """oracle_setups, then R x_D R^(n-1) documents of dims 3-5 with parallel
+    fields, exact and floating: (label, connection, metric, tensor, basis)."""
+    for label, conn, metric, rt, basis, _ in oracle_setups():
+        yield label, conn, metric, rt, basis
+    rng = random.Random(20130521)
+    found = 0
+    while found < 6:
+        for doc in semidirect_documents(rng, 3 + found % 3):
+            conn = levi_civita(doc.algebra(), doc.metric)
+            basis = parallel_fields(conn)
+            if basis:
+                found += 1
+                yield (f"dim {doc.dim}", conn, doc.metric, riemann_tensor(conn), basis)
+
+
+def test_flag_matches_dense_and_four_g_y_oracles():
+    """flag_curvature against the dense sectional oracle, rescaled as before,
+    and against the definition in g_y. Rational, decimal (0.0 entries
+    included) and mixed flags, zero and nonzero drifts, identity and
+    non-identity metrics, exact and floating tensors. A zero pole, a
+    dependent edge and a zero edge raise what the g_y oracle raises, with the
+    same message, and so does a non-Berwald drift or a tensor of another
+    dimension, in that order of precedence."""
+    rng = random.Random(20130522)
+    kinds = {"exact": 0, "float": 0, "raised": 0}
+    other_doc, _ = semidirect_documents(rng, 2)
+    other_dim = riemann_tensor(levi_civita(other_doc.algebra(), other_doc.metric))
+    for label, conn, metric, rt, basis in differential_setups():
+        n = rt.dim
+        drifts = [Vector.zero(n)] + [random_drift(rng, metric, basis) for _ in range(2)]
+        randers = [build_randers(metric, q, conn) for q in drifts]
+        flags = []
+        for _ in range(8):
+            flags.append(Flag(rand_vector(rng, n), rand_vector(rng, n)))
+            flags.append(Flag(decimal_vector(rng, n), decimal_vector(rng, n)))
+            flags.append(Flag(decimal_vector(rng, n), rand_vector(rng, n)))
+        y, d = rand_vector(rng, n), decimal_vector(rng, n)
+        flags += [Flag(Vector.zero(n), y), Flag(Vector([0.0] * n), d),
+                  Flag(y, y.scale(F(5, 3))), Flag(d, d.scale(-0.5)),
+                  Flag(y, Vector.zero(n)), Flag(d, Vector([0.0] * n))]
+        # a basis field that is not parallel (a flat algebra has none), scaled
+        # into g(Q,Q) < 1
+        i = next((i for i in range(n) if any(
+            not conn.derivative(Vector.basis(n, m), Vector.basis(n, i)).is_zero()
+            for m in range(n))), None)
+        bent = [] if i is None else [build_randers(metric, Vector.basis(n, i).scale(
+            F(1, 2 * math.ceil(metric.gram[i][i]))), conn)]
+        assert not any(rm.berwald for rm in bent), label
+        for rm, tensor in [(b, t) for b in bent for t in (rt, other_dim)] + [
+                (randers[0], other_dim)]:
+            for flag in (flags[0], flags[-6]):
+                assert_same_outcome(lambda: flag_curvature(rm, tensor, flag),
+                                    lambda: flag_curvature_four_g_y(rm, tensor, flag),
+                                    (label, "precedence"))
+        for k, flag in enumerate(flags):
+            rm = randers[k % len(randers)]
+            where = (label, list(rm.drift), list(flag.pole), list(flag.edge))
+            # the g_y oracle decides what is raised; the dense one gives the value
+            got = assert_same_outcome(lambda: flag_curvature(rm, rt, flag),
+                                      lambda: (flag_curvature_four_g_y(rm, rt, flag),
+                                               flag_from_sectional_dense(rm, rt, flag))[1],
+                                      where)
+            if got is None:
+                kinds["raised"] += 1
+                continue
+            want = flag_curvature_four_g_y(rm, rt, flag)
+            if isinstance(want, F):
+                assert type(got) is F and got == want, where
+            elif isinstance(got, F):  # g(Q,y) = 0: the oracle's irrational root cancels
+                assert is_exact_zero(metric.inner(rm.drift, flag.pole)), where
+                assert abs(got - want) <= 1e-12, where
+            else:
+                assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), where
+            kinds["float" if isinstance(got, float) else "exact"] += 1
+    assert min(kinds.values()) >= 40, kinds
 
 
 def test_parallel_fields_match_connection(rng):

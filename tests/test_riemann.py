@@ -1,20 +1,21 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from conftest import (cayley_rotation, change_basis, rand_invertible,
+from conftest import (cayley_rotation, change_basis, rand_fraction, rand_invertible,
                       rand_pd_metric, rand_vector)
-from oracles import (compatibility_residual, riemann_tensor_dense,
-                     scalar_curvature_gram_schmidt, sectional_plane_invariance_check,
-                     torsion)
+from oracles import (compatibility_residual, curvature_operator_dense, riemann_tensor_dense,
+                     scalar_curvature_gram_schmidt, sectional_dense,
+                     sectional_plane_invariance_check, torsion)
 from test_exact_vs_float import is_exact_document, semidirect_documents
 from liecurv import catalog, linalg
 from liecurv.algebra import LieAlgebra, MetricTensor, Vector
-from liecurv.errors import DegeneratePlaneError, InputError
-from liecurv.randers import parallel_fields
-from liecurv.riemann import (curvature_apply, levi_civita, riemann_tensor,
-                             scalar_curvature, sectional)
+from liecurv.errors import DegeneratePlaneError, InputError, LiecurvError
+from liecurv.randers import Flag, build_randers, flag_curvature, parallel_fields
+from liecurv.riemann import (curvature_apply, levi_civita, riemann_tensor, scalar_curvature,
+                             sectional)
 
 F = Fraction
 
@@ -123,7 +124,7 @@ def assert_matches_dense(alg, metric, is_float):
     R(e_j,e_i) = -R(e_i,e_j), R(e_i,e_i) = 0."""
     conn = levi_civita(alg, metric)
     got = riemann_tensor(conn).table
-    want = riemann_tensor_dense(conn).table
+    want = riemann_tensor_dense(conn)
     n = alg.dim
     for i in range(n):
         assert all(x == 0 for row in got[i][i] for x in row)
@@ -191,7 +192,66 @@ def test_riemann_tensor_matches_dense_oracle_on_wide_tables(monkeypatch):
         conn = levi_civita(alg, case.metric)
         cleared.clear()
         riemann_tensor(conn)
-        assert cleared == [conn.gamma, alg.structure]  # the cleared exact path
+        # the cleared exact path: Gamma, c and the Gram matrix
+        assert cleared == [conn.gamma, alg.structure, case.metric.gram]
+
+
+# --- curvature operator on 2-forms --------------------------------------------
+
+
+def test_curvature_operator_matches_lowered_dense_oracle():
+    """op against the dense table lowered by g, on R x_D R^(n-1) with random
+    positive-definite metrics, dims 2-8: the identical Fraction when exact,
+    1e-9 relative when floating. op is pair-symmetric and satisfies the first
+    Bianchi identity op[ab,cd] - op[ac,bd] + op[ad,bc] = 0 for a<b<c<d."""
+    rng = random.Random(20130518)
+    checked = {False: 0, True: 0}
+    for dim in range(2, 9):
+        exact_doc, float_doc = semidirect_documents(rng, dim)
+        # the same algebra under g/3 + I/5, so the Gram matrix is cleared by G = 15
+        scaled = MetricTensor([[F(x) / 3 + F(int(i == j), 5) for j, x in enumerate(row)]
+                               for i, row in enumerate(exact_doc.metric.gram)])
+        setups = [(exact_doc.algebra(), exact_doc.metric, False)]
+        if dim <= 6:
+            setups += [(exact_doc.algebra(), scaled, False),
+                       (float_doc.algebra(), float_doc.metric, True)]
+        for alg, metric, is_float in setups:
+            conn = levi_civita(alg, metric)
+            rt = riemann_tensor(conn)
+            assert "op" not in vars(rt)  # lowered on first read, not by riemann_tensor
+            pairs = list(combinations(range(dim), 2))
+            at = {pair: p for p, pair in enumerate(pairs)}
+            if is_float:
+                assert rt.gram is None and rt.op_den == 1
+                op = rt.op
+                assert all(isinstance(x, float) or x == 0 for row in op for x in row)
+            else:
+                assert all(type(x) is int for row in rt.op for x in row)
+                op = [[F(x, rt.op_den) for x in row] for row in rt.op]
+            want = curvature_operator_dense(conn)
+            assert len(op) == len(pairs) and all(len(row) == len(pairs) for row in op)
+            for p in range(len(pairs)):
+                for q in range(len(pairs)):
+                    a, b = op[p][q], want[p][q]
+                    if is_float:
+                        assert abs(a - b) <= 1e-9 * max(1.0, abs(b)), (dim, p, q)
+                        assert abs(a - op[q][p]) <= 1e-9 * max(1.0, abs(a)), (dim, p, q)
+                    else:
+                        assert type(b) is F and a == b, (dim, p, q)
+                        assert a == op[q][p], (dim, p, q)
+            for a, b, c, d in combinations(range(dim), 4):
+                total = op[at[a, b]][at[c, d]] - op[at[a, c]][at[b, d]] + op[at[a, d]][at[b, c]]
+                assert abs(total) <= 1e-9 if is_float else total == 0, (dim, a, b, c, d)
+            checked[is_float] += 1
+    assert checked == {False: 12, True: 5}
+
+
+def test_curvature_operator_of_a_catalog_case():
+    # case 1 (K <= 0): op is -1 on e_0^e_1, e_0^e_3 and e_1^e_3, zero elsewhere
+    _, _, rt = pipeline(1)
+    assert rt.op_den == 1
+    assert [list(row) for row in rt.op] == [[-1 if p == q and p in (0, 2, 4) else 0
+                                             for q in range(6)] for p in range(6)]
 
 
 # --- sectional ---------------------------------------------------------------
@@ -221,6 +281,105 @@ def test_sectional_plane_invariance(rng):
         except DegeneratePlaneError:
             continue
         assert report.passed
+
+
+def decimal_vector(rng, dim):
+    """A float vector from rational draws, with about a third of its entries 0.0."""
+    return Vector(0.0 if rng.random() < 0.35 else float(rand_fraction(rng))
+                  for _ in range(dim))
+
+
+def assert_same_outcome(got_call, want_call, where):
+    """Both calls raise the same exception type with the same message, or both
+    return scalars (or tuples of them) of the same types: the identical
+    Fraction when exact, 1e-12 relative to max(1, |want|) when floating.
+    Returns the result, or None when both raised."""
+    try:
+        want = want_call()
+    except LiecurvError as exc:
+        with pytest.raises(type(exc)) as info:
+            got_call()
+        assert type(info.value) is type(exc) and str(info.value) == str(exc), where
+        return None
+    got = got_call()
+    for a, b in zip(*((x if isinstance(x, tuple) else (x,)) for x in (got, want))):
+        assert type(a) is type(b), (where, got, want)
+        if isinstance(b, float):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (where, got, want)
+        else:
+            assert a == b, (where, got, want)
+    return got
+
+
+def sectional_setups():
+    """(label, metric, curvature tensor) for the six cases, case 4 at a
+    decimal alpha, cases 1 and 6 carried to non-identity Gram matrices, and
+    R x_D R^(n-1) documents of dims 3-6, exact and floating."""
+    rng = random.Random(20130519)
+    out = [(f"case {c.id}", c.algebra, c.metric) for c in
+           [catalog.get_case(i) for i in (1, 2, 3, 5, 6)]
+           + [catalog.get_case(4, alpha=F(1, 3), beta=F(-2)),
+              catalog.get_case(4, alpha=0.5, beta=F(1, 3))]]
+    for case_id in (1, 6):
+        case = catalog.get_case(case_id)
+        out.append((f"case {case_id} carried",
+                    *change_basis(case.algebra, case.metric, rand_invertible(rng, 4))))
+    for dim in range(3, 7):
+        exact_doc, float_doc = semidirect_documents(rng, dim)
+        out += [(f"dim {dim} {kind}", doc.algebra(), doc.metric)
+                for kind, doc in (("exact", exact_doc), ("float", float_doc))]
+    for case_id in (1, 6):  # a Gram matrix with denominators, cleared in plane_form
+        case = catalog.get_case(case_id)
+        rows = [[x / 2 for x in row] for row in rand_invertible(rng, 4)]
+        out.append((f"case {case_id} carried by halves",
+                    *change_basis(case.algebra, case.metric, rows)))
+    for label, alg, metric in out:
+        yield label, metric, riemann_tensor(levi_civita(alg, metric))
+
+
+def test_sectional_matches_dense_oracle():
+    """sectional against the dense contraction it replaced: basis, rational,
+    decimal (0.0 entries included) and mixed planes, and dependent or zero
+    spanning vectors, on exact and floating tensors."""
+    rng = random.Random(20130520)
+    kinds = {"exact": 0, "float": 0, "raised": 0}
+    for label, metric, rt in sectional_setups():
+        n = rt.dim
+        planes = [(Vector.basis(n, i), Vector.basis(n, j))
+                  for i in range(n) for j in range(i + 1, n)]
+        for _ in range(6):
+            planes.append((rand_vector(rng, n), rand_vector(rng, n)))
+            planes.append((decimal_vector(rng, n), decimal_vector(rng, n)))
+            planes.append((rand_vector(rng, n), decimal_vector(rng, n)))
+        u, d = rand_vector(rng, n), decimal_vector(rng, n)
+        planes += [(u, u.scale(F(-3, 2))), (Vector.zero(n), u), (d, d.scale(2.5)),
+                   (u, Vector([0.0] * n))]
+        for u, v in planes:
+            got = assert_same_outcome(lambda: sectional(rt, metric, u, v),
+                                      lambda: sectional_dense(rt, metric, u, v),
+                                      (label, list(u), list(v)))
+            kinds["raised" if got is None else
+                  "float" if isinstance(got[1], float) else "exact"] += 1
+    assert min(kinds.values()) >= 40, kinds
+
+
+def test_float_planes_on_an_exact_tensor_past_the_float_range():
+    """An exact tensor whose op_den and op entries pass 1e308: float and mixed
+    planes give what the dense oracle gives, and so does a zero-drift flag."""
+    rng = random.Random(20130523)
+    alpha = F(1, 10 ** 200 + 7)
+    case, conn, rt = pipeline(4, alpha=alpha, beta=F(0))
+    assert rt.op_den > 10 ** 400 and max(abs(x) for row in rt.op for x in row) > 10 ** 400
+    planes = [(Vector([0.5, 1, 0, 0]), Vector([0, 0, 1, 0])),
+              (Vector([0.5, 1.0, 0.0, 0.0]), Vector([0.0, 0.0, 1.0, 0.0]))]
+    planes += [(decimal_vector(rng, 4), rand_vector(rng, 4)) for _ in range(8)]
+    flat = build_randers(case.metric, Vector.zero(4), conn)
+    for u, v in planes:
+        got = assert_same_outcome(lambda: sectional(rt, case.metric, u, v),
+                                  lambda: sectional_dense(rt, case.metric, u, v), (u, v))
+        assert got is None or isinstance(got[1], float)
+        assert_same_outcome(lambda: flag_curvature(flat, rt, Flag(u, v)),
+                            lambda: sectional_dense(rt, case.metric, u, v)[1], (u, v))
 
 
 def test_sectional_rejects_dependent_vectors():
