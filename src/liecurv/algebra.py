@@ -136,9 +136,6 @@ class LieAlgebra:
                 table[j][i][k] = -c
         return cls(table, labels)
 
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        return Vector(self.structure[i][j])
-
     def antisymmetry_violations(self) -> list[tuple[int, int, int]]:
         bad = []
         for i in range(self.dim):

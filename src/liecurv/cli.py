@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Commands: check, analyze, sectional, scalar, parallel, randers, flag,
-report, catalog list. Input is a JSON algebra document or --case N for a
-built-in fixture (with --alpha/--beta/--drift overrides). Exit codes:
-0 success, 1 input error, 2 mathematical precondition violation,
+report, catalog list. The first seven read one document: a JSON algebra
+file or --case N for a built-in fixture (with --alpha/--beta/--drift
+overrides). `main` resolves it once into a catalog.Geometry, hands that to
+the command and stamps the envelope's "digest" with the sha256 of the
+document read, after --drift; report and catalog list carry null. Exit
+codes: 0 success, 1 input error, 2 mathematical precondition violation,
 3 nonempty discrepancy ledger under --strict.
 """
 
@@ -30,7 +33,6 @@ class CommandResult:
     text: list
     discrepancies: list = dataclasses.field(default_factory=list)
     status: int = 0
-    digest: str | None = None
 
 
 def _parse_vector(text: str, dim: int, flag_name: str) -> Vector:
@@ -108,8 +110,7 @@ def _entry_json(v: Vector, precision: int) -> list:
 # --- commands -----------------------------------------------------------------
 
 
-def cmd_check(args) -> CommandResult:
-    geo = _resolve_document(args)
+def cmd_check(args, geo: catalog.Geometry) -> CommandResult:
     report = geo.jacobi
     pd = geo.metric.is_positive_definite()
     passed = report.passed and pd
@@ -123,12 +124,10 @@ def cmd_check(args) -> CommandResult:
     text += [f"  {_residual_line(geo.algebra, v)}" for v in report.violations]
     text.append(f"metric: {'positive definite' if pd else 'NOT positive definite'}")
     text.append(f"check: {'pass' if passed else 'FAIL'}")
-    return CommandResult(sections, text, status=0 if passed else 1,
-                         digest=document_digest(geo.document))
+    return CommandResult(sections, text, status=0 if passed else 1)
 
 
-def cmd_analyze(args) -> CommandResult:
-    geo = _resolve_document(args)
+def cmd_analyze(args, geo: catalog.Geometry) -> CommandResult:
     case = geo if isinstance(geo, catalog.CatalogCase) else None
     labels, n = geo.algebra.labels, geo.document.dim
     jac, conn, rt = geo.jacobi, geo.connection, geo.curvature
@@ -179,48 +178,39 @@ def cmd_analyze(args) -> CommandResult:
     if case is not None:
         text.append(f"fixture reproduction: {'pass' if rep.passed else 'FAIL'}"
                     + (f" ({len(discrepancies)} discrepancy entries)" if discrepancies else ""))
-    return CommandResult(sections, text, discrepancies=discrepancies,
-                         digest=document_digest(geo.document))
+    return CommandResult(sections, text, discrepancies=discrepancies)
 
 
-def _two_vectors(args, dim: int, names: tuple[str, str]) -> tuple[Vector, Vector]:
-    return tuple(_parse_vector(getattr(args, name), dim, f"--{name}") for name in names)
-
-
-def cmd_sectional(args) -> CommandResult:
-    geo = _resolve_document(args)
-    u, v = _two_vectors(args, geo.document.dim, ("u", "v"))
+def cmd_sectional(args, geo: catalog.Geometry) -> CommandResult:
+    n = geo.document.dim
+    u, v = _parse_vector(args.u, n, "--u"), _parse_vector(args.v, n, "--v")
     num, value = sectional(_lie_checked(geo).curvature, geo.metric, u, v)
     p = args.precision
     sections = {"numerator": scalar_to_json(num, p), "value": scalar_to_json(value, p)}
     text = [f"numerator: {format_scalar(num, p)}",
             f"sectional curvature: {format_scalar(value, p)}"]
-    return CommandResult(sections, text, digest=document_digest(geo.document))
+    return CommandResult(sections, text)
 
 
-def cmd_scalar(args) -> CommandResult:
-    geo = _resolve_document(args)
+def cmd_scalar(args, geo: catalog.Geometry) -> CommandResult:
     value = _lie_checked(geo).scalar
     sections = {"scalar": scalar_to_json(value, args.precision)}
-    return CommandResult(sections, [f"scalar curvature: {format_scalar(value, args.precision)}"],
-                         digest=document_digest(geo.document))
+    return CommandResult(sections, [f"scalar curvature: {format_scalar(value, args.precision)}"])
 
 
-def cmd_parallel(args) -> CommandResult:
-    geo = _resolve_document(args)
+def cmd_parallel(args, geo: catalog.Geometry) -> CommandResult:
     labels = _lie_checked(geo).algebra.labels
     par = geo.parallel
     sections = {"basis": [_vector_json(v, args.precision) for v in par],
                 "dimension": len(par)}
     text = [f"parallel fields: dimension {len(par)}"]
     text += [f"  {v.describe(labels)}" for v in par]
-    return CommandResult(sections, text, digest=document_digest(geo.document))
+    return CommandResult(sections, text)
 
 
-def cmd_randers(args) -> CommandResult:
+def cmd_randers(args, geo: catalog.Geometry) -> CommandResult:
     if args.edge is not None and args.pole is None:
         raise InputError("--edge needs --pole")
-    geo = _resolve_document(args)
     doc = geo.document
     if doc.drift is None:
         raise InputError("randers needs a drift: give --drift or a document drift field")
@@ -262,20 +252,19 @@ def cmd_randers(args) -> CommandResult:
             value = flag_curvature(rm, geo.curvature, Flag(pole, edge))
             sections["flag_curvature"] = scalar_to_json(value, p)
             text.append(f"flag curvature: {format_scalar(value, p)}")
-    return CommandResult(sections, text, digest=document_digest(doc))
+    return CommandResult(sections, text)
 
 
-def cmd_flag(args) -> CommandResult:
-    geo = _resolve_document(args)
+def cmd_flag(args, geo: catalog.Geometry) -> CommandResult:
     doc = geo.document
     if doc.drift is None:
         raise InputError("flag needs a drift: give --drift or a document drift field")
-    pole, edge = _two_vectors(args, doc.dim, ("pole", "edge"))
+    pole = _parse_vector(args.pole, doc.dim, "--pole")
+    edge = _parse_vector(args.edge, doc.dim, "--edge")
     rm = build_randers(geo.metric, doc.drift, _lie_checked(geo).connection)
     value = flag_curvature(rm, geo.curvature, Flag(pole, edge))
     sections = {"flag_curvature": scalar_to_json(value, args.precision)}
-    return CommandResult(sections, [f"flag curvature: {format_scalar(value, args.precision)}"],
-                         digest=document_digest(doc))
+    return CommandResult(sections, [f"flag curvature: {format_scalar(value, args.precision)}"])
 
 
 def cmd_report(args) -> CommandResult:
@@ -344,16 +333,6 @@ def cmd_catalog(args) -> CommandResult:
 
 
 # --- dispatch -----------------------------------------------------------------
-
-
-def _envelope(command: str, result: CommandResult) -> dict:
-    return {
-        "command": command,
-        "digest": result.digest,
-        "sections": result.sections,
-        "discrepancies": result.discrepancies,
-        "status": result.status,
-    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,12 +416,20 @@ def main(argv=None) -> int:
     try:
         if args.precision < 1:
             raise InputError(f"--precision must be at least 1, got {args.precision}")
-        result = _COMMANDS[args.cmd](args)
+        if "document" in args:  # the commands built on the doc_input parser
+            geo = _resolve_document(args)
+            result = _COMMANDS[args.cmd](args, geo)
+            digest = document_digest(geo.document)  # after any --drift override
+        else:
+            result, digest = _COMMANDS[args.cmd](args), None
         if args.strict and result.discrepancies and result.status == 0:
             result.status = 3
         out = getattr(args, "out", None)  # only `report` takes --out
         if args.format == "json" or out:
-            envelope = json.dumps(_envelope(args.cmd, result), sort_keys=True, indent=2)
+            envelope = json.dumps({"command": args.cmd, "digest": digest,
+                                   "sections": result.sections,
+                                   "discrepancies": result.discrepancies,
+                                   "status": result.status}, sort_keys=True, indent=2)
         if out:
             _write_report(out, "w", envelope + "\n")
             result.text.append(f"wrote {out}")

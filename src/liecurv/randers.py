@@ -27,7 +27,7 @@ from .algebra import MetricTensor, Vector, as_vector
 from .errors import (DegeneratePlaneError, InputError, NonBerwaldError,
                      NormBoundError, UndefinedAtOriginError)
 from .riemann import Connection, CurvatureTensor, plane_form
-from .scalars import Scalar, format_scalar, is_exact_zero, is_zero, sqrt_scalar
+from .scalars import Scalar, format_scalar, is_exact_zero, sqrt_scalar
 
 
 @dataclass
@@ -104,9 +104,9 @@ def g_y(rm: RandersMetric, ybar, u, v) -> Scalar:
     u = as_vector(u, n)
     v = as_vector(v, n)
     g = rm.base
-    gyy = g.norm_sq(ybar)
-    if is_zero(gyy):
+    if ybar.is_zero():
         raise UndefinedAtOriginError("fundamental tensor is undefined at y = 0")
+    gyy = g.norm_sq(ybar)
     q = rm.drift
     guv = g.inner(u, v)
     gqu = g.inner(q, u)
@@ -161,10 +161,10 @@ def flag_curvature(rm: RandersMetric, rt: CurvatureTensor, flag: Flag) -> Scalar
     edge = as_vector(flag.edge, rm.dim)
     g = rm.base
     yy = g.norm_sq(pole)
-    if is_zero(yy):
+    if pole.is_zero():
         raise UndefinedAtOriginError("flag pole must be nonzero")
     numerator, den = plane_form(rt, pole, edge)
-    if is_zero(den):
+    if not den:
         raise DegeneratePlaneError("flag pole and edge are linearly dependent")
     k = numerator / den
     beta = g.inner(rm.drift, pole)

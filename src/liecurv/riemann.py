@@ -21,6 +21,7 @@ scalar curvature is its metric trace g^{jk} Ric_jk.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -28,7 +29,7 @@ from itertools import combinations
 from . import linalg
 from .algebra import LieAlgebra, MetricTensor, Vector, as_vector
 from .errors import DegeneratePlaneError, DimensionMismatchError, InputError
-from .scalars import Scalar, is_zero
+from .scalars import TOLERANCE, Scalar, is_exact
 
 
 class Connection:
@@ -159,19 +160,24 @@ def curvature_apply(rt: CurvatureTensor, u, v, w) -> Vector:
 
 
 def plane_form(rt: CurvatureTensor, u, v) -> tuple[Scalar, Scalar]:
-    """(w^T op w, g(u,u) g(v,v) - g(u,v)^2) for w = u^v and g the metric of rt. Exact
-    u, v on an exact tensor are cleared to ints once, one Fraction per result. Any
-    float entry contracts in floats with exact zeros skipped, op divided entry by entry."""
+    """(w^T op w, g(u,u) g(v,v) - g(u,v)^2) for w = u^v and g the metric of rt, the determinant
+    0 on a degenerate plane. Exact u, v on an exact tensor are cleared to ints once, one
+    Fraction per result. Any float entry contracts in floats with exact zeros skipped, op
+    divided entry by entry; a float determinant <= TOLERANCE g(u,u) g(v,v) is 0, so the angle
+    decides, not the scale, and one that overflowed is left for printing to refuse."""
     u, v = (as_vector(x, rt.dim).coeffs for x in (u, v))
     exact = rt.gram is not None and linalg.all_exact((u, v))
     if exact:
         scale, (u, v) = linalg.clear_denominators((u, v))
     gram_den, g = rt.gram if exact else (1, rt.connection.metric.gram)
     w = [u[i] * v[j] - u[j] * v[i] for i, j in combinations(range(rt.dim), 2)]
-    det = linalg.contract(g, u, u) * linalg.contract(g, v, v) - linalg.contract(g, u, v) ** 2
+    norms = linalg.contract(g, u, u) * linalg.contract(g, v, v)
+    det = norms - linalg.contract(g, u, v) ** 2
     if exact:
         return (Fraction(linalg.contract(rt.op, w, w), rt.op_den * scale ** 4),
                 Fraction(det, (gram_den * scale ** 2) ** 2))
+    if not is_exact(det) and det <= TOLERANCE * norms < math.inf:
+        det = 0
     # int / int rounds once, where an int past 1e308 times a float would overflow
     op = rt.op if rt.op_den == 1 else [[x / rt.op_den for x in row] for row in rt.op]
     return linalg.contract(op, w, w), det
@@ -182,7 +188,7 @@ def sectional(rt: CurvatureTensor, metric: MetricTensor, u, v) -> tuple[Scalar, 
     numerator g(R(v,u)u, v), which the printed per-case K(U,V) polynomials give
     for an orthonormal pair, and its ratio to the Gram determinant, both in rt's metric."""
     numerator, den = plane_form(rt, u, v)
-    if is_zero(den):
+    if not den:
         raise DegeneratePlaneError("sectional curvature needs independent spanning vectors")
     return numerator, numerator / den
 

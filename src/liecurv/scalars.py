@@ -95,7 +95,8 @@ def format_scalar(x: Scalar, precision: int = 12) -> str:
 
     A float zero renders as '0' whatever its sign: -0.0 is an artefact of
     the order of float operations, not a value. An exact value past Python's
-    limit on int-to-string conversion is an InputError.
+    limit on int-to-string conversion, and a float inf or nan, which JSON
+    cannot carry, are InputErrors.
     """
     if isinstance(x, bool):
         raise InputError("boolean is not a scalar")
@@ -108,6 +109,8 @@ def format_scalar(x: Scalar, precision: int = 12) -> str:
             return f"{x.numerator}/{x.denominator}"
     except ValueError as exc:
         raise InputError(f"exact value too large to print: {exc}") from None
+    if not math.isfinite(x):
+        raise InputError(f"floating result {x} is not finite: the computation left the float range")
     return f"{x + 0.0:.{precision}g}"  # -0.0 + 0.0 is 0.0
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from liecurv import linalg
-from liecurv.algebra import MetricTensor, Vector, as_vector
+from liecurv.algebra import MetricTensor, Vector, as_vector, bracket
 from liecurv.errors import (DegeneratePlaneError, InputError, NonBerwaldError,
                             PreconditionError, UndefinedAtOriginError)
 from liecurv.exprs import MAX_EXPONENT, MAX_POWER_BITS
@@ -50,7 +50,9 @@ def flag_curvature_four_g_y(rm: RandersMetric, rt: CurvatureTensor,
 
 def torsion(conn: Connection, i: int, j: int) -> Vector:
     """nabla_i e_j - nabla_j e_i - [e_i, e_j]; zero for Levi-Civita."""
-    return conn.nabla(i, j) - conn.nabla(j, i) - conn.algebra.bracket_basis(i, j)
+    n = conn.dim
+    return (conn.nabla(i, j) - conn.nabla(j, i)
+            - bracket(conn.algebra, Vector.basis(n, i), Vector.basis(n, j)))
 
 
 def compatibility_residual(conn: Connection, i: int, j: int, k: int) -> Scalar:

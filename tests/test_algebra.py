@@ -49,8 +49,8 @@ def test_vector_describe():
 
 def test_from_brackets_antisymmetry():
     alg = LieAlgebra.from_brackets(4, case2_brackets())
-    assert list(alg.bracket_basis(0, 1)) == [0, 0, 1, 0]
-    assert list(alg.bracket_basis(1, 0)) == [0, 0, -1, 0]
+    assert list(bracket(alg, Vector.basis(4, 0), Vector.basis(4, 1))) == [0, 0, 1, 0]
+    assert list(bracket(alg, Vector.basis(4, 1), Vector.basis(4, 0))) == [0, 0, -1, 0]
     assert alg.antisymmetry_violations() == []
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from liecurv import catalog
+from liecurv.algebra import Vector, bracket
 from liecurv.errors import InputError
 
 F = Fraction
@@ -38,7 +39,7 @@ def test_get_case_param_coercion():
     for alpha, beta in ((-1, 0), ("-1", "0"), (F(-1), F(0))):
         case = catalog.get_case(4, alpha=alpha, beta=beta)
         assert case.params == {"alpha": F(-1), "beta": F(0)}
-        assert list(case.algebra.bracket_basis(1, 3)) == [-1, 0, 0, 0]
+        assert list(bracket(case.algebra, Vector.basis(4, 1), Vector.basis(4, 3))) == [-1, 0, 0, 0]
 
 
 def test_get_case_keeps_float_params_exactly():

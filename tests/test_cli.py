@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -10,8 +11,9 @@ import pytest
 
 from test_exact_vs_float import close, semidirect_objects
 from liecurv import catalog, riemann
+from liecurv.algebra import Vector
 from liecurv.cli import MAX_GRID_POINTS, main
-from liecurv.documents import MAX_DIM
+from liecurv.documents import MAX_DIM, document_digest, load_document, serialize_document
 from liecurv.exprs import MAX_EXPR_TOKENS, MAX_POWER_BITS
 
 ENVELOPE_KEYS = {"command", "digest", "discrepancies", "sections", "status"}
@@ -23,9 +25,18 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def loads(text):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_not_json)
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--format", "json")
-    return code, json.loads(out), err
+    return code, loads(out), err
 
 
 def write_doc(tmp_path, obj, name="doc.json"):
@@ -86,8 +97,48 @@ def test_json_envelope_schema(capsys):
 def test_json_keys_sorted(capsys):
     code, out, _ = run(capsys, "analyze", "--case", "2", "--format", "json")
     assert code == 0
-    parsed = json.loads(out)
+    parsed = loads(out)
     assert out.strip() == json.dumps(parsed, sort_keys=True, indent=2)
+
+
+# --- digest -------------------------------------------------------------------
+
+DOCUMENT_COMMANDS = {
+    "check": [], "analyze": [], "scalar": [], "parallel": [],
+    "sectional": ["--u", "1,0,0,0", "--v", "0,1,0,0"],
+    "randers": ["--pole", "1,0,0,0", "--edge", "0,1,0,0"],
+    "flag": ["--pole", "1,0,0,0", "--edge", "0,1,0,0"],
+}
+
+
+def _with_drift(doc, *drift):
+    return dataclasses.replace(doc, drift=Vector(Fraction(x) for x in drift))
+
+
+@pytest.mark.parametrize("source", ["file", "case4", "drift_override"])
+def test_digest_is_the_document_read(capsys, tmp_path, source):
+    case1 = catalog.get_case(1).document
+    if source == "file":
+        obj = serialize_document(_with_drift(case1, 0, 0, "1/2", 0))
+        argv = [write_doc(tmp_path, obj)]
+        read = load_document(argv[0])
+    elif source == "case4":
+        argv = ["--case", "4", "--alpha=-1", "--beta=0", "--drift", "0,0,0,1/3"]
+        read = _with_drift(catalog.get_case(4, alpha=-1, beta=0).document, 0, 0, 0, "1/3")
+    else:
+        argv = ["--case", "1", "--drift", "0,0,1/4,0"]
+        read = _with_drift(case1, 0, 0, "1/4", 0)
+    want = document_digest(read)
+    for command, extra in DOCUMENT_COMMANDS.items():
+        code, doc, _ = run_json(capsys, command, *argv, *extra)
+        assert code == 0 and doc["digest"] == want, command
+    assert want != document_digest(case1)  # the drift is part of the document read
+
+
+def test_commands_without_a_document_have_no_digest(capsys):
+    for argv in (["report", "--case", "1"], ["catalog", "list"]):
+        code, doc, _ = run_json(capsys, *argv)
+        assert code == 0 and doc["digest"] is None
 
 
 # --- input errors ---------------------------------------------------------------
@@ -374,7 +425,7 @@ def test_report_all_writes_file(capsys, tmp_path):
     code, out, _ = run(capsys, "report", "--all", "--out", str(out_path))
     assert code == 0
     assert "overall: pass" in out
-    saved = json.loads(out_path.read_text())
+    saved = loads(out_path.read_text())
     assert set(saved) == ENVELOPE_KEYS
     assert len(saved["sections"]["cases"]) == 21  # 5 plain + 16 grid points
     assert saved["sections"]["passed"] is True
@@ -388,7 +439,7 @@ def test_report_out_holds_the_printed_envelope(capsys, tmp_path):
                        "--format", "json")
     assert code == 3
     assert out_path.read_text() == out
-    assert json.loads(out)["status"] == 3
+    assert loads(out)["status"] == 3
 
 
 def test_report_out_unwritable_is_an_input_error(capsys, monkeypatch, tmp_path):
@@ -575,6 +626,32 @@ def test_analyze_writes_float_roundoff_as_zero(capsys, tmp_path):
                         assert close(Fraction(x), y)
                         zeroed += x == "0"
     assert zeroed > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["sectional", "--case", "1", "--u", "1e200,0,0,0", "--v", "0,1,0,0"],
+    ["flag", "--case", "1", "--drift", "0,0,1/2,0", "--pole", "1e200,0,0,0", "--edge", "0,1,0,0"],
+    ["analyze", "DOC"],
+], ids=["sectional", "flag", "analyze"])
+def test_non_finite_results_are_refused(capsys, tmp_path, argv):
+    # each used to print nan, -inf or their JSON spellings NaN and -Infinity
+    argv = [write_doc(tmp_path, _doc_2d("1e200")) if a == "DOC" else a for a in argv]
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == 1 and out == ""
+        assert err.startswith("error: floating result ") and "is not finite" in err
+
+
+def test_small_float_planes_are_not_degenerate(capsys):
+    # a float plane or pole is judged by its angle, not its length
+    code, out, _ = run(capsys, "sectional", "--case", "1",
+                       "--u", "0.001,0,0,0", "--v", "0,0.001,0,0")
+    assert code == 0 and out.endswith("sectional curvature: -1\n")
+    code, out, _ = run(capsys, "randers", "--case", "1", "--drift", "0,0,1/2,0",
+                       "--pole", "0.00001,0,0,0", "--edge", "0,1,0,0")
+    assert code == 0 and out.endswith("flag curvature: -1\n")
+    code, _, err = run(capsys, "sectional", "--case", "1", "--u", "1,0,0,0", "--v", "2,1e-11,0,0")
+    assert code == 2 and "independent" in err
 
 
 # --- import path ----------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from test_exact_vs_float import is_exact_document
 from liecurv import catalog
+from liecurv.algebra import Vector, bracket
 from liecurv.documents import (document_digest, load_document, parse_document,
                                serialize_document)
 from liecurv.errors import InputError
@@ -28,8 +29,8 @@ def test_parse_minimal_document():
     assert doc.metric.gram[0][0] == 1
     assert is_exact_document(doc)
     alg = doc.algebra()
-    assert list(alg.bracket_basis(0, 1)) == [0, 0, 1, 0]
-    assert list(alg.bracket_basis(1, 0)) == [0, 0, -1, 0]
+    assert list(bracket(alg, Vector.basis(4, 0), Vector.basis(4, 1))) == [0, 0, 1, 0]
+    assert list(bracket(alg, Vector.basis(4, 1), Vector.basis(4, 0))) == [0, 0, -1, 0]
 
 
 def test_parse_with_basis_metric_drift():
@@ -78,7 +79,7 @@ def test_params_gate_free_names():
         parse_document(obj)
     obj["params"] = {"alpha": "-1", "beta": "0"}
     doc = parse_document(obj)
-    assert list(doc.algebra().bracket_basis(0, 2)) == [-1, 0, 0, 0]
+    assert list(bracket(doc.algebra(), Vector.basis(4, 0), Vector.basis(4, 2))) == [-1, 0, 0, 0]
     assert doc.params == {"alpha": F(-1), "beta": F(0)}
 
 
@@ -96,7 +97,8 @@ def test_float_entries_mark_floating():
 def test_scalar_forms():
     obj = minimal(brackets=[{"i": 0, "j": 1, "coeffs": [1, "1/2", "2-3", 0]}])
     doc = parse_document(obj)
-    assert list(doc.algebra().bracket_basis(0, 1)) == [1, F(1, 2), -1, 0]
+    assert (list(bracket(doc.algebra(), Vector.basis(4, 0), Vector.basis(4, 1)))
+            == [1, F(1, 2), -1, 0])
 
 
 def test_dim_bounds():

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import change_basis, invert, rand_fraction, rand_invertible, rand_vector
 from oracles import flag_curvature_four_g_y, g_y_hessian_oracle, sectional_dense
-from test_exact_vs_float import semidirect_documents
+from test_exact_vs_float import close, semidirect_documents
 from test_riemann import assert_same_outcome, decimal_vector
 from liecurv import catalog
 from liecurv.algebra import MetricTensor, Vector
@@ -233,6 +233,30 @@ def test_flag_rejects_degenerate_flags():
         flag_curvature(rm, rt, Flag(u, u.scale(F(2))))
     with pytest.raises(UndefinedAtOriginError):
         flag_curvature(rm, rt, Flag(Vector.zero(4), u))
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_exact_and_float_agree_at_every_scale(k):
+    """A plane is judged degenerate by its angle, not its size: vectors 10^-k
+    long give, exactly and in floats, the values they give at length 1, for
+    sectional, flag curvature and g_y, while a float plane whose angle is under
+    the tolerance stays degenerate at that scale."""
+    case, _, rt, rm = setup(1, Z_HALF)
+
+    def values(y, e, u):
+        return (sectional(rt, case.metric, y, e)[1], sectional(rt, case.metric, u, e)[1],
+                flag_curvature(rm, rt, Flag(y, e)), flag_curvature(rm, rt, Flag(u, y)),
+                g_y(rm, y, e, Vector.basis(4, 2)))
+
+    pole, edge, u = (Vector(x) for x in ((2, 0, 1, 2), (0, 1, 0, 0), (1, 2, 0, 1)))
+    wants = values(pole, edge, u)
+    assert all(type(w) is F for w in wants)
+    for s in (F(1, 10 ** k), 10.0 ** -k):
+        gots = values(pole.scale(s), edge.scale(s), u.scale(s))
+        for got, want in zip(gots, wants):
+            assert got == want if type(s) is F else close(want, got), (s, got, want)
+        with pytest.raises(DegeneratePlaneError):
+            sectional(rt, case.metric, Vector([s, 0, 0, 0]), Vector([2 * s, 1e-11 * s, 0, 0]))
 
 
 def test_flag_zero_drift_equals_sectional(rng):
