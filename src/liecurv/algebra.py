@@ -9,8 +9,10 @@ J w = linalg.contract(j, w) and "a after b" has rows contract(a, b[i]).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -78,7 +80,8 @@ class Vector:
         return hash(self.coeffs)
 
     def __repr__(self) -> str:
-        return f"Vector({', '.join(format_scalar(a) for a in self.coeffs)})"
+        return "Vector(" + ", ".join(str(a) if isinstance(a, float) and not math.isfinite(a)
+                                     else format_scalar(a) for a in self.coeffs) + ")"
 
     def describe(self, labels: Sequence[str]) -> str:
         """Render as a signed combination of basis labels, e.g. '3/2 W - X'."""
@@ -168,10 +171,16 @@ class MetricTensor:
         return cls([[Fraction(1) if i == j else Fraction(0) for j in range(dim)]
                     for i in range(dim)])
 
+    @cached_property
+    def float_gram(self) -> tuple:
+        return tuple(tuple(map(float, row)) for row in self.gram)
+
     def inner(self, u, v) -> Scalar:
-        u = as_vector(u, self.dim)
-        v = as_vector(v, self.dim)
-        return linalg.contract(self.gram, u.coeffs, v.coeffs)
+        """g(u, v); when u or v has only floats, on the float image of the Gram matrix."""
+        u = as_vector(u, self.dim).coeffs
+        v = as_vector(v, self.dim).coeffs
+        floats = linalg.float_only(u) or linalg.float_only(v)
+        return linalg.contract(self.float_gram if floats else self.gram, u, v)
 
     def norm_sq(self, v) -> Scalar:
         return self.inner(v, v)

@@ -209,6 +209,17 @@ def contract(table, *vectors) -> Scalar | list[Scalar]:
     return [_ZERO if x is None else x for x in out]
 
 
+def float_only(vec) -> bool:
+    """One coefficient is a float and the others are floats or exact zeros."""
+    seen = False
+    for x in vec:  # a loop, to stop at the first exact nonzero entry
+        if isinstance(x, float):
+            seen = True
+        elif x:
+            return False
+    return seen
+
+
 def clear_denominators(table) -> tuple[int, list]:
     """(L, L * table) for an exact nested table, with L the lcm of its
     denominators: every entry of the scaled table is an int."""

@@ -92,6 +92,9 @@ def randers_norm(rm: RandersMetric, y) -> Scalar:
     return sqrt_scalar(rm.base.norm_sq(y)) + rm.base.inner(rm.drift, y)
 
 
+_ROUNDED_OUT = "the pole's g(y,y), or a term built from it, rounds to 0 in float arithmetic"
+
+
 def g_y(rm: RandersMetric, ybar, u, v) -> Scalar:
     """Fundamental tensor g_y(u, v) of F at the nonzero reference vector ybar.
 
@@ -99,27 +102,23 @@ def g_y(rm: RandersMetric, ybar, u, v) -> Scalar:
     whose exact coefficient vanishes are skipped so no irrational square root
     contaminates an exact result.
     """
-    n = rm.dim
-    ybar = as_vector(ybar, n)
-    u = as_vector(u, n)
-    v = as_vector(v, n)
+    ybar, u, v = (as_vector(x, rm.dim) for x in (ybar, u, v))
     g = rm.base
-    if ybar.is_zero():
-        raise UndefinedAtOriginError("fundamental tensor is undefined at y = 0")
     gyy = g.norm_sq(ybar)
+    if not gyy:  # a nonzero pole is judged by the float range, not by its size
+        raise UndefinedAtOriginError(
+            _ROUNDED_OUT if any(ybar) else "fundamental tensor is undefined at y = 0")
     q = rm.drift
-    guv = g.inner(u, v)
-    gqu = g.inner(q, u)
-    gqv = g.inner(q, v)
-    gqy = g.inner(q, ybar)
-    gyu = g.inner(ybar, u)
-    gyv = g.inner(ybar, v)
+    guv, gqu, gqv, gqy, gyu, gyv = (g.inner(a, b) for a, b in (
+        (u, v), (q, u), (q, v), (q, ybar), (ybar, u), (ybar, v)))
     total = guv + gqu * gqv
     t3 = gqy * gyv * gyu
     t4 = gqu * gyv + gqy * guv + gqv * gyu
     if is_exact_zero(t3) and is_exact_zero(t4):
         return total
     root = sqrt_scalar(gyy)
+    if not gyy * root:
+        raise UndefinedAtOriginError(_ROUNDED_OUT)
     if not is_exact_zero(t3):
         total = total - t3 / (gyy * root)
     if not is_exact_zero(t4):
@@ -157,17 +156,17 @@ def flag_curvature(rm: RandersMetric, rt: CurvatureTensor, flag: Flag) -> Scalar
             "this Randers metric has nabla Q != 0")
     if rt.dim != rm.dim:
         raise InputError("curvature tensor dimension differs from Randers metric")
-    pole = as_vector(flag.pole, rm.dim)
-    edge = as_vector(flag.edge, rm.dim)
-    g = rm.base
-    yy = g.norm_sq(pole)
-    if pole.is_zero():
-        raise UndefinedAtOriginError("flag pole must be nonzero")
-    numerator, den = plane_form(rt, pole, edge)
+    pole, edge = (as_vector(x, rm.dim) for x in (flag.pole, flag.edge))
+    numerator, den, yy = plane_form(rt, pole, edge)
+    if not yy:  # a nonzero pole is judged by the float range, not by its size
+        raise UndefinedAtOriginError(_ROUNDED_OUT if any(pole) else "flag pole must be nonzero")
     if not den:
         raise DegeneratePlaneError("flag pole and edge are linearly dependent")
     k = numerator / den
-    beta = g.inner(rm.drift, pole)
+    beta = rm.base.inner(rm.drift, pole)
     if is_exact_zero(beta):
         return k
-    return yy * k / (yy + 2 * beta * sqrt_scalar(yy) + beta ** 2)
+    f_sq = yy + 2 * beta * sqrt_scalar(yy) + beta ** 2
+    if not f_sq:
+        raise UndefinedAtOriginError(_ROUNDED_OUT)
+    return yy * k / f_sq

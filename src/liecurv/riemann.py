@@ -14,16 +14,17 @@ Curvature convention: R(U,V)W = nabla_U nabla_V W - nabla_V nabla_U W
 denominators cleared, so each entry costs one Fraction, not one per
 multiply-add. Lowered by g, they give op[(i,j)][(k,l)] = g(R(e_j,e_i)e_k, e_l)
 for i < j, k < l. With w = u^v, the sectional curvature of span{u, v} is
-w^T op w = g(R(v,u)u, v) over g(u,u) g(v,v) - g(u,v)^2. The Ricci tensor is the trace
-Ric(V,W) = tr(U -> R(U,V)W), i.e. Ric_jk = sum_i r[i][j][k][i], and the
-scalar curvature is its metric trace g^{jk} Ric_jk.
+w^T op w = g(R(v,u)u, v) over g(u,u) g(v,v) - g(u,v)^2, and R(u,v)x sums w_p R(e_i,e_j)x
+over the rows. Float vectors contract float images of rows, op and g, each built once.
+The Ricci tensor is the trace Ric(V,W) = tr(U -> R(U,V)W), i.e. Ric_jk = sum_i r[i][j][k][i],
+and the scalar curvature is its metric trace g^{jk} Ric_jk.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 
 from . import linalg
@@ -77,15 +78,17 @@ def levi_civita(alg: LieAlgebra, metric: MetricTensor) -> Connection:
 
 
 class CurvatureTensor:
-    """Dense table r[i][j][k][l]: R(e_i, e_j) e_k = sum_l r[i][j][k][l] e_l; rows[p][k] is
-    row (i, j, k) for the p-th pair of combinations(range(dim), 2) and op[p][q] / op_den
-    the op entries. Exact: ints, gram = (G, G g). Float: op_den = 1, gram = None."""
+    """Dense table r[i][j][k][l]: R(e_i, e_j) e_k = sum_l r[i][j][k][l] e_l; rows[p][k] / den
+    is row (i, j, k) for the p-th pair of combinations(range(dim), 2) and op[p][q] / op_den
+    the op entries. Exact: ints, gram = (G, G g), op_den = den G. Float: dens 1, gram = None.
+    Float vectors contract float_rows and float_op, rows / den and op / op_den built once."""
 
-    def __init__(self, conn: Connection, table, rows, op_den: int, gram):
+    def __init__(self, conn: Connection, table, rows, den: int, gram):
         self.connection = conn
         self.table = tuple(tuple(tuple(tuple(row) for row in block) for block in plane)
                            for plane in table)
-        self.rows, self.op_den, self.gram = rows, op_den, gram
+        self.rows, self.den, self.gram = rows, den, gram
+        self.op_den = den * gram[0] if gram else 1
 
     @property
     def dim(self) -> int:
@@ -98,6 +101,15 @@ class CurvatureTensor:
         g = self.gram[1] if self.gram else self.connection.metric.gram
         return tuple(tuple(-sum(x * g[m][l] for m, x in enumerate(nums[k]) if x) or 0
                            for k, l in combinations(range(self.dim), 2)) for nums in self.rows)
+
+    @cached_property
+    def float_rows(self) -> tuple:
+        return tuple(tuple(tuple(x / self.den for x in row) for row in p) for p in self.rows)
+
+    @cached_property
+    def float_op(self) -> tuple:
+        # int / int rounds once, where an int past 1e308 times a float would overflow
+        return tuple(tuple(x / self.op_den for x in row) for row in self.op)
 
     def basis_value(self, i: int, j: int, k: int) -> Vector:
         return Vector(self.table[i][j][k])
@@ -147,47 +159,50 @@ def riemann_tensor(conn: Connection) -> CurvatureTensor:
                 table[j][i][k] = [0 - x for x in row]  # 0 - 0.0 is 0.0, not -0.0
             table[i][j][k] = row
             rows[-1].append(num)
-    return CurvatureTensor(conn, table, rows, den * G if exact else 1, (G, g) if exact else None)
+    return CurvatureTensor(conn, table, rows, den if exact else 1, (G, g) if exact else None)
 
 
 def curvature_apply(rt: CurvatureTensor, u, v, w) -> Vector:
-    """R(u, v)w by trilinear contraction of the dense table."""
-    n = rt.dim
-    u = as_vector(u, n)
-    v = as_vector(v, n)
-    w = as_vector(w, n)
-    return Vector(linalg.contract(rt.table, u.coeffs, v.coeffs, w.coeffs))
+    """R(u, v)w = sum of (u^v)_p R(e_i, e_j)w over the rows. Exact vectors on an exact tensor
+    are cleared to ints once, one Fraction per component; any float contracts float_rows."""
+    u, v, w = (as_vector(x, rt.dim).coeffs for x in (u, v, w))
+    exact = rt.gram is not None and linalg.all_exact((u, v, w))
+    if exact:
+        scale, (u, v, w) = linalg.clear_denominators((u, v, w))
+    wedge = [u[i] * v[j] - u[j] * v[i] for i, j in combinations(range(rt.dim), 2)]
+    out = linalg.contract(rt.rows if exact else rt.float_rows, wedge, w)
+    return Vector(Fraction(x, rt.den * scale ** 3) for x in out) if exact else Vector(out)
 
 
-def plane_form(rt: CurvatureTensor, u, v) -> tuple[Scalar, Scalar]:
-    """(w^T op w, g(u,u) g(v,v) - g(u,v)^2) for w = u^v and g the metric of rt, the determinant
-    0 on a degenerate plane. Exact u, v on an exact tensor are cleared to ints once, one
-    Fraction per result. Any float entry contracts in floats with exact zeros skipped, op
-    divided entry by entry; a float determinant <= TOLERANCE g(u,u) g(v,v) is 0, so the angle
-    decides, not the scale, and one that overflowed is left for printing to refuse."""
+def plane_form(rt: CurvatureTensor, u, v) -> tuple[Scalar, Scalar, Scalar]:
+    """(w^T op w, g(u,u) g(v,v) - g(u,v)^2, g(u,u)) for w = u^v and g the metric of rt, the
+    determinant 0 on a degenerate plane. Exact u, v on an exact tensor are cleared to ints
+    once, one Fraction per result. Any float entry contracts in floats, exact zeros skipped,
+    against float_op and MetricTensor.inner; a float determinant <= TOLERANCE g(u,u) g(v,v)
+    is 0, so the angle decides, not the scale, and an overflowed one is left to printing."""
     u, v = (as_vector(x, rt.dim).coeffs for x in (u, v))
     exact = rt.gram is not None and linalg.all_exact((u, v))
     if exact:
         scale, (u, v) = linalg.clear_denominators((u, v))
-    gram_den, g = rt.gram if exact else (1, rt.connection.metric.gram)
+        gram_den = rt.gram[0] * scale ** 2
+    inner = partial(linalg.contract, rt.gram[1]) if exact else rt.connection.metric.inner
     w = [u[i] * v[j] - u[j] * v[i] for i, j in combinations(range(rt.dim), 2)]
-    norms = linalg.contract(g, u, u) * linalg.contract(g, v, v)
-    det = norms - linalg.contract(g, u, v) ** 2
+    uu = inner(u, u)
+    norms = uu * inner(v, v)
+    det = norms - inner(u, v) ** 2
     if exact:
         return (Fraction(linalg.contract(rt.op, w, w), rt.op_den * scale ** 4),
-                Fraction(det, (gram_den * scale ** 2) ** 2))
+                Fraction(det, gram_den ** 2), Fraction(uu, gram_den))
     if not is_exact(det) and det <= TOLERANCE * norms < math.inf:
         det = 0
-    # int / int rounds once, where an int past 1e308 times a float would overflow
-    op = rt.op if rt.op_den == 1 else [[x / rt.op_den for x in row] for row in rt.op]
-    return linalg.contract(op, w, w), det
+    return linalg.contract(rt.op if rt.op_den == 1 else rt.float_op, w, w), det, uu
 
 
 def sectional(rt: CurvatureTensor, metric: MetricTensor, u, v) -> tuple[Scalar, Scalar]:
     """Sectional curvature of span{u, v} as (numerator, value): plane_form's
     numerator g(R(v,u)u, v), which the printed per-case K(U,V) polynomials give
     for an orthonormal pair, and its ratio to the Gram determinant, both in rt's metric."""
-    numerator, den = plane_form(rt, u, v)
+    numerator, den, _ = plane_form(rt, u, v)
     if not den:
         raise DegeneratePlaneError("sectional curvature needs independent spanning vectors")
     return numerator, numerator / den

@@ -6,6 +6,7 @@ another way; tests compare the two.
 
 from __future__ import annotations
 
+import contextlib
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +18,7 @@ from liecurv.errors import (DegeneratePlaneError, InputError, NonBerwaldError,
                             PreconditionError, UndefinedAtOriginError)
 from liecurv.exprs import MAX_EXPONENT, MAX_POWER_BITS
 from liecurv.randers import Flag, RandersMetric, g_y, randers_norm
-from liecurv.riemann import Connection, CurvatureTensor, curvature_apply, sectional
+from liecurv.riemann import Connection, CurvatureTensor, sectional
 from liecurv.scalars import (Scalar, approx_equal, format_scalar, is_exact, is_zero,
                              scalar_to_json)
 
@@ -41,11 +42,24 @@ def flag_curvature_four_g_y(rm: RandersMetric, rt: CurvatureTensor,
     plane_det = g.norm_sq(pole) * g.norm_sq(edge) - g.inner(pole, edge) ** 2
     if is_zero(plane_det):
         raise DegeneratePlaneError("flag pole and edge are linearly dependent")
-    rvyy = curvature_apply(rt, edge, pole, pole)
+    rvyy = curvature_apply_dense(rt, edge, pole, pole)
     num = g_y(rm, pole, rvyy, edge)
     den = (g_y(rm, pole, pole, pole) * g_y(rm, pole, edge, edge)
            - g_y(rm, pole, pole, edge) ** 2)
     return num / den
+
+
+@contextlib.contextmanager
+def fraction_gram():
+    """Inside, MetricTensor.inner contracts float vectors against the Fraction Gram
+    matrix, each product a float times a Fraction, as it did before the float image:
+    inner, g_y, plane_form and flag_curvature take that mixed path."""
+    image = MetricTensor.__dict__["float_gram"]
+    MetricTensor.float_gram = property(lambda self: self.gram)
+    try:
+        yield
+    finally:
+        MetricTensor.float_gram = image
 
 
 def torsion(conn: Connection, i: int, j: int) -> Vector:
@@ -91,6 +105,12 @@ def riemann_tensor_dense(conn: Connection) -> list:
     return table
 
 
+def curvature_apply_dense(rt: CurvatureTensor, u, v, w) -> Vector:
+    """R(u, v)w by trilinear contraction of the dense table."""
+    u, v, w = (as_vector(x, rt.dim).coeffs for x in (u, v, w))
+    return Vector(linalg.contract(rt.table, u, v, w))
+
+
 def curvature_operator_dense(conn: Connection) -> list:
     """op[(i,j)][(k,l)] = g(R(e_j,e_i)e_k, e_l) over the pairs i<j, k<l in
     lexicographic order, each entry summed from the dense table and the
@@ -109,7 +129,7 @@ def sectional_dense(rt: CurvatureTensor, metric: MetricTensor, u, v) -> tuple[Sc
     n = rt.dim
     u = as_vector(u, n)
     v = as_vector(v, n)
-    numerator = metric.inner(curvature_apply(rt, v, u, u), v)
+    numerator = metric.inner(curvature_apply_dense(rt, v, u, u), v)
     den = metric.inner(u, u) * metric.inner(v, v) - metric.inner(u, v) ** 2
     if is_zero(den):
         raise DegeneratePlaneError("sectional curvature needs independent spanning vectors")

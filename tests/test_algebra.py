@@ -44,6 +44,13 @@ def test_vector_describe():
     assert v.describe(labels) == "3/2 X - Z + W"
 
 
+def test_vector_repr_renders_every_entry():
+    # printing refuses a non-finite float, but a repr of one must not raise
+    inf, nan = float("inf"), float("nan")
+    assert repr(Vector([inf, 0])) == "Vector(inf, 0)"
+    assert repr(Vector([F(1, 3), -inf, nan, 0.25, -0.0])) == "Vector(1/3, -inf, nan, 0.25, 0)"
+
+
 # --- algebra construction ------------------------------------------------------
 
 

@@ -654,6 +654,30 @@ def test_small_float_planes_are_not_degenerate(capsys):
     assert code == 2 and "independent" in err
 
 
+@pytest.mark.parametrize("command", ["flag", "randers"])
+def test_a_float_pole_is_judged_by_the_float_range_not_its_size(capsys, command):
+    # flag curvature and g_y do not change when the pole and edge are scaled
+    drift = ("--case", "1", "--drift", "0,0,1/2,0")
+    sections = []
+    for s in ("1e-10", "1e-8"):
+        for pole, edge in ((f"{s},0,0,0", f"0,{s},0,0"), (f"{s},0,{s},0", f"0,{s},0,{s}")):
+            code, doc, _ = run_json(capsys, command, *drift, "--pole", pole, "--edge", edge)
+            assert code == 0
+            sections.append({k: doc["sections"].get(k) for k in ("g_pole", "flag_curvature")})
+    assert sections[0]["flag_curvature"] == -1
+    assert sections[:2] == sections[2:]
+    # an exact zero pole keeps its message; one whose norm underflows is refused, not raised
+    zero = "flag pole must be nonzero" if command == "flag" else "y = 0"
+    rounds = "rounds to 0 in float arithmetic"
+    refusals = [("0,0,0,0", zero), ("0.0,0,0,0", zero), ("1e-200,0,0,0", rounds)]
+    if command == "randers":  # g_y divides by g(y,y)^(3/2), which underflows first
+        tiny = "1/1" + "0" * 200  # exact; sqrt(g(y,y)) = sqrt(2) tiny underflows
+        refusals += [("1e-120,1e-120,1e-120,0", rounds), (f"{tiny},{tiny},0,0", rounds)]
+    for pole, message in refusals:
+        code, _, err = run(capsys, command, *drift, "--pole", pole, "--edge", "0,1,0,0")
+        assert code == 2 and err.startswith("error: ") and message in err, (pole, err)
+
+
 # --- import path ----------------------------------------------------------------
 
 

@@ -26,6 +26,20 @@ COMMANDS = {
     "randers_case1_flag": ["randers", "--case", "1", "--drift", "0,0,1/2,0",
                            "--pole", "1,0,0,0", "--edge", "0,1,0,0"],
     "catalog_list": ["catalog", "list"],
+    # Poles with irrational g-norms, printed to 17 digits: these hold the float g_y
+    # table and flag value bit for bit, for decimal and for exact poles.
+    "randers_case1_float_pole": ["randers", "--case", "1", "--drift", "0,0,1/2,0",
+                                 "--pole", "0.3,0.7,1.1,0", "--edge", "0,1,0.2,0",
+                                 "--precision", "17"],
+    "randers_case6_irrational_pole": ["randers", "--case", "6", "--drift", "0,0,1/3,0",
+                                      "--pole", "1,2,1,1", "--edge", "0,1,0,1/2",
+                                      "--precision", "17"],
+    "flag_case1_irrational_pole": ["flag", "--case", "1", "--drift", "0,0,1/2,0",
+                                   "--pole", "1,1,1,0", "--edge", "0,1,0,0",
+                                   "--precision", "17"],
+    "flag_case4_float_pole": ["flag", "--case", "4", "--alpha=-1", "--beta=0",
+                              "--drift", "0,0,0,1/2", "--pole", "0.3,0.7,1.1,0.2",
+                              "--edge", "0.5,1,0.2,0", "--precision", "17"],
 }
 FORMATS = {"txt": "text", "json": "json"}
 

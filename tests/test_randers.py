@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import change_basis, invert, rand_fraction, rand_invertible, rand_vector
-from oracles import flag_curvature_four_g_y, g_y_hessian_oracle, sectional_dense
+from oracles import (flag_curvature_four_g_y, fraction_gram, g_y_hessian_oracle,
+                     sectional_dense)
 from test_exact_vs_float import close, semidirect_documents
 from test_riemann import assert_same_outcome, decimal_vector
 from liecurv import catalog
@@ -15,7 +16,8 @@ from liecurv.errors import (DegeneratePlaneError, NonBerwaldError,
 from liecurv.linalg import is_positive_definite, orthonormal_pair
 from liecurv.randers import (Flag, build_randers, flag_curvature, g_y,
                              parallel_fields, randers_norm)
-from liecurv.riemann import curvature_apply, levi_civita, riemann_tensor, sectional
+from liecurv.riemann import (curvature_apply, levi_civita, plane_form, riemann_tensor,
+                             sectional)
 from liecurv.scalars import is_exact_zero, sqrt_scalar
 
 F = Fraction
@@ -206,9 +208,9 @@ def test_flag_berwald_correction_identity(rng):
             assert got == want
 
 
-def test_flag_reads_the_metric_twice(monkeypatch):
-    # g(y,y) and g(Q,y), each once; the plane's numerator and Gram
-    # determinant come from riemann.plane_form
+def test_flag_reads_the_metric_once(monkeypatch):
+    # g(Q,y) only: on an exact flag g(y,y), the plane's numerator and its Gram
+    # determinant all come from riemann.plane_form's cleared pass
     _, _, rt, rm = setup(1, Z_HALF)
     calls = []
     inner = MetricTensor.inner
@@ -217,7 +219,7 @@ def test_flag_reads_the_metric_twice(monkeypatch):
     pole = Vector([F(2, 3), F(1, 3), F(2, 3), F(0)])
     edge = Vector([F(1, 3), F(2, 3), F(-2, 3), F(0)])
     assert flag_curvature(rm, rt, Flag(pole, edge)) == F(-1, 16)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_flag_requires_berwald():
@@ -257,6 +259,49 @@ def test_exact_and_float_agree_at_every_scale(k):
             assert got == want if type(s) is F else close(want, got), (s, got, want)
         with pytest.raises(DegeneratePlaneError):
             sectional(rt, case.metric, Vector([s, 0, 0, 0]), Vector([2 * s, 1e-11 * s, 0, 0]))
+
+
+def test_float_flags_on_exact_tensors_match_the_fraction_path():
+    """MetricTensor.inner, g_y, plane_form and flag_curvature with float vectors on exact
+    tensors: contracting the float images gives the bits, compared by repr, that
+    contracting the Fraction tables gives (oracles.fraction_gram). Flags orthonormalized
+    as catalog.reproduce does, raw poles with irrational norms, decimal and mixed poles;
+    identity metrics and the cases carried to Gram matrices with thirds."""
+    rng = random.Random(20130525)
+    setups = [(catalog.get_case(i, **params), None) for i, params in
+              ((1, {}), (6, {}), (4, {"alpha": F(-1), "beta": F(0)}))]
+    setups += [(case, [[x / 3 for x in row] for row in rand_invertible(rng, 4)])
+               for case, _ in setups]
+    floats = 0
+    for case, rows in setups:
+        alg, metric = case.algebra, case.metric
+        if rows is not None:
+            alg, metric = change_basis(alg, metric, rows)
+            assert any(x.denominator % 3 == 0 for row in metric.gram for x in row)
+        conn = levi_civita(alg, metric)
+        rt = riemann_tensor(conn)
+        (q,) = parallel_fields(conn)
+        rm = build_randers(metric, q.scale(F(1, 2 + 2 * int(metric.norm_sq(q)))), conn)
+        flags = [tuple(map(Vector, orthonormal_pair(metric.gram, rand_vector(rng, 4),
+                                                    rand_vector(rng, 4)))) for _ in range(8)]
+        flags += [(Vector([1, 1, 1, 0]), rand_vector(rng, 4)),
+                  (rand_vector(rng, 4), decimal_vector(rng, 4)),
+                  (decimal_vector(rng, 4), decimal_vector(rng, 4)),
+                  (Vector([F(1, 3), 0.7, 0, F(-2)]), rand_vector(rng, 4))]
+        for pole, edge in flags:
+            basis = [Vector.basis(4, i) for i in range(4)]
+            calls = [lambda: metric.inner(pole, edge), lambda: metric.inner(edge, edge),
+                     lambda: plane_form(rt, pole, edge),
+                     lambda: flag_curvature(rm, rt, Flag(pole, edge))]
+            calls += [lambda a=a, b=b: g_y(rm, pole, a, b)
+                      for a, b in [(pole, pole), (pole, edge), (edge, edge)] + list(
+                          zip(basis, basis[1:] + basis[:1]))]
+            values = [call() for call in calls]
+            with fraction_gram():
+                want = [repr(call()) for call in calls]
+            assert [repr(x) for x in values] == want, (pole, edge)
+            floats += isinstance(values[3], float)
+    assert floats >= 60, floats
 
 
 def test_flag_zero_drift_equals_sectional(rng):

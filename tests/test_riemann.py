@@ -6,8 +6,8 @@ import pytest
 
 from conftest import (cayley_rotation, change_basis, rand_fraction, rand_invertible,
                       rand_pd_metric, rand_vector)
-from oracles import (compatibility_residual, curvature_operator_dense, riemann_tensor_dense,
-                     scalar_curvature_gram_schmidt, sectional_dense,
+from oracles import (compatibility_residual, curvature_apply_dense, curvature_operator_dense,
+                     riemann_tensor_dense, scalar_curvature_gram_schmidt, sectional_dense,
                      sectional_plane_invariance_check, torsion)
 from test_exact_vs_float import is_exact_document, semidirect_documents
 from liecurv import catalog, linalg
@@ -96,6 +96,42 @@ def test_curvature_antisymmetry_first_pair(rng):
         lhs = curvature_apply(rt, u, v, w)
         rhs = curvature_apply(rt, v, u, w).scale(F(-1))
         assert list(lhs) == list(rhs)
+
+
+def test_curvature_apply_matches_dense_oracle():
+    """curvature_apply on the rows against the trilinear contraction of the dense table:
+    the identical Fraction for exact vectors on the six cases, case 4 on a grid of
+    parameters and exact R x_D R^(n-1) documents of dims 2-8; within 1e-9 for float
+    vectors, and for every vector on floating documents."""
+    rng = random.Random(20130524)
+    setups = [catalog.get_case(i) for i in (1, 2, 3, 5, 6)]
+    setups += [catalog.get_case(4, alpha=F(a), beta=F(b))
+               for a in range(-2, 2) for b in range(-2, 2)]
+    setups = [(case.algebra, case.metric) for case in setups]
+    for dim in range(2, 9):
+        exact_doc, float_doc = semidirect_documents(rng, dim)
+        setups.append((exact_doc.algebra(), exact_doc.metric))
+        if dim <= 6:
+            setups.append((float_doc.algebra(), float_doc.metric))
+    checked = {"exact": 0, "float": 0}
+    for alg, metric in setups:
+        rt = riemann_tensor(levi_civita(alg, metric))
+        n = rt.dim
+        triples = [(Vector.basis(n, i), Vector.basis(n, j), Vector.basis(n, k))
+                   for i, j, k in ((0, 1, 1), (1, 0, n - 1), (n - 1, 0, 0))]
+        triples += [tuple(rand_vector(rng, n) for _ in range(3)) for _ in range(4)]
+        triples += [(decimal_vector(rng, n), decimal_vector(rng, n), rand_vector(rng, n))
+                    for _ in range(3)]
+        for u, v, w in triples:
+            got, want = curvature_apply(rt, u, v, w), curvature_apply_dense(rt, u, v, w)
+            if rt.gram is not None and linalg.all_exact((u, v, w)):
+                assert all(type(x) is F for x in list(got) + list(want)), (u, v, w)
+                assert got == want, (u, v, w)
+                checked["exact"] += 1
+            else:
+                assert all(abs(a - b) <= 1e-9 * max(1.0, abs(b)) for a, b in zip(got, want))
+                checked["float"] += 1
+    assert checked == {"exact": 7 * 28, "float": 3 * 28 + 10 * 5}, checked
 
 
 def test_lowered_tensor_symmetries(rng):
