@@ -141,10 +141,8 @@ class CatalogCase(Geometry):
     expected: dict
 
     def _eval(self, text: str, env: dict | None = None) -> Scalar:
-        full = dict(self.params)
-        if env:
-            full.update(env)
-        return exprs.evaluate(text, full)
+        """text over env, which binds the parameters too; by default them alone."""
+        return exprs.evaluate(text, self.params if env is None else env)
 
     def _eval_vector(self, coeffs, env: dict | None = None) -> Vector:
         return Vector(self._eval(c, env) for c in coeffs)
@@ -185,7 +183,7 @@ class CatalogCase(Geometry):
         return sorted(names - set(self.params))
 
     def drift_vector(self, env: dict) -> Vector:
-        return self._eval_vector(self.expected["randers"]["drift"], env)
+        return self._eval_vector(self.expected["randers"]["drift"], {**self.params, **env})
 
     def annotation_for(self, item: str) -> dict | None:
         for note in self.expected.get("annotations", []):
@@ -328,9 +326,11 @@ def _rand_vector(rng: random.Random, dim: int) -> Vector:
             return v
 
 
-def _coord_env(pole, edge) -> dict:
-    env = {name: value for name, value in zip(_POLE_VARS, pole)}
-    env.update({name: value for name, value in zip(_EDGE_VARS, edge)})
+def _coord_env(params: dict, pole, edge) -> dict:
+    """The parameters, with the pole bound to a..d and the edge to ta..td."""
+    env = dict(params)
+    env.update(zip(_POLE_VARS, pole))
+    env.update(zip(_EDGE_VARS, edge))
     return env
 
 
@@ -415,7 +415,7 @@ def reproduce(case: CatalogCase, samples: int = 20, seed: int = 11) -> CaseRepor
     for _ in range(samples):
         u = _rand_vector(rng, n)
         v = _rand_vector(rng, n)
-        env = _coord_env(u, v)
+        env = _coord_env(case.params, u, v)
         got = curvature_apply(rt, v, u, u)
         check("rvuu", Vector(case._eval(text, env) for text in case.expected["rvuu"]), got)
         check("sectional_numerator", case._eval(case.expected["sectional_numerator"], env),
@@ -458,7 +458,7 @@ def reproduce(case: CatalogCase, samples: int = 20, seed: int = 11) -> CaseRepor
                 break
             except DegeneratePlaneError:
                 continue
-        env = _coord_env(pole, edge)
+        env = _coord_env(case.params, pole, edge)
         env.update(drift_env)
         got = flag_curvature(rm, rt, Flag(pole, edge))
         values.append(got)

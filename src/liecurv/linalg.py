@@ -10,7 +10,8 @@ package: brackets, covariant derivatives, curvature, inner products and
 endomorphisms. It accumulates in the type of its products, so int tables
 stay in int arithmetic. `clear_denominators` turns an exact table into such
 a table times a common denominator, so a caller builds one Fraction per
-result instead of one per multiply-add (E. Bareiss, Math. Comp. 22, 1968).
+result instead of one per multiply-add (E. Bareiss, Math. Comp. 22, 1968);
+`orthonormal_pair` runs that way on exact input.
 """
 
 from __future__ import annotations
@@ -238,7 +239,10 @@ def orthonormal_pair(gram: Sequence[Sequence[Scalar]], u: Sequence[Scalar],
     """Orthonormal (u_hat, v_hat) spanning the same plane, pole ray preserved.
 
     Stays exact when both norms are perfect rational squares, else floats.
+    Exact input is cleared once, see _cleared_pair.
     """
+    if all_exact(gram) and all_exact(u) and all_exact(v):
+        return _cleared_pair(gram, u, v)
     uu = contract(gram, u, u)
     if is_exact_zero(uu):
         raise DegeneratePlaneError("zero vector cannot span a plane")
@@ -251,3 +255,30 @@ def orthonormal_pair(gram: Sequence[Sequence[Scalar]], u: Sequence[Scalar],
         raise DegeneratePlaneError("spanning vectors are linearly dependent")
     nw = sqrt_scalar(ww)
     return u_hat, [x / nw for x in w]
+
+
+def _cleared_pair(gram, u, v) -> tuple[list[Scalar], list[Scalar]]:
+    """orthonormal_pair on exact input, in ints. With U = L_u u, V = L_v v and
+    g = L_g gram cleared, v - (uv/uu) u is W / (L_v UU) for the int vector
+    W = UU V - UV U, where UU = g(U,U) and UV = g(U,V); so each output is one
+    Fraction, or one correctly rounded int quotient, over its norm."""
+    (lg, g), (lu, cu), (lv, cv) = map(clear_denominators, (gram, u, v))
+    uu = contract(g, cu, cu)
+    if not uu:
+        raise DegeneratePlaneError("zero vector cannot span a plane")
+    nu = sqrt_scalar(Fraction(uu, lg * lu * lu))
+    uv = contract(g, cu, cv)
+    w = [uu * y - uv * x for x, y in zip(cu, cv)]
+    ww = contract(g, w, w)
+    if not ww:
+        raise DegeneratePlaneError("spanning vectors are linearly dependent")
+    den = lv * uu  # positive: sqrt_scalar refused a negative uu
+    nw = sqrt_scalar(Fraction(ww, lg * den * den))
+    return _unit(cu, lu, nu), _unit(w, den, nw)
+
+
+def _unit(ints: list[int], den: int, norm: Scalar) -> list[Scalar]:
+    """ints / den / norm, for a positive den."""
+    if isinstance(norm, float):
+        return [x / den / norm for x in ints]
+    return [Fraction(x * norm.denominator, den * norm.numerator) for x in ints]

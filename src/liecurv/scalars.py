@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .errors import InputError
+from .errors import InputError, PreconditionError
 
 Scalar = Union[int, Fraction, float]
 
@@ -42,7 +42,12 @@ def approx_equal(a: Scalar, b: Scalar) -> bool:
 
 
 def sqrt_scalar(x: Scalar) -> Scalar:
-    """Square root that stays exact on perfect squares of rationals."""
+    """Square root that stays exact on perfect squares of rationals.
+
+    Any other exact value goes through its float: one past the float range
+    is an InputError, and a positive one whose float is 0.0 a
+    PreconditionError, where math.sqrt would raise OverflowError or give 0.
+    """
     if is_exact(x):
         if x < 0:
             raise InputError("square root of negative scalar")
@@ -51,10 +56,21 @@ def sqrt_scalar(x: Scalar) -> Scalar:
         rd = math.isqrt(f.denominator)
         if rn * rn == f.numerator and rd * rd == f.denominator:
             return Fraction(rn, rd)
-        return math.sqrt(f)
+        try:
+            root = math.sqrt(f)
+        except OverflowError:  # float(f) is past the float range
+            raise _non_finite(math.inf) from None
+        if not root:
+            raise PreconditionError("a positive exact value under a square root "
+                                    "rounds to 0 in float arithmetic")
+        return root
     if x < 0:
         raise InputError("square root of negative scalar")
     return math.sqrt(x)
+
+
+def _non_finite(x: float) -> InputError:
+    return InputError(f"floating result {x} is not finite: the computation left the float range")
 
 
 def parse_rational(text: str) -> Scalar:
@@ -110,7 +126,7 @@ def format_scalar(x: Scalar, precision: int = 12) -> str:
     except ValueError as exc:
         raise InputError(f"exact value too large to print: {exc}") from None
     if not math.isfinite(x):
-        raise InputError(f"floating result {x} is not finite: the computation left the float range")
+        raise _non_finite(x)
     return f"{x + 0.0:.{precision}g}"  # -0.0 + 0.0 is 0.0
 
 

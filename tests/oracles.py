@@ -19,8 +19,8 @@ from liecurv.errors import (DegeneratePlaneError, InputError, NonBerwaldError,
 from liecurv.exprs import MAX_EXPONENT, MAX_POWER_BITS
 from liecurv.randers import Flag, RandersMetric, g_y, randers_norm
 from liecurv.riemann import Connection, CurvatureTensor, sectional
-from liecurv.scalars import (Scalar, approx_equal, format_scalar, is_exact, is_zero,
-                             scalar_to_json)
+from liecurv.scalars import (Scalar, approx_equal, format_scalar, is_exact, is_exact_zero,
+                             is_zero, scalar_to_json, sqrt_scalar)
 
 
 def flag_curvature_four_g_y(rm: RandersMetric, rt: CurvatureTensor,
@@ -153,6 +153,24 @@ def gram_schmidt(gram: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
             b = [b[j] - coeff * prev[j] for j in range(n)]
         basis.append(b)
     return basis
+
+
+def orthonormal_pair_fractions(gram: Sequence[Sequence[Scalar]], u: Sequence[Scalar],
+                               v: Sequence[Scalar]) -> tuple[list[Scalar], list[Scalar]]:
+    """linalg.orthonormal_pair with Fraction contractions and divisions, one
+    Fraction per multiply-add."""
+    uu = linalg.contract(gram, u, u)
+    if is_exact_zero(uu):
+        raise DegeneratePlaneError("zero vector cannot span a plane")
+    nu = sqrt_scalar(uu)
+    u_hat = [x / nu for x in u]
+    coeff = linalg.contract(gram, u, v) / (Fraction(uu) if is_exact(uu) else uu)
+    w = [v[j] - coeff * u[j] for j in range(len(v))]
+    ww = linalg.contract(gram, w, w)
+    if is_exact_zero(ww):
+        raise DegeneratePlaneError("spanning vectors are linearly dependent")
+    nw = sqrt_scalar(ww)
+    return u_hat, [x / nw for x in w]
 
 
 def scalar_curvature_gram_schmidt(rt: CurvatureTensor, metric: MetricTensor) -> Scalar:

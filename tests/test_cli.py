@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from liecurv import catalog, riemann
 from liecurv.algebra import Vector
 from liecurv.cli import MAX_GRID_POINTS, main
 from liecurv.documents import MAX_DIM, document_digest, load_document, serialize_document
-from liecurv.exprs import MAX_EXPR_TOKENS, MAX_POWER_BITS
+from liecurv.exprs import MAX_EXPR_BITS, MAX_EXPR_TOKENS, MAX_POWER_BITS
 
 ENVELOPE_KEYS = {"command", "digest", "discrepancies", "sections", "status"}
 
@@ -580,6 +581,21 @@ def test_expression_at_token_ceiling_is_accepted(capsys, tmp_path):
     assert run(capsys, "check", path)[0] == 0
 
 
+def test_expression_over_bit_ceiling_is_refused_before_evaluating(capsys, tmp_path):
+    # 512 factors of a 2500-digit alpha bound at 512 * 8305 + 511 bits; the
+    # product took seconds to evaluate before the bit ceiling
+    chain = "*".join(["alpha"] * 512)
+    path = write_doc(tmp_path, _doc_2d(chain, params={"alpha": "7" * 2500}))
+    for fmt in ("text", "json"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", path, "--format", fmt)
+        elapsed = time.perf_counter() - start
+        assert code == 1 and out == ""
+        assert err == ("error: document.brackets[0].coeffs[1]: expression of up to "
+                       f"4252671 bits is over the ceiling {MAX_EXPR_BITS}\n")
+        assert elapsed < 0.01, elapsed
+
+
 def test_value_too_large_to_print_is_an_input_error(capsys, tmp_path):
     # c = 7...7 (2500 digits) prints, but the scalar curvature -c^2/2 does not
     path = write_doc(tmp_path, _doc_2d("7" * 2500))
@@ -676,6 +692,24 @@ def test_a_float_pole_is_judged_by_the_float_range_not_its_size(capsys, command)
     for pole, message in refusals:
         code, _, err = run(capsys, command, *drift, "--pole", pole, "--edge", "0,1,0,0")
         assert code == 2 and err.startswith("error: ") and message in err, (pole, err)
+
+
+@pytest.mark.parametrize("command", ["flag", "randers"])
+def test_exact_square_roots_past_the_float_range_are_refused(capsys, command):
+    # g(y,y) = 2 * 10^400 + 1 is exact and no square; its float is past the
+    # range, and 3 * 10^-400 under a nonzero drift term rounds to 0
+    big, tiny = "1" + "0" * 200, "1/1" + "0" * 200
+    drift = ("--case", "1", "--drift", "0,0,1/2,0", "--edge", "0,0,0,1")
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, command, *drift, "--pole", f"{big},{big},1,0",
+                             "--format", fmt)
+        assert code == 1 and out == ""
+        assert err == ("error: floating result inf is not finite: the computation "
+                       "left the float range\n")
+        code, out, err = run(capsys, command, *drift, "--pole", f"{tiny},{tiny},{tiny},0",
+                             "--format", fmt)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "rounds to 0 in float arithmetic" in err
 
 
 # --- import path ----------------------------------------------------------------

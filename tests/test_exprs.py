@@ -7,8 +7,9 @@ import pytest
 
 from oracles import evaluate_reference, free_names_reference, parse_expr_reference
 from liecurv.errors import InputError
-from liecurv.exprs import (MAX_EXPR_TOKENS, MAX_POWER_BITS, evaluate, free_names,
-                           parse_expr)
+from liecurv import exprs
+from liecurv.exprs import (MAX_EXPR_BITS, MAX_EXPR_TOKENS, MAX_POWER_BITS, evaluate,
+                           free_names, parse_expr)
 
 
 def ev(src, **env):
@@ -103,6 +104,70 @@ def test_token_ceiling():
             parse_expr(src)
 
 
+def test_bit_ceiling():
+    # a*a bounds at 2 bits(a) + 1, checked against the bindings before evaluating
+    half = MAX_EXPR_BITS // 2
+    assert ev("a*a", a=2 ** (half - 1) - 1) == (2 ** (half - 1) - 1) ** 2
+    with pytest.raises(InputError, match=f"up to {MAX_EXPR_BITS + 1} bits is over the "
+                                         f"ceiling {MAX_EXPR_BITS}$"):
+        ev("a*a", a=2 ** (half - 1))
+    # a Fraction counts its longer part, a float 0 bits: b - b + a sits at the ceiling
+    with pytest.raises(InputError, match="over the ceiling"):
+        ev("a*a", a=Fraction(1, 2 ** (half - 1)))
+    assert evaluate(parse_expr("b - b + a"), {"a": 1e300, "b": 2 ** (half - 2)}) == 1e300
+    # an exact value past the float range that meets a float is refused
+    for a in (10 ** 400, Fraction(10 ** 400, 3)):
+        with pytest.raises(InputError, match="expression overflows a float"):
+            evaluate(parse_expr("a + 0.5"), {"a": a})
+    # literals 7, 2 and 3 take 3 + 2 + 2 bits and the four operators 1 each; the
+    # powers multiply a by 3 and b by 2, and a name as exponent counts as 64
+    assert parse_expr("a^3 * -b^-2 + 7").cost == (11, (("a", 3), ("b", 2)))
+    assert parse_expr("a^b").cost == (1, (("a", 64), ("b", 1)))
+
+
+def test_bound_holds_for_every_intermediate(monkeypatch):
+    # pairs are never reduced, so every value the pair arithmetic and the
+    # powers build stays within the bound compiled with the program
+    sizes = []
+
+    def recording(fn):
+        def wrapped(op, a, b):
+            out = fn(op, a, b)
+            if not isinstance(out, float):
+                n, d = out if isinstance(out, tuple) else (out, 1)
+                sizes.append(max(n.bit_length(), d.bit_length()))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(exprs, "_exact", recording(exprs._exact))
+    monkeypatch.setattr(exprs, "_apply", recording(exprs._apply))
+    rng = random.Random(8)
+    envs = [{name: Fraction(rng.randint(-99, 99), rng.randint(1, 40)) for name in NAMES},
+            {name: rng.randint(-10 ** 6, 10 ** 6) for name in NAMES},
+            {"a": Fraction(3 ** 40, 7 ** 9), "b": 3, "alpha": Fraction(-1, 10 ** 12),
+             "unbound": 0.5}]
+    reached = 0
+    for src in fixture_strings()[:200] + [grammar_expr(rng, 5) for _ in range(2000)]:
+        try:
+            program = parse_expr(src)
+        except InputError:
+            continue
+        const, weights = program.cost
+        for env in envs:
+            full = dict.fromkeys(free_names(program), Fraction(1, 3)) | env
+            bound = const + sum(k * max(Fraction(full[name]).numerator.bit_length(),
+                                        Fraction(full[name]).denominator.bit_length())
+                                for name, k in weights if not isinstance(full[name], float))
+            sizes.clear()
+            try:
+                evaluate(program, full)
+            except InputError:
+                pass
+            assert max(sizes, default=0) <= bound, src
+            reached = max(reached, max(sizes, default=0))
+    assert reached > 1000
+
+
 # --- differential test against the recursive reference ------------------------
 
 NUMBERS = ("0", "1", "2", "3", "7", "10", "64", "65", "0.0", "0.5", "2.0", "1e3", "1e400")
@@ -177,9 +242,19 @@ def test_postfix_matches_recursive_reference():
         except InputError:
             pass
     bound |= {"a", "b", "alpha"}
-    exact = {name: Fraction(rng.randint(-7, 7), rng.randint(1, 4)) for name in sorted(bound)}
+    names = sorted(bound)
+    exact = {name: Fraction(rng.randint(-7, 7), rng.randint(1, 4)) for name in names}
     exact["b"] = 2
-    envs = (exact, {name: float(value) for name, value in exact.items()})
+    # floats, Fractions and ints side by side, so pairs meet floats and ints
+    mixed = {name: (float(x), x, int(x))[k % 3] for k, (name, x) in enumerate(exact.items())}
+    mixed.update(a=Fraction(5, 3), alpha=0.25)
+    ints = {name: rng.randint(-7, 7) for name in names}
+    ints["b"] = 2
+    # zeros and negative divisors: a/alpha divides by an int 0, x/a by a
+    # negative pair, a^b is a negative power of a pair
+    signed = {name: (Fraction(0), 0, Fraction(-5, 3), -3)[k % 4] for k, name in enumerate(names)}
+    signed.update(a=Fraction(-5, 3), b=-2, alpha=0)
+    envs = (exact, {name: float(value) for name, value in exact.items()}, mixed, ints, signed)
     accepted = 0
     for src in sources:
         want = outcome(parse_expr_reference, evaluate_reference, free_names_reference,

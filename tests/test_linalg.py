@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import gram_schmidt
+from oracles import gram_schmidt, orthonormal_pair_fractions
 from liecurv import linalg
 from liecurv.algebra import Vector
 from liecurv.errors import DegeneratePlaneError, InputError
@@ -149,6 +149,41 @@ def test_orthonormal_pair_random_planes(rng):
         assert abs(linalg.contract(gram, a, a) - 1) < 1e-9
         assert abs(linalg.contract(gram, b, b) - 1) < 1e-9
         assert abs(linalg.contract(gram, a, b)) < 1e-9
+
+
+def test_orthonormal_pair_matches_fraction_oracle(rng):
+    # the cleared int path gives the same type and repr as the Fraction
+    # loop, and the same refusals
+    def outcome(fn, gram, u, v):
+        try:
+            return [(type(x), repr(x)) for vec in fn(gram, u, v) for x in vec]
+        except (DegeneratePlaneError, InputError) as exc:
+            return type(exc), str(exc)
+
+    grams = {"int": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+             "thirds": [[F(2), F(1, 3), F(0)], [F(1, 3), F(1), F(-1, 3)],
+                        [F(0), F(-1, 3), F(3)]],
+             "float": [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]]}
+    cases = [("int", [3, 0, 4], [1, 2, 0]),            # perfect-square norms
+             ("int", [F(3, 5), 0, F(4, 5)], [0, 1, 0]),
+             ("int", [0, 0, 0], [1, 0, 0]),            # zero vector
+             ("int", [1, 2, 0], [F(-2), F(-4), 0]),    # dependent
+             ("thirds", [1, 0, 0], [0, 1, 0]),
+             ("float", [F(1), F(0), F(0)], [F(0), F(1), F(0)]),
+             ("int", [0.5, 0.0, 1.0], [F(1), F(1), F(0)])]  # float vector
+    for _ in range(150):
+        kind = rng.choice(("int", "thirds"))
+        cases.append((kind, [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3)],
+                      [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3)]))
+    seen = set()
+    for kind, u, v in cases:
+        want = outcome(orthonormal_pair_fractions, grams[kind], u, v)
+        assert outcome(linalg.orthonormal_pair, grams[kind], u, v) == want, (kind, u, v)
+        seen.add(want if isinstance(want, tuple) else tuple(t for t, _ in want))
+    # exact and float outputs, and both refusals, were all reached
+    assert {(F,) * 6, (float,) * 6,
+            (DegeneratePlaneError, "zero vector cannot span a plane"),
+            (DegeneratePlaneError, "spanning vectors are linearly dependent")} <= seen
 
 
 # --- contract ---------------------------------------------------------------

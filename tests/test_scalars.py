@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from liecurv.errors import InputError
+from liecurv.errors import InputError, PreconditionError
 from liecurv.scalars import (approx_equal, format_scalar, is_exact, is_zero,
                              parse_rational, scalar_to_json, sqrt_scalar)
 
@@ -37,6 +37,17 @@ def test_sqrt_falls_back_to_float():
     x = sqrt_scalar(Fraction(2))
     assert isinstance(x, float)
     assert abs(x * x - 2) < 1e-12
+
+
+def test_sqrt_of_a_non_square_past_the_float_range_is_refused():
+    # its float is inf or 0.0; a perfect square stays exact whatever its size
+    with pytest.raises(InputError, match="floating result inf is not finite"):
+        sqrt_scalar(2 * 10 ** 400 + 1)
+    with pytest.raises(PreconditionError, match="rounds to 0 in float arithmetic"):
+        sqrt_scalar(Fraction(3, 10 ** 400))
+    assert sqrt_scalar(10 ** 400) == 10 ** 200
+    assert sqrt_scalar(Fraction(1, 10 ** 400)) == Fraction(1, 10 ** 200)
+    assert sqrt_scalar(Fraction(2, 10 ** 310)) > 0  # a subnormal float is not 0.0
 
 
 def test_sqrt_negative_raises():
