@@ -404,11 +404,8 @@ def reproduce(case: CatalogCase, samples: int = 20, seed: int = 11) -> CaseRepor
 
     rt = case.curvature
     expected_curv = case.expected_curvature()
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                check(f"curvature[{i}][{j}][{k}]",
-                      expected_curv.get((i, j, k), Vector.zero(n)), rt.basis_value(i, j, k))
+    for i, j, k, value in rt.entries():
+        check(f"curvature[{i}][{j}][{k}]", expected_curv.get((i, j, k), Vector.zero(n)), value)
     verdict("curvature", f"{len(expected_curv)} printed entries, "
             f"{n * n * (n - 1) // 2} values checked")
 

@@ -135,8 +135,7 @@ def cmd_analyze(args, geo: catalog.Geometry) -> CommandResult:
     # the nonzero entries, walked once for both the JSON and the text
     nablas = [(i, j, value) for i in range(n) for j in range(n)
               if not (value := conn.nabla(i, j)).is_zero()]
-    curvatures = [(i, j, k, value) for i in range(n) for j in range(i + 1, n) for k in range(n)
-                  if not (value := rt.basis_value(i, j, k)).is_zero()]
+    curvatures = [entry for entry in rt.entries() if not entry[3].is_zero()]
     planes = [(i, j, *sectional(rt, geo.metric, Vector.basis(n, i), Vector.basis(n, j)))
               for i in range(n) for j in range(i + 1, n)]
 

@@ -166,7 +166,7 @@ def flag_curvature(rm: RandersMetric, rt: CurvatureTensor, flag: Flag) -> Scalar
     beta = rm.base.inner(rm.drift, pole)
     if is_exact_zero(beta):
         return k
-    f_sq = yy + 2 * beta * sqrt_scalar(yy) + beta ** 2
+    f_sq = yy + 2 * beta * sqrt_scalar(yy) + beta * beta  # not ** 2: that raises past 1e308
     if not f_sq:
         raise UndefinedAtOriginError(_ROUNDED_OUT)
     return yy * k / f_sq

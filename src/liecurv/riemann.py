@@ -9,11 +9,11 @@ With the structure constants lowered once, c_abk = g([e_a,e_b], e_k), the
 right-hand side is (c_ijk - c_jki + c_kij) / 2 for U = e_i, V = e_j, W = e_k.
 
 Curvature convention: R(U,V)W = nabla_U nabla_V W - nabla_V nabla_U W
-- nabla_[U,V] W. The table is computed for i < j only: R(e_j,e_i) is
--R(e_i,e_j) and R(e_i,e_i) = 0. Exact tables are contracted with their
-denominators cleared, so each entry costs one Fraction, not one per
-multiply-add. Lowered by g, they give op[(i,j)][(k,l)] = g(R(e_j,e_i)e_k, e_l)
-for i < j, k < l. With w = u^v, the sectional curvature of span{u, v} is
+- nabla_[U,V] W. The one store is the rows R(e_i,e_j)e_k for i < j: R(e_j,e_i) is
+-R(e_i,e_j) and R(e_i,e_i) = 0. Exact rows are contracted with their denominators
+cleared and kept as ints over one common denominator, so each entry costs one
+Fraction, and only where it is read. Lowered by g, they give op[(i,j)][(k,l)] =
+g(R(e_j,e_i)e_k, e_l) for i < j, k < l. With w = u^v, the sectional curvature of span{u, v} is
 w^T op w = g(R(v,u)u, v) over g(u,u) g(v,v) - g(u,v)^2, and R(u,v)x sums w_p R(e_i,e_j)x
 over the rows. Float vectors contract float images of rows, op and g, each built once.
 The Ricci tensor is the trace Ric(V,W) = tr(U -> R(U,V)W), i.e. Ric_jk = sum_i r[i][j][k][i],
@@ -78,15 +78,14 @@ def levi_civita(alg: LieAlgebra, metric: MetricTensor) -> Connection:
 
 
 class CurvatureTensor:
-    """Dense table r[i][j][k][l]: R(e_i, e_j) e_k = sum_l r[i][j][k][l] e_l; rows[p][k] / den
-    is row (i, j, k) for the p-th pair of combinations(range(dim), 2) and op[p][q] / op_den
-    the op entries. Exact: ints, gram = (G, G g), op_den = den G. Float: dens 1, gram = None.
-    Float vectors contract float_rows and float_op, rows / den and op / op_den built once."""
+    """The store is rows: rows[p][k] / den is R(e_i, e_j) e_k for the p-th pair (i, j) of
+    combinations(range(dim), 2). Exact: ints, gram = (G, G g), op_den = den G. Float: dens 1,
+    gram = None. table, op, float_rows and float_op are images of the rows, each built on
+    first read: op[p][q] / op_den the op entries, float_rows and float_op rows / den and
+    op / op_den for float vectors to contract."""
 
-    def __init__(self, conn: Connection, table, rows, den: int, gram):
+    def __init__(self, conn: Connection, rows, den: int, gram):
         self.connection = conn
-        self.table = tuple(tuple(tuple(tuple(row) for row in block) for block in plane)
-                           for plane in table)
         self.rows, self.den, self.gram = rows, den, gram
         self.op_den = den * gram[0] if gram else 1
 
@@ -111,22 +110,34 @@ class CurvatureTensor:
         # int / int rounds once, where an int past 1e308 times a float would overflow
         return tuple(tuple(x / self.op_den for x in row) for row in self.op)
 
-    def basis_value(self, i: int, j: int, k: int) -> Vector:
-        return Vector(self.table[i][j][k])
+    @cached_property
+    def table(self) -> tuple:
+        """Dense r[i][j][k][l], R(e_i, e_j) e_k = sum_l r[i][j][k][l] e_l: the entries at
+        i < j, 0 - each at j < i (0 - 0.0 is 0.0, not -0.0), Fraction(0) at i = j."""
+        n = self.dim
+        table = [[[(Fraction(0),) * n] * n for _ in range(n)] for _ in range(n)]
+        for i, j, k, value in self.entries():
+            table[i][j][k], table[j][i][k] = value.coeffs, tuple(0 - x for x in value)
+        return tuple(tuple(tuple(block) for block in plane) for plane in table)
+
+    def entries(self):
+        """(i, j, k, R(e_i, e_j) e_k) for i < j, in row order: rows / den as Fractions when
+        exact, the float rows as they are."""
+        for (i, j), nums in zip(combinations(range(self.dim), 2), self.rows):
+            for k, num in enumerate(nums):
+                yield i, j, k, Vector([Fraction(x, self.den) for x in num] if self.gram else num)
 
 
 def riemann_tensor(conn: Connection) -> CurvatureTensor:
-    """Contract the connection into the full curvature table.
+    """Contract the connection into the curvature rows.
 
     Row (i, j, k) for i < j is nabla_i(nabla_j e_k) - nabla_j(nabla_i e_k)
-    - nabla_{[e_i,e_j]} e_k, one contraction per term; the row (j, i, k) is
-    its negation and the rows (i, i, k) stay zero. On exact input the
+    - nabla_{[e_i,e_j]} e_k, one contraction per term. On exact input the
     denominators are cleared once, Gamma as L * gamma and c as M * c, so the
     contractions run over ints: the first two terms come out scaled by L^2,
     the third by L M, and a last contraction with (M, -M, -L) gives the int
-    numerator of each entry, Fraction(M (a - b) - L d, L^2 M). Float tables
-    are contracted as they are, each entry a - b - d. The rows kept before
-    they become Fractions give op when it is first read.
+    numerator of each entry over den = L^2 M. Float rows are contracted as
+    they are, each entry a - b - d.
     """
     n = conn.dim
     gamma = conn.gamma
@@ -137,12 +148,9 @@ def riemann_tensor(conn: Connection) -> CurvatureTensor:
         L, gamma = linalg.clear_denominators(gamma)
         M, c = linalg.clear_denominators(c)
         G, g = linalg.clear_denominators(g)
-        den = L * L * M
     # by_target[k][m] = nabla_{e_m} e_k, so contracting its first axis with
     # [e_i,e_j] gives nabla_{[e_i,e_j]} e_k.
     by_target = [[gamma[m][k] for m in range(n)] for k in range(n)]
-    zero = Fraction(0)
-    table = [[[[zero] * n] * n for _ in range(n)] for _ in range(n)]
     rows = []
     for i, j in combinations(range(n), 2):
         rows.append([])
@@ -150,16 +158,9 @@ def riemann_tensor(conn: Connection) -> CurvatureTensor:
             terms = (linalg.contract(gamma[i], gamma[j][k]),
                      linalg.contract(gamma[j], gamma[i][k]),
                      linalg.contract(by_target[k], c[i][j]))
-            if exact:
-                num = linalg.contract(terms, (M, -M, -L))
-                row = [Fraction(v, den) if v else zero for v in num]
-                table[j][i][k] = [-x for x in row]
-            else:
-                num = row = [a - b - d for a, b, d in zip(*terms)]
-                table[j][i][k] = [0 - x for x in row]  # 0 - 0.0 is 0.0, not -0.0
-            table[i][j][k] = row
-            rows[-1].append(num)
-    return CurvatureTensor(conn, table, rows, den if exact else 1, (G, g) if exact else None)
+            rows[-1].append(linalg.contract(terms, (M, -M, -L)) if exact
+                            else [a - b - d for a, b, d in zip(*terms)])
+    return CurvatureTensor(conn, rows, L * L * M if exact else 1, (G, g) if exact else None)
 
 
 def curvature_apply(rt: CurvatureTensor, u, v, w) -> Vector:
@@ -189,7 +190,8 @@ def plane_form(rt: CurvatureTensor, u, v) -> tuple[Scalar, Scalar, Scalar]:
     w = [u[i] * v[j] - u[j] * v[i] for i, j in combinations(range(rt.dim), 2)]
     uu = inner(u, u)
     norms = uu * inner(v, v)
-    det = norms - inner(u, v) ** 2
+    uv = inner(u, v)  # uv * uv is inf past the float range, where uv ** 2 raises
+    det = norms - uv * uv
     if exact:
         return (Fraction(linalg.contract(rt.op, w, w), rt.op_den * scale ** 4),
                 Fraction(det, gram_den ** 2), Fraction(uu, gram_den))
@@ -211,11 +213,17 @@ def sectional(rt: CurvatureTensor, metric: MetricTensor, u, v) -> tuple[Scalar, 
 def scalar_curvature(rt: CurvatureTensor, metric: MetricTensor) -> Scalar:
     """Metric trace of the Ricci tensor, g^{jk} Ric_jk.
 
-    g^{jk} comes from one Gram solve against the rows of Ric, so rational
-    metrics stay rational.
+    Ric_jk sums row (i, j, k) at i over i < j and subtracts row (j, i, k) at i
+    over i > j, in ints when exact, divided by den once. g^{jk} comes from one
+    Gram solve against the rows of Ric, so rational metrics stay rational.
     """
     n = rt.dim
-    table = rt.table
-    ric = [[sum(table[i][j][k][i] for i in range(n)) for k in range(n)] for j in range(n)]
+    ric = [[0] * n for _ in range(n)]
+    for (i, j), nums in zip(combinations(range(n), 2), rt.rows):
+        for k, num in enumerate(nums):
+            ric[j][k] += num[i]
+            ric[i][k] -= num[j]
+    if rt.gram:
+        ric = [[Fraction(x, rt.den) for x in row] for row in ric]
     solved = linalg.solve_many(metric.gram, ric)
     return sum((solved[k][k] for k in range(n)), Fraction(0))

@@ -192,6 +192,16 @@ def scalar_curvature_gram_schmidt(rt: CurvatureTensor, metric: MetricTensor) -> 
     return total
 
 
+def scalar_curvature_table(rt: CurvatureTensor, metric: MetricTensor) -> Scalar:
+    """g^{jk} Ric_jk with Ric_jk = sum_i r[i][j][k][i] summed over the dense table image,
+    i = j included, then one Gram solve against the rows of Ric."""
+    n = rt.dim
+    table = rt.table
+    ric = [[sum(table[i][j][k][i] for i in range(n)) for k in range(n)] for j in range(n)]
+    solved = linalg.solve_many(metric.gram, ric)
+    return sum((solved[k][k] for k in range(n)), Fraction(0))
+
+
 def g_y_hessian_oracle(rm: RandersMetric, ybar, u, v, h: float = 1e-4) -> float:
     """Finite-difference check value for g_y: central mixed second difference
     of (1/2) F^2 along u and v around ybar. Always floating."""

@@ -479,12 +479,14 @@ def test_report_out_probe_leaves_files_as_they_were(capsys, tmp_path):
 def test_analyze_runs_each_stage_once(capsys, monkeypatch, argv):
     # spy on every liecurv namespace that binds the stage, as bench/spans.py does
     calls = dict.fromkeys(("levi_civita", "riemann_tensor"), 0)
+    built = {}
     for name in calls:
         original = getattr(riemann, name)
 
         def spy(*a, _name=name, _original=original, **kw):
             calls[_name] += 1
-            return _original(*a, **kw)
+            built[_name] = _original(*a, **kw)
+            return built[_name]
 
         for key, module in list(sys.modules.items()):
             if key.startswith("liecurv") and getattr(module, name, None) is original:
@@ -492,6 +494,8 @@ def test_analyze_runs_each_stage_once(capsys, monkeypatch, argv):
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert calls == {"levi_civita": 1, "riemann_tensor": 1}
+    # the dense curvature table is an image built on first read; no command reads it
+    assert "table" not in built["riemann_tensor"].__dict__
 
 
 def test_dim_over_ceiling(capsys, tmp_path):
@@ -648,9 +652,12 @@ def test_analyze_writes_float_roundoff_as_zero(capsys, tmp_path):
     ["sectional", "--case", "1", "--u", "1e200,0,0,0", "--v", "0,1,0,0"],
     ["flag", "--case", "1", "--drift", "0,0,1/2,0", "--pole", "1e200,0,0,0", "--edge", "0,1,0,0"],
     ["analyze", "DOC"],
-], ids=["sectional", "flag", "analyze"])
+    ["sectional", "--case", "1", "--u=1e200,1,0,0", "--v=1,1e200,0,0"],
+    ["flag", "--case", "1", "--drift=0,0,1/2,0", "--pole=0,0,1e200,0", "--edge=0,1,0,0"],
+], ids=["sectional", "flag", "analyze", "sectional_square", "flag_square"])
 def test_non_finite_results_are_refused(capsys, tmp_path, argv):
-    # each used to print nan, -inf or their JSON spellings NaN and -Infinity
+    # each used to print nan, -inf or their JSON spellings NaN and -Infinity; the last
+    # two square g(u,v) and g(Q,y) past the float range and used to raise OverflowError
     argv = [write_doc(tmp_path, _doc_2d("1e200")) if a == "DOC" else a for a in argv]
     for fmt in ("text", "json"):
         code, out, err = run(capsys, *argv, "--format", fmt)

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_fraction, rand_pd_metric
+from oracles import scalar_curvature_table
 from liecurv import linalg
 from liecurv.documents import parse_document
 from liecurv.errors import InputError
@@ -196,8 +197,11 @@ def assert_documents_agree(exact_doc, float_doc):
     for doc in (exact_doc, float_doc):
         conn = levi_civita(doc.algebra(), doc.metric)
         rt = riemann_tensor(conn)
-        results.append((flat(conn.gamma), flat(rt.table),
-                        scalar_curvature(rt, doc.metric),
+        scalar = scalar_curvature(rt, doc.metric)
+        # the trace over the int rows is the table trace, Fraction for Fraction, bit for bit
+        reference = scalar_curvature_table(rt, doc.metric)
+        assert scalar == reference and repr(scalar) == repr(reference)
+        results.append((flat(conn.gamma), flat(rt.table), scalar,
                         [list(v) for v in parallel_fields(conn)]))
     (gamma_e, rt_e, s_e, par_e), (gamma_f, rt_f, s_f, par_f) = results
     assert all(isinstance(x, Fraction) for x in gamma_e + rt_e + [s_e])

@@ -23,6 +23,10 @@ COMMANDS = {
     **{f"analyze_case{n}": ["analyze", "--case", str(n)] for n in (1, 2, 3, 5, 6)},
     "analyze_case4_a-1_b0": ["analyze", "--case", "4", "--alpha=-1", "--beta=0"],
     "analyze_case4_a0.5_b1_3": ["analyze", "--case", "4", "--alpha=0.5", "--beta=1/3"],
+    # The same floating geometry to 17 digits: holds the last bits of every curvature
+    # entry, sectional value and the scalar, which 12 digits can hide.
+    "analyze_case4_a0.5_b1_3_p17": ["analyze", "--case", "4", "--alpha=0.5", "--beta=1/3",
+                                    "--precision", "17"],
     "randers_case1_flag": ["randers", "--case", "1", "--drift", "0,0,1/2,0",
                            "--pole", "1,0,0,0", "--edge", "0,1,0,0"],
     "catalog_list": ["catalog", "list"],
