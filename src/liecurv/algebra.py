@@ -83,13 +83,13 @@ class Vector:
         return "Vector(" + ", ".join(str(a) if isinstance(a, float) and not math.isfinite(a)
                                      else format_scalar(a) for a in self.coeffs) + ")"
 
-    def describe(self, labels: Sequence[str]) -> str:
+    def describe(self, labels: Sequence[str], precision: int = 12) -> str:
         """Render as a signed combination of basis labels, e.g. '3/2 W - X'."""
         parts = []
         for a, label in zip(self.coeffs, labels):
             if is_zero(a):
                 continue
-            mag = format_scalar(abs(a))
+            mag = format_scalar(abs(a), precision)
             text = label if mag == "1" else f"{mag} {label}"
             parts.append(("- " if (a < 0) else "+ ") + text)
         if not parts:
@@ -174,6 +174,12 @@ class MetricTensor:
     @cached_property
     def float_gram(self) -> tuple:
         return tuple(tuple(map(float, row)) for row in self.gram)
+
+    @cached_property
+    def cleared_gram(self) -> tuple[int, list] | None:
+        """(L, L * gram) with L the lcm of the Gram denominators, None if an entry is a float:
+        the int Gram matrix that riemann_tensor clears once per metric."""
+        return linalg.clear_denominators(self.gram) if linalg.all_exact(self.gram) else None
 
     def inner(self, u, v) -> Scalar:
         """g(u, v); when u or v has only floats, on the float image of the Gram matrix."""

@@ -461,13 +461,10 @@ def reproduce(case: CatalogCase, samples: int = 20, seed: int = 11) -> CaseRepor
         values.append(got)
         check("flag_curvature", case._eval(case.expected["randers"]["flag_curvature"], env),
               got)
-        computed_fund = {
-            "pole_pole": g_y(rm, pole, pole, pole),
-            "pole_edge": g_y(rm, pole, pole, edge),
-            "edge_edge": g_y(rm, pole, edge, edge),
-            "flag_numerator": g_y(rm, pole, curvature_apply(rt, edge, pole, pole), edge),
-        }
-        for key, got_f in computed_fund.items():
+        computed_fund = g_y(rm, pole, [(pole, pole), (pole, edge), (edge, edge),
+                                       (curvature_apply(rt, edge, pole, pole), edge)])
+        for key, got_f in zip(("pole_pole", "pole_edge", "edge_edge", "flag_numerator"),
+                              computed_fund):
             check(f"fundamental.{key}", case._eval(fundamental[key], env), got_f)
     verdict("randers", f"berwald={berwald_ok}, flag curvature and fundamental tensor at "
             f"{samples} orthonormalized samples", berwald_ok)

@@ -163,17 +163,17 @@ def cmd_analyze(args, geo: catalog.Geometry) -> CommandResult:
         text.append(f"case {case.id}: {case.name}")
     text.append(f"jacobi: {'pass' if jac.passed else 'FAIL'}")
     text.append("connection (nonzero covariant derivatives):")
-    text += [f"  nabla_{labels[i]} {labels[j]} = {value.describe(labels)}"
+    text += [f"  nabla_{labels[i]} {labels[j]} = {value.describe(labels, p)}"
              for i, j, value in nablas]
     text.append("curvature (nonzero R(,), first pair i<j):")
-    text += [f"  R({labels[i]},{labels[j]}){labels[k]} = {value.describe(labels)}"
+    text += [f"  R({labels[i]},{labels[j]}){labels[k]} = {value.describe(labels, p)}"
              for i, j, k, value in curvatures]
     text.append("sectional curvature of basis planes:")
     for (i, j, _, value) in planes:
         text.append(f"  K({labels[i]},{labels[j]}) = {format_scalar(value, p)}")
     text.append(f"scalar curvature: {format_scalar(scalar, p)}")
     text.append("parallel fields: "
-                + (", ".join(v.describe(labels) for v in par) if par else "none"))
+                + (", ".join(v.describe(labels, p) for v in par) if par else "none"))
     if case is not None:
         text.append(f"fixture reproduction: {'pass' if rep.passed else 'FAIL'}"
                     + (f" ({len(discrepancies)} discrepancy entries)" if discrepancies else ""))
@@ -203,7 +203,7 @@ def cmd_parallel(args, geo: catalog.Geometry) -> CommandResult:
     sections = {"basis": [_vector_json(v, args.precision) for v in par],
                 "dimension": len(par)}
     text = [f"parallel fields: dimension {len(par)}"]
-    text += [f"  {v.describe(labels)}" for v in par]
+    text += [f"  {v.describe(labels, args.precision)}" for v in par]
     return CommandResult(sections, text)
 
 
@@ -229,7 +229,7 @@ def cmd_randers(args, geo: catalog.Geometry) -> CommandResult:
         "parallel_basis": [_vector_json(v, p) for v in geo.parallel],
         "norms": {label: scalar_to_json(f, p) for label, f in zip(labels, norms)},
     }
-    text = [f"drift: {rm.drift.describe(labels)}",
+    text = [f"drift: {rm.drift.describe(labels, p)}",
             f"g(Q,Q): {format_scalar(rm.drift_norm_sq, p)}",
             f"berwald: {str(rm.berwald).lower()}",
             "F on the basis: "
@@ -237,7 +237,8 @@ def cmd_randers(args, geo: catalog.Geometry) -> CommandResult:
                         for label, f in zip(labels, norms))]
     if args.pole is not None:
         pole = _parse_vector(args.pole, doc.dim, "--pole")
-        table = [[g_y(rm, pole, bi, bj) for bj in basis] for bi in basis]
+        values = g_y(rm, pole, [(bi, bj) for bi in basis for bj in basis])
+        table = [values[i:i + doc.dim] for i in range(0, len(values), doc.dim)]
         f_pole = randers_norm(rm, pole)
         sections["pole"] = _vector_json(pole, p)
         sections["g_pole"] = [[scalar_to_json(x, p) for x in row] for row in table]

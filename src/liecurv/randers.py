@@ -13,9 +13,12 @@ The fundamental tensor
                 - g(Q,y) g(y,u) g(y,v) / g(y,y)^(3/2)
                 + ( g(Q,u) g(y,v) + g(Q,y) g(u,v) + g(Q,v) g(y,u) ) / sqrt(g(y,y))
 
-is kept for printing and for the fixtures' fundamental-tensor checks. Exact
-zeros short-circuit the square-root terms in both, so the drift = 0 limit
-degenerates to g exactly, not merely within tolerance.
+is kept for printing and for the fixtures' fundamental-tensor checks. g_y takes one
+pole and a list of pairs: g(y,y), g(Q,y) and sqrt(g(y,y)) are built once per pole, and
+g(Q,u), g(y,u) once per vector. Every product is MetricTensor.inner, so each value has
+the type and bits that six inner products per pair give. Exact zeros short-circuit the
+square-root terms in both, so the drift = 0 limit degenerates to g exactly, not merely
+within tolerance.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .algebra import MetricTensor, Vector, as_vector
 from .errors import (DegeneratePlaneError, InputError, NonBerwaldError,
                      NormBoundError, UndefinedAtOriginError)
 from .riemann import Connection, CurvatureTensor, plane_form
-from .scalars import Scalar, format_scalar, is_exact_zero, sqrt_scalar
+from .scalars import Scalar, format_scalar, is_exact_zero, is_zero, sqrt_scalar
 
 
 @dataclass
@@ -79,9 +82,7 @@ def build_randers(metric: MetricTensor, drift, conn: Connection) -> RandersMetri
     if not norm_sq < 1:
         raise NormBoundError(
             f"drift must satisfy g(Q,Q) < 1 strictly, got g(Q,Q) = {format_scalar(norm_sq)}")
-    n = metric.dim
-    berwald = all(conn.derivative(Vector.basis(n, i), drift).is_zero()
-                  for i in range(n))
+    berwald = all(is_zero(x) for block in conn.gamma for x in linalg.contract(block, drift))
     return RandersMetric(base=metric, drift=drift, berwald=berwald,
                          drift_norm_sq=norm_sq)
 
@@ -95,35 +96,41 @@ def randers_norm(rm: RandersMetric, y) -> Scalar:
 _ROUNDED_OUT = "the pole's g(y,y), or a term built from it, rounds to 0 in float arithmetic"
 
 
-def g_y(rm: RandersMetric, ybar, u, v) -> Scalar:
-    """Fundamental tensor g_y(u, v) of F at the nonzero reference vector ybar.
+def g_y(rm: RandersMetric, ybar, pairs) -> list[Scalar]:
+    """Fundamental tensor g_y(u, v) of F at the nonzero reference vector ybar, for each
+    (u, v) in pairs.
 
-    Closed form of (1/2) d^2/ds dt F^2(ybar + s u + t v) at s = t = 0. Terms
-    whose exact coefficient vanishes are skipped so no irrational square root
-    contaminates an exact result.
+    Closed form of (1/2) d^2/ds dt F^2(ybar + s u + t v) at s = t = 0. Terms whose exact
+    coefficient vanishes are skipped so no irrational square root contaminates an exact
+    result; the root is taken once, when a term first needs it.
     """
-    ybar, u, v = (as_vector(x, rm.dim) for x in (ybar, u, v))
+    ybar = as_vector(ybar, rm.dim)
+    pairs = [(as_vector(u, rm.dim), as_vector(v, rm.dim)) for u, v in pairs]
     g = rm.base
     gyy = g.norm_sq(ybar)
     if not gyy:  # a nonzero pole is judged by the float range, not by its size
         raise UndefinedAtOriginError(
             _ROUNDED_OUT if any(ybar) else "fundamental tensor is undefined at y = 0")
-    q = rm.drift
-    guv, gqu, gqv, gqy, gyu, gyv = (g.inner(a, b) for a, b in (
-        (u, v), (q, u), (q, v), (q, ybar), (ybar, u), (ybar, v)))
-    total = guv + gqu * gqv
-    t3 = gqy * gyv * gyu
-    t4 = gqu * gyv + gqy * guv + gqv * gyu
-    if is_exact_zero(t3) and is_exact_zero(t4):
-        return total
-    root = sqrt_scalar(gyy)
-    if not gyy * root:
-        raise UndefinedAtOriginError(_ROUNDED_OUT)
-    if not is_exact_zero(t3):
-        total = total - t3 / (gyy * root)
-    if not is_exact_zero(t4):
-        total = total + t4 / root
-    return total
+    gqy = g.inner(rm.drift, ybar)
+    dots, root, out = {}, None, []  # id(u): (g(Q,u), g(y,u)), once per vector
+    for u, v in pairs:
+        for x in (u, v):
+            if id(x) not in dots:
+                dots[id(x)] = g.inner(rm.drift, x), g.inner(ybar, x)
+        (gqu, gyu), (gqv, gyv), guv = dots[id(u)], dots[id(v)], g.inner(u, v)
+        total = guv + gqu * gqv
+        t3 = gqy * gyv * gyu
+        t4 = gqu * gyv + gqy * guv + gqv * gyu
+        if root is None and not (is_exact_zero(t3) and is_exact_zero(t4)):
+            root = sqrt_scalar(gyy)
+            if not gyy * root:
+                raise UndefinedAtOriginError(_ROUNDED_OUT)
+        if not is_exact_zero(t3):
+            total = total - t3 / (gyy * root)
+        if not is_exact_zero(t4):
+            total = total + t4 / root
+        out.append(total)
+    return out
 
 
 def flag_curvature(rm: RandersMetric, rt: CurvatureTensor, flag: Flag) -> Scalar:

@@ -142,12 +142,10 @@ def riemann_tensor(conn: Connection) -> CurvatureTensor:
     n = conn.dim
     gamma = conn.gamma
     c = conn.algebra.structure
-    g = conn.metric.gram
-    exact = linalg.all_exact((gamma, c)) and linalg.all_exact(g)
+    exact = linalg.all_exact((gamma, c)) and conn.metric.cleared_gram is not None
     if exact:
         L, gamma = linalg.clear_denominators(gamma)
         M, c = linalg.clear_denominators(c)
-        G, g = linalg.clear_denominators(g)
     # by_target[k][m] = nabla_{e_m} e_k, so contracting its first axis with
     # [e_i,e_j] gives nabla_{[e_i,e_j]} e_k.
     by_target = [[gamma[m][k] for m in range(n)] for k in range(n)]
@@ -160,7 +158,8 @@ def riemann_tensor(conn: Connection) -> CurvatureTensor:
                      linalg.contract(by_target[k], c[i][j]))
             rows[-1].append(linalg.contract(terms, (M, -M, -L)) if exact
                             else [a - b - d for a, b, d in zip(*terms)])
-    return CurvatureTensor(conn, rows, L * L * M if exact else 1, (G, g) if exact else None)
+    return CurvatureTensor(conn, rows, L * L * M if exact else 1,
+                           conn.metric.cleared_gram if exact else None)
 
 
 def curvature_apply(rt: CurvatureTensor, u, v, w) -> Vector:

@@ -17,7 +17,7 @@ from liecurv.algebra import MetricTensor, Vector, as_vector, bracket
 from liecurv.errors import (DegeneratePlaneError, InputError, NonBerwaldError,
                             PreconditionError, UndefinedAtOriginError)
 from liecurv.exprs import MAX_EXPONENT, MAX_POWER_BITS
-from liecurv.randers import Flag, RandersMetric, g_y, randers_norm
+from liecurv.randers import _ROUNDED_OUT, Flag, RandersMetric, g_y, randers_norm
 from liecurv.riemann import Connection, CurvatureTensor, sectional
 from liecurv.scalars import (Scalar, approx_equal, format_scalar, is_exact, is_exact_zero,
                              is_zero, scalar_to_json, sqrt_scalar)
@@ -43,10 +43,8 @@ def flag_curvature_four_g_y(rm: RandersMetric, rt: CurvatureTensor,
     if is_zero(plane_det):
         raise DegeneratePlaneError("flag pole and edge are linearly dependent")
     rvyy = curvature_apply_dense(rt, edge, pole, pole)
-    num = g_y(rm, pole, rvyy, edge)
-    den = (g_y(rm, pole, pole, pole) * g_y(rm, pole, edge, edge)
-           - g_y(rm, pole, pole, edge) ** 2)
-    return num / den
+    num, yy, ee, ye = g_y(rm, pole, [(rvyy, edge), (pole, pole), (edge, edge), (pole, edge)])
+    return num / (yy * ee - ye ** 2)
 
 
 @contextlib.contextmanager
@@ -200,6 +198,33 @@ def scalar_curvature_table(rt: CurvatureTensor, metric: MetricTensor) -> Scalar:
     ric = [[sum(table[i][j][k][i] for i in range(n)) for k in range(n)] for j in range(n)]
     solved = linalg.solve_many(metric.gram, ric)
     return sum((solved[k][k] for k in range(n)), Fraction(0))
+
+
+def g_y_pointwise(rm: RandersMetric, ybar, u, v) -> Scalar:
+    """g_y(u, v) for one pair, as randers.g_y computed it before it took a list of pairs:
+    g(y,y) and six MetricTensor.inner products, the square root taken per call."""
+    ybar, u, v = (as_vector(x, rm.dim) for x in (ybar, u, v))
+    g = rm.base
+    gyy = g.norm_sq(ybar)
+    if not gyy:
+        raise UndefinedAtOriginError(
+            _ROUNDED_OUT if any(ybar) else "fundamental tensor is undefined at y = 0")
+    q = rm.drift
+    guv, gqu, gqv, gqy, gyu, gyv = (g.inner(a, b) for a, b in (
+        (u, v), (q, u), (q, v), (q, ybar), (ybar, u), (ybar, v)))
+    total = guv + gqu * gqv
+    t3 = gqy * gyv * gyu
+    t4 = gqu * gyv + gqy * guv + gqv * gyu
+    if is_exact_zero(t3) and is_exact_zero(t4):
+        return total
+    root = sqrt_scalar(gyy)
+    if not gyy * root:
+        raise UndefinedAtOriginError(_ROUNDED_OUT)
+    if not is_exact_zero(t3):
+        total = total - t3 / (gyy * root)
+    if not is_exact_zero(t4):
+        total = total + t4 / root
+    return total
 
 
 def g_y_hessian_oracle(rm: RandersMetric, ybar, u, v, h: float = 1e-4) -> float:

@@ -349,16 +349,15 @@ def test_criterion_7_property_suites():
                 break
         u, v, w = (Vector(rand_fraction(rng) for _ in range(4)) for _ in range(3))
         s = F(rng.randint(-3, 3), rng.randint(1, 2))
-        assert_scalar_close(g_y(rm, y, u, v), g_y(rm, y, v, u), f"sym {n}")
-        assert_scalar_close(g_y(rm, y, u.scale(s) + w, v),
-                            s * g_y(rm, y, u, v) + g_y(rm, y, w, v),
-                            f"bilinear {n}")
-        assert_scalar_close(g_y(rm, y.scale(F(rng.randint(1, 7))), u, v),
-                            g_y(rm, y, u, v), f"homogeneous {n}")
+        uv, vu, lhs, wv, yy = g_y(rm, y, [(u, v), (v, u), (u.scale(s) + w, v), (w, v), (y, y)])
+        assert_scalar_close(uv, vu, f"sym {n}")
+        assert_scalar_close(lhs, s * uv + wv, f"bilinear {n}")
+        assert_scalar_close(*g_y(rm, y.scale(F(rng.randint(1, 7))), [(u, v)]), uv,
+                            f"homogeneous {n}")
         fy = randers_norm(rm, y)
-        assert_scalar_close(g_y(rm, y, y, y), fy * fy, f"norm {n}")
+        assert_scalar_close(yy, fy * fy, f"norm {n}")
         i, j = rng.randrange(4), rng.randrange(4)
-        exact = g_y(rm, y, basis[i], basis[j])
+        (exact,) = g_y(rm, y, [(basis[i], basis[j])])
         approx = g_y_hessian_oracle(rm, y, basis[i], basis[j], h=1e-4)
         assert abs(float(exact) - approx) < 1e-6, (n, i, j, exact, approx)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from test_exact_vs_float import close, semidirect_objects
-from liecurv import catalog, riemann
+from liecurv import catalog, randers, riemann
 from liecurv.algebra import Vector
 from liecurv.cli import MAX_GRID_POINTS, main
 from liecurv.documents import MAX_DIM, document_digest, load_document, serialize_document
@@ -496,6 +496,27 @@ def test_analyze_runs_each_stage_once(capsys, monkeypatch, argv):
     assert calls == {"levi_civita": 1, "riemann_tensor": 1}
     # the dense curvature table is an image built on first read; no command reads it
     assert "table" not in built["riemann_tensor"].__dict__
+
+
+def test_g_y_runs_once_per_pole(capsys, monkeypatch):
+    # reproduce builds the fundamental tensor once per Randers sample, for its four
+    # pairs, and `randers --pole` once, for the n^2 basis pairs
+    calls = []
+    original = randers.g_y
+
+    def spy(rm, ybar, pairs):
+        calls.append(len(pairs))
+        return original(rm, ybar, pairs)
+
+    for key, module in list(sys.modules.items()):
+        if key.startswith("liecurv") and getattr(module, "g_y", None) is original:
+            monkeypatch.setattr(module, "g_y", spy)
+    report = catalog.reproduce(catalog.get_case(1), samples=7, seed=3)
+    assert report.passed and calls == [4] * 7
+    calls.clear()
+    code, _, _ = run(capsys, "randers", "--case", "1", "--drift", "0,0,1/2,0",
+                     "--pole", "1,2,0,1", "--edge", "0,1,0,0")
+    assert code == 0 and calls == [16]
 
 
 def test_dim_over_ceiling(capsys, tmp_path):

@@ -1,12 +1,13 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from conftest import change_basis, invert, rand_fraction, rand_invertible, rand_vector
 from oracles import (flag_curvature_four_g_y, fraction_gram, g_y_hessian_oracle,
-                     sectional_dense)
+                     g_y_pointwise, sectional_dense)
 from test_exact_vs_float import close, semidirect_documents
 from test_riemann import assert_same_outcome, decimal_vector
 from liecurv import catalog
@@ -96,7 +97,7 @@ def test_norm_is_positively_homogeneous_only(rng):
 def test_g_y_undefined_at_origin():
     _, _, _, rm = setup(1, Z_HALF)
     with pytest.raises(UndefinedAtOriginError):
-        g_y(rm, Vector.zero(4), Vector.basis(4, 0), Vector.basis(4, 0))
+        g_y(rm, Vector.zero(4), [(Vector.basis(4, 0), Vector.basis(4, 0))])
 
 
 def test_g_y_symmetric_bilinear(rng):
@@ -105,9 +106,9 @@ def test_g_y_symmetric_bilinear(rng):
         y = rand_vector(rng, 4)
         u, v, w = (rand_vector(rng, 4) for _ in range(3))
         s = F(rng.randint(-3, 3), rng.randint(1, 2))
-        assert g_y(rm, y, u, v) == g_y(rm, y, v, u)
-        lhs = g_y(rm, y, u.scale(s) + w, v)
-        rhs = s * g_y(rm, y, u, v) + g_y(rm, y, w, v)
+        uv, vu, lhs, wv = g_y(rm, y, [(u, v), (v, u), (u.scale(s) + w, v), (w, v)])
+        assert uv == vu
+        rhs = s * uv + wv
         assert abs(lhs - rhs) < 1e-12 if isinstance(lhs, float) else lhs == rhs
 
 
@@ -115,8 +116,8 @@ def test_g_y_zero_homogeneous_in_reference(rng):
     _, _, _, rm = setup(1, Z_HALF)
     for _ in range(20):
         y, u, v = (rand_vector(rng, 4) for _ in range(3))
-        scaled = g_y(rm, y.scale(F(rng.randint(1, 9))), u, v)
-        plain = g_y(rm, y, u, v)
+        (scaled,) = g_y(rm, y.scale(F(rng.randint(1, 9))), [(u, v)])
+        (plain,) = g_y(rm, y, [(u, v)])
         if isinstance(plain, float) or isinstance(scaled, float):
             assert abs(scaled - plain) < 1e-9
         else:
@@ -128,7 +129,7 @@ def test_g_y_recovers_norm(rng):
     for _ in range(20):
         y = rand_vector(rng, 4)
         fy = randers_norm(rm, y)
-        gyy = g_y(rm, y, y, y)
+        (gyy,) = g_y(rm, y, [(y, y)])
         if isinstance(gyy, float) or isinstance(fy, float):
             assert abs(gyy - fy * fy) < 1e-9
         else:
@@ -140,7 +141,12 @@ def test_g_y_zero_drift_is_base_metric(rng):
     rm = build_randers(case.metric, Vector.zero(4), conn)
     for _ in range(20):
         y, u, v = (rand_vector(rng, 4) for _ in range(3))
-        assert g_y(rm, y, u, v) == case.metric.inner(u, v)
+        assert g_y(rm, y, [(u, v)]) == [case.metric.inner(u, v)]
+    # no term needs sqrt(g(y,y)), so none is taken: these two roots would be refused
+    basis = [Vector.basis(4, i) for i in range(4)]
+    for big in (F(1, 10 ** 200), F(10 ** 200)):
+        got = g_y(rm, Vector([big, big, 0, 0]), [(bi, bj) for bi in basis for bj in basis])
+        assert got == [int(i == j) for i in range(4) for j in range(4)]
 
 
 def test_g_y_matches_hessian(rng):
@@ -149,7 +155,7 @@ def test_g_y_matches_hessian(rng):
     for _ in range(25):
         y = rand_vector(rng, 4)
         i, j = rng.randrange(4), rng.randrange(4)
-        exact = g_y(rm, y, basis[i], basis[j])
+        (exact,) = g_y(rm, y, [(basis[i], basis[j])])
         approx = g_y_hessian_oracle(rm, y, basis[i], basis[j])
         assert abs(float(exact) - approx) < 1e-6
 
@@ -163,8 +169,64 @@ def test_positivity_report():
         ybar = Vector([F(0)] * 4)
         while ybar.is_zero():
             ybar = Vector(F(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(4))
-        assert is_positive_definite([[g_y(rm, ybar, bi, bj) for bj in basis]
-                                     for bi in basis]), ybar
+        values = g_y(rm, ybar, [(bi, bj) for bi in basis for bj in basis])
+        assert is_positive_definite([values[i:i + 4] for i in range(0, 16, 4)]), ybar
+
+
+def mixed_vector(rng, dim):
+    """Floats and nonzero exact entries side by side, so no route counts it as float-only."""
+    return Vector(float(rand_fraction(rng)) if i % 2 else rand_fraction(rng) or F(1)
+                  for i in range(dim))
+
+
+def test_g_y_matches_pointwise_oracle():
+    """The batched g_y against g_y_pointwise, which builds every pair from g(y,y) and six
+    MetricTensor.inner products, on exact, float and mixed poles and drifts, exact and
+    floating tensors, basis and general pairs. A value has the oracle's type: an exact
+    one is the same rational of the same type, and a float one the same bits. A zero pole
+    and a float pole too small for g(y,y) raise what the oracle raises."""
+    rng = random.Random(20131017)
+    kinds = {"exact": 0, "basis_bits": 0, "general_bits": 0, "raised": 0}
+    for label, conn, metric, _, basis in differential_setups():
+        n = metric.dim
+        q = random_drift(rng, metric, basis)
+        drifts = [Vector.zero(n), q, Vector(float(x) for x in q), random_drift(
+            rng, metric, [mixed_vector(rng, n).scale(F(1, 4 + 4 * n))])]
+        basis_pairs = [(Vector.basis(n, i), Vector.basis(n, j))
+                       for i in range(n) for j in range(n)]
+        for k in range(12):
+            rm = build_randers(metric, drifts[k % 4], conn)
+            pole = (rand_vector, decimal_vector, mixed_vector)[k % 3](rng, n)
+            edge = (rand_vector, decimal_vector, mixed_vector)[(k // 3) % 3](rng, n)
+            pairs = basis_pairs + [(pole, pole), (pole, edge), (edge, edge), (edge, pole),
+                                   (rand_vector(rng, n), decimal_vector(rng, n)),
+                                   (mixed_vector(rng, n), rand_vector(rng, n))]
+            where = (label, list(rm.drift), list(pole))
+            try:
+                wants = [g_y_pointwise(rm, pole, u, v) for u, v in pairs]
+            except UndefinedAtOriginError as exc:
+                with pytest.raises(UndefinedAtOriginError, match=re.escape(str(exc))):
+                    g_y(rm, pole, pairs)
+                kinds["raised"] += 1
+                continue
+            got = g_y(rm, pole, pairs)
+            assert len(got) == len(pairs), where
+            for m, (value, want) in enumerate(zip(got, wants)):
+                if isinstance(want, float):
+                    assert repr(value) == repr(want), (where, m)
+                    kinds["basis_bits" if m < len(basis_pairs) else "general_bits"] += 1
+                else:
+                    assert type(value) is type(want) and value == want, (where, m)
+                    kinds["exact"] += 1
+        rm = build_randers(metric, drifts[1], conn)
+        for pole in (Vector.zero(n), Vector([1e-170] + [0.0] * (n - 1))):
+            with pytest.raises(UndefinedAtOriginError) as raised:
+                g_y(rm, pole, basis_pairs)
+            with pytest.raises(UndefinedAtOriginError) as oracle:
+                g_y_pointwise(rm, pole, *basis_pairs[0])
+            assert str(raised.value) == str(oracle.value)
+            kinds["raised"] += 1
+    assert min(kinds.values()) >= 20, kinds
 
 
 # --- flag curvature -------------------------------------------------------------
@@ -248,7 +310,7 @@ def test_exact_and_float_agree_at_every_scale(k):
     def values(y, e, u):
         return (sectional(rt, case.metric, y, e)[1], sectional(rt, case.metric, u, e)[1],
                 flag_curvature(rm, rt, Flag(y, e)), flag_curvature(rm, rt, Flag(u, y)),
-                g_y(rm, y, e, Vector.basis(4, 2)))
+                *g_y(rm, y, [(e, Vector.basis(4, 2))]))
 
     pole, edge, u = (Vector(x) for x in ((2, 0, 1, 2), (0, 1, 0, 0), (1, 2, 0, 1)))
     wants = values(pole, edge, u)
@@ -290,15 +352,15 @@ def test_float_flags_on_exact_tensors_match_the_fraction_path():
                   (Vector([F(1, 3), 0.7, 0, F(-2)]), rand_vector(rng, 4))]
         for pole, edge in flags:
             basis = [Vector.basis(4, i) for i in range(4)]
-            calls = [lambda: metric.inner(pole, edge), lambda: metric.inner(edge, edge),
-                     lambda: plane_form(rt, pole, edge),
-                     lambda: flag_curvature(rm, rt, Flag(pole, edge))]
-            calls += [lambda a=a, b=b: g_y(rm, pole, a, b)
-                      for a, b in [(pole, pole), (pole, edge), (edge, edge)] + list(
-                          zip(basis, basis[1:] + basis[:1]))]
-            values = [call() for call in calls]
+
+            def run():
+                return [metric.inner(pole, edge), metric.inner(edge, edge),
+                        plane_form(rt, pole, edge), flag_curvature(rm, rt, Flag(pole, edge)),
+                        *g_y(rm, pole, [(pole, pole), (pole, edge), (edge, edge)]
+                             + list(zip(basis, basis[1:] + basis[:1])))]
+            values = run()
             with fraction_gram():
-                want = [repr(call()) for call in calls]
+                want = [repr(x) for x in run()]
             assert [repr(x) for x in values] == want, (pole, edge)
             floats += isinstance(values[3], float)
     assert floats >= 60, floats

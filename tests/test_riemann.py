@@ -225,11 +225,16 @@ def test_riemann_tensor_matches_dense_oracle_on_wide_tables(monkeypatch):
         got = assert_matches_dense(alg, case.metric, False)
         assert all(type(x) is F for plane in got for block in plane
                    for row in block for x in row)
-        conn = levi_civita(alg, case.metric)
+        metric = MetricTensor(case.metric.gram)
+        conn = levi_civita(alg, metric)
+        cleared.clear()
+        rt = riemann_tensor(conn)
+        # the cleared exact path: the Gram matrix, once per metric, then Gamma and c
+        assert cleared == [metric.gram, conn.gamma, alg.structure]
+        assert rt.gram is metric.cleared_gram
         cleared.clear()
         riemann_tensor(conn)
-        # the cleared exact path: Gamma, c and the Gram matrix
-        assert cleared == [conn.gamma, alg.structure, case.metric.gram]
+        assert cleared == [conn.gamma, alg.structure]
 
 
 # --- curvature operator on 2-forms --------------------------------------------
