@@ -44,6 +44,7 @@ from .scalars import (Scalar, approx_equal, format_scalar, is_zero, parse_ration
 _EXTRAS = frozenset({"id", "name", "expected"})
 _POLE_VARS = ("a", "b", "c", "d")
 _EDGE_VARS = ("ta", "tb", "tc", "td")
+_FUNDAMENTAL = ("pole_pole", "pole_edge", "edge_edge", "flag_numerator")
 
 _cache: tuple | None = None
 
@@ -409,14 +410,15 @@ def reproduce(case: CatalogCase, samples: int = 20, seed: int = 11) -> CaseRepor
     verdict("curvature", f"{len(expected_curv)} printed entries, "
             f"{n * n * (n - 1) // 2} values checked")
 
+    closed_forms = (*case.expected["rvuu"], case.expected["sectional_numerator"])
     for _ in range(samples):
         u = _rand_vector(rng, n)
         v = _rand_vector(rng, n)
         env = _coord_env(case.params, u, v)
         got = curvature_apply(rt, v, u, u)
-        check("rvuu", Vector(case._eval(text, env) for text in case.expected["rvuu"]), got)
-        check("sectional_numerator", case._eval(case.expected["sectional_numerator"], env),
-              plane_form(rt, u, v)[0])
+        *rvuu, numerator = exprs.evaluate_all(closed_forms, env)
+        check("rvuu", Vector(rvuu), got)
+        check("sectional_numerator", numerator, plane_form(rt, u, v)[0])
     verdict("closed_forms", f"R(V,U)U and sectional numerator at {samples} rational pairs")
 
     excused = check("scalar", case.expected_scalar(), case.scalar)
@@ -439,7 +441,8 @@ def reproduce(case: CatalogCase, samples: int = 20, seed: int = 11) -> CaseRepor
         verdict("randers", "not applicable at these parameters")
         return report
     names = case.drift_vars()
-    fundamental = case.expected["fundamental"]
+    randers_forms = (case.expected["randers"]["flag_curvature"],
+                     *(case.expected["fundamental"][key] for key in _FUNDAMENTAL))
     rm0 = build_randers(metric, case.drift_vector(
         {name: Fraction(1, 2 + 2 * pos) for pos, name in enumerate(names)}), case.connection)
     berwald_ok = rm0.berwald
@@ -451,7 +454,7 @@ def reproduce(case: CatalogCase, samples: int = 20, seed: int = 11) -> CaseRepor
         while True:  # redraw until the two vectors span a plane
             try:
                 pole, edge = map(Vector, orthonormal_pair(
-                    metric.gram, _rand_vector(rng, n), _rand_vector(rng, n)))
+                    metric, _rand_vector(rng, n), _rand_vector(rng, n)))
                 break
             except DegeneratePlaneError:
                 continue
@@ -459,13 +462,12 @@ def reproduce(case: CatalogCase, samples: int = 20, seed: int = 11) -> CaseRepor
         env.update(drift_env)
         got = flag_curvature(rm, rt, Flag(pole, edge))
         values.append(got)
-        check("flag_curvature", case._eval(case.expected["randers"]["flag_curvature"], env),
-              got)
+        printed_flag, *printed_fund = exprs.evaluate_all(randers_forms, env)
+        check("flag_curvature", printed_flag, got)
         computed_fund = g_y(rm, pole, [(pole, pole), (pole, edge), (edge, edge),
                                        (curvature_apply(rt, edge, pole, pole), edge)])
-        for key, got_f in zip(("pole_pole", "pole_edge", "edge_edge", "flag_numerator"),
-                              computed_fund):
-            check(f"fundamental.{key}", case._eval(fundamental[key], env), got_f)
+        for key, printed, got_f in zip(_FUNDAMENTAL, printed_fund, computed_fund):
+            check(f"fundamental.{key}", printed, got_f)
     verdict("randers", f"berwald={berwald_ok}, flag curvature and fundamental tensor at "
             f"{samples} orthonormalized samples", berwald_ok)
 

@@ -439,6 +439,10 @@ def main(argv=None) -> int:
     except LiecurvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OverflowError:  # float() of an exact operand, where a float operation would give inf
+        print("error: floating result is not finite: an exact value past the float range "
+              "met a float", file=sys.stderr)
+        return 1
     print(envelope if args.format == "json" else "\n".join(result.text))
     return result.status
 

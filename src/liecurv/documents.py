@@ -167,7 +167,10 @@ def parse_document(obj: dict, extras: frozenset = frozenset()) -> Document:
                 raise InputError(f"document.metric[{r}]: need {dim} entries")
             rows.append([_read_scalar(x, f"document.metric[{r}][{c}]", params)
                          for c, x in enumerate(row)])
-        metric = MetricTensor(rows)
+        try:
+            metric = MetricTensor(rows)
+        except InputError as exc:
+            raise InputError(f"document.metric: {exc}") from None
 
     drift_obj = obj.get("drift")
     drift = None

@@ -11,11 +11,19 @@ Division of exact operands stays exact, so "3/4" evaluates to Fraction(3, 4).
 
 A program is a flat tuple in evaluation order: numbers, ("var", name) pairs
 and operator names (+ - * / ^, and neg for unary minus). One loop with an
-operator stack compiles it (operator precedence, E. W. Dijkstra 1961) and one
-loop over a value stack evaluates it, so nothing recurses on the input and
-no nesting depth or length of a document expression can exhaust Python's
-stack. Length is bounded by MAX_EXPR_TOKENS instead, checked while
-tokenizing.
+operator stack compiles it (operator precedence, E. W. Dijkstra 1961), so
+nothing recurses on the input and no nesting depth or length of a document
+expression can exhaust Python's stack. Length is bounded by MAX_EXPR_TOKENS
+instead, checked while tokenizing.
+
+Programs run as register code. Linking gives each literal (keyed by type and
+repr), name and operator result a register and emits (op, i, j, k), meaning
+regs[k] = regs[i] op regs[j], once per operator and operands, so a linked
+group computes a repeated subexpression once (value numbering, J. Cocke 1970).
+evaluate links a program on its first run, evaluate_all a tuple of sources,
+memoized. Sources run in order and fail as a stack machine would: each
+source's bound is read before its operators, and an unbound name raises after
+exactly the operators before it in postfix order.
 
 Exact values are evaluated on ints, and on unreduced (numerator,
 denominator) int pairs once a Fraction or a '/' is involved, so a result is
@@ -37,8 +45,8 @@ from typing import Mapping
 from .errors import InputError
 from .scalars import Scalar, format_scalar, is_exact
 
-# Distinct sources kept by the parse memo; reproducing all six catalog cases
-# parses 82.
+# Distinct sources kept by the parse memo, and distinct groups by the link
+# memo; reproducing all six catalog cases parses 82 sources and links 11 groups.
 PARSE_CACHE_SIZE = 4096
 
 # Largest |n| accepted in x^n. An exact power is computed in full, so without
@@ -110,6 +118,10 @@ class Program(tuple):
     length of numerator and denominator, and 0 for a float."""
 
     cost: tuple
+
+    @functools.cached_property
+    def linked(self) -> tuple:  # not through the memo, where Program((2,)) == Program((2.0,))
+        return _link.__wrapped__((self,))
 
 
 def _cost(program: tuple) -> tuple:
@@ -189,53 +201,87 @@ def free_names(expr: tuple) -> set:
 
 
 def evaluate(expr: Program | str, env: Mapping[str, Scalar] | None = None) -> Scalar:
-    """Run a program from parse_expr (or a source string) over the given bindings.
+    """Run a program from parse_expr (or a source string) over the given bindings,
+    linked on its first run. A pair that meets a float becomes n / d, correctly
+    rounded like float(Fraction). Refused before anything is computed when the
+    program's size bound exceeds MAX_EXPR_BITS."""
+    return _run(_link((expr,)) if isinstance(expr, str) else expr.linked, env or {})[0]
 
-    Exact values live on the stack as ints, or as unreduced (numerator,
-    denominator) pairs once a Fraction or a '/' is involved; the result is
-    one Fraction, built at the end. A pair that meets a float becomes n / d,
-    correctly rounded like float(Fraction). Refused before anything is
-    computed when the program's size bound exceeds MAX_EXPR_BITS.
-    """
-    if isinstance(expr, str):
-        expr = parse_expr(expr)
-    env = env or {}
-    bound, weights = expr.cost
-    values = {}
-    for name, k in weights:
+
+def evaluate_all(sources: tuple, env: Mapping[str, Scalar] | None = None) -> list:
+    """[evaluate(src, env) for src in sources], for source strings, with the group
+    linked once: a subexpression they share is computed once. Every source is
+    parsed before any runs, and the first error raised is the one of that loop."""
+    return _run(_link(tuple(sources)), env or {})
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _link(sources: tuple) -> tuple:
+    """(registers holding the literals, ((name, register), ...), and per source
+    (cost, code, result register, ((name, its instructions before its first use), ...)))."""
+    regs: list = []
+    slots: dict = {}  # (type, repr) of a literal, ("var", name) or (op, i, j) -> register
+    segments = []
+    for program in sources:
+        program = parse_expr(program) if isinstance(program, str) else program
+        code, loads, stack = [], {}, []
+        for item in program:
+            if item.__class__ is str:
+                j = stack.pop() if item != "neg" else stack[-1]
+                key = (item, stack.pop(), j)
+            elif item.__class__ is tuple:
+                key = item
+                loads.setdefault(item[1], len(code))
+            else:
+                key = (item.__class__, repr(item))
+            slot = slots.get(key)
+            if slot is None:
+                slot = slots[key] = len(regs)
+                regs.append(item if item.__class__ in (int, float) else None)
+                if item.__class__ is str:
+                    code.append((*key, slot))
+            stack.append(slot)
+        segments.append((program.cost, tuple(code), stack[0], tuple(loads.items())))
+    names = tuple((key[1], slot) for key, slot in slots.items() if key[0] == "var")
+    return regs, names, tuple(segments)
+
+
+def _run(linked: tuple, env: Mapping[str, Scalar]) -> list:
+    """Each linked program's value, in order; see evaluate."""
+    init, names, segments = linked
+    regs, bits = init[:], {}
+    for name, slot in names:
         if name in env:
             x = env[name]
             if isinstance(x, Fraction):
                 x = (x.numerator, x.denominator)
-                bound += k * max(x[0].bit_length(), x[1].bit_length())
+                bits[name] = max(x[0].bit_length(), x[1].bit_length())
             elif is_exact(x):
-                bound += k * x.bit_length()
-            values[name] = x
-    if bound > MAX_EXPR_BITS:
-        raise InputError(f"expression of up to {bound} bits is over the ceiling "
-                         f"{MAX_EXPR_BITS}")
-    stack: list = []
-    for item in expr:
-        if item.__class__ is str:
-            if item == "neg":
-                x = stack[-1]
-                stack[-1] = (-x[0], x[1]) if x.__class__ is tuple else -x
+                bits[name] = x.bit_length()
+            regs[slot] = x
+    out = []
+    for (bound, weights), code, result, loads in segments:
+        for name, k in weights:
+            bound += k * bits.get(name, 0)
+        if bound > MAX_EXPR_BITS:
+            raise InputError(f"expression of up to {bound} bits is over the ceiling "
+                             f"{MAX_EXPR_BITS}")
+        missing = next((load for load in loads if load[0] not in env), None)
+        for op, i, j, k in code if missing is None else code[:missing[1]]:
+            a = regs[i]
+            if op == "neg":
+                regs[k] = (-a[0], a[1]) if a.__class__ is tuple else -a
                 continue
-            b = stack.pop()
-            a = stack[-1]
-            if item == "^" or a.__class__ is float or b.__class__ is float:
-                stack[-1] = _apply(item, a, b)
+            b = regs[j]
+            if op == "^" or a.__class__ is float or b.__class__ is float:
+                regs[k] = _apply(op, a, b)
             else:
-                stack[-1] = _exact(item, a, b)
-        elif item.__class__ is tuple:
-            try:
-                stack.append(values[item[1]])
-            except KeyError:
-                raise InputError(f"unbound variable {item[1]!r} in expression") from None
-        else:
-            stack.append(item)
-    out = stack[0]
-    return Fraction(*out) if out.__class__ is tuple else out
+                regs[k] = _exact(op, a, b)
+        if missing:
+            raise InputError(f"unbound variable {missing[0]!r} in expression")
+        x = regs[result]
+        out.append(Fraction(*x) if x.__class__ is tuple else x)
+    return out
 
 
 def _exact(op: str, a, b):

@@ -234,15 +234,18 @@ def clear_denominators(table) -> tuple[int, list]:
     return scale, scaled(table)
 
 
-def orthonormal_pair(gram: Sequence[Sequence[Scalar]], u: Sequence[Scalar],
+def orthonormal_pair(metric, u: Sequence[Scalar],
                      v: Sequence[Scalar]) -> tuple[list[Scalar], list[Scalar]]:
-    """Orthonormal (u_hat, v_hat) spanning the same plane, pole ray preserved.
+    """Orthonormal (u_hat, v_hat) in a MetricTensor, spanning the same plane,
+    pole ray preserved.
 
     Stays exact when both norms are perfect rational squares, else floats.
-    Exact input is cleared once, see _cleared_pair.
+    Exact input runs on the metric's cleared Gram matrix, see _cleared_pair.
     """
-    if all_exact(gram) and all_exact(u) and all_exact(v):
-        return _cleared_pair(gram, u, v)
+    cleared = metric.cleared_gram
+    if cleared is not None and all_exact(u) and all_exact(v):
+        return _cleared_pair(cleared, u, v)
+    gram = metric.gram
     uu = contract(gram, u, u)
     if is_exact_zero(uu):
         raise DegeneratePlaneError("zero vector cannot span a plane")
@@ -257,12 +260,12 @@ def orthonormal_pair(gram: Sequence[Sequence[Scalar]], u: Sequence[Scalar],
     return u_hat, [x / nw for x in w]
 
 
-def _cleared_pair(gram, u, v) -> tuple[list[Scalar], list[Scalar]]:
+def _cleared_pair(cleared, u, v) -> tuple[list[Scalar], list[Scalar]]:
     """orthonormal_pair on exact input, in ints. With U = L_u u, V = L_v v and
-    g = L_g gram cleared, v - (uv/uu) u is W / (L_v UU) for the int vector
-    W = UU V - UV U, where UU = g(U,U) and UV = g(U,V); so each output is one
-    Fraction, or one correctly rounded int quotient, over its norm."""
-    (lg, g), (lu, cu), (lv, cv) = map(clear_denominators, (gram, u, v))
+    the Gram matrix cleared to (L_g, g), v - (uv/uu) u is W / (L_v UU) for the
+    int vector W = UU V - UV U, where UU = g(U,U) and UV = g(U,V); so each output
+    is one Fraction, or one correctly rounded int quotient, over its norm."""
+    (lg, g), (lu, cu), (lv, cv) = cleared, clear_denominators(u), clear_denominators(v)
     uu = contract(g, cu, cu)
     if not uu:
         raise DegeneratePlaneError("zero vector cannot span a plane")

@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -181,3 +183,35 @@ def test_unexcused_mismatch_fails_its_section_only(case_id, path, change, item, 
     new = [d for d in report.discrepancies if d not in base.discrepancies]
     assert new and all(d.item == item and not d.annotated for d in new)
     assert all(d.fixture_line == catalog.fixture_line(case_id, item) for d in new)
+
+
+# Six closed forms of case 4 at (alpha, beta) = (-1, 0), perturbed at once: the
+# ledger interleaves R(V,U)U, sectional, flag and fundamental-tensor entries at
+# every sample, so an evaluation that mixed up the forms of one sample, or their
+# order, changes the report.
+MUTATED_FORMS = (("rvuu", 0), ("rvuu", 2), ("sectional_numerator",),
+                 ("randers", "flag_curvature"), ("fundamental", "pole_pole"),
+                 ("fundamental", "flag_numerator"))
+MUTATED_GOLDEN = Path(__file__).parent / "golden" / "reproduce_case4_mutated_forms.json"
+
+
+def mutated_case4_report() -> str:
+    case = catalog.get_case(4, alpha=-1, beta=0)
+    expected = copy.deepcopy(case.expected)
+    for *path, key in MUTATED_FORMS:
+        node = expected
+        for step in path:
+            node = node[step]
+        node[key] = _plus_one(node[key])
+    report = catalog.reproduce(dataclasses.replace(case, expected=expected), samples=20, seed=3)
+    return json.dumps(report.to_dict(), indent=2) + "\n"
+
+
+def test_mutated_case4_forms_match_golden():
+    got = mutated_case4_report()
+    assert len(json.loads(got)["discrepancies"]) == 100
+    assert got == MUTATED_GOLDEN.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":  # regenerate the golden: PYTHONPATH=src python tests/test_catalog.py
+    MUTATED_GOLDEN.write_text(mutated_case4_report(), encoding="utf-8")

@@ -563,6 +563,14 @@ def test_non_finite_scalars_are_input_errors(capsys, tmp_path, doc, argv, where)
     assert err.startswith(f"error: {where}:")
 
 
+def test_asymmetric_metric_names_its_field(capsys, tmp_path):
+    path = write_doc(tmp_path, _doc_2d(metric=[["1", "1/2"], ["0", "1"]]))
+    for command in ("check", "scalar"):
+        code, out, err = run(capsys, command, path)
+        assert code == 1 and out == ""
+        assert err == "error: document.metric: metric is not symmetric at (0, 1)\n"
+
+
 def test_exponent_over_ceiling_is_an_input_error(capsys, tmp_path):
     # 3^3000000 would be a 1.4M-digit integer; the ceiling refuses it first
     path = write_doc(tmp_path, _doc_2d("alpha^3000000", params={"alpha": "3"}))
@@ -675,11 +683,14 @@ def test_analyze_writes_float_roundoff_as_zero(capsys, tmp_path):
     ["analyze", "DOC"],
     ["sectional", "--case", "1", "--u=1e200,1,0,0", "--v=1,1e200,0,0"],
     ["flag", "--case", "1", "--drift=0,0,1/2,0", "--pole=0,0,1e200,0", "--edge=0,1,0,0"],
-], ids=["sectional", "flag", "analyze", "sectional_square", "flag_square"])
+    ["scalar", "MIXED"],
+], ids=["sectional", "flag", "analyze", "sectional_square", "flag_square", "exact_meets_float"])
 def test_non_finite_results_are_refused(capsys, tmp_path, argv):
-    # each used to print nan, -inf or their JSON spellings NaN and -Infinity; the last
-    # two square g(u,v) and g(Q,y) past the float range and used to raise OverflowError
-    argv = [write_doc(tmp_path, _doc_2d("1e200")) if a == "DOC" else a for a in argv]
+    # each used to print nan, -inf or their JSON spellings NaN and -Infinity; the
+    # squares of g(u,v) and g(Q,y) past the float range, and an exact 10^400 bracket
+    # coefficient next to a float metric entry, used to raise OverflowError
+    docs = {"DOC": _doc_2d("1e200"), "MIXED": _doc_2d("1" + "0" * 400, metric=[[0.5, 0], [0, 1]])}
+    argv = [write_doc(tmp_path, docs[a]) if a in docs else a for a in argv]
     for fmt in ("text", "json"):
         code, out, err = run(capsys, *argv, "--format", fmt)
         assert code == 1 and out == ""

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -7,7 +8,7 @@ import pytest
 
 from oracles import evaluate_reference, free_names_reference, parse_expr_reference
 from liecurv.errors import InputError
-from liecurv import exprs
+from liecurv import catalog, exprs
 from liecurv.exprs import (MAX_EXPR_BITS, MAX_EXPR_TOKENS, MAX_POWER_BITS, evaluate,
                            free_names, parse_expr)
 
@@ -262,3 +263,85 @@ def test_postfix_matches_recursive_reference():
         assert outcome(parse_expr, evaluate, free_names, src, envs) == want, src
         accepted += not isinstance(want, str)
     assert len(fixtures) == 499 and accepted > 6000
+    # groups linked together share their repeated subexpressions: runs of
+    # fixture forms, random draws, and sums and products of a few common parts
+    shared = 0
+    for _ in range(1500):
+        size, roll = rng.randint(2, 5), rng.random()
+        if roll < 0.3:
+            start = rng.randrange(len(fixtures) - size)
+            group = fixtures[start:start + size]
+        elif roll < 0.6:
+            group = rng.sample(sources, size)
+        else:
+            parts = rng.sample(sources[len(fixtures):], 3)
+            group = [f"({rng.choice(parts)}){rng.choice('+-*/')}({rng.choice(parts)})"
+                     for _ in range(size)]
+        for env in envs:
+            want = group_outcome(evaluate_group_reference, group, env)
+            assert group_outcome(exprs.evaluate_all, tuple(group), env) == want, group
+            shared += not isinstance(want, str)
+    assert shared > 2000
+
+
+def evaluate_group_reference(sources, env):
+    trees = [parse_expr_reference(src) for src in sources]
+    return [evaluate_reference(tree, env) for tree in trees]
+
+
+def group_outcome(run, sources, env):
+    """The first refusal, or the value type and repr of every source."""
+    try:
+        return [(type(value), repr(value)) for value in run(sources, env)]
+    except InputError as exc:
+        return str(exc)
+
+
+def test_errors_keep_stack_machine_order(monkeypatch):
+    for src, message in (("1/0 + q", "division by zero"), ("q + 1/0", "unbound variable 'q'")):
+        for run in (evaluate, evaluate_reference):
+            with pytest.raises(InputError, match=re.escape(message)):
+                run(src, {})
+    # a*b is computed for the first source; the second reuses it and then
+    # meets its error at the same place in postfix order
+    for sources, message in ((("a*b", "a*b + (1/0 + q)"), "division by zero"),
+                             (("a*b", "a*b + q + 1/0"), "unbound variable 'q'")):
+        for run in (exprs.evaluate_all, evaluate_group_reference):
+            with pytest.raises(InputError, match=re.escape(message)):
+                run(sources, {"a": 2, "b": 3})
+    # each source's bound is read before its own operators, after the sources
+    # before it have run
+    calls = []
+    monkeypatch.setattr(exprs, "_exact", lambda op, a, b: calls.append(op) or a + b)
+    big = {"a": 2 ** (MAX_EXPR_BITS // 2 - 1), "b": 1}
+    with pytest.raises(InputError, match=f"bits is over the ceiling {MAX_EXPR_BITS}$"):
+        exprs.evaluate_all(("b + 1", "1/0 + a*a"), big)
+    assert calls == ["+"]
+    monkeypatch.undo()
+    with pytest.raises(InputError, match="division by zero"):
+        exprs.evaluate_all(("1/0", "a*a"), big)
+
+
+def test_shared_subexpressions_are_computed_once(monkeypatch):
+    calls = []
+
+    def spy(op, a, b):
+        calls.append((op, a, b))
+        return real(op, a, b)
+
+    real = exprs._exact
+    monkeypatch.setattr(exprs, "_exact", spy)
+    env = {"a": 2, "tb": 3, "b": 5, "ta": 7}
+    assert evaluate("(a*tb-b*ta)^2+(a*tb-b*ta)", env) == (6 - 35) ** 2 + (6 - 35)
+    assert calls == [("*", 2, 3), ("*", 5, 7), ("-", 6, 35), ("+", (841, 1), -29)]
+    # case 4's closed forms at one sample share their wedges across the group
+    case = catalog.get_case(4, alpha=-1, beta=0)
+    forms = (*case.expected["rvuu"], case.expected["sectional_numerator"])
+    env = dict(case.params, a=Fraction(1, 2), b=-2, c=Fraction(3, 4), d=1, ta=Fraction(-1, 3),
+               tb=1, tc=0, td=Fraction(5, 2))
+    calls.clear()
+    separate = [evaluate(src, env) for src in forms]
+    alone = len(calls)
+    calls.clear()
+    assert exprs.evaluate_all(forms, env) == separate
+    assert len(calls) < alone

@@ -256,7 +256,7 @@ def test_flag_berwald_correction_identity(rng):
     while hits < 15:
         u, v = rand_vector(rng, 4), rand_vector(rng, 4)
         try:
-            pole_c, edge_c = orthonormal_pair(g.gram, list(u), list(v))
+            pole_c, edge_c = orthonormal_pair(g, list(u), list(v))
         except DegeneratePlaneError:
             continue
         hits += 1
@@ -344,7 +344,7 @@ def test_float_flags_on_exact_tensors_match_the_fraction_path():
         rt = riemann_tensor(conn)
         (q,) = parallel_fields(conn)
         rm = build_randers(metric, q.scale(F(1, 2 + 2 * int(metric.norm_sq(q)))), conn)
-        flags = [tuple(map(Vector, orthonormal_pair(metric.gram, rand_vector(rng, 4),
+        flags = [tuple(map(Vector, orthonormal_pair(metric, rand_vector(rng, 4),
                                                     rand_vector(rng, 4)))) for _ in range(8)]
         flags += [(Vector([1, 1, 1, 0]), rand_vector(rng, 4)),
                   (rand_vector(rng, 4), decimal_vector(rng, 4)),
