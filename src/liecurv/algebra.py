@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -139,14 +140,19 @@ class LieAlgebra:
                 table[j][i][k] = -c
         return cls(table, labels)
 
+    @cached_property
+    def cleared_structure(self) -> tuple[int, list] | None:
+        """(M, M * c) with M the lcm of the denominators of the structure constants c, None
+        if an entry is a float: the int table that check_jacobi, levi_civita and
+        riemann_tensor read, cleared once per algebra."""
+        return linalg.cleared(self.structure)
+
     def antisymmetry_violations(self) -> list[tuple[int, int, int]]:
-        bad = []
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                for k in range(self.dim):
-                    if not is_zero(self.structure[i][j][k] + self.structure[j][i][k]):
-                        bad.append((i, j, k))
-        return bad
+        """(i, j, k), i <= j, where c[i][j][k] + c[j][i][k] is not zero; on the int table
+        when exact."""
+        c = self.cleared_structure[1] if self.cleared_structure else self.structure
+        return [(i, j, k) for i in range(self.dim) for j in range(i, self.dim)
+                for k in range(self.dim) if not is_zero(c[i][j][k] + c[j][i][k])]
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim}, labels={self.labels})"
@@ -178,8 +184,9 @@ class MetricTensor:
     @cached_property
     def cleared_gram(self) -> tuple[int, list] | None:
         """(L, L * gram) with L the lcm of the Gram denominators, None if an entry is a float:
-        the int Gram matrix that riemann_tensor clears once per metric."""
-        return linalg.clear_denominators(self.gram) if linalg.all_exact(self.gram) else None
+        the int Gram matrix that levi_civita, riemann_tensor and orthonormal_pair read,
+        cleared once per metric."""
+        return linalg.cleared(self.gram)
 
     def inner(self, u, v) -> Scalar:
         """g(u, v); when u or v has only floats, on the float image of the Gram matrix."""
@@ -241,20 +248,30 @@ def check_jacobi(alg: LieAlgebra) -> JacobiReport:
     """Scan antisymmetry, then the Jacobi residual on every basis triple.
 
     Violations are data, not errors: the report lists each offending triple
-    with its residual [[ei,ej],ek] + [[ej,ek],ei] + [[ek,ei],ej].
+    with its residual [[ei,ej],ek] + [[ej,ek],ei] + [[ek,ei],ej]. Both scans
+    read the int table M c of LieAlgebra.cleared_structure when it is exact,
+    the float table as it is (M = 1) otherwise. ad([e_i,e_j]), row k the
+    bracket [[e_i,e_j],e_k], is one contraction per bracket; a triple's
+    residual is then ad_ij[k] + ad_jk[i] - ad_ik[j], M^2 times the true one,
+    so an exact violation costs one Fraction per entry.
     """
     report = JacobiReport(antisymmetry_violations=alg.antisymmetry_violations())
     if not report.antisymmetry_ok:
         return report
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            for k in range(j + 1, alg.dim):
-                ei, ej, ek = (Vector.basis(alg.dim, t) for t in (i, j, k))
-                residual = (bracket(alg, bracket(alg, ei, ej), ek)
-                            + bracket(alg, bracket(alg, ej, ek), ei)
-                            + bracket(alg, bracket(alg, ek, ei), ej))
-                if not residual.is_zero():
-                    report.violations.append((i, j, k, residual))
+    n = alg.dim
+    cleared = alg.cleared_structure
+    m, c = cleared or (1, alg.structure)
+    flat = [[x for row in block for x in row] for block in c]  # flat[a][k n + l] = c[a][k][l]
+    ad = {}
+    for i, j in combinations(range(n), 2):
+        # a float 0.0 in [e_i, e_j] adds no term, as in bracket()
+        rows = linalg.contract(flat, [x or 0 for x in c[i][j]])
+        ad[i, j] = [rows[k * n:k * n + n] for k in range(n)]
+    for i, j, k in combinations(range(n), 3):
+        residual = linalg.contract((ad[i, j][k], ad[j, k][i], ad[i, k][j]), (1, 1, -1))
+        if not all(map(is_zero, residual)):
+            report.violations.append((i, j, k, Vector(
+                [Fraction(x, m * m) for x in residual] if cleared else residual)))
     return report
 
 

@@ -120,7 +120,11 @@ class Geometry:
 
     @cached_property
     def connection(self) -> Connection:
-        return levi_civita(self.algebra, self.metric)
+        try:
+            return levi_civita(self.algebra, self.metric)
+        except InputError as exc:
+            # parsing made the dimensions agree, so what levi_civita refuses is the metric
+            raise InputError(f"document.metric: {exc}") from None
 
     @cached_property
     def curvature(self) -> CurvatureTensor:

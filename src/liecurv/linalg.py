@@ -11,7 +11,8 @@ endomorphisms. It accumulates in the type of its products, so int tables
 stay in int arithmetic. `clear_denominators` turns an exact table into such
 a table times a common denominator, so a caller builds one Fraction per
 result instead of one per multiply-add (E. Bareiss, Math. Comp. 22, 1968);
-`orthonormal_pair` runs that way on exact input.
+`orthonormal_pair` runs that way on exact input, and `solve_cleared` returns
+exact solutions that way, as ints over their lcm denominator.
 """
 
 from __future__ import annotations
@@ -131,6 +132,16 @@ def rank(rows: Sequence[Sequence[Scalar]]) -> int:
 def solve_many(matrix: Sequence[Sequence[Scalar]],
                rhs_list: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     """Solve A x = b for each b in rhs_list; one elimination, many columns."""
+    den, solutions = solve_cleared(matrix, rhs_list)
+    return [[x if isinstance(x, float) else Fraction(x, den) for x in y] for y in solutions]
+
+
+def solve_cleared(matrix: Sequence[Sequence[Scalar]],
+                  rhs_list: Sequence[Sequence[Scalar]]) -> tuple[int, list[list[Scalar]]]:
+    """(d, Y) with Y[b] / d the solution of A x = b for each b in rhs_list, from one
+    elimination. Exact input gives ints over the lcm d of the solutions' denominators,
+    i.e. clear_denominators of the Fraction solutions; any float gives d = 1 and the
+    float solutions."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise InputError("solve_many needs a square matrix")
@@ -140,7 +151,7 @@ def solve_many(matrix: Sequence[Sequence[Scalar]],
         raise InputError("singular matrix in solve")
     # Exact rows are ints. The denominators of x divide the pivot product D,
     # so y = D x is an int vector and each back-substitution step divides
-    # exactly; x = y / D is one Fraction per entry.
+    # exactly; one gcd over D and every y then reduces y / D to lowest terms.
     scale = math.prod(mat[r][r] for r in range(n)) if kind is Fraction else 1
     solutions = []
     for k in range(n, n + len(rhs_list)):
@@ -149,8 +160,12 @@ def solve_many(matrix: Sequence[Sequence[Scalar]],
             row = mat[r]
             t = scale * row[k] - sum(row[j] * y[j] for j in range(r + 1, n) if y[j])
             y[r] = t // row[r] if kind is Fraction else t / row[r]
-        solutions.append([Fraction(v, scale) for v in y] if kind is Fraction else y)
-    return solutions
+        solutions.append(y)
+    if kind is float:
+        return 1, solutions
+    g = math.gcd(scale, *(x for y in solutions for x in y))
+    g = g if scale > 0 else -g
+    return scale // g, [[x // g for x in y] for y in solutions]
 
 
 def is_positive_definite(gram: Sequence[Sequence[Scalar]]) -> bool:
@@ -232,6 +247,11 @@ def clear_denominators(table) -> tuple[int, list]:
         return [x.numerator * (scale // x.denominator) for x in t]
 
     return scale, scaled(table)
+
+
+def cleared(table) -> tuple[int, list] | None:
+    """clear_denominators(table) for an exact table, None if an entry is a float."""
+    return clear_denominators(table) if all_exact(table) else None
 
 
 def orthonormal_pair(metric, u: Sequence[Scalar],

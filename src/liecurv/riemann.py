@@ -7,6 +7,10 @@ formula loses its derivative terms and reads
 
 With the structure constants lowered once, c_abk = g([e_a,e_b], e_k), the
 right-hand side is (c_ijk - c_jki + c_kij) / 2 for U = e_i, V = e_j, W = e_k.
+Exact input is read as ints: the structure constants and the Gram matrix are
+each cleared once (LieAlgebra.cleared_structure, MetricTensor.cleared_gram),
+the Koszul system is solved over ints, and the connection keeps gamma as ints
+over one denominator (Connection.cleared_gamma), which riemann_tensor reads.
 
 Curvature convention: R(U,V)W = nabla_U nabla_V W - nabla_V nabla_U W
 - nabla_[U,V] W. The one store is the rows R(e_i,e_j)e_k for i < j: R(e_j,e_i) is
@@ -45,6 +49,13 @@ class Connection:
     def dim(self) -> int:
         return self.algebra.dim
 
+    @cached_property
+    def cleared_gamma(self) -> tuple[int, list] | None:
+        """(L, L * gamma) with L the lcm of the denominators of gamma, None if an entry is a
+        float. levi_civita hands over the pair its solve returns; a Connection built
+        directly clears its table here, on first read."""
+        return linalg.cleared(self.gamma)
+
     def nabla(self, i: int, j: int) -> Vector:
         return Vector(self.gamma[i][j])
 
@@ -58,23 +69,36 @@ class Connection:
 def levi_civita(alg: LieAlgebra, metric: MetricTensor) -> Connection:
     """Solve the Koszul system for every basis pair.
 
-    The right-hand side is assembled from the lowered structure constants;
-    one Gram elimination serves all dim^2 pairs. Exact input stays exact.
+    Exact input reads the int tables of LieAlgebra.cleared_structure (M, C = M c) and
+    MetricTensor.cleared_gram (L, G = L g). C lowered by G is L M times the lowered
+    constants, so the right-hand side R_ij formed from it is 2 L M times the Koszul
+    one, and (2 M G) gamma_ij = R_ij. One fraction-free elimination solves all dim^2
+    pairs and returns gamma as ints over their lcm denominator, which the Connection
+    keeps for riemann_tensor. Float input runs the same code with M = L = 1; doubling
+    a float matrix is exact, so gamma has the bits of g x = R / 2.
     """
     if metric.dim != alg.dim:
         raise DimensionMismatchError("metric dimension differs from algebra")
     if not metric.is_positive_definite():
         raise InputError("metric must be positive definite")
     n = alg.dim
-    g = metric.gram
-    c = alg.structure
+    exact = alg.cleared_structure is not None and metric.cleared_gram is not None
+    (m, c), (_, g) = ((alg.cleared_structure, metric.cleared_gram) if exact
+                      else ((1, alg.structure), (1, metric.gram)))
     low = [[linalg.contract(g, c[a][b]) for b in range(n)] for a in range(n)]
-    half = Fraction(1, 2)
-    rhs_list = [[half * (low[i][j][k] - low[j][k][i] + low[k][i][j]) for k in range(n)]
+    if exact:
+        # the Fraction(0) of a sum no term reaches becomes int 0, so the right-hand side is
+        # all ints; a float table keeps its 0.0 entries, and with them the float solve
+        low = [[[x or 0 for x in row] for row in block] for block in low]
+    rhs_list = [[low[i][j][k] - low[j][k][i] + low[k][i][j] for k in range(n)]
                 for i in range(n) for j in range(n)]
-    solutions = linalg.solve_many(g, rhs_list)
-    gamma = [[solutions[i * n + j] for j in range(n)] for i in range(n)]
-    return Connection(alg, metric, gamma)
+    den, solutions = linalg.solve_cleared([[2 * m * x for x in row] for row in g], rhs_list)
+    table = [solutions[i * n:i * n + n] for i in range(n)]
+    conn = Connection(alg, metric, [[[x if isinstance(x, float) else Fraction(x, den)
+                                      for x in row] for row in block] for block in table])
+    if exact:
+        conn.cleared_gamma = den, table
+    return conn
 
 
 class CurvatureTensor:
@@ -132,20 +156,21 @@ def riemann_tensor(conn: Connection) -> CurvatureTensor:
     """Contract the connection into the curvature rows.
 
     Row (i, j, k) for i < j is nabla_i(nabla_j e_k) - nabla_j(nabla_i e_k)
-    - nabla_{[e_i,e_j]} e_k, one contraction per term. On exact input the
-    denominators are cleared once, Gamma as L * gamma and c as M * c, so the
-    contractions run over ints: the first two terms come out scaled by L^2,
-    the third by L M, and a last contraction with (M, -M, -L) gives the int
-    numerator of each entry over den = L^2 M. Float rows are contracted as
-    they are, each entry a - b - d.
+    - nabla_{[e_i,e_j]} e_k, one contraction per term. On exact input it reads
+    the int tables that were cleared before it, Gamma as L * gamma
+    (Connection.cleared_gamma) and c as M * c (LieAlgebra.cleared_structure),
+    and clears nothing itself. The contractions run over ints: the first two
+    terms come out scaled by L^2, the third by L M, and a last contraction with
+    (M, -M, -L) gives the int numerator of each entry over den = L^2 M. Float
+    rows are contracted as they are, each entry a - b - d.
     """
     n = conn.dim
-    gamma = conn.gamma
-    c = conn.algebra.structure
-    exact = linalg.all_exact((gamma, c)) and conn.metric.cleared_gram is not None
+    cleared = conn.cleared_gamma, conn.algebra.cleared_structure, conn.metric.cleared_gram
+    exact = None not in cleared
     if exact:
-        L, gamma = linalg.clear_denominators(gamma)
-        M, c = linalg.clear_denominators(c)
+        (L, gamma), (M, c) = cleared[:2]
+    else:
+        gamma, c = conn.gamma, conn.algebra.structure
     # by_target[k][m] = nabla_{e_m} e_k, so contracting its first axis with
     # [e_i,e_j] gives nabla_{[e_i,e_j]} e_k.
     by_target = [[gamma[m][k] for m in range(n)] for k in range(n)]
@@ -213,8 +238,10 @@ def scalar_curvature(rt: CurvatureTensor, metric: MetricTensor) -> Scalar:
     """Metric trace of the Ricci tensor, g^{jk} Ric_jk.
 
     Ric_jk sums row (i, j, k) at i over i < j and subtracts row (j, i, k) at i
-    over i > j, in ints when exact, divided by den once. g^{jk} comes from one
-    Gram solve against the rows of Ric, so rational metrics stay rational.
+    over i > j, in ints when exact. g^{jk} comes from one Gram solve against
+    the rows of Ric, so rational metrics stay rational: on an exact tensor, the
+    int Ricci rows against the cleared Gram matrix (G, G g) of the metric passed
+    in, and the trace is scaled by G / den once.
     """
     n = rt.dim
     ric = [[0] * n for _ in range(n)]
@@ -222,7 +249,9 @@ def scalar_curvature(rt: CurvatureTensor, metric: MetricTensor) -> Scalar:
         for k, num in enumerate(nums):
             ric[j][k] += num[i]
             ric[i][k] -= num[j]
-    if rt.gram:
+    cleared = metric.cleared_gram if rt.gram else None
+    if rt.gram and not cleared:
         ric = [[Fraction(x, rt.den) for x in row] for row in ric]
-    solved = linalg.solve_many(metric.gram, ric)
-    return sum((solved[k][k] for k in range(n)), Fraction(0))
+    scale, gram = (Fraction(cleared[0], rt.den), cleared[1]) if cleared else (1, metric.gram)
+    solved = linalg.solve_many(gram, ric)
+    return scale * sum((solved[k][k] for k in range(n)), Fraction(0))

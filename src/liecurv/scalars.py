@@ -30,9 +30,7 @@ def is_exact_zero(x: Scalar) -> bool:
 
 def is_zero(x: Scalar) -> bool:
     """Exact zero for exact scalars, |x| <= TOLERANCE for floats."""
-    if is_exact(x):
-        return x == 0
-    return abs(x) <= TOLERANCE
+    return abs(x) <= TOLERANCE if isinstance(x, float) else x == 0
 
 
 def approx_equal(a: Scalar, b: Scalar) -> bool:

@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from liecurv import linalg
-from liecurv.algebra import MetricTensor, Vector, as_vector, bracket
+from liecurv.algebra import (JacobiReport, LieAlgebra, MetricTensor, Vector, as_vector,
+                             bracket)
 from liecurv.errors import (DegeneratePlaneError, InputError, NonBerwaldError,
                             PreconditionError, UndefinedAtOriginError)
 from liecurv.exprs import MAX_EXPONENT, MAX_POWER_BITS
@@ -45,6 +46,41 @@ def flag_curvature_four_g_y(rm: RandersMetric, rt: CurvatureTensor,
     rvyy = curvature_apply_dense(rt, edge, pole, pole)
     num, yy, ee, ye = g_y(rm, pole, [(rvyy, edge), (pole, pole), (edge, edge), (pole, edge)])
     return num / (yy * ee - ye ** 2)
+
+
+def check_jacobi_reference(alg: LieAlgebra) -> JacobiReport:
+    """check_jacobi as a per-triple scan: antisymmetry on the table as it is,
+    then [[ei,ej],ek] + [[ej,ek],ei] + [[ek,ei],ej] by brackets of brackets,
+    in the type of the structure constants."""
+    n, c = alg.dim, alg.structure
+    report = JacobiReport(antisymmetry_violations=[
+        (i, j, k) for i in range(n) for j in range(i, n) for k in range(n)
+        if not is_zero(c[i][j][k] + c[j][i][k])])
+    if not report.antisymmetry_ok:
+        return report
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                ei, ej, ek = (Vector.basis(n, t) for t in (i, j, k))
+                residual = (bracket(alg, bracket(alg, ei, ej), ek)
+                            + bracket(alg, bracket(alg, ej, ek), ei)
+                            + bracket(alg, bracket(alg, ek, ei), ej))
+                if not residual.is_zero():
+                    report.violations.append((i, j, k, residual))
+    return report
+
+
+def levi_civita_reference(alg: LieAlgebra, metric: MetricTensor) -> list:
+    """Christoffel table gamma[i][j] from the Koszul system as written: the
+    structure constants lowered by the Gram matrix as they are, right-hand
+    side (c_ijk - c_jki + c_kij) / 2, one solve_many against the Gram matrix."""
+    n, g, c = alg.dim, metric.gram, alg.structure
+    low = [[linalg.contract(g, c[a][b]) for b in range(n)] for a in range(n)]
+    half = Fraction(1, 2)
+    rhs_list = [[half * (low[i][j][k] - low[j][k][i] + low[k][i][j]) for k in range(n)]
+                for i in range(n) for j in range(n)]
+    solutions = linalg.solve_many(g, rhs_list)
+    return [solutions[i * n:i * n + n] for i in range(n)]
 
 
 @contextlib.contextmanager

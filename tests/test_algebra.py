@@ -1,10 +1,12 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import rand_vector
-from liecurv import catalog
+from conftest import change_basis, rand_invertible, rand_vector
+from oracles import check_jacobi_reference
+from liecurv import catalog, linalg
 from liecurv.algebra import (LieAlgebra, MetricTensor, Vector, _after, bracket,
                              check_jacobi, check_para_hypercomplex, nijenhuis)
 from liecurv.errors import DimensionMismatchError, InputError
@@ -114,6 +116,67 @@ def test_antisymmetry_scan_catches_raw_tables():
     report = check_jacobi(LieAlgebra(table))
     assert not report.antisymmetry_ok
     assert not report.passed
+
+
+def jacobi_inputs(rng, dim):
+    """(label, table) pairs around one dense R x_D R^(dim-1) with rational D: the
+    Fraction table, its cleared int table, their float images, each with one
+    constant perturbed antisymmetrically (Jacobi fails), and raw tables that
+    break antisymmetry."""
+    m = dim - 1
+    d = [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(m)] for _ in range(m)]
+    alg = LieAlgebra.from_brackets(dim, {(0, j): [F(0)] + [d[k][j - 1] for k in range(m)]
+                                         for j in range(1, dim)})
+    dense = change_basis(alg, MetricTensor.identity(dim), rand_invertible(rng, dim))[0]
+    exact = [[list(row) for row in block] for block in dense.structure]
+    ints = linalg.clear_denominators(exact)[1]
+    inputs = []
+    for label, table in (("exact", exact), ("int", ints),
+                         ("float", [[[float(x) for x in row] for row in b] for b in exact])):
+        inputs.append((label, table))
+        i, j = sorted(rng.sample(range(dim), 2))
+        k = rng.randrange(dim)
+        delta = rng.choice((F(1, 3), 2)) if label != "float" else 0.375
+        bent = [[list(row) for row in block] for block in table]
+        bent[i][j][k] += delta
+        bent[j][i][k] -= delta
+        inputs.append((label + " perturbed", bent))
+        raw = [[list(row) for row in block] for block in table]
+        raw[j][i][k] += delta  # [e_j, e_i] is no longer -[e_i, e_j]
+        inputs.append((label + " raw", raw))
+    return inputs
+
+
+def test_check_jacobi_matches_reference_scan():
+    """The int-table scan against the bracket-of-brackets reference, dims 2-6:
+    exact tables with M > 1, all-int, float, one constant perturbed, and raw
+    tables that break antisymmetry. Exact reports are equal as JSON at 17
+    digits, entry types included; float residuals agree within 1e-9."""
+    rng = random.Random(20130519)
+    seen = set()
+    for dim in range(2, 7):
+        for _ in range(4):
+            for label, table in jacobi_inputs(rng, dim):
+                alg = LieAlgebra(table)
+                got, want = check_jacobi(alg), check_jacobi_reference(alg)
+                seen.add((label, got.antisymmetry_ok, not got.violations))
+                assert got.antisymmetry_violations == want.antisymmetry_violations
+                assert [v[:3] for v in got.violations] == [v[:3] for v in want.violations]
+                if label.startswith("float"):
+                    assert alg.cleared_structure is None
+                    for (*_, res), (*_, ref) in zip(got.violations, want.violations):
+                        assert all(abs(a - b) <= 1e-9 * max(1.0, abs(b))
+                                   for a, b in zip(res, ref))
+                    continue
+                assert got.to_dict(17) == want.to_dict(17)
+                for (*_, res), (*_, ref) in zip(got.violations, want.violations):
+                    assert all(type(a) is type(b) is F and a == b for a, b in zip(res, ref))
+                if label == "exact" and dim > 2:
+                    assert alg.cleared_structure[0] > 1
+    for label in ("exact", "int", "float"):
+        assert (label, True, True) in seen
+        assert (label + " perturbed", True, False) in seen
+        assert (label + " raw", False, True) in seen
 
 
 # --- metric --------------------------------------------------------------------

@@ -571,6 +571,56 @@ def test_asymmetric_metric_names_its_field(capsys, tmp_path):
         assert err == "error: document.metric: metric is not symmetric at (0, 1)\n"
 
 
+def test_analyze_reads_a_decimal_zero_as_a_float_table(capsys, tmp_path):
+    """A decimal 0.0 among rational constants over an exact metric makes a float table:
+    analyze prints the exact document's values as floats, gamma = 1/2 where it is 1/2."""
+    mixed = {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": ["0.0", "1/2"]}],
+             "metric": "identity"}
+    code, out, _ = run(capsys, "analyze", write_doc(tmp_path, mixed))
+    assert code == 0
+    for line in ("nabla_Y X = -0.5 Y", "nabla_Y Y = 0.5 X", "R(X,Y)X = 0.25 Y",
+                 "K(X,Y) = -0.25", "scalar curvature: -0.5"):
+        assert f"{line}\n" in out
+    rng = random.Random(20130523)
+    for dim in range(2, 6):
+        identity = [["1" if i == j else "0" for j in range(dim)] for i in range(dim)]
+        exact, _ = semidirect_objects(rng, dim)
+        for gram in (identity, exact["metric"]):
+            exact = {**exact, "metric": gram}
+            mixed = {**exact, "brackets": [dict(b) for b in exact["brackets"]]}
+            mixed["brackets"][0]["coeffs"] = ["0.0"] + exact["brackets"][0]["coeffs"][1:]
+            want = run_json(capsys, "analyze", write_doc(tmp_path, exact, "exact.json"))[1]
+            code, got, _ = run_json(capsys, "analyze", write_doc(tmp_path, mixed, "mixed.json"))
+            assert code == want["status"] == 0
+            got, want = got["sections"], want["sections"]
+            assert got["jacobi_passed"] and close(Fraction(want["scalar"]), got["scalar"])
+            assert len(got["parallel"]) == len(want["parallel"])
+            for key in ("connection", "curvature"):
+                assert [(e["i"], e["j"], e.get("k")) for e in got[key]] == \
+                    [(e["i"], e["j"], e.get("k")) for e in want[key]]
+                # the float solve gives a float gamma; a curvature entry no term reaches is "0"
+                assert all((type(b) is float or key == "curvature")
+                           and close(Fraction(a), float(Fraction(str(b))))
+                           for g, w in zip(got[key], want[key])
+                           for a, b in zip(w["coeffs"], g["coeffs"]))
+
+
+def test_metric_not_positive_definite_names_its_field(capsys, tmp_path):
+    # every command that solves the Koszul system refuses the metric with its path;
+    # check still reports it in its own words
+    path = write_doc(tmp_path, _doc_2d(metric=[["1", "0"], ["0", "-1/2"]]))
+    commands = {"analyze": (), "scalar": (), "parallel": (),
+                "sectional": ("--u", "1,0", "--v", "0,1"), "randers": ("--drift", "0,0"),
+                "flag": ("--drift", "0,0", "--pole", "1,0", "--edge", "0,1")}
+    for command, extra in commands.items():
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, command, path, *extra, "--format", fmt)
+            assert code == 1 and out == "", (command, fmt)
+            assert err == "error: document.metric: metric must be positive definite\n"
+    code, out, _ = run(capsys, "check", path)
+    assert code == 1 and "metric: NOT positive definite" in out
+
+
 def test_exponent_over_ceiling_is_an_input_error(capsys, tmp_path):
     # 3^3000000 would be a 1.4M-digit integer; the ceiling refuses it first
     path = write_doc(tmp_path, _doc_2d("alpha^3000000", params={"alpha": "3"}))

@@ -9,9 +9,8 @@ Each draw runs one command through `cli.main` in process. Every run must:
 - end with an exit code that the README lists, with no exception escaping;
 - on exit 1 or 2, print one `error:` line, which names the document field or
   the option at fault, or is one of the README's refusals of a whole input
-  (not a Lie algebra, a metric that is not positive definite, a float result
-  past the float range, an exact result too large to print, a mathematical
-  precondition);
+  (not a Lie algebra, a float result past the float range, an exact result
+  too large to print, a mathematical precondition);
 - in JSON, print a strict (RFC 8259) envelope.
 """
 
@@ -94,8 +93,7 @@ CASE_COMMANDS = (["scalar"], ["analyze"], ["parallel"],
 # What an error line may name: a document field, or an option.
 NAMED = re.compile(r"error: (document(\.\w+|\[\d+\])*|--[a-z]+)\b")
 # The README's refusals of a whole input (exit 1), which no single field causes.
-WHOLE_INPUT = ("not a Lie algebra", "metric must be positive definite", "floating result",
-               "exact value too large to print")
+WHOLE_INPUT = ("not a Lie algebra", "floating result", "exact value too large to print")
 # The README's mathematical preconditions (exit 2); each names the drift, pole or plane.
 PRECONDITIONS = ("drift must satisfy g(Q,Q) < 1", "drift is not parallel",
                  "requires a parallel drift", "linearly dependent", "independent spanning",

@@ -70,7 +70,9 @@ def leibniz_det(m):
 def test_fraction_free_elimination_is_exact():
     """Exact elimination runs over integer rows; every consumer must still
     give exact answers: solutions with zero residual, nullspace vectors of
-    the right count, and Sylvester's criterion on independent minors."""
+    the right count, and Sylvester's criterion on independent minors. The int
+    solve under solve_many is reduced: its (den, numerators) are
+    clear_denominators of the Fraction solutions."""
     rng = random.Random(1968)
     seen = {True: 0, False: 0}
     for _ in range(150):
@@ -80,9 +82,13 @@ def test_fraction_free_elimination_is_exact():
         minors = [leibniz_det([row[:k] for row in a[:k]]) for k in range(1, n + 1)]
         rhs = [[F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)] for _ in range(2)]
         if minors[-1]:
-            for b, x in zip(rhs, linalg.solve_many(a, rhs)):
+            solutions = linalg.solve_many(a, rhs)
+            for b, x in zip(rhs, solutions):
                 assert all(type(v) is F for v in x)
                 assert [sum(F(a[i][j]) * x[j] for j in range(n)) for i in range(n)] == b
+            den, nums = linalg.solve_cleared(a, rhs)
+            assert (den, nums) == linalg.clear_denominators(solutions)
+            assert all(type(v) is int for y in nums for v in y)
         basis = linalg.nullspace(a, n)
         assert len(basis) == n - linalg.rank(a) and (len(basis) == 0) == (minors[-1] != 0)
         assert all(sum(F(a[i][j]) * v[j] for j in range(n)) == 0 for v in basis for i in range(n))

@@ -7,15 +7,17 @@ import pytest
 from conftest import (cayley_rotation, change_basis, rand_fraction, rand_invertible,
                       rand_pd_metric, rand_vector)
 from oracles import (compatibility_residual, curvature_apply_dense, curvature_operator_dense,
-                     riemann_tensor_dense, scalar_curvature_gram_schmidt, sectional_dense,
-                     sectional_plane_invariance_check, torsion)
-from test_exact_vs_float import is_exact_document, semidirect_documents
+                     levi_civita_reference, riemann_tensor_dense, scalar_curvature_gram_schmidt,
+                     scalar_curvature_table, sectional_dense, sectional_plane_invariance_check,
+                     torsion)
+from test_exact_vs_float import is_exact_document, semidirect_documents, semidirect_objects
+from liecurv.documents import parse_document
 from liecurv import catalog, linalg
 from liecurv.algebra import LieAlgebra, MetricTensor, Vector
 from liecurv.errors import DegeneratePlaneError, InputError, LiecurvError
 from liecurv.randers import Flag, build_randers, flag_curvature, parallel_fields
-from liecurv.riemann import (curvature_apply, levi_civita, riemann_tensor, scalar_curvature,
-                             sectional)
+from liecurv.riemann import (Connection, curvature_apply, levi_civita, riemann_tensor,
+                             scalar_curvature, sectional)
 
 F = Fraction
 
@@ -44,6 +46,69 @@ def test_levi_civita_rejects_degenerate_metric():
     alg = LieAlgebra.from_brackets(2, {})
     with pytest.raises(InputError):
         levi_civita(alg, MetricTensor([[F(1), F(0)], [F(0), F(0)]]))
+
+
+def mixed_documents(rng):
+    """(document with one decimal 0.0 among rational constants, the same document with an
+    exact 0) in dims 2-6, over identity, rational diagonal and rand_pd_metric Gram
+    matrices, the first [e0,e1] = [0.0, 1/2] on the identity metric."""
+    pairs = [({"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": [0.0, "1/2"]}],
+               "metric": "identity"},
+              {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": ["0", "1/2"]}],
+               "metric": "identity"})]
+    for dim in range(2, 7):
+        diagonal = [[rand_fraction(rng, 6, 5) ** 2 + F(1, 3) if i == j else F(0)
+                     for j in range(dim)] for i in range(dim)]
+        for gram in ([[F(int(i == j)) for j in range(dim)] for i in range(dim)], diagonal,
+                     None):
+            exact, _ = semidirect_objects(rng, dim, gram)
+            mixed = {**exact, "brackets": [dict(b) for b in exact["brackets"]]}
+            # [e_0, e_j] has no e_0 component: written as a decimal zero, it is a float 0.0
+            first = mixed["brackets"][rng.randrange(dim - 1)]
+            first["coeffs"] = ["0.0"] + first["coeffs"][1:]
+            pairs.append((mixed, exact))
+    return [tuple(parse_document(obj) for obj in pair) for pair in pairs]
+
+
+def test_levi_civita_on_a_table_with_a_decimal_zero():
+    """A float 0.0 among rational constants over an exact metric is a float table: gamma
+    has the bits of the Koszul solve as written, the values of the exact table's gamma,
+    and curvature, scalar and parallel fields follow it."""
+    docs = mixed_documents(random.Random(20130521))
+    for mixed, exact in docs:
+        alg = mixed.algebra()
+        assert alg.cleared_structure is None and mixed.metric.cleared_gram is not None
+        conn = levi_civita(alg, mixed.metric)
+        want = levi_civita_reference(alg, mixed.metric)
+        assert repr([[list(row) for row in block] for block in conn.gamma]) == repr(want)
+        assert conn.cleared_gamma is None
+        exact_conn = levi_civita(exact.algebra(), exact.metric)
+        pairs = [(a, b) for x, y in zip(conn.gamma, exact_conn.gamma) for u, v in zip(x, y)
+                 for a, b in zip(u, v)]
+        assert all(type(a) is float and abs(a - b) <= 1e-12 * max(1, abs(b)) for a, b in pairs)
+        rt, exact_rt = riemann_tensor(conn), riemann_tensor(exact_conn)
+        assert rt.gram is None and rt.den == 1
+        scalar = scalar_curvature(rt, mixed.metric)
+        assert abs(scalar - scalar_curvature(exact_rt, exact.metric)) <= 1e-9
+        assert repr(scalar) == repr(scalar_curvature_table(rt, mixed.metric))
+        assert len(parallel_fields(conn)) == len(parallel_fields(exact_conn))
+    gamma = levi_civita(docs[0][0].algebra(), docs[0][0].metric).gamma
+    assert gamma[1] == ((0.0, -0.5), (0.5, 0.0))
+
+
+def test_scalar_curvature_reads_the_metric_passed_in():
+    """On an exact tensor, scalar_curvature traces with the metric it is given: the
+    tensor's own, another exact one, or a float one, as the table trace does."""
+    rng = random.Random(20130522)
+    for case_id in (1, 2, 3, 5, 6):
+        case, _, rt = pipeline(case_id)
+        own = scalar_curvature(rt, case.metric)
+        assert own == scalar_curvature(rt, MetricTensor(case.metric.gram))
+        other = rand_pd_metric(rng, case.algebra.dim)
+        floats = MetricTensor([[float(x) for x in row] for row in other.gram])
+        for metric in (other, floats):
+            got, want = scalar_curvature(rt, metric), scalar_curvature_table(rt, metric)
+            assert type(got) is type(want) and got == want
 
 
 def test_torsion_free_and_compatible_everywhere(rng):
@@ -222,19 +287,48 @@ def test_riemann_tensor_matches_dense_oracle_on_wide_tables(monkeypatch):
                    for row in block for x in row)
         ints = [[[int(x) for x in row] for row in block] for block in case.algebra.structure]
         alg = LieAlgebra(ints)
-        got = assert_matches_dense(alg, case.metric, False)
+        metric = MetricTensor(case.metric.gram)
+        cleared.clear()
+        got = assert_matches_dense(alg, metric, False)
         assert all(type(x) is F for plane in got for block in plane
                    for row in block for x in row)
-        metric = MetricTensor(case.metric.gram)
         conn = levi_civita(alg, metric)
+        # the structure is cleared once per algebra and the Gram matrix once per metric,
+        # though levi_civita ran twice
+        assert [t for t in cleared if t is alg.structure] == [alg.structure]
+        assert [t for t in cleared if t is metric.gram] == [metric.gram]
         cleared.clear()
         rt = riemann_tensor(conn)
-        # the cleared exact path: the Gram matrix, once per metric, then Gamma and c
-        assert cleared == [metric.gram, conn.gamma, alg.structure]
+        # riemann_tensor clears nothing and still takes the int path
+        assert cleared == []
         assert rt.gram is metric.cleared_gram
-        cleared.clear()
-        riemann_tensor(conn)
-        assert cleared == [conn.gamma, alg.structure]
+        assert conn.cleared_gamma == clear(conn.gamma)
+        assert all(type(x) is int or x == 0 for p in rt.rows for row in p for x in row)
+
+
+def test_directly_built_connection_stays_exact():
+    """A Connection built from a Christoffel table, without levi_civita, clears
+    the table itself on first read: the pair levi_civita hands over, so the same
+    int rows, den and op; a float table gives no pair and float rows."""
+    rng = random.Random(20130520)
+    inputs = [(c.algebra, c.metric) for c in
+              [catalog.get_case(i) for i in (1, 2, 3, 5, 6)]
+              + [catalog.get_case(4, alpha=F(1, 2), beta=F(-2, 3))]]
+    for dim in range(2, 7):
+        exact_doc, float_doc = semidirect_documents(rng, dim)
+        inputs.append((exact_doc.algebra(), exact_doc.metric))
+    for alg, metric in inputs:
+        conn = levi_civita(alg, metric)
+        direct = Connection(alg, metric, conn.gamma)
+        assert direct.cleared_gamma == conn.cleared_gamma == linalg.clear_denominators(conn.gamma)
+        want, got = riemann_tensor(conn), riemann_tensor(direct)
+        assert got.gram is metric.cleared_gram
+        assert (got.rows, got.den, got.op) == (want.rows, want.den, want.op)
+        assert all(type(x) is int or x == 0 for p in got.rows for row in p for x in row)
+    conn = levi_civita(float_doc.algebra(), float_doc.metric)
+    direct = Connection(conn.algebra, conn.metric, conn.gamma)
+    assert direct.cleared_gamma is conn.cleared_gamma is None
+    assert riemann_tensor(direct).rows == riemann_tensor(conn).rows
 
 
 # --- curvature operator on 2-forms --------------------------------------------
