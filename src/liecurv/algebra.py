@@ -100,10 +100,7 @@ class Vector:
 
 
 def as_vector(v, dim: int) -> Vector:
-    if isinstance(v, Vector):
-        vec = v
-    else:
-        vec = Vector(v)
+    vec = v if isinstance(v, Vector) else Vector(v)
     if vec.dim != dim:
         raise DimensionMismatchError(f"expected a vector of dimension {dim}, got {vec.dim}")
     return vec

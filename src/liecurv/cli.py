@@ -433,12 +433,9 @@ def main(argv=None) -> int:
         if out:
             _write_report(out, "w", envelope + "\n")
             result.text.append(f"wrote {out}")
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except LiecurvError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, PreconditionError) else 1
     except OverflowError:  # float() of an exact operand, where a float operation would give inf
         print("error: floating result is not finite: an exact value past the float range "
               "met a float", file=sys.stderr)

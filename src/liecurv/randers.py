@@ -58,15 +58,12 @@ class Flag:
 def parallel_fields(conn: Connection) -> list[Vector]:
     """Basis of left-invariant fields Q with nabla_U Q = 0 for all U.
 
-    The condition is the dim^2 x dim linear system
-    sum_j gamma[i][j][k] Q_j = 0; the nullspace is computed exactly in
-    rational mode, so 'dimension 0 vs 1' never hinges on a tolerance.
+    The condition is the dim^2 x dim linear system sum_j gamma[i][j][k] Q_j = 0, solved
+    on the connection's rows, den gamma, which have its nullspace. It is exact in rational
+    mode, so 'dimension 0 vs 1' never hinges on a tolerance.
     """
     n = conn.dim
-    rows = []
-    for i in range(n):
-        for k in range(n):
-            rows.append([conn.gamma[i][j][k] for j in range(n)])
+    rows = [[conn.rows[i][j][k] for j in range(n)] for i in range(n) for k in range(n)]
     return [Vector(b) for b in linalg.nullspace(rows, n)]
 
 
@@ -82,7 +79,11 @@ def build_randers(metric: MetricTensor, drift, conn: Connection) -> RandersMetri
     if not norm_sq < 1:
         raise NormBoundError(
             f"drift must satisfy g(Q,Q) < 1 strictly, got g(Q,Q) = {format_scalar(norm_sq)}")
-    berwald = all(is_zero(x) for block in conn.gamma for x in linalg.contract(block, drift))
+    # an exact drift on an exact store tests den * gamma Q for exact zeros; otherwise gamma is
+    # read at value scale, rows / den, so the tolerance of is_zero does not grow with den
+    gamma = (conn.rows if conn.gram and linalg.all_exact(drift) else
+             [[[x / conn.den for x in row] for row in block] for block in conn.rows])
+    berwald = all(is_zero(x) for block in gamma for x in linalg.contract(block, drift))
     return RandersMetric(base=metric, drift=drift, berwald=berwald,
                          drift_norm_sq=norm_sq)
 

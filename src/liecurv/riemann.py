@@ -9,8 +9,9 @@ With the structure constants lowered once, c_abk = g([e_a,e_b], e_k), the
 right-hand side is (c_ijk - c_jki + c_kij) / 2 for U = e_i, V = e_j, W = e_k.
 Exact input is read as ints: the structure constants and the Gram matrix are
 each cleared once (LieAlgebra.cleared_structure, MetricTensor.cleared_gram),
-the Koszul system is solved over ints, and the connection keeps gamma as ints
-over one denominator (Connection.cleared_gamma), which riemann_tensor reads.
+the Koszul system is solved over ints, and the connection keeps the solve's
+int rows over their one denominator (Connection.rows, den), which
+riemann_tensor, parallel_fields and the Berwald test read.
 
 Curvature convention: R(U,V)W = nabla_U nabla_V W - nabla_V nabla_U W
 - nabla_[U,V] W. The one store is the rows R(e_i,e_j)e_k for i < j: R(e_j,e_i) is
@@ -38,32 +39,36 @@ from .scalars import TOLERANCE, Scalar, is_exact
 
 
 class Connection:
-    """Christoffel table gamma[i][j] = coefficients of nabla_{e_i} e_j."""
+    """The store is rows: rows[i][j][l] / den is the coefficient of e_l in nabla_{e_i} e_j,
+    as levi_civita's solve returns it. Exact (structure and metric exact): ints, gram =
+    MetricTensor.cleared_gram. Float: den 1, gram None. gamma, the table of those
+    coefficients as Fractions or floats, is an image of the rows built on first read."""
 
-    def __init__(self, alg: LieAlgebra, metric: MetricTensor, gamma):
-        self.algebra = alg
-        self.metric = metric
-        self.gamma = tuple(tuple(tuple(row) for row in block) for block in gamma)
+    def __init__(self, alg: LieAlgebra, metric: MetricTensor, rows, den: int, gram):
+        self.algebra, self.metric = alg, metric
+        self.rows, self.den, self.gram = rows, den, gram
 
     @property
     def dim(self) -> int:
         return self.algebra.dim
 
     @cached_property
-    def cleared_gamma(self) -> tuple[int, list] | None:
-        """(L, L * gamma) with L the lcm of the denominators of gamma, None if an entry is a
-        float. levi_civita hands over the pair its solve returns; a Connection built
-        directly clears its table here, on first read."""
-        return linalg.cleared(self.gamma)
+    def gamma(self) -> tuple:
+        return tuple(tuple(self.nabla(i, j).coeffs for j in range(self.dim))
+                     for i in range(self.dim))
 
     def nabla(self, i: int, j: int) -> Vector:
-        return Vector(self.gamma[i][j])
+        return _read(self.rows[i][j], self.den, self.gram)
 
     def derivative(self, u, v) -> Vector:
         """nabla_u v for left-invariant u, v (bilinear over scalars)."""
-        u = as_vector(u, self.dim)
-        v = as_vector(v, self.dim)
-        return Vector(linalg.contract(self.gamma, u.coeffs, v.coeffs))
+        u, v = (as_vector(x, self.dim).coeffs for x in (u, v))
+        return Vector(linalg.contract(self.gamma, u, v))
+
+
+def _read(nums, den: int, exact) -> Vector:
+    """nums / den: one Fraction per entry when exact, the float entries as they are."""
+    return Vector([Fraction(x, den) for x in nums] if exact else nums)
 
 
 def levi_civita(alg: LieAlgebra, metric: MetricTensor) -> Connection:
@@ -73,9 +78,9 @@ def levi_civita(alg: LieAlgebra, metric: MetricTensor) -> Connection:
     MetricTensor.cleared_gram (L, G = L g). C lowered by G is L M times the lowered
     constants, so the right-hand side R_ij formed from it is 2 L M times the Koszul
     one, and (2 M G) gamma_ij = R_ij. One fraction-free elimination solves all dim^2
-    pairs and returns gamma as ints over their lcm denominator, which the Connection
-    keeps for riemann_tensor. Float input runs the same code with M = L = 1; doubling
-    a float matrix is exact, so gamma has the bits of g x = R / 2.
+    pairs and returns gamma as ints over their lcm denominator, the connection's store.
+    Float input runs the same code with M = L = 1; doubling a float matrix is exact, so
+    the float store has the bits of g x = R / 2.
     """
     if metric.dim != alg.dim:
         raise DimensionMismatchError("metric dimension differs from algebra")
@@ -93,12 +98,8 @@ def levi_civita(alg: LieAlgebra, metric: MetricTensor) -> Connection:
     rhs_list = [[low[i][j][k] - low[j][k][i] + low[k][i][j] for k in range(n)]
                 for i in range(n) for j in range(n)]
     den, solutions = linalg.solve_cleared([[2 * m * x for x in row] for row in g], rhs_list)
-    table = [solutions[i * n:i * n + n] for i in range(n)]
-    conn = Connection(alg, metric, [[[x if isinstance(x, float) else Fraction(x, den)
-                                      for x in row] for row in block] for block in table])
-    if exact:
-        conn.cleared_gamma = den, table
-    return conn
+    return Connection(alg, metric, [solutions[i * n:i * n + n] for i in range(n)], den,
+                      metric.cleared_gram if exact else None)
 
 
 class CurvatureTensor:
@@ -149,28 +150,25 @@ class CurvatureTensor:
         exact, the float rows as they are."""
         for (i, j), nums in zip(combinations(range(self.dim), 2), self.rows):
             for k, num in enumerate(nums):
-                yield i, j, k, Vector([Fraction(x, self.den) for x in num] if self.gram else num)
+                yield i, j, k, _read(num, self.den, self.gram)
 
 
 def riemann_tensor(conn: Connection) -> CurvatureTensor:
     """Contract the connection into the curvature rows.
 
     Row (i, j, k) for i < j is nabla_i(nabla_j e_k) - nabla_j(nabla_i e_k)
-    - nabla_{[e_i,e_j]} e_k, one contraction per term. On exact input it reads
-    the int tables that were cleared before it, Gamma as L * gamma
-    (Connection.cleared_gamma) and c as M * c (LieAlgebra.cleared_structure),
+    - nabla_{[e_i,e_j]} e_k, one contraction per term. An exact connection over an
+    exact algebra reads the int tables that were cleared before it, the store
+    L * gamma (Connection.rows over den = L) and M * c (LieAlgebra.cleared_structure),
     and clears nothing itself. The contractions run over ints: the first two
     terms come out scaled by L^2, the third by L M, and a last contraction with
     (M, -M, -L) gives the int numerator of each entry over den = L^2 M. Float
     rows are contracted as they are, each entry a - b - d.
     """
-    n = conn.dim
-    cleared = conn.cleared_gamma, conn.algebra.cleared_structure, conn.metric.cleared_gram
-    exact = None not in cleared
-    if exact:
-        (L, gamma), (M, c) = cleared[:2]
-    else:
-        gamma, c = conn.gamma, conn.algebra.structure
+    n, gamma, L = conn.dim, conn.rows, conn.den
+    cleared = conn.algebra.cleared_structure
+    exact = conn.gram is not None and cleared is not None
+    M, c = cleared if exact else (1, conn.algebra.structure)
     # by_target[k][m] = nabla_{e_m} e_k, so contracting its first axis with
     # [e_i,e_j] gives nabla_{[e_i,e_j]} e_k.
     by_target = [[gamma[m][k] for m in range(n)] for k in range(n)]
@@ -183,8 +181,7 @@ def riemann_tensor(conn: Connection) -> CurvatureTensor:
                      linalg.contract(by_target[k], c[i][j]))
             rows[-1].append(linalg.contract(terms, (M, -M, -L)) if exact
                             else [a - b - d for a, b, d in zip(*terms)])
-    return CurvatureTensor(conn, rows, L * L * M if exact else 1,
-                           conn.metric.cleared_gram if exact else None)
+    return CurvatureTensor(conn, rows, L * L * M if exact else 1, conn.gram if exact else None)
 
 
 def curvature_apply(rt: CurvatureTensor, u, v, w) -> Vector:

@@ -76,22 +76,25 @@ def parse_rational(text: str) -> Scalar:
 
     Decimal input (containing '.' or an exponent) comes back as float; the
     caller is responsible for flagging the surrounding document as
-    floating-mode. A decimal that overflows to infinity, and anything else,
-    is an InputError.
+    floating-mode. An integer past Python's int-string digit limit, a decimal
+    that overflows to infinity, and anything else, is an InputError, which
+    echoes at most the literal's first 40 characters.
     """
     s = text.strip()
     if not s:
         raise InputError("empty scalar literal")
-    if "/" in s:
-        num, _, den = s.partition("/")
-        try:
-            return Fraction(int(num.strip()), int(den.strip()))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational literal {text!r}: {exc}") from None
     try:
-        return int(s)
-    except ValueError:
-        pass
+        if "/" not in s:
+            return int(s)
+        num, _, den = s.partition("/")
+        return Fraction(int(num), int(den))
+    except ZeroDivisionError:
+        raise InputError(f"bad rational literal {_shown(text)}: zero denominator") from None
+    except ValueError as exc:
+        if str(exc).startswith("Exceeds the limit"):  # the int-string digit limit
+            raise InputError(f"integer literal too long: {exc}") from None
+        if "/" in s:
+            raise InputError(f"bad rational literal {_shown(text)}") from None
     if any(ch in s for ch in ".eE"):
         try:
             out = float(s)
@@ -99,9 +102,13 @@ def parse_rational(text: str) -> Scalar:
             pass
         else:
             if not math.isfinite(out):
-                raise InputError(f"scalar literal {text!r} is not finite")
+                raise InputError(f"scalar literal {_shown(text)} is not finite")
             return out
-    raise InputError(f"bad scalar literal {text!r}")
+    raise InputError(f"bad scalar literal {_shown(text)}")
+
+
+def _shown(text: str) -> str:
+    return repr(text if len(text) <= 40 else text[:40] + "...")
 
 
 def format_scalar(x: Scalar, precision: int = 12) -> str:

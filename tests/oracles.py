@@ -83,6 +83,22 @@ def levi_civita_reference(alg: LieAlgebra, metric: MetricTensor) -> list:
     return [solutions[i * n:i * n + n] for i in range(n)]
 
 
+def connection_from_table(alg: LieAlgebra, metric: MetricTensor, gamma) -> Connection:
+    """The Connection with Christoffel table gamma, stored as levi_civita stores it: gamma
+    cleared to ints over one denominator, marked with the cleared Gram matrix, when gamma,
+    the structure constants and the metric are all exact; else gamma as it is, over 1."""
+    cleared = linalg.cleared(gamma)
+    if cleared and alg.cleared_structure is not None and metric.cleared_gram is not None:
+        return Connection(alg, metric, cleared[1], cleared[0], metric.cleared_gram)
+    return Connection(alg, metric, gamma, 1, None)
+
+
+def berwald_reference(conn: Connection, drift) -> bool:
+    """Whether gamma Q vanishes, contracted on the Fraction (or float) table gamma: zero
+    exactly for exact products, within TOLERANCE of the value for float ones."""
+    return all(is_zero(x) for block in conn.gamma for x in linalg.contract(block, drift))
+
+
 @contextlib.contextmanager
 def fraction_gram():
     """Inside, MetricTensor.inner contracts float vectors against the Fraction Gram

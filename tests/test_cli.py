@@ -173,6 +173,37 @@ def test_bad_vector_token(capsys):
     assert code == 1
 
 
+PAST_LIMIT = "1" + "0" * 4301  # Python's default int-string limit is 4300 digits
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, flag", [
+    (["sectional", "--case", "1", f"--u={PAST_LIMIT},0,0,0", "--v=0,1,0,0"], "--u"),
+    (["sectional", "--case", "1", "--u=1,0,0,0", f"--v=0,1/{PAST_LIMIT},0,0"], "--v"),
+    (["scalar", "--case", "4", f"--alpha={PAST_LIMIT}", "--beta=0"], "--alpha"),
+    (["scalar", "--case", "4", "--alpha=0", f"--beta=-1/{PAST_LIMIT}"], "--beta"),
+])
+def test_integer_literal_past_the_digit_limit_is_named(capsys, argv, flag, fmt):
+    """A valid integer, or either side of p/q, past Python's int-string limit is called
+    too long, as in documents, not malformed, and no digit run is echoed."""
+    code, out, err = run(capsys, *argv, f"--format={fmt}")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {flag}: integer literal too long: ")
+    assert len(err) < 300 and "0" * 50 not in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_bad_literal_is_echoed_as_a_short_prefix(capsys, fmt):
+    junk = "1/2x" + "7" * 5000
+    for flag, text in (("--alpha", junk), ("--alpha", "1e999"), ("--beta", "1/0")):
+        code, out, err = run(capsys, "scalar", "--case", "4", f"{flag}={text}",
+                             f"--{'alpha' if flag == '--beta' else 'beta'}=0", f"--format={fmt}")
+        assert code == 1 and out == "" and err.startswith(f"error: {flag}: ")
+        assert text[:20] in err and len(err) < 100
+    code, _, err = run(capsys, "sectional", "--case", "1", "--u=1,0,0,0", f"--v={junk},0,0,0")
+    assert code == 1 and err == f"error: --v: bad rational literal {junk[:40] + '...'!r}\n"
+
+
 # --- geometry commands ----------------------------------------------------------
 
 

@@ -1,9 +1,11 @@
 """Boundary fuzz of the command line, on the inputs that hold expressions.
 
 hypothesis draws document coefficients (brackets, metric, drift), `params`
-values and catalog `--alpha`/`--beta` values from edge-valued pools: huge,
-tiny and signed-zero literals, literals past Python's int-string digit
-limit, powers at and past MAX_EXPONENT, division by zero and unbound names.
+values, catalog `--alpha`/`--beta` values and the components of the vector
+options (`--u`/`--v`, `--pole`/`--edge`, `--drift`) from edge-valued pools:
+huge, tiny and signed-zero literals, literals past Python's int-string digit
+limit, powers at and past MAX_EXPONENT, division by zero, unbound names, and
+for vectors nan, inf, blank components and wrong component counts.
 Each draw runs one command through `cli.main` in process. Every run must:
 
 - end with an exit code that the README lists, with no exception escaping;
@@ -97,7 +99,7 @@ WHOLE_INPUT = ("not a Lie algebra", "floating result", "exact value too large to
 # The README's mathematical preconditions (exit 2); each names the drift, pole or plane.
 PRECONDITIONS = ("drift must satisfy g(Q,Q) < 1", "drift is not parallel",
                  "requires a parallel drift", "linearly dependent", "independent spanning",
-                 "zero vector", "the pole's g(y,y)", "undefined at y = 0",
+                 "zero vector", "the pole's g(y,y)", "undefined at y = 0", "pole must be nonzero",
                  "a positive exact value under a square root")
 
 
@@ -142,3 +144,47 @@ def test_documents_with_edge_expressions(doc_path, doc, command, fmt):
        command=st.sampled_from(CASE_COMMANDS), fmt=st.sampled_from(("text", "json")))
 def test_case_parameters_at_the_edges(alpha, beta, command, fmt):
     check_run([*command, "--case=4", f"--alpha={alpha}", f"--beta={beta}", f"--format={fmt}"])
+
+
+# Components of a vector option: plain literals, and the edge pool.
+COMPONENTS = ("0", "0", "1", "-1", "1/2", "-1/3", "0.5", "2")
+COMPONENT_EDGES = (
+    "1e308", "-1e308", "1e200", "1e-320", "5e-324", "-0.0", "0.0", "-0",     # decimals
+    "9" * 300, "-" + "7" * 300, "1/" + "3" * 300, "9" * 300 + "/" + "7" * 299,  # 300 digits
+    "1" + "0" * PAST_DIGITS, "1/" + "7" * PAST_DIGITS, "-" + "3" * PAST_DIGITS + "/2",
+    "1/0", "0/0", "nan", "-nan", "inf", "-inf", "1e999", "-1e999",              # not finite
+    "", " ", "1/", "/2", "1 2", "x", "1,", "0x10",                              # malformed
+)
+# Each case with a parallel drift, and that drift: about half the draws keep it, so flag
+# and randers reach the curvature with the drawn pole and edge.
+VECTOR_CASES = ((["--case=1"], "0,0,1/2,0"), (["--case=2"], "0,0,0,1/2"),
+                (["--case=3"], "0,0,1/3,1/3"), (["--case=6"], "0,0,1/2,0"),
+                (["--case=4", "--alpha=-1", "--beta=0"], "0,0,0,1/2"))
+
+
+@st.composite
+def vectors(draw) -> str:
+    """Four components as a rule, three or five now and then."""
+    count = draw(st.sampled_from((4, 4, 4, 4, 3, 5)))
+    pool = st.one_of(st.sampled_from(COMPONENTS), st.sampled_from(COMPONENT_EDGES))
+    return ",".join(draw(pool) for _ in range(count))
+
+
+@st.composite
+def vector_commands(draw) -> list:
+    case, drift = draw(st.sampled_from(VECTOR_CASES))
+    command = draw(st.sampled_from(("sectional", "randers", "flag")))
+    if command == "sectional":
+        return ["sectional", *case, f"--u={draw(vectors())}", f"--v={draw(vectors())}"]
+    drift = drift if draw(st.booleans()) else draw(vectors())
+    argv = [command, *case, f"--drift={drift}"]
+    if command == "flag" or draw(st.booleans()):
+        argv += [f"--pole={draw(vectors())}", f"--edge={draw(vectors())}"]
+    return argv
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=vector_commands(), fmt=st.sampled_from(("text", "json")))
+def test_vector_options_at_the_edges(argv, fmt):
+    check_run([*argv, f"--format={fmt}"])

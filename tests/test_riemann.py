@@ -6,18 +6,18 @@ import pytest
 
 from conftest import (cayley_rotation, change_basis, rand_fraction, rand_invertible,
                       rand_pd_metric, rand_vector)
-from oracles import (compatibility_residual, curvature_apply_dense, curvature_operator_dense,
-                     levi_civita_reference, riemann_tensor_dense, scalar_curvature_gram_schmidt,
-                     scalar_curvature_table, sectional_dense, sectional_plane_invariance_check,
-                     torsion)
+from oracles import (compatibility_residual, connection_from_table, curvature_apply_dense,
+                     curvature_operator_dense, levi_civita_reference, riemann_tensor_dense,
+                     scalar_curvature_gram_schmidt, scalar_curvature_table, sectional_dense,
+                     sectional_plane_invariance_check, torsion)
 from test_exact_vs_float import is_exact_document, semidirect_documents, semidirect_objects
 from liecurv.documents import parse_document
 from liecurv import catalog, linalg
 from liecurv.algebra import LieAlgebra, MetricTensor, Vector
 from liecurv.errors import DegeneratePlaneError, InputError, LiecurvError
 from liecurv.randers import Flag, build_randers, flag_curvature, parallel_fields
-from liecurv.riemann import (Connection, curvature_apply, levi_civita, riemann_tensor,
-                             scalar_curvature, sectional)
+from liecurv.riemann import (curvature_apply, levi_civita, riemann_tensor, scalar_curvature,
+                             sectional)
 
 F = Fraction
 
@@ -71,9 +71,10 @@ def mixed_documents(rng):
 
 
 def test_levi_civita_on_a_table_with_a_decimal_zero():
-    """A float 0.0 among rational constants over an exact metric is a float table: gamma
-    has the bits of the Koszul solve as written, the values of the exact table's gamma,
-    and curvature, scalar and parallel fields follow it."""
+    """A float 0.0 among rational constants over an exact metric is a float table: the
+    connection keeps a float store (float rows over den 1, no Gram mark), gamma has the
+    bits of the Koszul solve as written, the values of the exact table's gamma, and
+    curvature, scalar and parallel fields follow it."""
     docs = mixed_documents(random.Random(20130521))
     for mixed, exact in docs:
         alg = mixed.algebra()
@@ -81,7 +82,8 @@ def test_levi_civita_on_a_table_with_a_decimal_zero():
         conn = levi_civita(alg, mixed.metric)
         want = levi_civita_reference(alg, mixed.metric)
         assert repr([[list(row) for row in block] for block in conn.gamma]) == repr(want)
-        assert conn.cleared_gamma is None
+        assert conn.gram is None and conn.den == 1
+        assert all(type(x) is float for block in conn.rows for row in block for x in row)
         exact_conn = levi_civita(exact.algebra(), exact.metric)
         pairs = [(a, b) for x, y in zip(conn.gamma, exact_conn.gamma) for u, v in zip(x, y)
                  for a, b in zip(u, v)]
@@ -302,14 +304,15 @@ def test_riemann_tensor_matches_dense_oracle_on_wide_tables(monkeypatch):
         # riemann_tensor clears nothing and still takes the int path
         assert cleared == []
         assert rt.gram is metric.cleared_gram
-        assert conn.cleared_gamma == clear(conn.gamma)
+        # the int path reads the connection's store: the solve's ints over their lcm
+        assert conn.gram is metric.cleared_gram and (conn.den, conn.rows) == clear(conn.gamma)
         assert all(type(x) is int or x == 0 for p in rt.rows for row in p for x in row)
 
 
 def test_directly_built_connection_stays_exact():
-    """A Connection built from a Christoffel table, without levi_civita, clears
-    the table itself on first read: the pair levi_civita hands over, so the same
-    int rows, den and op; a float table gives no pair and float rows."""
+    """A Connection built from a Christoffel table through oracles.connection_from_table
+    stores what levi_civita stores: the same int rows, den and Gram mark, so the same
+    curvature rows, den and op; a float table gives a float store and float rows."""
     rng = random.Random(20130520)
     inputs = [(c.algebra, c.metric) for c in
               [catalog.get_case(i) for i in (1, 2, 3, 5, 6)]
@@ -319,15 +322,17 @@ def test_directly_built_connection_stays_exact():
         inputs.append((exact_doc.algebra(), exact_doc.metric))
     for alg, metric in inputs:
         conn = levi_civita(alg, metric)
-        direct = Connection(alg, metric, conn.gamma)
-        assert direct.cleared_gamma == conn.cleared_gamma == linalg.clear_denominators(conn.gamma)
+        direct = connection_from_table(alg, metric, conn.gamma)
+        assert (direct.den, direct.rows) == (conn.den, conn.rows)
+        assert (conn.den, conn.rows) == linalg.clear_denominators(conn.gamma)
+        assert direct.gram is conn.gram is metric.cleared_gram
         want, got = riemann_tensor(conn), riemann_tensor(direct)
         assert got.gram is metric.cleared_gram
         assert (got.rows, got.den, got.op) == (want.rows, want.den, want.op)
         assert all(type(x) is int or x == 0 for p in got.rows for row in p for x in row)
     conn = levi_civita(float_doc.algebra(), float_doc.metric)
-    direct = Connection(conn.algebra, conn.metric, conn.gamma)
-    assert direct.cleared_gamma is conn.cleared_gamma is None
+    direct = connection_from_table(conn.algebra, conn.metric, conn.gamma)
+    assert direct.gram is conn.gram is None and direct.den == conn.den == 1
     assert riemann_tensor(direct).rows == riemann_tensor(conn).rows
 
 
