@@ -1,10 +1,8 @@
-"""Lie algebras from structure constants, metrics, and integrability checks.
+"""Lie algebras from structure constants, metrics, and the Jacobi check.
 
 Conventions: a basis e_0..e_{n-1} with [e_i, e_j] = sum_k c[i][j][k] e_k.
 Structure constants are stored as a dense dim x dim x dim table; inputs list
 brackets only for i < j and the antisymmetric completion is generated.
-An endomorphism J is a square table of basis images, row i = J e_i, so
-J w = linalg.contract(j, w) and "a after b" has rows contract(a, b[i]).
 """
 
 from __future__ import annotations
@@ -202,14 +200,7 @@ class MetricTensor:
         return f"MetricTensor(dim={self.dim})"
 
 
-# --- bracket and Jacobi -----------------------------------------------------
-
-
-def bracket(alg: LieAlgebra, u, v) -> Vector:
-    """[u, v] extended bilinearly from the structure constants."""
-    u = as_vector(u, alg.dim)
-    v = as_vector(v, alg.dim)
-    return Vector(linalg.contract(alg.structure, u.coeffs, v.coeffs))
+# --- Jacobi -----------------------------------------------------------------
 
 
 @dataclass
@@ -261,7 +252,7 @@ def check_jacobi(alg: LieAlgebra) -> JacobiReport:
     flat = [[x for row in block for x in row] for block in c]  # flat[a][k n + l] = c[a][k][l]
     ad = {}
     for i, j in combinations(range(n), 2):
-        # a float 0.0 in [e_i, e_j] adds no term, as in bracket()
+        # a float 0.0 in [e_i, e_j] adds no term
         rows = linalg.contract(flat, [x or 0 for x in c[i][j]])
         ad[i, j] = [rows[k * n:k * n + n] for k in range(n)]
     for i, j, k in combinations(range(n), 3):
@@ -269,76 +260,4 @@ def check_jacobi(alg: LieAlgebra) -> JacobiReport:
         if not all(map(is_zero, residual)):
             report.violations.append((i, j, k, Vector(
                 [Fraction(x, m * m) for x in residual] if cleared else residual)))
-    return report
-
-
-# --- Nijenhuis tensors and para-hypercomplex structure -----------------------
-
-
-def _after(a, b) -> list:
-    """The table of a after b: row i is a(b e_i)."""
-    return [linalg.contract(a, row) for row in b]
-
-
-def _same(a, b) -> bool:
-    return all(approx_equal(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def _require_square(alg: LieAlgebra, j) -> None:
-    if len(j) != alg.dim or any(len(row) != alg.dim for row in j):
-        raise DimensionMismatchError("endomorphism table must be dim x dim for the algebra")
-
-
-def nijenhuis(alg: LieAlgebra, j, u, v) -> Vector:
-    """N(u, v) = [Ju, Jv] - J([Ju, v] + [u, Jv]) + J^2 [u, v].
-
-    j is a table of basis images, row i = J e_i, so Jw = contract(j, w).
-    The last term is -[u, v] for an almost complex structure (J^2 = -Id)
-    and +[u, v] for an almost product structure (J^2 = Id): one formula
-    covers both, and the sign follows from J itself.
-    """
-    _require_square(alg, j)
-    u = as_vector(u, alg.dim)
-    v = as_vector(v, alg.dim)
-
-    def apply(w: Vector) -> Vector:
-        return Vector(linalg.contract(j, w.coeffs))
-
-    ju, jv = apply(u), apply(v)
-    return (bracket(alg, ju, jv) - apply(bracket(alg, ju, v) + bracket(alg, u, jv))
-            + apply(apply(bracket(alg, u, v))))
-
-
-def check_para_hypercomplex(alg: LieAlgebra, j1, j2) -> dict[str, list[str]]:
-    """Check the para-hypercomplex axioms for (J1, J2, J3 = J1 J2).
-
-    j1 and j2 are basis-image tables (row i = J e_i). Axioms, by code:
-    j1_square J1^2 = -Id; j2_square J2^2 = Id with J2 != +-Id;
-    j3_consistency J2 J1 = -J3; n1, n2, n3 the Nijenhuis tensors of J1, J2,
-    J3 vanish, on basis pairs (enough by bilinearity). Returns
-    {code: failures}; an empty list means the axiom holds.
-    """
-    _require_square(alg, j1)
-    _require_square(alg, j2)
-    n = alg.dim
-    ident = [[int(i == k) for k in range(n)] for i in range(n)]  # rows: basis vectors
-    minus = [[-x for x in row] for row in ident]
-    j3 = _after(j1, j2)
-    report = {"j1_square": [] if _same(_after(j1, j1), minus) else ["J1^2 != -Id"]}
-    if not _same(_after(j2, j2), ident):
-        report["j2_square"] = ["J2^2 != Id"]
-    elif _same(j2, ident) or _same(j2, minus):
-        report["j2_square"] = ["J2 is +-identity"]
-    else:
-        report["j2_square"] = []
-    report["j3_consistency"] = ([] if _same(_after(j2, j1), [[-x for x in row] for row in j3])
-                                else ["J2 J1 != -J1 J2"])
-    for code, j in (("n1", j1), ("n2", j2), ("n3", j3)):
-        report[code] = []
-        for a in range(n):
-            for b in range(a + 1, n):
-                value = nijenhuis(alg, j, ident[a], ident[b])
-                if not value.is_zero():
-                    report[code].append(f"N({alg.labels[a]}, {alg.labels[b]}) = "
-                                        f"{value.describe(alg.labels)}")
     return report

@@ -67,10 +67,7 @@ def _needs_params(entry: dict) -> bool:
     for b in entry["brackets"]:
         for c in b["coeffs"]:
             if isinstance(c, str):
-                try:
-                    names |= exprs.free_names(exprs.parse_expr(c))
-                except InputError:
-                    pass
+                names |= exprs.free_names(exprs.parse_expr(c))
     return bool(names & {"alpha", "beta"})
 
 

@@ -24,7 +24,7 @@ from .documents import document_digest, load_document
 from .errors import InputError, LiecurvError, NonBerwaldError, PreconditionError
 from .randers import Flag, build_randers, flag_curvature, g_y, randers_norm
 from .riemann import sectional
-from .scalars import format_scalar, is_zero, parse_rational, scalar_to_json
+from .scalars import format_scalar, is_zero, parse_rational, scalar_to_json, shown_literal
 
 
 @dataclasses.dataclass
@@ -54,8 +54,11 @@ def _parse_grid(text: str, flag_name: str) -> range:
     lo, sep, hi = text.partition(":")
     try:
         lo_n, hi_n = int(lo), int(hi)
-    except ValueError:
-        raise InputError(f"{flag_name} must look like lo:hi, got {text!r}") from None
+    except ValueError as exc:
+        if str(exc).startswith("Exceeds the limit"):  # the int-string digit limit
+            raise InputError(f"{flag_name}: integer literal too long: {exc}") from None
+        raise InputError(f"{flag_name} must look like lo:hi, "
+                         f"got {shown_literal(text)}") from None
     if not sep or lo_n > hi_n:
         raise InputError(f"{flag_name} must be an inclusive integer range lo:hi")
     return range(lo_n, hi_n + 1)

@@ -20,10 +20,10 @@ Programs run as register code. Linking gives each literal (keyed by type and
 repr), name and operator result a register and emits (op, i, j, k), meaning
 regs[k] = regs[i] op regs[j], once per operator and operands, so a linked
 group computes a repeated subexpression once (value numbering, J. Cocke 1970).
-evaluate links a program on its first run, evaluate_all a tuple of sources,
-memoized. Sources run in order and fail as a stack machine would: each
-source's bound is read before its operators, and an unbound name raises after
-exactly the operators before it in postfix order.
+evaluate links a program's source, evaluate_all a tuple of sources, through
+one memo keyed by the text. Sources run in order and fail as a stack machine
+would: each source's bound is read before its operators, and an unbound name
+raises after exactly the operators before it in postfix order.
 
 Exact values are evaluated on ints, and on unreduced (numerator,
 denominator) int pairs once a Fraction or a '/' is involved, so a result is
@@ -112,16 +112,13 @@ def _tokenize(src: str) -> list:
 
 
 class Program(tuple):
-    """A compiled postfix program. `cost` is its size bound (c, ((name, k),
-    ...)): no exact value met while evaluating it has more than
-    c + sum(k * bits(value of name)) bits, where bits is the larger bit
-    length of numerator and denominator, and 0 for a float."""
+    """A compiled postfix program, with the `source` it was compiled from. `cost`
+    is its size bound (c, ((name, k), ...)): no exact value met while evaluating
+    it has more than c + sum(k * bits(value of name)) bits, where bits is the
+    larger bit length of numerator and denominator, and 0 for a float."""
 
+    source: str
     cost: tuple
-
-    @functools.cached_property
-    def linked(self) -> tuple:  # not through the memo, where Program((2,)) == Program((2.0,))
-        return _link.__wrapped__((self,))
 
 
 def _cost(program: tuple) -> tuple:
@@ -192,7 +189,7 @@ def parse_expr(src: str) -> Program:
     if "(" in ops:
         raise InputError(f"missing ')' in expression {src!r}")
     out = Program(program + ops[::-1])
-    out.cost = _cost(out)
+    out.source, out.cost = src, _cost(out)
     return out
 
 
@@ -202,10 +199,10 @@ def free_names(expr: tuple) -> set:
 
 def evaluate(expr: Program | str, env: Mapping[str, Scalar] | None = None) -> Scalar:
     """Run a program from parse_expr (or a source string) over the given bindings,
-    linked on its first run. A pair that meets a float becomes n / d, correctly
-    rounded like float(Fraction). Refused before anything is computed when the
-    program's size bound exceeds MAX_EXPR_BITS."""
-    return _run(_link((expr,)) if isinstance(expr, str) else expr.linked, env or {})[0]
+    its source linked through the memo of evaluate_all. A pair that meets a float
+    becomes n / d, correctly rounded like float(Fraction). Refused before anything
+    is computed when the program's size bound exceeds MAX_EXPR_BITS."""
+    return _run(_link((expr if isinstance(expr, str) else expr.source,)), env or {})[0]
 
 
 def evaluate_all(sources: tuple, env: Mapping[str, Scalar] | None = None) -> list:
@@ -222,8 +219,8 @@ def _link(sources: tuple) -> tuple:
     regs: list = []
     slots: dict = {}  # (type, repr) of a literal, ("var", name) or (op, i, j) -> register
     segments = []
-    for program in sources:
-        program = parse_expr(program) if isinstance(program, str) else program
+    for src in sources:
+        program = parse_expr(src)
         code, loads, stack = [], {}, []
         for item in program:
             if item.__class__ is str:

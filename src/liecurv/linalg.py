@@ -11,8 +11,8 @@ endomorphisms. It accumulates in the type of its products, so int tables
 stay in int arithmetic. `clear_denominators` turns an exact table into such
 a table times a common denominator, so a caller builds one Fraction per
 result instead of one per multiply-add (E. Bareiss, Math. Comp. 22, 1968);
-`orthonormal_pair` runs that way on exact input, and `solve_cleared` returns
-exact solutions that way, as ints over their lcm denominator.
+`orthonormal_pair` (exact input only) and `solve_cleared` run that way, the
+latter returning exact solutions as ints over their lcm denominator.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegeneratePlaneError, InputError
-from .scalars import TOLERANCE, Scalar, is_exact, is_exact_zero, sqrt_scalar
+from .scalars import TOLERANCE, Scalar, is_exact, sqrt_scalar
 
 
 def _leaves(table) -> list:
@@ -257,35 +257,16 @@ def cleared(table) -> tuple[int, list] | None:
 def orthonormal_pair(metric, u: Sequence[Scalar],
                      v: Sequence[Scalar]) -> tuple[list[Scalar], list[Scalar]]:
     """Orthonormal (u_hat, v_hat) in a MetricTensor, spanning the same plane,
-    pole ray preserved.
+    pole ray preserved. u, v and the metric must be exact (int or Fraction).
 
     Stays exact when both norms are perfect rational squares, else floats.
-    Exact input runs on the metric's cleared Gram matrix, see _cleared_pair.
+    It runs in ints: with U = L_u u, V = L_v v and the Gram matrix cleared to
+    (L_g, g), v - (uv/uu) u is W / (L_v UU) for the int vector W = UU V - UV U,
+    where UU = g(U,U) and UV = g(U,V); so each output is one Fraction, or one
+    correctly rounded int quotient, over its norm.
     """
-    cleared = metric.cleared_gram
-    if cleared is not None and all_exact(u) and all_exact(v):
-        return _cleared_pair(cleared, u, v)
-    gram = metric.gram
-    uu = contract(gram, u, u)
-    if is_exact_zero(uu):
-        raise DegeneratePlaneError("zero vector cannot span a plane")
-    nu = sqrt_scalar(uu)
-    u_hat = [x / nu for x in u]
-    coeff = contract(gram, u, v) / (Fraction(uu) if is_exact(uu) else uu)
-    w = [v[j] - coeff * u[j] for j in range(len(v))]
-    ww = contract(gram, w, w)
-    if is_exact_zero(ww):
-        raise DegeneratePlaneError("spanning vectors are linearly dependent")
-    nw = sqrt_scalar(ww)
-    return u_hat, [x / nw for x in w]
-
-
-def _cleared_pair(cleared, u, v) -> tuple[list[Scalar], list[Scalar]]:
-    """orthonormal_pair on exact input, in ints. With U = L_u u, V = L_v v and
-    the Gram matrix cleared to (L_g, g), v - (uv/uu) u is W / (L_v UU) for the
-    int vector W = UU V - UV U, where UU = g(U,U) and UV = g(U,V); so each output
-    is one Fraction, or one correctly rounded int quotient, over its norm."""
-    (lg, g), (lu, cu), (lv, cv) = cleared, clear_denominators(u), clear_denominators(v)
+    lg, g = metric.cleared_gram
+    (lu, cu), (lv, cv) = clear_denominators(u), clear_denominators(v)
     uu = contract(g, cu, cu)
     if not uu:
         raise DegeneratePlaneError("zero vector cannot span a plane")

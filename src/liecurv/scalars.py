@@ -89,12 +89,12 @@ def parse_rational(text: str) -> Scalar:
         num, _, den = s.partition("/")
         return Fraction(int(num), int(den))
     except ZeroDivisionError:
-        raise InputError(f"bad rational literal {_shown(text)}: zero denominator") from None
+        raise InputError(f"bad rational literal {shown_literal(text)}: zero denominator") from None
     except ValueError as exc:
         if str(exc).startswith("Exceeds the limit"):  # the int-string digit limit
             raise InputError(f"integer literal too long: {exc}") from None
         if "/" in s:
-            raise InputError(f"bad rational literal {_shown(text)}") from None
+            raise InputError(f"bad rational literal {shown_literal(text)}") from None
     if any(ch in s for ch in ".eE"):
         try:
             out = float(s)
@@ -102,12 +102,13 @@ def parse_rational(text: str) -> Scalar:
             pass
         else:
             if not math.isfinite(out):
-                raise InputError(f"scalar literal {_shown(text)} is not finite")
+                raise InputError(f"scalar literal {shown_literal(text)} is not finite")
             return out
-    raise InputError(f"bad scalar literal {_shown(text)}")
+    raise InputError(f"bad scalar literal {shown_literal(text)}")
 
 
-def _shown(text: str) -> str:
+def shown_literal(text: str) -> str:
+    """repr of a literal for an error line, cut to its first 40 characters."""
     return repr(text if len(text) <= 40 else text[:40] + "...")
 
 

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from liecurv.algebra import LieAlgebra, MetricTensor, Vector, bracket
+from liecurv.algebra import LieAlgebra, MetricTensor, Vector
 from liecurv.linalg import rank, solve_many
+from oracles import bracket
 
 
 def rand_fraction(rng: random.Random, span: int = 6, den: int = 4) -> Fraction:

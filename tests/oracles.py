@@ -13,10 +13,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from liecurv import linalg
-from liecurv.algebra import (JacobiReport, LieAlgebra, MetricTensor, Vector, as_vector,
-                             bracket)
-from liecurv.errors import (DegeneratePlaneError, InputError, NonBerwaldError,
-                            PreconditionError, UndefinedAtOriginError)
+from liecurv.algebra import JacobiReport, LieAlgebra, MetricTensor, Vector, as_vector
+from liecurv.errors import (DegeneratePlaneError, DimensionMismatchError, InputError,
+                            NonBerwaldError, PreconditionError, UndefinedAtOriginError)
 from liecurv.exprs import MAX_EXPONENT, MAX_POWER_BITS
 from liecurv.randers import _ROUNDED_OUT, Flag, RandersMetric, g_y, randers_norm
 from liecurv.riemann import Connection, CurvatureTensor, sectional
@@ -46,6 +45,13 @@ def flag_curvature_four_g_y(rm: RandersMetric, rt: CurvatureTensor,
     rvyy = curvature_apply_dense(rt, edge, pole, pole)
     num, yy, ee, ye = g_y(rm, pole, [(rvyy, edge), (pole, pole), (edge, edge), (pole, edge)])
     return num / (yy * ee - ye ** 2)
+
+
+def bracket(alg: LieAlgebra, u, v) -> Vector:
+    """[u, v] extended bilinearly from the structure constants."""
+    u = as_vector(u, alg.dim)
+    v = as_vector(v, alg.dim)
+    return Vector(linalg.contract(alg.structure, u.coeffs, v.coeffs))
 
 
 def check_jacobi_reference(alg: LieAlgebra) -> JacobiReport:
@@ -331,6 +337,80 @@ def sectional_plane_invariance_check(rt: CurvatureTensor, metric: MetricTensor,
     _, value = sectional(rt, metric, u, v)
     _, value2 = sectional(rt, metric, u2, v2)
     return PlaneInvarianceReport(value, value2)
+
+
+# --- Nijenhuis tensors and para-hypercomplex structure -----------------------
+# The oracle for the paper's claim that the groups are para-hypercomplex
+# (test_every_fixture_is_para_hypercomplex); no command runs it.
+
+
+def _after(a, b) -> list:
+    """The table of a after b: row i is a(b e_i)."""
+    return [linalg.contract(a, row) for row in b]
+
+
+def _same(a, b) -> bool:
+    return all(approx_equal(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def _require_square(alg: LieAlgebra, j) -> None:
+    if len(j) != alg.dim or any(len(row) != alg.dim for row in j):
+        raise DimensionMismatchError("endomorphism table must be dim x dim for the algebra")
+
+
+def nijenhuis(alg: LieAlgebra, j, u, v) -> Vector:
+    """N(u, v) = [Ju, Jv] - J([Ju, v] + [u, Jv]) + J^2 [u, v].
+
+    j is a table of basis images, row i = J e_i, so Jw = contract(j, w).
+    The last term is -[u, v] for an almost complex structure (J^2 = -Id)
+    and +[u, v] for an almost product structure (J^2 = Id): one formula
+    covers both, and the sign follows from J itself.
+    """
+    _require_square(alg, j)
+    u = as_vector(u, alg.dim)
+    v = as_vector(v, alg.dim)
+
+    def apply(w: Vector) -> Vector:
+        return Vector(linalg.contract(j, w.coeffs))
+
+    ju, jv = apply(u), apply(v)
+    return (bracket(alg, ju, jv) - apply(bracket(alg, ju, v) + bracket(alg, u, jv))
+            + apply(apply(bracket(alg, u, v))))
+
+
+def check_para_hypercomplex(alg: LieAlgebra, j1, j2) -> dict[str, list[str]]:
+    """Check the para-hypercomplex axioms for (J1, J2, J3 = J1 J2).
+
+    j1 and j2 are basis-image tables (row i = J e_i). Axioms, by code:
+    j1_square J1^2 = -Id; j2_square J2^2 = Id with J2 != +-Id;
+    j3_consistency J2 J1 = -J3; n1, n2, n3 the Nijenhuis tensors of J1, J2,
+    J3 vanish, on basis pairs (enough by bilinearity). Returns
+    {code: failures}; an empty list means the axiom holds.
+    """
+    _require_square(alg, j1)
+    _require_square(alg, j2)
+    n = alg.dim
+    ident = [[int(i == k) for k in range(n)] for i in range(n)]  # rows: basis vectors
+    minus = [[-x for x in row] for row in ident]
+    j3 = _after(j1, j2)
+    report = {"j1_square": [] if _same(_after(j1, j1), minus) else ["J1^2 != -Id"]}
+    if not _same(_after(j2, j2), ident):
+        report["j2_square"] = ["J2^2 != Id"]
+    elif _same(j2, ident) or _same(j2, minus):
+        report["j2_square"] = ["J2 is +-identity"]
+    else:
+        report["j2_square"] = []
+    report["j3_consistency"] = ([] if _same(_after(j2, j1), [[-x for x in row] for row in j3])
+                                else ["J2 J1 != -J1 J2"])
+    for code, j in (("n1", j1), ("n2", j2), ("n3", j3)):
+        report[code] = []
+        for a in range(n):
+            for b in range(a + 1, n):
+                value = nijenhuis(alg, j, ident[a], ident[b])
+                if not value.is_zero():
+                    report[code].append(f"N({alg.labels[a]}, {alg.labels[b]}) = "
+                                        f"{value.describe(alg.labels)}")
+    return report
 
 
 # --- reference expression parser ---------------------------------------------

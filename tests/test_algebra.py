@@ -5,10 +5,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import change_basis, rand_invertible, rand_vector
-from oracles import check_jacobi_reference
+from oracles import _after, bracket, check_jacobi_reference, check_para_hypercomplex, nijenhuis
 from liecurv import catalog, linalg
-from liecurv.algebra import (LieAlgebra, MetricTensor, Vector, _after, bracket,
-                             check_jacobi, check_para_hypercomplex, nijenhuis)
+from liecurv.algebra import LieAlgebra, MetricTensor, Vector, as_vector, check_jacobi
 from liecurv.errors import DimensionMismatchError, InputError
 from liecurv.linalg import contract
 
@@ -194,6 +193,17 @@ def test_metric_rejects_asymmetric():
         MetricTensor([[F(1), F(2)], [F(0), F(1)]])
 
 
+def test_shape_refusals():
+    with pytest.raises(DimensionMismatchError, match="dimension 4, got 3"):
+        as_vector([F(1), F(0), F(0)], 4)
+    with pytest.raises(InputError, match=r"dim\^3 table"):
+        LieAlgebra([[[F(0)] * 2] * 2, [[F(0)] * 2]])
+    with pytest.raises(InputError, match="one basis label per dimension"):
+        LieAlgebra([[[F(0)] * 2] * 2] * 2, labels=("X",))
+    with pytest.raises(InputError, match="must be square"):
+        MetricTensor([[F(1), F(0)], [F(0)]])
+
+
 def test_metric_positive_definite_detection():
     assert MetricTensor([[F(2), F(1)], [F(1), F(2)]]).is_positive_definite()
     assert not MetricTensor([[F(1), F(0)], [F(0), F(0)]]).is_positive_definite()
@@ -259,6 +269,25 @@ def test_para_hypercomplex_fails_when_not_integrable():
     report = check_para_hypercomplex(alg, J1(), J2())
     assert "N(X, Z) = Z" in report["n1"]
     assert not report["j1_square"] and not report["j3_consistency"]
+
+
+ANTI = {"j3_consistency": ["J2 J1 != -J1 J2"]}
+
+
+@pytest.mark.parametrize("j1, j2, failures", [
+    (J2(), J2(), {"j1_square": ["J1^2 != -Id"], **ANTI}),
+    (J1(), J1(), {"j2_square": ["J2^2 != Id"], **ANTI}),
+    (J1(), identity(4), {"j2_square": ["J2 is +-identity"], **ANTI}),
+    (J1(), identity(4, -1), {"j2_square": ["J2 is +-identity"], **ANTI}),
+    # X, Y fixed and Z, W negated: a product structure that commutes with J1
+    (J1(), [[F(int(i == k) * (1 if i < 2 else -1)) for k in range(4)] for i in range(4)],
+     ANTI),
+], ids=["j1_square", "j2_square", "j2_identity", "j2_minus_identity", "j3_consistency"])
+def test_para_hypercomplex_axiom_failures(j1, j2, failures):
+    """Each broken axiom is reported under its own code, so the fixture check
+    cannot pass vacuously. On the abelian algebra every Nijenhuis tensor vanishes."""
+    report = check_para_hypercomplex(LieAlgebra.from_brackets(4, {}), j1, j2)
+    assert {code: found for code, found in report.items() if found} == failures
 
 
 def test_every_fixture_is_para_hypercomplex():

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from oracles import bracket
 from liecurv import catalog
-from liecurv.algebra import Vector, bracket
+from liecurv.algebra import Vector
 from liecurv.errors import InputError
 
 F = Fraction

@@ -182,6 +182,8 @@ PAST_LIMIT = "1" + "0" * 4301  # Python's default int-string limit is 4300 digit
     (["sectional", "--case", "1", "--u=1,0,0,0", f"--v=0,1/{PAST_LIMIT},0,0"], "--v"),
     (["scalar", "--case", "4", f"--alpha={PAST_LIMIT}", "--beta=0"], "--alpha"),
     (["scalar", "--case", "4", "--alpha=0", f"--beta=-1/{PAST_LIMIT}"], "--beta"),
+    (["report", "--case", "4", f"--alpha-grid={PAST_LIMIT}:2"], "--alpha-grid"),
+    (["report", "--case", "4", f"--beta-grid=0:-{PAST_LIMIT}"], "--beta-grid"),
 ])
 def test_integer_literal_past_the_digit_limit_is_named(capsys, argv, flag, fmt):
     """A valid integer, or either side of p/q, past Python's int-string limit is called
@@ -202,6 +204,40 @@ def test_bad_literal_is_echoed_as_a_short_prefix(capsys, fmt):
         assert text[:20] in err and len(err) < 100
     code, _, err = run(capsys, "sectional", "--case", "1", "--u=1,0,0,0", f"--v={junk},0,0,0")
     assert code == 1 and err == f"error: --v: bad rational literal {junk[:40] + '...'!r}\n"
+    code, _, err = run(capsys, "report", "--case", "4", f"--beta-grid={junk}", f"--format={fmt}")
+    assert (code, err) == (1, f"error: --beta-grid must look like lo:hi, "
+                              f"got {junk[:40] + '...'!r}\n")
+
+
+def _shaped(**fields):
+    """[X,Y] = Y on a 2-dimensional basis, with fields replaced or added."""
+    return {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": ["0", "1"]}], **fields}
+
+
+@pytest.mark.parametrize("doc, argv, message", [
+    (_shaped(brackets=[{"i": 0, "j": 1, "coeffs": ["0", True]}]), ["analyze"],
+     "document.brackets[0].coeffs[1]: booleans are not scalars"),
+    (_shaped(drift=[{}, "0"]), ["analyze"], "document.drift[0]: expected a scalar, got dict"),
+    ([2, "brackets"], ["analyze"], "document must be a JSON object"),
+    (_shaped(basis=["X"]), ["analyze"], "document.basis must be 2 nonempty strings"),
+    (_shaped(basis=["X", ""]), ["analyze"], "document.basis must be 2 nonempty strings"),
+    (_shaped(basis=["X", "X"]), ["analyze"], "document.basis labels must be distinct"),
+    (_shaped(params=["alpha"]), ["analyze"], "document.params must be an object"),
+    (_shaped(brackets={"i": 0}), ["analyze"], "document.brackets must be a list"),
+    (_shaped(brackets=[[0, 1]]), ["analyze"], "document.brackets[0]: must be an object"),
+    (_shaped(metric=[[1, 0]]), ["analyze"], "document.metric must be 'identity' or 2 rows"),
+    (_shaped(metric=[[1, 0], [1]]), ["analyze"], "document.metric[1]: need 2 entries"),
+    (_shaped(drift=["0"]), ["analyze"], "document.drift must list 2 scalars"),
+    (_shaped(), ["scalar", "--alpha=1"],
+     "--alpha/--beta only apply with --case; put params in the document instead"),
+    (_shaped(), ["flag", "--pole=1,0", "--edge=0,1"],
+     "flag needs a drift: give --drift or a document drift field"),
+], ids=["boolean_scalar", "non_scalar", "not_an_object", "basis_length", "basis_label",
+        "duplicate_labels", "params_not_object", "brackets_not_list", "bracket_not_object",
+        "metric_rows", "metric_row_length", "drift_length", "alpha_with_file", "flag_no_drift"])
+def test_document_refusals(capsys, tmp_path, doc, argv, message):
+    code, out, err = run(capsys, *argv, write_doc(tmp_path, doc))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 # --- geometry commands ----------------------------------------------------------

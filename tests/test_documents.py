@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import bracket
 from test_exact_vs_float import is_exact_document
 from liecurv import catalog
-from liecurv.algebra import Vector, bracket
+from liecurv.algebra import Vector
 from liecurv.documents import (document_digest, load_document, parse_document,
                                serialize_document)
 from liecurv.errors import InputError
