@@ -41,7 +41,6 @@ from .riemann import (Connection, CurvatureTensor, curvature_apply, levi_civita,
 from .scalars import (Scalar, approx_equal, format_scalar, is_zero, parse_rational,
                       scalar_to_json)
 
-_EXTRAS = frozenset({"id", "name", "expected"})
 _POLE_VARS = ("a", "b", "c", "d")
 _EDGE_VARS = ("ta", "tb", "tc", "td")
 _FUNDAMENTAL = ("pole_pole", "pole_edge", "edge_edge", "flag_numerator")
@@ -208,14 +207,12 @@ def get_case(case_id: int, alpha=None, beta=None) -> CatalogCase:
     if _needs_params(entry):
         if set(given) != {"alpha", "beta"}:
             raise InputError(f"case {case_id} requires both alpha and beta")
-        obj = dict(entry)
-        # 17 significant digits round-trip every float
+    elif given:
+        raise InputError(f"case {case_id} takes no parameters")
+    obj = {k: v for k, v in entry.items() if k not in ("id", "name", "expected")}
+    if given:  # 17 significant digits round-trip every float
         obj["params"] = {k: scalar_to_json(v, 17) for k, v in given.items()}
-    else:
-        if given:
-            raise InputError(f"case {case_id} takes no parameters")
-        obj = entry
-    doc = parse_document(obj, extras=_EXTRAS)
+    doc = parse_document(obj)
     return CatalogCase(id=entry["id"], name=entry["name"], document=doc,
                        expected=entry["expected"])
 

@@ -102,12 +102,12 @@ def _require_keys(obj: dict, allowed: set, where: str) -> None:
         raise InputError(f"{where}: unknown fields {sorted(unknown)}")
 
 
-def parse_document(obj: dict, extras: frozenset = frozenset()) -> Document:
-    """Validate and evaluate a document dict. extras are tolerated top-level
-    keys (the catalog adds id/name/expected) and are ignored here."""
+def parse_document(obj: dict) -> Document:
+    """Validate and evaluate a document dict; any top-level key outside the
+    schema is refused."""
     if not isinstance(obj, dict):
         raise InputError("document must be a JSON object")
-    _require_keys(obj, _TOP_KEYS | set(extras), "document")
+    _require_keys(obj, _TOP_KEYS, "document")
 
     dim = obj.get("dim")
     if not _is_int(dim) or dim < 1:

@@ -2,28 +2,26 @@
 
 Catalog fixtures store reference formulas (structure constants over alpha and
 beta, sectional and flag-curvature closed forms) as plain strings. This module
-compiles each once into a postfix program and evaluates it over exact or
-floating scalars. Grammar: + - * / unary minus, '^' or '**' for integer powers
-(|n| <= MAX_EXPONENT), parentheses, integer or decimal literals, bare
-variable names. '^' binds tightest and groups to the right, unary minus
-next (-a^2 is -(a^2), a^-b is a^(-b), -a*b is (-a)*b), then * /, then + -.
+compiles each once and evaluates it over exact or floating scalars. Grammar:
++ - * / unary minus, '^' or '**' for integer powers (|n| <= MAX_EXPONENT),
+parentheses, integer or decimal literals, bare variable names. '^' binds
+tightest and groups to the right, unary minus next (-a^2 is -(a^2), a^-b is
+a^(-b), -a*b is (-a)*b), then * /, then + -.
 Division of exact operands stays exact, so "3/4" evaluates to Fraction(3, 4).
 
-A program is a flat tuple in evaluation order: numbers, ("var", name) pairs
-and operator names (+ - * / ^, and neg for unary minus). One loop with an
-operator stack compiles it (operator precedence, E. W. Dijkstra 1961), so
-nothing recurses on the input and no nesting depth or length of a document
+Each source is compiled once into register code. One loop with an operator
+stack reads it into postfix order (operator precedence, E. W. Dijkstra 1961),
+so nothing recurses on the input and no nesting depth or length of a document
 expression can exhaust Python's stack. Length is bounded by MAX_EXPR_TOKENS
-instead, checked while tokenizing.
-
-Programs run as register code. Linking gives each literal (keyed by type and
-repr), name and operator result a register and emits (op, i, j, k), meaning
-regs[k] = regs[i] op regs[j], once per operator and operands, so a linked
-group computes a repeated subexpression once (value numbering, J. Cocke 1970).
-evaluate links a program's source, evaluate_all a tuple of sources, through
-one memo keyed by the text. Sources run in order and fail as a stack machine
-would: each source's bound is read before its operators, and an unbound name
-raises after exactly the operators before it in postfix order.
+instead, checked while tokenizing. Compiling then gives each literal (keyed by
+type and repr), name and operator result a register and emits (op, i, j, k),
+meaning regs[k] = regs[i] op regs[j], once per operator and operands, so a
+group compiled together computes a repeated subexpression once (value
+numbering, J. Cocke 1970). parse_expr compiles one source and evaluate_all a
+tuple of sources, through one memo keyed by the text. Sources run in order
+and fail as a stack machine would: each source's bound is read before its
+operators, and an unbound name raises after exactly the operators before it
+in postfix order.
 
 Exact values are evaluated on ints, and on unreduced (numerator,
 denominator) int pairs once a Fraction or a '/' is involved, so a result is
@@ -45,8 +43,8 @@ from typing import Mapping
 from .errors import InputError
 from .scalars import Scalar, format_scalar, is_exact
 
-# Distinct sources kept by the parse memo, and distinct groups by the link
-# memo; reproducing all six catalog cases parses 82 sources and links 11 groups.
+# Distinct sources and groups kept by the compile memo; reproducing all six
+# catalog cases compiles 35 sources alone and 11 groups.
 PARSE_CACHE_SIZE = 4096
 
 # Largest |n| accepted in x^n. An exact power is computed in full, so without
@@ -64,7 +62,7 @@ MAX_POWER_BITS = 8192
 # expression has 347.
 MAX_EXPR_TOKENS = 1024
 
-# Largest size bound, in bits, of a program at its bindings (see Program).
+# Largest size bound, in bits, of a program at its bindings (see _cost).
 # The tests reach 557576 with ((a^64)^64)^64 at a = 3, which MAX_POWER_BITS
 # then refuses, and 33217 in an accepted program; reproducing the catalog
 # reaches 494. A product of 512 copies of a 2500-digit alpha bounds at 4.25M
@@ -111,23 +109,14 @@ def _tokenize(src: str) -> list:
     return tokens
 
 
-class Program(tuple):
-    """A compiled postfix program, with the `source` it was compiled from. `cost`
-    is its size bound (c, ((name, k), ...)): no exact value met while evaluating
-    it has more than c + sum(k * bits(value of name)) bits, where bits is the
-    larger bit length of numerator and denominator, and 0 for a float."""
-
-    source: str
-    cost: tuple
-
-
 def _cost(program: tuple) -> tuple:
-    """The size bound of a program. a op b takes bits(a) + bits(b) + 1, and a
-    power x^e takes n * bits(x) + bits(e) + 1, with n the |value| of a literal
-    exponent (at least 1), else MAX_EXPONENT. Each form so dominates its
-    operands', and the program's bounds every exact value met. One walk back
-    from the root gives each leaf its multiplier, the product of the n above
-    it."""
+    """The size bound (c, ((name, k), ...)) of a postfix program: no exact value met
+    while evaluating it has more than c + sum(k * bits(value of name)) bits, where bits
+    is the larger bit length of numerator and denominator, and 0 for a float. a op b
+    takes bits(a) + bits(b) + 1, and a power x^e takes n * bits(x) + bits(e) + 1, with
+    n the |value| of a literal exponent (at least 1), else MAX_EXPONENT. Each form so
+    dominates its operands', and the program's bounds every exact value met. One walk
+    back from the root gives each leaf its multiplier, the product of the n above it."""
     const, weights = 0, {}
     pending = [1]  # multipliers of the operands still to be met
     for i in range(len(program) - 1, -1, -1):
@@ -148,14 +137,9 @@ def _cost(program: tuple) -> tuple:
     return const, tuple(sorted(weights.items()))
 
 
-@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
-def parse_expr(src: str) -> Program:
-    """Compile src into a postfix program.
-
-    Programs are immutable, so parses are memoized: the catalog evaluates the
-    same fixture strings again for every case and parameter point. A source
-    that fails to parse raises every time and is not cached.
-    """
+def _postfix(src: str) -> tuple:
+    """src in evaluation order: numbers, ("var", name) pairs and operator names
+    (+ - * / ^, and neg for unary minus)."""
     program: list = []
     ops: list = []
     operand = True  # the next token must be an operand
@@ -188,39 +172,45 @@ def parse_expr(src: str) -> Program:
         raise InputError(f"unexpected token '' in expression {src!r}")
     if "(" in ops:
         raise InputError(f"missing ')' in expression {src!r}")
-    out = Program(program + ops[::-1])
-    out.source, out.cost = src, _cost(out)
-    return out
+    return tuple(program + ops[::-1])
 
 
-def free_names(expr: tuple) -> set:
-    return {item[1] for item in expr if isinstance(item, tuple)}
+def parse_expr(src: str) -> tuple:
+    """Compile src into the register program that evaluate runs. Programs are
+    immutable and memoized by the text, since the catalog evaluates the same
+    fixture strings again for every case and parameter point; a source that
+    fails to compile raises every time and is not cached."""
+    return _compile((src,))
 
 
-def evaluate(expr: Program | str, env: Mapping[str, Scalar] | None = None) -> Scalar:
-    """Run a program from parse_expr (or a source string) over the given bindings,
-    its source linked through the memo of evaluate_all. A pair that meets a float
-    becomes n / d, correctly rounded like float(Fraction). Refused before anything
-    is computed when the program's size bound exceeds MAX_EXPR_BITS."""
-    return _run(_link((expr if isinstance(expr, str) else expr.source,)), env or {})[0]
+def free_names(program: tuple) -> set:
+    return {name for name, _ in program[1]}
+
+
+def evaluate(expr: tuple | str, env: Mapping[str, Scalar] | None = None) -> Scalar:
+    """Run a program from parse_expr, or compile a source string and run it, over
+    the given bindings. A pair that meets a float becomes n / d, correctly rounded
+    like float(Fraction). Refused before anything is computed when the program's
+    size bound exceeds MAX_EXPR_BITS."""
+    return _run(_compile((expr,)) if isinstance(expr, str) else expr, env or {})[0]
 
 
 def evaluate_all(sources: tuple, env: Mapping[str, Scalar] | None = None) -> list:
     """[evaluate(src, env) for src in sources], for source strings, with the group
-    linked once: a subexpression they share is computed once. Every source is
-    parsed before any runs, and the first error raised is the one of that loop."""
-    return _run(_link(tuple(sources)), env or {})
+    compiled once: a subexpression they share is computed once. Every source is
+    compiled before any runs, and the first error raised is the one of that loop."""
+    return _run(_compile(tuple(sources)), env or {})
 
 
 @functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
-def _link(sources: tuple) -> tuple:
+def _compile(sources: tuple) -> tuple:
     """(registers holding the literals, ((name, register), ...), and per source
     (cost, code, result register, ((name, its instructions before its first use), ...)))."""
     regs: list = []
     slots: dict = {}  # (type, repr) of a literal, ("var", name) or (op, i, j) -> register
     segments = []
     for src in sources:
-        program = parse_expr(src)
+        program = _postfix(src)
         code, loads, stack = [], {}, []
         for item in program:
             if item.__class__ is str:
@@ -238,15 +228,15 @@ def _link(sources: tuple) -> tuple:
                 if item.__class__ is str:
                     code.append((*key, slot))
             stack.append(slot)
-        segments.append((program.cost, tuple(code), stack[0], tuple(loads.items())))
+        segments.append((_cost(program), tuple(code), stack[0], tuple(loads.items())))
     names = tuple((key[1], slot) for key, slot in slots.items() if key[0] == "var")
-    return regs, names, tuple(segments)
+    return tuple(regs), names, tuple(segments)
 
 
-def _run(linked: tuple, env: Mapping[str, Scalar]) -> list:
-    """Each linked program's value, in order; see evaluate."""
-    init, names, segments = linked
-    regs, bits = init[:], {}
+def _run(program: tuple, env: Mapping[str, Scalar]) -> list:
+    """Each compiled source's value, in order; see evaluate."""
+    init, names, segments = program
+    regs, bits = list(init), {}
     for name, slot in names:
         if name in env:
             x = env[name]

@@ -29,7 +29,7 @@ from . import linalg
 from .algebra import MetricTensor, Vector, as_vector
 from .errors import (DegeneratePlaneError, InputError, NonBerwaldError,
                      NormBoundError, UndefinedAtOriginError)
-from .riemann import Connection, CurvatureTensor, plane_form
+from .riemann import ROUNDED_PLANE, Connection, CurvatureTensor, plane_form
 from .scalars import Scalar, format_scalar, is_exact_zero, is_zero, sqrt_scalar
 
 
@@ -169,7 +169,8 @@ def flag_curvature(rm: RandersMetric, rt: CurvatureTensor, flag: Flag) -> Scalar
     if not yy:  # a nonzero pole is judged by the float range, not by its size
         raise UndefinedAtOriginError(_ROUNDED_OUT if any(pole) else "flag pole must be nonzero")
     if not den:
-        raise DegeneratePlaneError("flag pole and edge are linearly dependent")
+        raise DegeneratePlaneError(ROUNDED_PLANE if den is None else
+                                   "flag pole and edge are linearly dependent")
     k = numerator / den
     beta = rm.base.inner(rm.drift, pole)
     if is_exact_zero(beta):

@@ -192,16 +192,22 @@ def curvature_apply(rt: CurvatureTensor, u, v, w) -> Vector:
     if exact:
         scale, (u, v, w) = linalg.clear_denominators((u, v, w))
     wedge = [u[i] * v[j] - u[j] * v[i] for i, j in combinations(range(rt.dim), 2)]
-    out = linalg.contract(rt.rows if exact else rt.float_rows, wedge, w)
+    out = linalg.contract(rt.rows if exact else rt.float_rows, wedge, w) if wedge else [0] * rt.dim
     return Vector(Fraction(x, rt.den * scale ** 3) for x in out) if exact else Vector(out)
+
+
+# nonzero float u, v whose g(u,u) g(v,v) underflows: the angle rule cannot decide
+ROUNDED_PLANE = "the plane's g(u,u) g(v,v) rounds to 0 in float arithmetic"
 
 
 def plane_form(rt: CurvatureTensor, u, v) -> tuple[Scalar, Scalar, Scalar]:
     """(w^T op w, g(u,u) g(v,v) - g(u,v)^2, g(u,u)) for w = u^v and g the metric of rt, the
-    determinant 0 on a degenerate plane. Exact u, v on an exact tensor are cleared to ints
-    once, one Fraction per result. Any float entry contracts in floats, exact zeros skipped,
-    against float_op and MetricTensor.inner; a float determinant <= TOLERANCE g(u,u) g(v,v)
-    is 0, so the angle decides, not the scale, and an overflowed one is left to printing."""
+    determinant 0 on a degenerate plane and in dim 1, where no plane exists. Exact u, v on
+    an exact tensor are cleared to ints once, one Fraction per result. Any float entry
+    contracts in floats, exact zeros skipped, against float_op and MetricTensor.inner; a
+    float determinant <= TOLERANCE g(u,u) g(v,v) is 0, so the angle decides, not the scale,
+    or None when g(u,u) g(v,v) of nonzero u, v rounds to 0 (ROUNDED_PLANE), and an
+    overflowed one is left to printing."""
     u, v = (as_vector(x, rt.dim).coeffs for x in (u, v))
     exact = rt.gram is not None and linalg.all_exact((u, v))
     if exact:
@@ -212,13 +218,14 @@ def plane_form(rt: CurvatureTensor, u, v) -> tuple[Scalar, Scalar, Scalar]:
     uu = inner(u, u)
     norms = uu * inner(v, v)
     uv = inner(u, v)  # uv * uv is inf past the float range, where uv ** 2 raises
-    det = norms - uv * uv
+    det = norms - uv * uv if w else 0
+    num = linalg.contract(rt.op if exact or rt.op_den == 1 else rt.float_op, w, w) if w else 0
     if exact:
-        return (Fraction(linalg.contract(rt.op, w, w), rt.op_den * scale ** 4),
-                Fraction(det, gram_den ** 2), Fraction(uu, gram_den))
+        return (Fraction(num, rt.op_den * scale ** 4), Fraction(det, gram_den ** 2),
+                Fraction(uu, gram_den))
     if not is_exact(det) and det <= TOLERANCE * norms < math.inf:
-        det = 0
-    return linalg.contract(rt.op if rt.op_den == 1 else rt.float_op, w, w), det, uu
+        det = None if not norms and any(u) and any(v) else 0
+    return num, det, uu
 
 
 def sectional(rt: CurvatureTensor, metric: MetricTensor, u, v) -> tuple[Scalar, Scalar]:
@@ -227,7 +234,8 @@ def sectional(rt: CurvatureTensor, metric: MetricTensor, u, v) -> tuple[Scalar, 
     for an orthonormal pair, and its ratio to the Gram determinant, both in rt's metric."""
     numerator, den, _ = plane_form(rt, u, v)
     if not den:
-        raise DegeneratePlaneError("sectional curvature needs independent spanning vectors")
+        raise DegeneratePlaneError(ROUNDED_PLANE if den is None else
+                                   "sectional curvature needs independent spanning vectors")
     return numerator, numerator / den
 
 

@@ -4,14 +4,13 @@ import os
 import random
 import subprocess
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from test_exact_vs_float import close, semidirect_objects
-from liecurv import catalog, randers, riemann
+from liecurv import catalog, exprs, randers, riemann
 from liecurv.algebra import Vector
 from liecurv.cli import MAX_GRID_POINTS, main
 from liecurv.documents import MAX_DIM, document_digest, load_document, serialize_document
@@ -731,19 +730,21 @@ def test_expression_at_token_ceiling_is_accepted(capsys, tmp_path):
     assert run(capsys, "check", path)[0] == 0
 
 
-def test_expression_over_bit_ceiling_is_refused_before_evaluating(capsys, tmp_path):
+def test_expression_over_bit_ceiling_is_refused_before_evaluating(capsys, tmp_path,
+                                                                   monkeypatch):
     # 512 factors of a 2500-digit alpha bound at 512 * 8305 + 511 bits; the
     # product took seconds to evaluate before the bit ceiling
     chain = "*".join(["alpha"] * 512)
     path = write_doc(tmp_path, _doc_2d(chain, params={"alpha": "7" * 2500}))
+    calls = []
+    for name in ("_exact", "_apply"):
+        monkeypatch.setattr(exprs, name, lambda op, a, b: calls.append(op))
     for fmt in ("text", "json"):
-        start = time.perf_counter()
         code, out, err = run(capsys, "check", path, "--format", fmt)
-        elapsed = time.perf_counter() - start
         assert code == 1 and out == ""
         assert err == ("error: document.brackets[0].coeffs[1]: expression of up to "
                        f"4252671 bits is over the ceiling {MAX_EXPR_BITS}\n")
-        assert elapsed < 0.01, elapsed
+        assert calls == []  # refused before any operator runs
 
 
 def test_value_too_large_to_print_is_an_input_error(capsys, tmp_path):
@@ -824,6 +825,39 @@ def test_small_float_planes_are_not_degenerate(capsys):
     assert code == 0 and out.endswith("flag curvature: -1\n")
     code, _, err = run(capsys, "sectional", "--case", "1", "--u", "1,0,0,0", "--v", "2,1e-11,0,0")
     assert code == 2 and "independent" in err
+
+
+def test_a_plane_whose_norms_underflow_is_refused_as_rounded(capsys):
+    # g(u,u) g(v,v) of these independent planes rounds to 0.0, so their angle cannot be
+    # read: they are refused as rounded out, and the same planes at 1e-10 give -1
+    sectional = ("sectional", "--case", "1", "--v=0,1,0,0")
+    flag = ("flag", "--case", "1", "--drift=0,0,1/2,0")
+    for argv, tiny, small, key in (
+            (sectional, ("--u=1e-170,0,0,0",), ("--u=1e-10,0,0,0",), "value"),
+            (flag, ("--pole=1e-100,0,0,0", "--edge=0,1e-100,0,0"),
+             ("--pole=1e-10,0,0,0", "--edge=0,1e-10,0,0"), "flag_curvature")):
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, *argv, *tiny, "--format", fmt)
+            assert code == 2 and out == "", (argv, err)
+            assert err == "error: the plane's g(u,u) g(v,v) rounds to 0 in float arithmetic\n"
+        code, out, _ = run(capsys, *argv, *small)
+        assert code == 0 and out.endswith(" -1\n"), out
+        code, doc, _ = run_json(capsys, *argv, *small)
+        assert code == 0 and doc["sections"][key] == -1
+
+
+def test_a_dim_1_document_spans_no_plane(capsys, tmp_path):
+    # no two vectors span a plane in dim 1: each command refuses the plane
+    path = write_doc(tmp_path, {"dim": 1, "brackets": []})
+    dependent = "error: flag pole and edge are linearly dependent\n"
+    for argv, message in (
+            (("sectional", path, "--u", "1", "--v", "1"),
+             "error: sectional curvature needs independent spanning vectors\n"),
+            (("flag", path, "--drift", "0", "--pole", "1", "--edge", "1"), dependent),
+            (("randers", path, "--drift", "0", "--pole", "1", "--edge", "1"), dependent)):
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert code == 2 and out == "" and err == message, (argv, err)
 
 
 @pytest.mark.parametrize("command", ["flag", "randers"])

@@ -1,8 +1,9 @@
 """Boundary fuzz of the command line, on the inputs that hold expressions.
 
-hypothesis draws document coefficients (brackets, metric, drift), `params`
-values, catalog `--alpha`/`--beta` values and the components of the vector
-options (`--u`/`--v`, `--pole`/`--edge`, `--drift`) from edge-valued pools:
+hypothesis draws the dimension of a document (1 to 4) and its coefficients
+(brackets, metric, drift), `params` values, catalog `--alpha`/`--beta` values
+and the components of the vector options (`--u`/`--v`, `--pole`/`--edge`,
+`--drift`) from edge-valued pools:
 huge, tiny and signed-zero literals, literals past Python's int-string digit
 limit, powers at and past MAX_EXPONENT, division by zero, unbound names, and
 for vectors nan, inf, blank components and wrong component counts.
@@ -64,26 +65,30 @@ coefficients = st.one_of(expressions, expressions, expressions,
 
 @st.composite
 def documents(draw) -> dict:
-    """Three-dimensional R x_D R^2 documents: [e0, e1] and [e0, e2] lie in span(e1, e2),
-    so they satisfy Jacobi whatever D is, unless a drawn e0 coefficient breaks it."""
-    doc = {"dim": 3, "brackets": [
+    """R x_D R^(n-1) documents of dimension n from 1 to 4: each [e0, ek] lies in
+    span(e1, ..., e(n-1)), so they satisfy Jacobi whatever D is, unless a drawn e0
+    coefficient breaks it. A dim-1 document has no brackets."""
+    n = draw(st.integers(1, 4))
+    doc = {"dim": n, "brackets": [
         {"i": 0, "j": k, "coeffs": [draw(st.sampled_from(("0", "0", "0", "1/2"))),
-                                    draw(coefficients), draw(coefficients)]}
-        for k in (1, 2)]}
+                                    *(draw(coefficients) for _ in range(n - 1))]}
+        for k in range(1, n)]}
     if draw(st.booleans()):
         doc["params"] = {name: draw(st.sampled_from(CLI_VALUES + PLAIN))
                          for name in draw(st.sets(st.sampled_from(("alpha", "beta"))))}
     if draw(st.booleans()):
-        diagonal = [draw(st.one_of(st.sampled_from(("1", "2", "1/2")), coefficients))
-                    for _ in range(3)]
-        off = draw(coefficients) if draw(st.booleans()) else "0"
-        doc["metric"] = [[diagonal[0], off, "0"], [draw(st.sampled_from((off, "0"))),
-                                                   diagonal[1], "0"], ["0", "0", diagonal[2]]]
+        metric = [[draw(st.one_of(st.sampled_from(("1", "2", "1/2")), coefficients))
+                   if i == j else "0" for j in range(n)] for i in range(n)]
+        if n > 1 and draw(st.booleans()):
+            metric[0][1] = draw(coefficients)
+            metric[1][0] = draw(st.sampled_from((metric[0][1], "0")))
+        doc["metric"] = metric
     if draw(st.booleans()):
-        doc["drift"] = ["0", draw(coefficients), draw(coefficients)]
+        doc["drift"] = ["0", *(draw(coefficients) for _ in range(n - 1))]
     return doc
 
 
+# Vector options are written for dim 3 and cut or padded with zeros to the document's.
 DOC_COMMANDS = (["check"], ["scalar"], ["analyze"], ["parallel"],
                 ["sectional", "--u=1,0,0", "--v=0,1,1/2"],
                 ["randers", "--drift=1/2,0,0", "--pole=1,0,0", "--edge=0,1,0"],
@@ -91,6 +96,17 @@ DOC_COMMANDS = (["check"], ["scalar"], ["analyze"], ["parallel"],
 CASE_COMMANDS = (["scalar"], ["analyze"], ["parallel"],
                  ["sectional", "--u=1,0,0,0", "--v=0,1,0,1/2"],
                  ["flag", "--drift=0,0,0,1/2", "--pole=1,0,0,0", "--edge=0,1,0,0"])
+
+
+def sized(argv: list, dim: int) -> list:
+    out = []
+    for arg in argv:
+        if "=" in arg:
+            name, value = arg.split("=")
+            arg = f"{name}={','.join((value.split(',') + ['0'] * dim)[:dim])}"
+        out.append(arg)
+    return out
+
 
 # What an error line may name: a document field, or an option.
 NAMED = re.compile(r"error: (document(\.\w+|\[\d+\])*|--[a-z]+)\b")
@@ -100,7 +116,7 @@ WHOLE_INPUT = ("not a Lie algebra", "floating result", "exact value too large to
 PRECONDITIONS = ("drift must satisfy g(Q,Q) < 1", "drift is not parallel",
                  "requires a parallel drift", "linearly dependent", "independent spanning",
                  "zero vector", "the pole's g(y,y)", "undefined at y = 0", "pole must be nonzero",
-                 "a positive exact value under a square root")
+                 "a positive exact value under a square root", "the plane's g(u,u) g(v,v)")
 
 
 def run(argv: list) -> tuple:
@@ -135,7 +151,7 @@ def doc_path(tmp_path_factory):
        fmt=st.sampled_from(("text", "json")))
 def test_documents_with_edge_expressions(doc_path, doc, command, fmt):
     doc_path.write_text(json.dumps(doc), encoding="utf-8")
-    check_run([*command, str(doc_path), f"--format={fmt}"])
+    check_run([*sized(command, doc["dim"]), str(doc_path), f"--format={fmt}"])
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None,

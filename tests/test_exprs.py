@@ -82,11 +82,20 @@ def test_fixture_style_polynomial():
 def test_parse_is_memoized_and_errors_are_not():
     src = "7*memo_a - 3/memo_b"
     assert parse_expr(src) is parse_expr(src)
-    before = parse_expr.cache_info().currsize
+    before = exprs._compile.cache_info().currsize
     for _ in range(2):
         with pytest.raises(InputError):
             parse_expr("7 * (memo_c")
-    assert parse_expr.cache_info().currsize == before
+    assert exprs._compile.cache_info().currsize == before
+
+
+def test_evaluate_runs_a_compiled_program_as_it_is():
+    program = parse_expr("2*memo_d + 2.0")
+    misses = exprs._compile.cache_info().misses
+    assert evaluate(program, {"memo_d": 3}) == 8.0
+    assert exprs._compile.cache_info().misses == misses
+    # the memo is keyed by the text, so "2" and "2.0" never share a program
+    assert [(type(x), x) for x in (evaluate("2"), evaluate("2.0"))] == [(int, 2), (float, 2.0)]
 
 
 def test_deep_and_long_inputs_do_not_recurse():
@@ -122,8 +131,8 @@ def test_bit_ceiling():
             evaluate(parse_expr("a + 0.5"), {"a": a})
     # literals 7, 2 and 3 take 3 + 2 + 2 bits and the four operators 1 each; the
     # powers multiply a by 3 and b by 2, and a name as exponent counts as 64
-    assert parse_expr("a^3 * -b^-2 + 7").cost == (11, (("a", 3), ("b", 2)))
-    assert parse_expr("a^b").cost == (1, (("a", 64), ("b", 1)))
+    assert parse_expr("a^3 * -b^-2 + 7")[2][0][0] == (11, (("a", 3), ("b", 2)))
+    assert parse_expr("a^b")[2][0][0] == (1, (("a", 64), ("b", 1)))
 
 
 def test_bound_holds_for_every_intermediate(monkeypatch):
@@ -153,7 +162,7 @@ def test_bound_holds_for_every_intermediate(monkeypatch):
             program = parse_expr(src)
         except InputError:
             continue
-        const, weights = program.cost
+        const, weights = program[2][0][0]
         for env in envs:
             full = dict.fromkeys(free_names(program), Fraction(1, 3)) | env
             bound = const + sum(k * max(Fraction(full[name]).numerator.bit_length(),

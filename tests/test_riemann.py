@@ -16,8 +16,8 @@ from liecurv import catalog, linalg
 from liecurv.algebra import LieAlgebra, MetricTensor, Vector
 from liecurv.errors import DegeneratePlaneError, InputError, LiecurvError
 from liecurv.randers import Flag, build_randers, flag_curvature, parallel_fields
-from liecurv.riemann import (curvature_apply, levi_civita, riemann_tensor, scalar_curvature,
-                             sectional)
+from liecurv.riemann import (curvature_apply, levi_civita, plane_form, riemann_tensor,
+                             scalar_curvature, sectional)
 
 F = Fraction
 
@@ -527,6 +527,21 @@ def test_sectional_rejects_dependent_vectors():
     u = Vector([F(1), F(2), F(0), F(0)])
     with pytest.raises(DegeneratePlaneError):
         sectional(rt, case.metric, u, u.scale(F(3)))
+
+
+def test_dim_1_spans_no_plane():
+    metric = MetricTensor.identity(1)
+    conn = levi_civita(LieAlgebra.from_brackets(1, {}), metric)
+    rt = riemann_tensor(conn)
+    assert curvature_apply(rt, [1], [1], [1]) == Vector.zero(1)
+    assert plane_form(rt, [2], [3]) == (0, 0, 4)
+    # in dim 1 even an underflowing g(u,u) g(v,v) leaves the plane dependent
+    for u, v in (([1], [1]), ([0.5], [1e-200]), ([1e-200], [1e-200])):
+        with pytest.raises(DegeneratePlaneError, match="independent spanning vectors"):
+            sectional(rt, metric, u, v)
+    for pole, edge in (([1], [1]), ([0.5], [1e-200])):
+        with pytest.raises(DegeneratePlaneError, match="linearly dependent"):
+            flag_curvature(build_randers(metric, [0], conn), rt, Flag(Vector(pole), Vector(edge)))
 
 
 # --- scalar ------------------------------------------------------------------
