@@ -27,7 +27,7 @@ import random
 import re
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 
 from . import exprs
@@ -45,16 +45,12 @@ _POLE_VARS = ("a", "b", "c", "d")
 _EDGE_VARS = ("ta", "tb", "tc", "td")
 _FUNDAMENTAL = ("pole_pole", "pole_edge", "edge_edge", "flag_numerator")
 
-_cache: tuple | None = None
 
-
+@cache
 def _load() -> tuple[list, list]:
-    """(parsed fixture list, raw text lines) with module-level caching."""
-    global _cache
-    if _cache is None:
-        text = resources.files("liecurv").joinpath("data/cases.json").read_text("utf-8")
-        _cache = (json.loads(text), text.splitlines())
-    return _cache
+    """(parsed fixture list, raw text lines), read once per process."""
+    text = resources.files("liecurv").joinpath("data/cases.json").read_text("utf-8")
+    return json.loads(text), text.splitlines()
 
 
 def case_ids() -> list[int]:

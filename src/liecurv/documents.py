@@ -192,6 +192,8 @@ def load_document(path: str) -> Document:
         raise InputError(f"cannot read document {path!r}: {exc}") from None
     except ValueError as exc:  # bad JSON, or an int literal past the int-string limit
         raise InputError(f"document {path!r} is not valid JSON: {exc}") from None
+    except RecursionError:  # json's decoder recurses once per nested array or object
+        raise InputError(f"document {path!r} nests too deeply to read") from None
     return parse_document(obj)
 
 

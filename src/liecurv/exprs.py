@@ -9,28 +9,31 @@ tightest and groups to the right, unary minus next (-a^2 is -(a^2), a^-b is
 a^(-b), -a*b is (-a)*b), then * /, then + -.
 Division of exact operands stays exact, so "3/4" evaluates to Fraction(3, 4).
 
-Each source is compiled once into register code. One loop with an operator
-stack reads it into postfix order (operator precedence, E. W. Dijkstra 1961),
-so nothing recurses on the input and no nesting depth or length of a document
-expression can exhaust Python's stack. Length is bounded by MAX_EXPR_TOKENS
-instead, checked while tokenizing. Compiling then gives each literal (keyed by
-type and repr), name and operator result a register and emits (op, i, j, k),
-meaning regs[k] = regs[i] op regs[j], once per operator and operands, so a
-group compiled together computes a repeated subexpression once (value
-numbering, J. Cocke 1970). parse_expr compiles one source and evaluate_all a
-tuple of sources, through one memo keyed by the text. Sources run in order
-and fail as a stack machine would: each source's bound is read before its
-operators, and an unbound name raises after exactly the operators before it
-in postfix order.
+Each source is compiled once into register code, in one walk. One loop with
+an operator stack yields it in postfix order (operator precedence, E. W.
+Dijkstra 1961), so nothing recurses on the input and no nesting depth or
+length of a document expression can exhaust Python's stack. Length is bounded
+by MAX_EXPR_TOKENS instead, checked while tokenizing. As each item arrives,
+compiling gives each literal (keyed by type and repr), name and operator
+result a register and emits (op, i, j, k), meaning regs[k] = regs[i] op
+regs[j], once per operator and operands, so a group compiled together
+computes a repeated subexpression once (value numbering, J. Cocke 1970).
+parse_expr compiles one source and evaluate_all a tuple of sources, through
+one memo keyed by the text. Sources run in order and fail as a stack machine
+would: each source's bound is read before its operators, and an unbound name
+raises after exactly the operators before it in postfix order.
 
 Exact values are evaluated on ints, and on unreduced (numerator,
 denominator) int pairs once a Fraction or a '/' is involved, so a result is
 one Fraction, built at the end, not one per operation. Since pairs are never
-reduced, a bound compiled with the program holds for every intermediate:
-a op b has at most bits(a) + bits(b) + 1 bits and x^n at most |n| * bits(x).
-It is a linear form in the bit lengths of the free names, read against the
-bindings before evaluating; a program whose bound exceeds MAX_EXPR_BITS is
-refused.
+reduced, a size bound formed as each operator is emitted holds for every
+intermediate, with bits the larger bit length of numerator and denominator
+(0 for a float): a op b has at most bits(a) + bits(b) + 1 bits, x^e at most
+n * bits(x) + bits(e) + 1, and -a as many as a. n is the |value| of an int
+literal exponent, negated or not, clamped to 1..MAX_EXPONENT, and
+MAX_EXPONENT for any other exponent. The bound is a linear form in the bit
+lengths of the free names, read against the bindings before evaluating; a
+program whose bound exceeds MAX_EXPR_BITS is refused.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ MAX_POWER_BITS = 8192
 # expression has 347.
 MAX_EXPR_TOKENS = 1024
 
-# Largest size bound, in bits, of a program at its bindings (see _cost).
+# Largest size bound, in bits, of a program at its bindings (see _compile).
 # The tests reach 557576 with ((a^64)^64)^64 at a = 3, which MAX_POWER_BITS
 # then refuses, and 33217 in an accepted program; reproducing the catalog
 # reaches 494. A product of 512 copies of a 2500-digit alpha bounds at 4.25M
@@ -109,44 +112,15 @@ def _tokenize(src: str) -> list:
     return tokens
 
 
-def _cost(program: tuple) -> tuple:
-    """The size bound (c, ((name, k), ...)) of a postfix program: no exact value met
-    while evaluating it has more than c + sum(k * bits(value of name)) bits, where bits
-    is the larger bit length of numerator and denominator, and 0 for a float. a op b
-    takes bits(a) + bits(b) + 1, and a power x^e takes n * bits(x) + bits(e) + 1, with
-    n the |value| of a literal exponent (at least 1), else MAX_EXPONENT. Each form so
-    dominates its operands', and the program's bounds every exact value met. One walk
-    back from the root gives each leaf its multiplier, the product of the n above it."""
-    const, weights = 0, {}
-    pending = [1]  # multipliers of the operands still to be met
-    for i in range(len(program) - 1, -1, -1):
-        item, m = program[i], pending.pop()
-        if item == "neg":
-            pending.append(m)
-        elif item.__class__ is str:
-            n = 1
-            if item == "^":
-                e = program[i - 2] if program[i - 1] == "neg" else program[i - 1]
-                n = max(min(abs(e), MAX_EXPONENT), 1) if e.__class__ is int else MAX_EXPONENT
-            const += m
-            pending += (m * n, m)
-        elif item.__class__ is tuple:
-            weights[item[1]] = weights.get(item[1], 0) + m
-        elif item.__class__ is int:
-            const += m * item.bit_length()
-    return const, tuple(sorted(weights.items()))
-
-
-def _postfix(src: str) -> tuple:
-    """src in evaluation order: numbers, ("var", name) pairs and operator names
-    (+ - * / ^, and neg for unary minus)."""
-    program: list = []
+def _postfix(src: str):
+    """Yield src in evaluation order: numbers, ("var", name) pairs and operator
+    names (+ - * / ^, and neg for unary minus)."""
     ops: list = []
     operand = True  # the next token must be an operand
     for tok in _tokenize(src):
         if operand:
             if not isinstance(tok, str):
-                program.append(tok)
+                yield tok
                 operand = False
             elif tok in ("-", "("):
                 ops.append("neg" if tok == "-" else tok)
@@ -157,7 +131,7 @@ def _postfix(src: str) -> tuple:
             raise InputError(f"{problem} in expression {src!r}")
         elif tok == ")":
             while ops and ops[-1] != "(":
-                program.append(ops.pop())
+                yield ops.pop()
             if not ops:
                 raise InputError(f"trailing input in expression {src!r}")
             ops.pop()
@@ -165,14 +139,14 @@ def _postfix(src: str) -> tuple:
             # Pop what binds at least as tightly; '^' groups to the right.
             bind = _PRECEDENCE[tok] + (tok == "^")
             while ops and _PRECEDENCE[ops[-1]] >= bind:
-                program.append(ops.pop())
+                yield ops.pop()
             ops.append(tok)
             operand = True
     if operand:
         raise InputError(f"unexpected token '' in expression {src!r}")
     if "(" in ops:
         raise InputError(f"missing ')' in expression {src!r}")
-    return tuple(program + ops[::-1])
+    yield from reversed(ops)
 
 
 def parse_expr(src: str) -> tuple:
@@ -205,30 +179,43 @@ def evaluate_all(sources: tuple, env: Mapping[str, Scalar] | None = None) -> lis
 @functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
 def _compile(sources: tuple) -> tuple:
     """(registers holding the literals, ((name, register), ...), and per source
-    (cost, code, result register, ((name, its instructions before its first use), ...)))."""
+    (bound, code, result register, ((name, its instructions before its first use), ...))),
+    with the bound (c, ((name, k), ...)) standing for c + sum(k * bits(value of name))."""
     regs: list = []
     slots: dict = {}  # (type, repr) of a literal, ("var", name) or (op, i, j) -> register
     segments = []
     for src in sources:
-        program = _postfix(src)
-        code, loads, stack = [], {}, []
-        for item in program:
-            if item.__class__ is str:
-                j = stack.pop() if item != "neg" else stack[-1]
-                key = (item, stack.pop(), j)
+        code, loads = [], {}
+        stack = []  # per operand: register, bound (c, {name: k}), n as an exponent
+        for item in _postfix(src):
+            n = MAX_EXPONENT
+            if item == "neg":  # a negated int literal keeps the literal's n
+                i, bound, m = stack.pop()
+                key, n = (item, i, i), m if regs[i].__class__ is int else n
+            elif item.__class__ is str:
+                j, (c, weights), m = stack.pop()
+                i, (ca, wa), _ = stack.pop()
+                key, m = (item, i, j), m if item == "^" else 1
+                for name, k in wa.items():
+                    weights[name] = weights.get(name, 0) + m * k
+                bound = (m * ca + c + 1, weights)
             elif item.__class__ is tuple:
-                key = item
+                key, bound = item, (0, {item[1]: 1})
                 loads.setdefault(item[1], len(code))
             else:
-                key = (item.__class__, repr(item))
+                key, bound = (item.__class__, repr(item)), (0, {})
+                if item.__class__ is int:
+                    bound, n = (item.bit_length(), {}), max(min(item, MAX_EXPONENT), 1)
             slot = slots.get(key)
             if slot is None:
                 slot = slots[key] = len(regs)
                 regs.append(item if item.__class__ in (int, float) else None)
                 if item.__class__ is str:
                     code.append((*key, slot))
-            stack.append(slot)
-        segments.append((_cost(program), tuple(code), stack[0], tuple(loads.items())))
+            stack.append((slot, bound, n))
+        result, (c, weights), _ = stack[0]
+        segments.append(((c, tuple(sorted(weights.items()))), tuple(code), result,
+                         tuple(loads.items())))
     names = tuple((key[1], slot) for key, slot in slots.items() if key[0] == "var")
     return tuple(regs), names, tuple(segments)
 

@@ -133,7 +133,10 @@ def format_scalar(x: Scalar, precision: int = 12) -> str:
         raise InputError(f"exact value too large to print: {exc}") from None
     if not math.isfinite(x):
         raise _non_finite(x)
-    return f"{x + 0.0:.{precision}g}"  # -0.0 + 0.0 is 0.0
+    # No finite double has more than 767 significant digits (the largest
+    # subnormal has exactly 767), so a larger precision prints the same text;
+    # clamping keeps format from refusing or allocating a huge one.
+    return f"{x + 0.0:.{min(precision, 767)}g}"  # -0.0 + 0.0 is 0.0
 
 
 def scalar_to_json(x: Scalar, precision: int = 12):

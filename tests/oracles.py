@@ -541,6 +541,35 @@ def free_names_reference(expr: Expr) -> set:
     return set()
 
 
+def cost_reference(expr: Expr) -> tuple:
+    """The size bound (c, ((name, k), ...)) of a parsed tree, by the rule in the
+    liecurv.exprs docstring: a op b takes bits(a) + bits(b) + 1, x^e takes
+    n * bits(x) + bits(e) + 1 and -a as much as a, where n is the |value| of an
+    int exponent or ("neg", int), clamped to 1..MAX_EXPONENT, else MAX_EXPONENT."""
+    const, weights = _bound(expr)
+    return const, tuple(sorted(weights.items()))
+
+
+def _bound(expr: Expr) -> tuple:
+    if isinstance(expr, float):
+        return 0, {}
+    if isinstance(expr, int):
+        return expr.bit_length(), {}
+    if expr[0] == "var":
+        return 0, {expr[1]: 1}
+    if expr[0] == "neg":
+        return _bound(expr[1])
+    (ca, wa), (cb, wb) = _bound(expr[1]), _bound(expr[2])
+    n = 1
+    if expr[0] == "^":
+        e = expr[2][1] if isinstance(expr[2], tuple) and expr[2][0] == "neg" else expr[2]
+        n = max(min(abs(e), MAX_EXPONENT), 1) if type(e) is int else MAX_EXPONENT
+    weights = {name: n * k for name, k in wa.items()}
+    for name, k in wb.items():
+        weights[name] = weights.get(name, 0) + k
+    return n * ca + cb + 1, weights
+
+
 def evaluate_reference(expr: Expr, env: Mapping[str, Scalar] | None = None) -> Scalar:
     """Evaluate a parsed tree (or source string) over the given bindings."""
     if isinstance(expr, str):

@@ -480,6 +480,17 @@ def test_out_of_range_option_is_an_input_error(capsys, argv):
     assert err.startswith("error: --") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_precision_past_every_double_prints_as_767(capsys, fmt):
+    # format refuses a precision past 2^31 - 1 and allocates one just under it
+    argv = ["analyze", "--case", "4", "--alpha", "0.1", "--beta", "0.3", "--format", fmt]
+    code, want, err = run(capsys, *argv, "--precision", "767")
+    assert code == 0 and err == ""
+    assert ("0.5500000000000000444089209850062616169452667236328125 W" in want) == (fmt == "text")
+    for precision in (10 ** 6, 2 ** 31):
+        assert run(capsys, *argv, "--precision", str(precision)) == (0, want, "")
+
+
 def test_report_needs_exactly_one_target(capsys):
     code, _, err = run(capsys, "report")
     assert code == 1
@@ -772,6 +783,13 @@ def test_json_int_past_int_string_limit_is_an_input_error(capsys, tmp_path):
     code, out, err = run(capsys, "check", str(path))
     assert code == 1 and out == ""
     assert "is not valid JSON" in err
+
+
+def test_json_nested_past_the_recursion_limit_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"dim": 2, "brackets": [], "metric": %s}' % ("[" * 100_000 + "]" * 100_000))
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (1, "", f"error: document {str(path)!r} nests too deeply to read\n")
 
 
 def test_analyze_writes_float_roundoff_as_zero(capsys, tmp_path):

@@ -6,7 +6,8 @@ from importlib import resources
 
 import pytest
 
-from oracles import evaluate_reference, free_names_reference, parse_expr_reference
+from oracles import (cost_reference, evaluate_reference, free_names_reference,
+                     parse_expr_reference)
 from liecurv.errors import InputError
 from liecurv import catalog, exprs
 from liecurv.exprs import (MAX_EXPR_BITS, MAX_EXPR_TOKENS, MAX_POWER_BITS, evaluate,
@@ -223,6 +224,12 @@ def grammar_expr(rng, depth: int) -> str:
     return grammar_expr(rng, depth - 1) + op + grammar_expr(rng, depth - 1)
 
 
+def random_sources(rng) -> list:
+    """20000 runs of random tokens, then 5000 draws from the grammar."""
+    return ([random_tokens(rng) for _ in range(20000)]
+            + [grammar_expr(rng, rng.randint(1, 4)) for _ in range(5000)])
+
+
 def outcome(parse, run, names, src, envs):
     """Refusal message, or (free names, [value type and repr or error per env])."""
     try:
@@ -243,8 +250,7 @@ def outcome(parse, run, names, src, envs):
 def test_postfix_matches_recursive_reference():
     rng = random.Random(1961)
     fixtures = fixture_strings()
-    sources = (fixtures + [random_tokens(rng) for _ in range(20000)]
-               + [grammar_expr(rng, rng.randint(1, 4)) for _ in range(5000)])
+    sources = fixtures + random_sources(rng)
     bound = set()
     for src in fixtures:
         try:
@@ -291,6 +297,20 @@ def test_postfix_matches_recursive_reference():
             assert group_outcome(exprs.evaluate_all, tuple(group), env) == want, group
             shared += not isinstance(want, str)
     assert shared > 2000
+
+
+def test_bound_matches_recursive_reference():
+    # the bound formed operator by operator while compiling is the module
+    # docstring's rule applied to the recursive reference's tree
+    checked = 0
+    for src in fixture_strings() + random_sources(random.Random(1961)):
+        try:
+            tree = parse_expr_reference(src)
+        except InputError:
+            continue
+        assert parse_expr(src)[2][0][0] == cost_reference(tree), src
+        checked += 1
+    assert checked > 6000
 
 
 def evaluate_group_reference(sources, env):

@@ -69,6 +69,17 @@ def test_format_scalar():
     assert format_scalar(0.25, precision=3) == "0.25"
 
 
+def test_precision_past_every_double_prints_as_767():
+    # the largest subnormal has 767 significant digits, more than any other double
+    largest_subnormal = 2.225073858507201e-308
+    assert format_scalar(largest_subnormal, 766) != format_scalar(largest_subnormal, 767)
+    for x in (0.1, -1 / 3, largest_subnormal, 5e-324, 1.7976931348623157e308, 1e22, -0.0):
+        want = format_scalar(x, 767)
+        for precision in (10 ** 6, 2 ** 31, 2 ** 63):
+            assert format_scalar(x, precision) == want
+            assert scalar_to_json(x, precision) == scalar_to_json(x, 767)
+
+
 def test_float_zero_is_unsigned():
     assert format_scalar(-0.0) == "0" and format_scalar(0.0) == "0"
     assert math.copysign(1, scalar_to_json(-0.0)) == 1
