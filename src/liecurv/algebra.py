@@ -41,9 +41,7 @@ class Vector:
 
     @classmethod
     def basis(cls, dim: int, i: int) -> "Vector":
-        coeffs = [Fraction(0)] * dim
-        coeffs[i] = Fraction(1)
-        return cls(coeffs)
+        return cls(Fraction(int(k == i)) for k in range(dim))
 
     @property
     def dim(self) -> int:

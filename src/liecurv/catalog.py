@@ -79,12 +79,8 @@ def _coerce_param(name: str, value) -> Scalar:
             return parse_rational(value)
         except InputError as exc:
             raise InputError(f"--{name}: {exc}") from None
-    if isinstance(value, bool):
-        raise InputError(f"parameter {name} must be a rational or decimal")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, (Fraction, float)):
-        return value
+    if isinstance(value, (int, Fraction, float)) and not isinstance(value, bool):
+        return Fraction(value) if isinstance(value, int) else value
     raise InputError(f"parameter {name} must be a rational or decimal")
 
 

@@ -115,8 +115,8 @@ def parse_document(obj: dict) -> Document:
     if dim > MAX_DIM:
         raise InputError(f"document.dim is {dim}; the ceiling is {MAX_DIM}")
 
-    labels = obj.get("basis", None)
-    if labels is None:
+    labels = obj.get("basis")
+    if "basis" not in obj:  # null is refused below, as for every optional key
         labels = default_labels(dim)
     else:
         if (not isinstance(labels, list) or len(labels) != dim
@@ -174,7 +174,7 @@ def parse_document(obj: dict) -> Document:
 
     drift_obj = obj.get("drift")
     drift = None
-    if drift_obj is not None:
+    if "drift" in obj:
         if not isinstance(drift_obj, list) or len(drift_obj) != dim:
             raise InputError(f"document.drift must list {dim} scalars")
         drift = Vector(_read_scalar(x, f"document.drift[{k}]", params)

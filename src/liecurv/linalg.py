@@ -3,16 +3,17 @@
 Exact mode is the point: nullspace dimensions and table comparisons must not
 depend on a tolerance. One Gaussian elimination serves solve, rank,
 nullspace and positive-definiteness. All-exact input is cleared to integer
-rows and eliminated fraction-free; any float entry switches the whole matrix
-to float arithmetic with partial pivoting and the global tolerance. One
-skip-zero contraction, `contract`, evaluates every multilinear form in the
-package: brackets, covariant derivatives, curvature, inner products and
-endomorphisms. It accumulates in the type of its products, so int tables
-stay in int arithmetic. `clear_denominators` turns an exact table into such
-a table times a common denominator, so a caller builds one Fraction per
-result instead of one per multiply-add (E. Bareiss, Math. Comp. 22, 1968);
-`orthonormal_pair` (exact input only) and `solve_cleared` run that way, the
-latter returning exact solutions as ints over their lcm denominator.
+rows (an int row as it is) and eliminated fraction-free; any float entry
+switches the whole matrix to float arithmetic with partial pivoting and the
+global tolerance. One skip-zero contraction, `contract`, evaluates brackets,
+covariant derivatives, float curvature rows, inner products and endomorphisms
+(riemann_tensor sums exact rows in its own int loops). It accumulates in the
+type of its products, so int tables stay in int arithmetic.
+`clear_denominators` turns an exact table into such a table times a common
+denominator, so a caller builds one Fraction per result instead of one per
+multiply-add (E. Bareiss, Math. Comp. 22, 1968); `orthonormal_pair` (exact
+input only) and `solve_cleared` run that way, the latter returning exact
+solutions as ints over their lcm denominator.
 """
 
 from __future__ import annotations
@@ -55,9 +56,10 @@ def _eliminate(rows: Sequence[Sequence[Scalar]], pivot_cols: int,
     gets none. Returns (echelon rows, pivot columns, the type results are
     built in: Fraction or float).
     """
-    kind = Fraction if all_exact(rows) else float
-    mat = ([clear_denominators(row)[1] for row in rows] if kind is Fraction
-           else [[float(x) for x in row] for row in rows])
+    ints = [all(type(x) is int for x in row) for row in rows]
+    kind = Fraction if all(ints) or all_exact(rows) else float
+    mat = ([list(row) if is_int else clear_denominators(row)[1] for row, is_int in zip(rows, ints)]
+           if kind is Fraction else [[float(x) for x in row] for row in rows])
     pivots: list[int] = []
     for c in range(pivot_cols):
         r = len(pivots)
@@ -93,16 +95,10 @@ def _eliminate(rows: Sequence[Sequence[Scalar]], pivot_cols: int,
 
 
 def _primitive(vec: list[Fraction]) -> list[Fraction]:
-    """Scale to coprime integers with positive leading entry."""
-    scale = math.lcm(*(f.denominator for f in vec))
-    ints = [int(f * scale) for f in vec]
-    g = math.gcd(*(abs(x) for x in ints))
-    if g:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return [Fraction(x) for x in ints]
+    """Scale a nonzero vector to coprime integers with positive leading entry."""
+    ints = clear_denominators(vec)[1]
+    g = math.gcd(*ints) if next(x for x in ints if x) > 0 else -math.gcd(*ints)
+    return [Fraction(x // g) for x in ints]
 
 
 def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Scalar]]:
@@ -244,7 +240,11 @@ def clear_denominators(table) -> tuple[int, list]:
     def scaled(t):
         if t and not isinstance(t[0], (int, Fraction, float)):
             return [scaled(s) for s in t]
-        return [x.numerator * (scale // x.denominator) for x in t]
+        out = []
+        for x in t:  # a loop: one as_integer_ratio per entry, the fastest read here
+            n, d = x.as_integer_ratio()
+            out.append(n * (scale // d))
+        return out
 
     return scale, scaled(table)
 

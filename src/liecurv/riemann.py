@@ -15,11 +15,11 @@ riemann_tensor, parallel_fields and the Berwald test read.
 
 Curvature convention: R(U,V)W = nabla_U nabla_V W - nabla_V nabla_U W
 - nabla_[U,V] W. The one store is the rows R(e_i,e_j)e_k for i < j: R(e_j,e_i) is
--R(e_i,e_j) and R(e_i,e_i) = 0. Exact rows are contracted with their denominators
-cleared and kept as ints over one common denominator, so each entry costs one
-Fraction, and only where it is read. Lowered by g, they give op[(i,j)][(k,l)] =
-g(R(e_j,e_i)e_k, e_l) for i < j, k < l. With w = u^v, the sectional curvature of span{u, v} is
-w^T op w = g(R(v,u)u, v) over g(u,u) g(v,v) - g(u,v)^2, and R(u,v)x sums w_p R(e_i,e_j)x
+-R(e_i,e_j) and R(e_i,e_i) = 0. Exact rows are int commutator sums over one common
+denominator, so each entry costs one Fraction, and only where it is read. Lowered by g,
+they give op[(i,j)][(k,l)] = g(R(e_j,e_i)e_k, e_l) for i < j, k < l. With w = u^v, the
+sectional curvature of span{u, v} is w^T op w = g(R(v,u)u, v) over g(u,u) g(v,v) - g(u,v)^2,
+one op entry, lowered from its row alone, for a basis plane; R(u,v)x sums w_p R(e_i,e_j)x
 over the rows. Float vectors contract float images of rows, op and g, each built once.
 The Ricci tensor is the trace Ric(V,W) = tr(U -> R(U,V)W), i.e. Ric_jk = sum_i r[i][j][k][i],
 and the scalar curvature is its metric trace g^{jk} Ric_jk.
@@ -103,9 +103,9 @@ def levi_civita(alg: LieAlgebra, metric: MetricTensor) -> Connection:
 
 
 class CurvatureTensor:
-    """The store is rows: rows[p][k] / den is R(e_i, e_j) e_k for the p-th pair (i, j) of
-    combinations(range(dim), 2). Exact: ints, gram = (G, G g), op_den = den G. Float: dens 1,
-    gram = None. table, op, float_rows and float_op are images of the rows, each built on
+    """The store is rows: rows[p][k] / den is R(e_i, e_j) e_k for (i, j) = pairs[p], the p-th
+    of combinations(range(dim), 2). Exact: ints, gram = (G, G g), op_den = den G. Float: dens
+    1, gram = None. table, op, float_rows and float_op are images of the rows, each built on
     first read: op[p][q] / op_den the op entries, float_rows and float_op rows / den and
     op / op_den for float vectors to contract."""
 
@@ -113,6 +113,7 @@ class CurvatureTensor:
         self.connection = conn
         self.rows, self.den, self.gram = rows, den, gram
         self.op_den = den * gram[0] if gram else 1
+        self.pairs = list(combinations(range(conn.dim), 2))
 
     @property
     def dim(self) -> int:
@@ -120,11 +121,14 @@ class CurvatureTensor:
 
     @cached_property
     def op(self) -> tuple:
-        """op[p][(k, l)]: row (p, k) lowered by -g at l, or by -G g when exact, the
-        exact 0 where no term reaches; built on first use."""
-        g = self.gram[1] if self.gram else self.connection.metric.gram
-        return tuple(tuple(-sum(x * g[m][l] for m, x in enumerate(nums[k]) if x) or 0
-                           for k, l in combinations(range(self.dim), 2)) for nums in self.rows)
+        return tuple(tuple(self.lowered(p, q) for q in range(len(self.pairs)))
+                     for p in range(len(self.pairs)))
+
+    def lowered(self, p: int, q: int) -> Scalar:
+        """op[p][q]: for the q-th pair (k, l), row (p, k) lowered by -g at l, or by -G g when
+        exact, the exact 0 where no term reaches."""
+        (k, l), g = self.pairs[q], self.gram[1] if self.gram else self.connection.metric.gram
+        return -sum(x * g[m][l] for m, x in enumerate(self.rows[p][k]) if x) or 0
 
     @cached_property
     def float_rows(self) -> tuple:
@@ -148,40 +152,40 @@ class CurvatureTensor:
     def entries(self):
         """(i, j, k, R(e_i, e_j) e_k) for i < j, in row order: rows / den as Fractions when
         exact, the float rows as they are."""
-        for (i, j), nums in zip(combinations(range(self.dim), 2), self.rows):
+        for (i, j), nums in zip(self.pairs, self.rows):
             for k, num in enumerate(nums):
                 yield i, j, k, _read(num, self.den, self.gram)
 
 
 def riemann_tensor(conn: Connection) -> CurvatureTensor:
-    """Contract the connection into the curvature rows.
-
-    Row (i, j, k) for i < j is nabla_i(nabla_j e_k) - nabla_j(nabla_i e_k)
-    - nabla_{[e_i,e_j]} e_k, one contraction per term. An exact connection over an
-    exact algebra reads the int tables that were cleared before it, the store
-    L * gamma (Connection.rows over den = L) and M * c (LieAlgebra.cleared_structure),
-    and clears nothing itself. The contractions run over ints: the first two
-    terms come out scaled by L^2, the third by L M, and a last contraction with
-    (M, -M, -L) gives the int numerator of each entry over den = L^2 M. Float
-    rows are contracted as they are, each entry a - b - d.
-    """
+    """The rows of R(e_i, e_j) = [A_i, A_j] - sum_m c_ij^m A_m, A_i = nabla_{e_i} (J. Milnor,
+    Adv. Math. 21, 1976). An exact connection over an exact algebra reads the int tables
+    cleared before it, Connection.rows (L gamma, den = L) and LieAlgebra.cleared_structure
+    (C = M c), and clears nothing: row (i, j, k) is M [A_i, A_j] e_k - L sum_m C_ij^m A_m e_k
+    over L^2 M, one int accumulator per entry, zero factors skipped. Float rows contract
+    each term as it is, a - b - d per entry."""
     n, gamma, L = conn.dim, conn.rows, conn.den
-    cleared = conn.algebra.cleared_structure
-    exact = conn.gram is not None and cleared is not None
-    M, c = cleared if exact else (1, conn.algebra.structure)
-    # by_target[k][m] = nabla_{e_m} e_k, so contracting its first axis with
-    # [e_i,e_j] gives nabla_{[e_i,e_j]} e_k.
-    by_target = [[gamma[m][k] for m in range(n)] for k in range(n)]
-    rows = []
+    if conn.gram is None or conn.algebra.cleared_structure is None:
+        c = conn.algebra.structure
+        by_target = [[gamma[m][k] for m in range(n)] for k in range(n)]  # nabla_{e_m} e_k
+        return CurvatureTensor(conn, [[[a - b - d for a, b, d in zip(
+            linalg.contract(gamma[i], gamma[j][k]), linalg.contract(gamma[j], gamma[i][k]),
+            linalg.contract(by_target[k], c[i][j]))] for k in range(n)]
+            for i, j in combinations(range(n), 2)], 1, None)
+    (M, C), rows = conn.algebra.cleared_structure, []
+    # live[a][m]: the nonzero (l, x) of L nabla_{e_a} e_m, the only factors a product needs
+    live = [[[(l, x) for l, x in enumerate(row) if x] for row in block] for block in gamma]
     for i, j in combinations(range(n), 2):
+        bracket = [(-L * x, live[m]) for m, x in enumerate(C[i][j]) if x]
         rows.append([])
         for k in range(n):
-            terms = (linalg.contract(gamma[i], gamma[j][k]),
-                     linalg.contract(gamma[j], gamma[i][k]),
-                     linalg.contract(by_target[k], c[i][j]))
-            rows[-1].append(linalg.contract(terms, (M, -M, -L)) if exact
-                            else [a - b - d for a, b, d in zip(*terms)])
-    return CurvatureTensor(conn, rows, L * L * M if exact else 1, conn.gram if exact else None)
+            rows[-1].append(acc := [0] * n)
+            for w, nums in ([(M * x, live[i][m]) for m, x in live[j][k]]
+                            + [(-M * x, live[j][m]) for m, x in live[i][k]]
+                            + [(w, by_k[k]) for w, by_k in bracket]):
+                for l, y in nums:
+                    acc[l] += w * y
+    return CurvatureTensor(conn, rows, L * L * M, conn.gram)
 
 
 def curvature_apply(rt: CurvatureTensor, u, v, w) -> Vector:
@@ -191,7 +195,7 @@ def curvature_apply(rt: CurvatureTensor, u, v, w) -> Vector:
     exact = rt.gram is not None and linalg.all_exact((u, v, w))
     if exact:
         scale, (u, v, w) = linalg.clear_denominators((u, v, w))
-    wedge = [u[i] * v[j] - u[j] * v[i] for i, j in combinations(range(rt.dim), 2)]
+    wedge = [u[i] * v[j] - u[j] * v[i] for i, j in rt.pairs]
     out = linalg.contract(rt.rows if exact else rt.float_rows, wedge, w) if wedge else [0] * rt.dim
     return Vector(Fraction(x, rt.den * scale ** 3) for x in out) if exact else Vector(out)
 
@@ -202,24 +206,30 @@ ROUNDED_PLANE = "the plane's g(u,u) g(v,v) rounds to 0 in float arithmetic"
 
 def plane_form(rt: CurvatureTensor, u, v) -> tuple[Scalar, Scalar, Scalar]:
     """(w^T op w, g(u,u) g(v,v) - g(u,v)^2, g(u,u)) for w = u^v and g the metric of rt, the
-    determinant 0 on a degenerate plane and in dim 1, where no plane exists. Exact u, v on
-    an exact tensor are cleared to ints once, one Fraction per result. Any float entry
-    contracts in floats, exact zeros skipped, against float_op and MetricTensor.inner; a
-    float determinant <= TOLERANCE g(u,u) g(v,v) is 0, so the angle decides, not the scale,
-    or None when g(u,u) g(v,v) of nonzero u, v rounds to 0 (ROUNDED_PLANE), and an
-    overflowed one is left to printing."""
+    determinant 0 on a degenerate plane and in dim 1, where no plane exists. A basis plane
+    (one live w_p) that reads op, not float_op, lowers op[p][p] from row p and leaves op
+    unbuilt. Exact u, v on an exact tensor are cleared to ints once, one Fraction per
+    result. Any float entry contracts in floats, exact zeros skipped, against float_op
+    and MetricTensor.inner; a float determinant <= TOLERANCE g(u,u) g(v,v) is 0, so the
+    angle decides, not the scale, or None when g(u,u) g(v,v) of nonzero u, v rounds to 0
+    (ROUNDED_PLANE), and an overflowed one is left to printing."""
     u, v = (as_vector(x, rt.dim).coeffs for x in (u, v))
     exact = rt.gram is not None and linalg.all_exact((u, v))
     if exact:
         scale, (u, v) = linalg.clear_denominators((u, v))
         gram_den = rt.gram[0] * scale ** 2
     inner = partial(linalg.contract, rt.gram[1]) if exact else rt.connection.metric.inner
-    w = [u[i] * v[j] - u[j] * v[i] for i, j in combinations(range(rt.dim), 2)]
+    w = [u[i] * v[j] - u[j] * v[i] for i, j in rt.pairs]
     uu = inner(u, u)
     norms = uu * inner(v, v)
     uv = inner(u, v)  # uv * uv is inf past the float range, where uv ** 2 raises
     det = norms - uv * uv if w else 0
-    num = linalg.contract(rt.op if exact or rt.op_den == 1 else rt.float_op, w, w) if w else 0
+    live = [p for p, x in enumerate(w) if x or isinstance(x, float)]  # as contract reads w
+    if len(live) == 1 and (exact or rt.op_den == 1):  # a basis plane: op[p][p] from row p
+        w, table = [w[live[0]]], ((rt.lowered(live[0], live[0]),),)
+    else:
+        table = rt.op if exact or rt.op_den == 1 else rt.float_op
+    num = linalg.contract(table, w, w) if w else 0
     if exact:
         return (Fraction(num, rt.op_den * scale ** 4), Fraction(det, gram_den ** 2),
                 Fraction(uu, gram_den))
@@ -250,7 +260,7 @@ def scalar_curvature(rt: CurvatureTensor, metric: MetricTensor) -> Scalar:
     """
     n = rt.dim
     ric = [[0] * n for _ in range(n)]
-    for (i, j), nums in zip(combinations(range(n), 2), rt.rows):
+    for (i, j), nums in zip(rt.pairs, rt.rows):
         for k, num in enumerate(nums):
             ric[j][k] += num[i]
             ric[i][k] -= num[j]

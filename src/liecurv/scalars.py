@@ -123,12 +123,8 @@ def format_scalar(x: Scalar, precision: int = 12) -> str:
     if isinstance(x, bool):
         raise InputError("boolean is not a scalar")
     try:
-        if isinstance(x, int):
+        if isinstance(x, (int, Fraction)):  # str(Fraction(3)) is '3', str(Fraction(3, 2)) '3/2'
             return str(x)
-        if isinstance(x, Fraction):
-            if x.denominator == 1:
-                return str(x.numerator)
-            return f"{x.numerator}/{x.denominator}"
     except ValueError as exc:
         raise InputError(f"exact value too large to print: {exc}") from None
     if not math.isfinite(x):

@@ -10,6 +10,7 @@ import contextlib
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Sequence, Union
 
 from liecurv import linalg
@@ -18,7 +19,7 @@ from liecurv.errors import (DegeneratePlaneError, DimensionMismatchError, InputE
                             NonBerwaldError, PreconditionError, UndefinedAtOriginError)
 from liecurv.exprs import MAX_EXPONENT, MAX_POWER_BITS
 from liecurv.randers import _ROUNDED_OUT, Flag, RandersMetric, g_y, randers_norm
-from liecurv.riemann import Connection, CurvatureTensor, sectional
+from liecurv.riemann import Connection, CurvatureTensor, plane_form, sectional
 from liecurv.scalars import (Scalar, approx_equal, format_scalar, is_exact, is_exact_zero,
                              is_zero, scalar_to_json, sqrt_scalar)
 
@@ -159,6 +160,39 @@ def riemann_tensor_dense(conn: Connection) -> list:
                             acc = acc - cij * gamma[m][k][l]
                         row[l] = acc
     return table
+
+
+def riemann_reference(conn: Connection) -> CurvatureTensor:
+    """riemann_tensor by four contractions per row entry, as the package computed it before
+    the commutator loops: the int tables L gamma and M c contracted term by term, combined
+    with (M, -M, -L) over den = L^2 M when exact, each float entry a - b - d."""
+    n, gamma, L = conn.dim, conn.rows, conn.den
+    cleared = conn.algebra.cleared_structure
+    exact = conn.gram is not None and cleared is not None
+    M, c = cleared if exact else (1, conn.algebra.structure)
+    # by_target[k][m] = nabla_{e_m} e_k, so contracting its first axis with
+    # [e_i,e_j] gives nabla_{[e_i,e_j]} e_k.
+    by_target = [[gamma[m][k] for m in range(n)] for k in range(n)]
+    rows = []
+    for i, j in combinations(range(n), 2):
+        rows.append([])
+        for k in range(n):
+            terms = (linalg.contract(gamma[i], gamma[j][k]),
+                     linalg.contract(gamma[j], gamma[i][k]),
+                     linalg.contract(by_target[k], c[i][j]))
+            rows[-1].append(linalg.contract(terms, (M, -M, -L)) if exact
+                            else [a - b - d for a, b, d in zip(*terms)])
+    return CurvatureTensor(conn, rows, L * L * M if exact else 1, conn.gram if exact else None)
+
+
+def basis_plane_from_op(rt: CurvatureTensor, i: int, j: int) -> tuple[Scalar, Scalar]:
+    """sectional(rt, metric, e_i, e_j) with the numerator w^T op w contracted on the whole
+    op, as plane_form read every plane before a basis plane read op[p][p] from row p."""
+    n = rt.dim
+    w = [int(q == (i, j)) for q in combinations(range(n), 2)]
+    num = linalg.contract(rt.op if rt.gram or rt.op_den == 1 else rt.float_op, w, w)
+    num = Fraction(num, rt.op_den) if rt.gram else num
+    return num, num / plane_form(rt, Vector.basis(n, i), Vector.basis(n, j))[1]
 
 
 def curvature_apply_dense(rt: CurvatureTensor, u, v, w) -> Vector:

@@ -640,6 +640,18 @@ def test_non_finite_scalars_are_input_errors(capsys, tmp_path, doc, argv, where)
     assert err.startswith(f"error: {where}:")
 
 
+@pytest.mark.parametrize("key, says", [
+    ("basis", "must be 2 nonempty strings"), ("drift", "must list 2 scalars"),
+    ("metric", "must be 'identity' or 2 rows"), ("params", "must be an object")])
+def test_null_optional_key_is_refused(capsys, tmp_path, key, says):
+    # an optional key is given a value or left out; JSON null is neither
+    path = write_doc(tmp_path, {**_doc_2d(), key: None})
+    for command in ("check", "analyze"):
+        code, out, err = run(capsys, command, path)
+        assert code == 1 and out == ""
+        assert err == f"error: document.{key} {says}\n"
+
+
 def test_asymmetric_metric_names_its_field(capsys, tmp_path):
     path = write_doc(tmp_path, _doc_2d(metric=[["1", "1/2"], ["0", "1"]]))
     for command in ("check", "scalar"):

@@ -302,12 +302,13 @@ def _bad_top_values(draw, doc, n):
     key = draw(st.sampled_from(("dim", "brackets", "params", "basis", "drift")))
     if key == "dim":
         doc["dim"] = draw(st.sampled_from(("4", 0, -1, True, 4.0, 13, 10 ** 30)))
-    elif key == "drift":  # the wrong length or type; null is an absent drift
+    elif key == "drift":  # the wrong length or type, or null
         doc["drift"] = draw(st.sampled_from(
-            [["0"] * k for k in (0, n - 1, n + 1) if k != n] + ["0,0", {"0": "1"}, 0.5, True]))
-    elif key == "basis":  # the wrong length, a repeated or empty label; null is the default
+            [["0"] * k for k in (0, n - 1, n + 1) if k != n]
+            + ["0,0", {"0": "1"}, 0.5, True, None]))
+    elif key == "basis":  # the wrong length, a repeated or empty label, or null
         doc["basis"] = draw(st.sampled_from(
-            (["X"] * (n + 1), ["X"] * n if n > 1 else [], [""] * n, "XYZW", [1] * n)))
+            (["X"] * (n + 1), ["X"] * n if n > 1 else [], [""] * n, "XYZW", [1] * n, None)))
     else:
         doc[key] = draw(st.sampled_from(("alpha", 1, None, True) + (([], ["alpha"])
                                                                   if key == "params" else ())))

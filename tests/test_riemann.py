@@ -336,6 +336,32 @@ def test_directly_built_connection_stays_exact():
     assert riemann_tensor(direct).rows == riemann_tensor(conn).rows
 
 
+def test_exact_curvature_and_basis_planes_skip_the_generic_paths(monkeypatch):
+    """Counts, not timings: an exact riemann_tensor makes no linalg.contract call, the
+    basis planes read their rows without building op, and solve_cleared on int rows
+    clears no row."""
+    counts = dict.fromkeys(("contract", "clear_denominators"), 0)
+    for name in counts:
+        def spy(*args, name=name, real=getattr(linalg, name)):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(linalg, name, spy)
+    exact_doc, _ = semidirect_documents(random.Random(20130524), 5)
+    conn = levi_civita(exact_doc.algebra(), exact_doc.metric)
+    counts["contract"] = 0
+    rt = riemann_tensor(conn)
+    assert rt.gram is not None and counts["contract"] == 0
+    for i, j in combinations(range(5), 2):
+        sectional(rt, exact_doc.metric, Vector.basis(5, i), Vector.basis(5, j))
+    assert "op" not in vars(rt)
+    counts["clear_denominators"] = 0
+    matrix, rhs = [[2, 1, 0], [1, 3, 1], [0, 1, 4]], [[1, 0, 0], [5, -2, 7]]
+    den, solutions = linalg.solve_cleared(matrix, rhs)
+    assert counts["clear_denominators"] == 0
+    assert [[F(x, den) for x in y] for y in solutions] == \
+        linalg.solve_many([[F(x) for x in row] for row in matrix], rhs)
+
+
 # --- curvature operator on 2-forms --------------------------------------------
 
 
