@@ -122,7 +122,7 @@ class LieAlgebra:
                       brackets: Mapping[tuple[int, int], Sequence[Scalar]],
                       labels: Sequence[str] | None = None) -> "LieAlgebra":
         """Build from brackets given for i < j only; completion is automatic."""
-        table = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j), coeffs in brackets.items():
             if not (0 <= i < j < dim):
                 raise InputError(f"bracket pair ({i}, {j}) must satisfy 0 <= i < j < dim")

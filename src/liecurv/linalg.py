@@ -6,9 +6,9 @@ nullspace and positive-definiteness. All-exact input is cleared to integer
 rows (an int row as it is) and eliminated fraction-free; any float entry
 switches the whole matrix to float arithmetic with partial pivoting and the
 global tolerance. One skip-zero contraction, `contract`, evaluates brackets,
-covariant derivatives, float curvature rows, inner products and endomorphisms
-(riemann_tensor sums exact rows in its own int loops). It accumulates in the
-type of its products, so int tables stay in int arithmetic.
+covariant derivatives, inner products and endomorphisms (riemann_tensor sums
+its rows, exact or float, in its own loops, in contract's order). It
+accumulates in the type of its products, so int tables stay in int arithmetic.
 `clear_denominators` turns an exact table into such a table times a common
 denominator, so a caller builds one Fraction per result instead of one per
 multiply-add (E. Bareiss, Math. Comp. 22, 1968); `orthonormal_pair` (exact

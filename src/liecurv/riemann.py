@@ -15,7 +15,7 @@ riemann_tensor, parallel_fields and the Berwald test read.
 
 Curvature convention: R(U,V)W = nabla_U nabla_V W - nabla_V nabla_U W
 - nabla_[U,V] W. The one store is the rows R(e_i,e_j)e_k for i < j: R(e_j,e_i) is
--R(e_i,e_j) and R(e_i,e_i) = 0. Exact rows are int commutator sums over one common
+-R(e_i,e_j) and R(e_i,e_i) = 0. Rows are commutator sums, exact ones ints over one common
 denominator, so each entry costs one Fraction, and only where it is read. Lowered by g,
 they give op[(i,j)][(k,l)] = g(R(e_j,e_i)e_k, e_l) for i < j, k < l. With w = u^v, the
 sectional curvature of span{u, v} is w^T op w = g(R(v,u)u, v) over g(u,u) g(v,v) - g(u,v)^2,
@@ -104,15 +104,15 @@ def levi_civita(alg: LieAlgebra, metric: MetricTensor) -> Connection:
 
 class CurvatureTensor:
     """The store is rows: rows[p][k] / den is R(e_i, e_j) e_k for (i, j) = pairs[p], the p-th
-    of combinations(range(dim), 2). Exact: ints, gram = (G, G g), op_den = den G. Float: dens
-    1, gram = None. table, op, float_rows and float_op are images of the rows, each built on
+    of combinations(range(dim), 2). gram is the connection's, so Connection.gram alone
+    decides exactness. Exact: ints, gram = (G, G g), op_den = den G. Float: dens 1, gram
+    None. table, op, float_rows and float_op are images of the rows, each built on
     first read: op[p][q] / op_den the op entries, float_rows and float_op rows / den and
     op / op_den for float vectors to contract."""
 
-    def __init__(self, conn: Connection, rows, den: int, gram):
-        self.connection = conn
-        self.rows, self.den, self.gram = rows, den, gram
-        self.op_den = den * gram[0] if gram else 1
+    def __init__(self, conn: Connection, rows, den: int):
+        self.connection, self.rows, self.den, self.gram = conn, rows, den, conn.gram
+        self.op_den = den * self.gram[0] if self.gram else 1
         self.pairs = list(combinations(range(conn.dim), 2))
 
     @property
@@ -159,33 +159,33 @@ class CurvatureTensor:
 
 def riemann_tensor(conn: Connection) -> CurvatureTensor:
     """The rows of R(e_i, e_j) = [A_i, A_j] - sum_m c_ij^m A_m, A_i = nabla_{e_i} (J. Milnor,
-    Adv. Math. 21, 1976). An exact connection over an exact algebra reads the int tables
-    cleared before it, Connection.rows (L gamma, den = L) and LieAlgebra.cleared_structure
-    (C = M c), and clears nothing: row (i, j, k) is M [A_i, A_j] e_k - L sum_m C_ij^m A_m e_k
-    over L^2 M, one int accumulator per entry, zero factors skipped. Float rows contract
-    each term as it is, a - b - d per entry."""
+    Adv. Math. 21, 1976), from the connection's L gamma over den = L and C = M c: the cleared
+    structure when exact, c with M = L = 1 for floats. Row (i, j, k) is M (a - b) - L d over
+    L^2 M, a and b the two products of [A_i, A_j] e_k, d = sum_m C_ij^m A_m e_k, each summed
+    from int 0 in contract's order, a float coefficient (0.0 included) live, a zero table
+    entry skipped: rows are ints when exact, contract's floats else, and 0 where unreached."""
     n, gamma, L = conn.dim, conn.rows, conn.den
-    if conn.gram is None or conn.algebra.cleared_structure is None:
-        c = conn.algebra.structure
-        by_target = [[gamma[m][k] for m in range(n)] for k in range(n)]  # nabla_{e_m} e_k
-        return CurvatureTensor(conn, [[[a - b - d for a, b, d in zip(
-            linalg.contract(gamma[i], gamma[j][k]), linalg.contract(gamma[j], gamma[i][k]),
-            linalg.contract(by_target[k], c[i][j]))] for k in range(n)]
-            for i, j in combinations(range(n), 2)], 1, None)
-    (M, C), rows = conn.algebra.cleared_structure, []
-    # live[a][m]: the nonzero (l, x) of L nabla_{e_a} e_m, the only factors a product needs
+    M, C = conn.algebra.cleared_structure if conn.gram else (1, conn.algebra.structure)
     live = [[[(l, x) for l, x in enumerate(row) if x] for row in block] for block in gamma]
+    coef = [[[(m, x) for m, x in enumerate(row) if x or isinstance(x, float)] for row in block]
+            for block in gamma]  # as contract reads a vector
+    rows = []
     for i, j in combinations(range(n), 2):
-        bracket = [(-L * x, live[m]) for m, x in enumerate(C[i][j]) if x]
+        bracket = [(m, x) for m, x in enumerate(C[i][j]) if x or isinstance(x, float)]
         rows.append([])
         for k in range(n):
-            rows[-1].append(acc := [0] * n)
-            for w, nums in ([(M * x, live[i][m]) for m, x in live[j][k]]
-                            + [(-M * x, live[j][m]) for m, x in live[i][k]]
-                            + [(w, by_k[k]) for w, by_k in bracket]):
-                for l, y in nums:
-                    acc[l] += w * y
-    return CurvatureTensor(conn, rows, L * L * M, conn.gram)
+            a, b, d = [0] * n, [0] * n, [0] * n
+            for m, x in coef[j][k]:
+                for l, y in live[i][m]:
+                    a[l] += x * y
+            for m, x in coef[i][k]:
+                for l, y in live[j][m]:
+                    b[l] += x * y
+            for m, x in bracket:
+                for l, y in live[m][k]:
+                    d[l] += x * y
+            rows[-1].append([M * (x - y) - L * z for x, y, z in zip(a, b, d)])
+    return CurvatureTensor(conn, rows, L * L * M)
 
 
 def curvature_apply(rt: CurvatureTensor, u, v, w) -> Vector:

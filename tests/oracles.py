@@ -182,7 +182,7 @@ def riemann_reference(conn: Connection) -> CurvatureTensor:
                      linalg.contract(by_target[k], c[i][j]))
             rows[-1].append(linalg.contract(terms, (M, -M, -L)) if exact
                             else [a - b - d for a, b, d in zip(*terms)])
-    return CurvatureTensor(conn, rows, L * L * M if exact else 1, conn.gram if exact else None)
+    return CurvatureTensor(conn, rows, L * L * M if exact else 1)
 
 
 def basis_plane_from_op(rt: CurvatureTensor, i: int, j: int) -> tuple[Scalar, Scalar]:

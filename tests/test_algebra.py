@@ -60,6 +60,9 @@ def test_from_brackets_antisymmetry():
     assert list(bracket(alg, Vector.basis(4, 0), Vector.basis(4, 1))) == [0, 0, 1, 0]
     assert list(bracket(alg, Vector.basis(4, 1), Vector.basis(4, 0))) == [0, 0, -1, 0]
     assert alg.antisymmetry_violations() == []
+    # a bracket not given, [e_i, e_i] included, holds int zeros
+    assert alg.structure[0][0] == alg.structure[2][3] == (0, 0, 0, 0)
+    assert all(type(x) is int for x in alg.structure[0][0] + alg.structure[2][3])
 
 
 def test_from_brackets_rejects_bad_pairs():

@@ -825,6 +825,19 @@ def test_analyze_writes_float_roundoff_as_zero(capsys, tmp_path):
     assert zeroed > 0
 
 
+def test_analyze_json_tells_an_unreached_curvature_entry_from_a_float_zero(capsys, tmp_path):
+    """On a float table, a curvature entry that no term of the commutator reaches is an
+    exact 0, written "0"; one that float terms reach, here 0.0 products, is written 0.0.
+    Exact brackets over a decimal metric: no connection entry has an e_2 component."""
+    doc = {"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": ["0", "1", "0"]}],
+           "metric": [["1.5", "0", "0"], ["0", "1", "0"], ["0", "0", "2"]]}
+    code, out, _ = run_json(capsys, "analyze", write_doc(tmp_path, doc), "--precision", "17")
+    assert code == 0
+    assert out["sections"]["curvature"] == [
+        {"i": 0, "j": 1, "k": 0, "coeffs": [0.0, 1.0, "0"]},
+        {"i": 0, "j": 1, "k": 1, "coeffs": [-0.66666666666666663, 0.0, "0"]}]
+
+
 @pytest.mark.parametrize("argv", [
     ["sectional", "--case", "1", "--u", "1e200,0,0,0", "--v", "0,1,0,0"],
     ["flag", "--case", "1", "--drift", "0,0,1/2,0", "--pole", "1e200,0,0,0", "--edge", "0,1,0,0"],

@@ -362,6 +362,20 @@ def test_exact_curvature_and_basis_planes_skip_the_generic_paths(monkeypatch):
         linalg.solve_many([[F(x) for x in row] for row in matrix], rhs)
 
 
+def test_riemann_tensor_has_one_loop_for_both_stores(monkeypatch):
+    """Exact and float connections run the same commutator loop: riemann_tensor calls no
+    linalg.contract on either."""
+    exact_doc, float_doc = semidirect_documents(random.Random(20130525), 4)
+    conns = [levi_civita(d.algebra(), d.metric) for d in (exact_doc, float_doc)]
+    assert [c.gram is None for c in conns] == [False, True]
+
+    def refuse(*args):
+        raise AssertionError("riemann_tensor called linalg.contract")
+    monkeypatch.setattr(linalg, "contract", refuse)
+    for conn in conns:
+        riemann_tensor(conn)
+
+
 # --- curvature operator on 2-forms --------------------------------------------
 
 
