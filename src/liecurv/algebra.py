@@ -28,24 +28,44 @@ def default_labels(dim: int) -> tuple[str, ...]:
 
 
 class Vector:
-    """A left-invariant field, i.e. constant coefficients over the basis."""
+    """A left-invariant field, i.e. constant coefficients over the basis. An exact vector
+    has one int form, ints = (den, nums) with coeffs = nums / den over one positive den:
+    given as Vector(nums, den) by a read-out of an int store, else formed on first read."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_coeffs", "_ints")
 
-    def __init__(self, coeffs: Iterable[Scalar]):
-        self.coeffs = tuple(coeffs)
+    def __init__(self, coeffs: Iterable[Scalar], den: int | None = None):
+        self._coeffs, self._ints = (tuple(coeffs), None) if den is None else (None, (den, coeffs))
 
     @classmethod
     def zero(cls, dim: int) -> "Vector":
-        return cls([Fraction(0)] * dim)
+        return cls([0] * dim, 1)
 
     @classmethod
     def basis(cls, dim: int, i: int) -> "Vector":
-        return cls(Fraction(int(k == i)) for k in range(dim))
+        return cls([int(k == i) for k in range(dim)], 1)
+
+    @property
+    def coeffs(self) -> tuple:
+        if self._coeffs is None:  # Fractions, built only when read
+            self._coeffs = tuple(Fraction(x, self._ints[0]) for x in self._ints[1])
+        return self._coeffs
+
+    @property
+    def ints(self) -> tuple[int, list[int]] | None:
+        """(den, nums), formed once; None when a coefficient is a float."""
+        if self._ints is None:
+            self._ints = linalg.cleared(self._coeffs) or False
+        return self._ints or None
+
+    @property
+    def float_only(self) -> bool:
+        """A coefficient is a float and the others are floats or exact zeros."""
+        return not self.ints and not [x for x in self._coeffs if x and not isinstance(x, float)]
 
     @property
     def dim(self) -> int:
-        return len(self.coeffs)
+        return len(self._ints[1] if self._coeffs is None else self._coeffs)
 
     def __iter__(self):
         return iter(self.coeffs)
@@ -54,7 +74,7 @@ class Vector:
         return self.coeffs[i]
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return self.dim
 
     def __add__(self, other: "Vector") -> "Vector":
         return Vector(a + b for a, b in zip(self.coeffs, other.coeffs))
@@ -177,16 +197,19 @@ class MetricTensor:
     @cached_property
     def cleared_gram(self) -> tuple[int, list] | None:
         """(L, L * gram) with L the lcm of the Gram denominators, None if an entry is a float:
-        the int Gram matrix that levi_civita, riemann_tensor and orthonormal_pair read,
-        cleared once per metric."""
+        the int Gram matrix that inner, levi_civita, riemann_tensor and orthonormal_pair
+        read, cleared once per metric."""
         return linalg.cleared(self.gram)
 
     def inner(self, u, v) -> Scalar:
-        """g(u, v); when u or v has only floats, on the float image of the Gram matrix."""
-        u = as_vector(u, self.dim).coeffs
-        v = as_vector(v, self.dim).coeffs
-        floats = linalg.float_only(u) or linalg.float_only(v)
-        return linalg.contract(self.float_gram if floats else self.gram, u, v)
+        """g(u, v): the int forms against cleared_gram, one Fraction, for an exact pair on an
+        exact Gram matrix; else the Gram matrix, or its float image when u or v is float_only."""
+        u, v = as_vector(u, self.dim), as_vector(v, self.dim)
+        if self.cleared_gram and (fu := u.ints) and (fv := v.ints):
+            (m, g), (du, a), (dv, b) = self.cleared_gram, fu, fv
+            return Fraction(linalg.contract(g, a, b), m * du * dv)
+        floats = u.float_only or v.float_only
+        return linalg.contract(self.float_gram if floats else self.gram, u.coeffs, v.coeffs)
 
     def norm_sq(self, v) -> Scalar:
         return self.inner(v, v)

@@ -11,8 +11,8 @@ its rows, exact or float, in its own loops, in contract's order). It
 accumulates in the type of its products, so int tables stay in int arithmetic.
 `clear_denominators` turns an exact table into such a table times a common
 denominator, so a caller builds one Fraction per result instead of one per
-multiply-add (E. Bareiss, Math. Comp. 22, 1968); `orthonormal_pair` (exact
-input only) and `solve_cleared` run that way, the latter returning exact
+multiply-add (E. Bareiss, Math. Comp. 22, 1968): once per table or Vector
+(Vector.ints), which `orthonormal_pair` reads. `solve_cleared` returns exact
 solutions as ints over their lcm denominator.
 """
 
@@ -221,17 +221,6 @@ def contract(table, *vectors) -> Scalar | list[Scalar]:
     return [_ZERO if x is None else x for x in out]
 
 
-def float_only(vec) -> bool:
-    """One coefficient is a float and the others are floats or exact zeros."""
-    seen = False
-    for x in vec:  # a loop, to stop at the first exact nonzero entry
-        if isinstance(x, float):
-            seen = True
-        elif x:
-            return False
-    return seen
-
-
 def clear_denominators(table) -> tuple[int, list]:
     """(L, L * table) for an exact nested table, with L the lcm of its
     denominators: every entry of the scaled table is an int."""
@@ -254,19 +243,18 @@ def cleared(table) -> tuple[int, list] | None:
     return clear_denominators(table) if all_exact(table) else None
 
 
-def orthonormal_pair(metric, u: Sequence[Scalar],
-                     v: Sequence[Scalar]) -> tuple[list[Scalar], list[Scalar]]:
+def orthonormal_pair(metric, u, v) -> tuple[list[Scalar], list[Scalar]]:
     """Orthonormal (u_hat, v_hat) in a MetricTensor, spanning the same plane,
-    pole ray preserved. u, v and the metric must be exact (int or Fraction).
+    pole ray preserved. u, v (Vectors) and the metric must be exact.
 
     Stays exact when both norms are perfect rational squares, else floats.
-    It runs in ints: with U = L_u u, V = L_v v and the Gram matrix cleared to
-    (L_g, g), v - (uv/uu) u is W / (L_v UU) for the int vector W = UU V - UV U,
-    where UU = g(U,U) and UV = g(U,V); so each output is one Fraction, or one
-    correctly rounded int quotient, over its norm.
+    It runs in ints: with the int forms U = L_u u, V = L_v v and the Gram matrix
+    cleared to (L_g, g), v - (uv/uu) u is W / (L_v UU) for the int vector
+    W = UU V - UV U, where UU = g(U,U) and UV = g(U,V); so each output is one
+    Fraction, or one correctly rounded int quotient, over its norm.
     """
     lg, g = metric.cleared_gram
-    (lu, cu), (lv, cv) = clear_denominators(u), clear_denominators(v)
+    (lu, cu), (lv, cv) = u.ints, v.ints
     uu = contract(g, cu, cu)
     if not uu:
         raise DegeneratePlaneError("zero vector cannot span a plane")

@@ -15,8 +15,8 @@ The fundamental tensor
 
 is kept for printing and for the fixtures' fundamental-tensor checks. g_y takes one
 pole and a list of pairs: g(y,y), g(Q,y) and sqrt(g(y,y)) are built once per pole, and
-g(Q,u), g(y,u) once per vector. Every product is MetricTensor.inner, so each value has
-the type and bits that six inner products per pair give. Exact zeros short-circuit the
+g(Q,u), g(y,u) once per vector. Every product is MetricTensor.inner, so each value is the
+one six inner products per pair give, bit for bit in floats. Exact zeros short-circuit the
 square-root terms in both, so the drift = 0 limit degenerates to g exactly, not merely
 within tolerance.
 """
@@ -79,11 +79,12 @@ def build_randers(metric: MetricTensor, drift, conn: Connection) -> RandersMetri
     if not norm_sq < 1:
         raise NormBoundError(
             f"drift must satisfy g(Q,Q) < 1 strictly, got g(Q,Q) = {format_scalar(norm_sq)}")
-    # an exact drift on an exact store tests den * gamma Q for exact zeros; otherwise gamma is
-    # read at value scale, rows / den, so the tolerance of is_zero does not grow with den
-    gamma = (conn.rows if conn.gram and linalg.all_exact(drift) else
-             [[[x / conn.den for x in row] for row in block] for block in conn.rows])
-    berwald = all(is_zero(x) for block in gamma for x in linalg.contract(block, drift))
+    # an exact drift on an exact store tests den * gamma on its int form for exact zeros; else
+    # gamma is read at value scale, rows / den, so the tolerance of is_zero does not grow with den
+    form = conn.gram and drift.ints
+    gamma, q = ((conn.rows, form[1]) if form else
+                ([[[x / conn.den for x in row] for row in block] for block in conn.rows], drift))
+    berwald = all(is_zero(x) for block in gamma for x in linalg.contract(block, q))
     return RandersMetric(base=metric, drift=drift, berwald=berwald,
                          drift_norm_sq=norm_sq)
 
@@ -91,7 +92,16 @@ def build_randers(metric: MetricTensor, drift, conn: Connection) -> RandersMetri
 def randers_norm(rm: RandersMetric, y) -> Scalar:
     """F(y) = sqrt(g(y,y)) + g(Q,y); positive for y != 0 since ||Q|| < 1."""
     y = as_vector(y, rm.dim)
-    return sqrt_scalar(rm.base.norm_sq(y)) + rm.base.inner(rm.drift, y)
+    return _randers_f(rm.base.norm_sq(y), rm.base.inner(rm.drift, y))[0]
+
+
+def _randers_f(yy: Scalar, beta: Scalar) -> tuple[Scalar, Scalar]:
+    """(F, F^2) from yy = g(y,y) and beta = g(Q,y), as flag_curvature says."""
+    root = sqrt_scalar(yy)
+    if beta < 0:
+        f = (yy - beta * beta) / (root - beta)
+        return f, f * f
+    return root + beta, yy + 2 * beta * root + beta * beta  # not ** 2: raises past 1e308
 
 
 _ROUNDED_OUT = "the pole's g(y,y), or a term built from it, rounds to 0 in float arithmetic"
@@ -154,9 +164,12 @@ def flag_curvature(rm: RandersMetric, rt: CurvatureTensor, flag: Flag) -> Scalar
     K_g(P) = g(w,e) / (alpha^2 g(e,e)), which riemann.plane_form gives as
     the form op on the 2-form y^e over the Gram determinant of the plane.
 
-    F^2 is built as g(y,y) + 2 beta sqrt(g(y,y)) + beta^2. An exact zero beta
-    returns K_g(P) itself, so a zero drift, or a pole g-orthogonal to the
-    drift, never meets an irrational square root.
+    F and F^2 come from _randers_f, which randers_norm reads too. For beta < 0,
+    alpha + beta cancels as y nears -Q: F is (g(y,y) - beta^2) / (alpha - beta),
+    its numerator positive by Cauchy-Schwarz, and F^2 = F F. Else F^2 is
+    g(y,y) + 2 beta alpha + beta^2. An exact zero beta returns K_g(P) itself,
+    so a zero drift, or a pole g-orthogonal to the drift, never meets an
+    irrational square root.
     """
     if not rm.berwald:
         raise NonBerwaldError(
@@ -175,7 +188,7 @@ def flag_curvature(rm: RandersMetric, rt: CurvatureTensor, flag: Flag) -> Scalar
     beta = rm.base.inner(rm.drift, pole)
     if is_exact_zero(beta):
         return k
-    f_sq = yy + 2 * beta * sqrt_scalar(yy) + beta * beta  # not ** 2: that raises past 1e308
+    f_sq = _randers_f(yy, beta)[1]
     if not f_sq:
         raise UndefinedAtOriginError(_ROUNDED_OUT)
     return yy * k / f_sq

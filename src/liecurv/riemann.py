@@ -20,7 +20,9 @@ denominator, so each entry costs one Fraction, and only where it is read. Lowere
 they give op[(i,j)][(k,l)] = g(R(e_j,e_i)e_k, e_l) for i < j, k < l. With w = u^v, the
 sectional curvature of span{u, v} is w^T op w = g(R(v,u)u, v) over g(u,u) g(v,v) - g(u,v)^2,
 one op entry, lowered from its row alone, for a basis plane; R(u,v)x sums w_p R(e_i,e_j)x
-over the rows. Float vectors contract float images of rows, op and g, each built once.
+over the rows. Exact vectors contract their int forms (Vector.ints) on an exact tensor, and
+nabla, entries and curvature_apply return vectors born with theirs, ints over the store's
+den. Float vectors contract float images of rows, op and g, each built once.
 The Ricci tensor is the trace Ric(V,W) = tr(U -> R(U,V)W), i.e. Ric_jk = sum_i r[i][j][k][i],
 and the scalar curvature is its metric trace g^{jk} Ric_jk.
 """
@@ -58,17 +60,12 @@ class Connection:
                      for i in range(self.dim))
 
     def nabla(self, i: int, j: int) -> Vector:
-        return _read(self.rows[i][j], self.den, self.gram)
+        return Vector(self.rows[i][j], self.den if self.gram else None)
 
     def derivative(self, u, v) -> Vector:
         """nabla_u v for left-invariant u, v (bilinear over scalars)."""
         u, v = (as_vector(x, self.dim).coeffs for x in (u, v))
         return Vector(linalg.contract(self.gamma, u, v))
-
-
-def _read(nums, den: int, exact) -> Vector:
-    """nums / den: one Fraction per entry when exact, the float entries as they are."""
-    return Vector([Fraction(x, den) for x in nums] if exact else nums)
 
 
 def levi_civita(alg: LieAlgebra, metric: MetricTensor) -> Connection:
@@ -150,11 +147,11 @@ class CurvatureTensor:
         return tuple(tuple(tuple(block) for block in plane) for plane in table)
 
     def entries(self):
-        """(i, j, k, R(e_i, e_j) e_k) for i < j, in row order: rows / den as Fractions when
-        exact, the float rows as they are."""
+        """(i, j, k, R(e_i, e_j) e_k) for i < j, in row order: rows / den, born with that int
+        form, when exact; the float rows as they are."""
         for (i, j), nums in zip(self.pairs, self.rows):
             for k, num in enumerate(nums):
-                yield i, j, k, _read(num, self.den, self.gram)
+                yield i, j, k, Vector(num, self.den if self.gram else None)
 
 
 def riemann_tensor(conn: Connection) -> CurvatureTensor:
@@ -190,14 +187,14 @@ def riemann_tensor(conn: Connection) -> CurvatureTensor:
 
 def curvature_apply(rt: CurvatureTensor, u, v, w) -> Vector:
     """R(u, v)w = sum of (u^v)_p R(e_i, e_j)w over the rows. Exact vectors on an exact tensor
-    are cleared to ints once, one Fraction per component; any float contracts float_rows."""
-    u, v, w = (as_vector(x, rt.dim).coeffs for x in (u, v, w))
-    exact = rt.gram is not None and linalg.all_exact((u, v, w))
-    if exact:
-        scale, (u, v, w) = linalg.clear_denominators((u, v, w))
+    contract their int forms, the result born with its own; any float contracts float_rows."""
+    vecs = [as_vector(x, rt.dim) for x in (u, v, w)]
+    forms = [x.ints for x in vecs] if rt.gram else [None]
+    exact = all(forms)
+    (du, u), (dv, v), (dw, w) = forms if exact else [(1, x.coeffs) for x in vecs]
     wedge = [u[i] * v[j] - u[j] * v[i] for i, j in rt.pairs]
     out = linalg.contract(rt.rows if exact else rt.float_rows, wedge, w) if wedge else [0] * rt.dim
-    return Vector(Fraction(x, rt.den * scale ** 3) for x in out) if exact else Vector(out)
+    return Vector([x or 0 for x in out], rt.den * du * dv * dw) if exact else Vector(out)
 
 
 # nonzero float u, v whose g(u,u) g(v,v) underflows: the angle rule cannot decide
@@ -208,18 +205,18 @@ def plane_form(rt: CurvatureTensor, u, v) -> tuple[Scalar, Scalar, Scalar]:
     """(w^T op w, g(u,u) g(v,v) - g(u,v)^2, g(u,u)) for w = u^v and g the metric of rt, the
     determinant 0 on a degenerate plane and in dim 1, where no plane exists. A basis plane
     (one live w_p) that reads op, not float_op, lowers op[p][p] from row p and leaves op
-    unbuilt. Exact u, v on an exact tensor are cleared to ints once, one Fraction per
+    unbuilt. Exact u, v on an exact tensor contract their int forms, one Fraction per
     result. Any float entry contracts in floats, exact zeros skipped, against float_op
     and MetricTensor.inner; a float determinant <= TOLERANCE g(u,u) g(v,v) is 0, so the
     angle decides, not the scale, or None when g(u,u) g(v,v) of nonzero u, v rounds to 0
     (ROUNDED_PLANE), and an overflowed one is left to printing."""
-    u, v = (as_vector(x, rt.dim).coeffs for x in (u, v))
-    exact = rt.gram is not None and linalg.all_exact((u, v))
-    if exact:
-        scale, (u, v) = linalg.clear_denominators((u, v))
-        gram_den = rt.gram[0] * scale ** 2
+    u, v = (as_vector(x, rt.dim) for x in (u, v))
+    forms = [u.ints, v.ints] if rt.gram else [None]
+    exact = all(forms)
+    (du, a), (dv, b) = forms if exact else [(1, u.coeffs), (1, v.coeffs)]
     inner = partial(linalg.contract, rt.gram[1]) if exact else rt.connection.metric.inner
-    w = [u[i] * v[j] - u[j] * v[i] for i, j in rt.pairs]
+    u, v = (a, b) if exact else (u, v)  # what inner reads: the ints, or the Vectors
+    w = [a[i] * b[j] - a[j] * b[i] for i, j in rt.pairs]
     uu = inner(u, u)
     norms = uu * inner(v, v)
     uv = inner(u, v)  # uv * uv is inf past the float range, where uv ** 2 raises
@@ -231,17 +228,19 @@ def plane_form(rt: CurvatureTensor, u, v) -> tuple[Scalar, Scalar, Scalar]:
         table = rt.op if exact or rt.op_den == 1 else rt.float_op
     num = linalg.contract(table, w, w) if w else 0
     if exact:
-        return (Fraction(num, rt.op_den * scale ** 4), Fraction(det, gram_den ** 2),
-                Fraction(uu, gram_den))
+        gram_den = rt.gram[0] * du * dv
+        return (Fraction(num, rt.op_den * (du * dv) ** 2), Fraction(det, gram_den ** 2),
+                Fraction(uu, rt.gram[0] * du * du))
     if not is_exact(det) and det <= TOLERANCE * norms < math.inf:
-        det = None if not norms and any(u) and any(v) else 0
+        det = None if not norms and any(a) and any(b) else 0
     return num, det, uu
 
 
 def sectional(rt: CurvatureTensor, metric: MetricTensor, u, v) -> tuple[Scalar, Scalar]:
     """Sectional curvature of span{u, v} as (numerator, value): plane_form's
     numerator g(R(v,u)u, v), which the printed per-case K(U,V) polynomials give
-    for an orthonormal pair, and its ratio to the Gram determinant, both in rt's metric."""
+    for an orthonormal pair, and its ratio to the Gram determinant, both in rt's metric.
+    metric is unused, kept for callers: rt carries the metric it was built in."""
     numerator, den, _ = plane_form(rt, u, v)
     if not den:
         raise DegeneratePlaneError(ROUNDED_PLANE if den is None else

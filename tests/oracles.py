@@ -7,9 +7,11 @@ another way; tests compare the two.
 from __future__ import annotations
 
 import contextlib
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from typing import Mapping, Sequence, Union
 
@@ -20,8 +22,8 @@ from liecurv.errors import (DegeneratePlaneError, DimensionMismatchError, InputE
 from liecurv.exprs import MAX_EXPONENT, MAX_POWER_BITS
 from liecurv.randers import _ROUNDED_OUT, Flag, RandersMetric, g_y, randers_norm
 from liecurv.riemann import Connection, CurvatureTensor, plane_form, sectional
-from liecurv.scalars import (Scalar, approx_equal, format_scalar, is_exact, is_exact_zero,
-                             is_zero, scalar_to_json, sqrt_scalar)
+from liecurv.scalars import (TOLERANCE, Scalar, approx_equal, format_scalar, is_exact,
+                             is_exact_zero, is_zero, scalar_to_json, sqrt_scalar)
 
 
 def flag_curvature_four_g_y(rm: RandersMetric, rt: CurvatureTensor,
@@ -199,6 +201,57 @@ def curvature_apply_dense(rt: CurvatureTensor, u, v, w) -> Vector:
     """R(u, v)w by trilinear contraction of the dense table."""
     u, v, w = (as_vector(x, rt.dim).coeffs for x in (u, v, w))
     return Vector(linalg.contract(rt.table, u, v, w))
+
+
+def inner_per_call(metric: MetricTensor, u, v) -> Scalar:
+    """MetricTensor.inner before vectors carried their int forms: the coefficients against
+    the Gram matrix, or its float image when u or v has a float and no exact nonzero."""
+    u, v = (as_vector(x, metric.dim).coeffs for x in (u, v))
+    floats = any(any(isinstance(x, float) for x in c)
+                 and all(isinstance(x, float) or not x for x in c) for c in (u, v))
+    return linalg.contract(metric.float_gram if floats else metric.gram, u, v)
+
+
+def curvature_apply_per_call(rt: CurvatureTensor, u, v, w) -> Vector:
+    """riemann.curvature_apply as it cleared exact vectors on every call: u, v and w over one
+    common denominator, one Fraction per component; any float contracts float_rows."""
+    u, v, w = (as_vector(x, rt.dim).coeffs for x in (u, v, w))
+    exact = rt.gram is not None and linalg.all_exact((u, v, w))
+    if exact:
+        scale, (u, v, w) = linalg.clear_denominators((u, v, w))
+    wedge = [u[i] * v[j] - u[j] * v[i] for i, j in rt.pairs]
+    out = linalg.contract(rt.rows if exact else rt.float_rows, wedge, w) if wedge else [0] * rt.dim
+    return Vector(Fraction(x, rt.den * scale ** 3) for x in out) if exact else Vector(out)
+
+
+def plane_form_per_call(rt: CurvatureTensor, u, v) -> tuple[Scalar, Scalar, Scalar]:
+    """riemann.plane_form as it cleared exact vectors on every call, over one common
+    denominator, with inner_per_call for the norms of the rest."""
+    u, v = (as_vector(x, rt.dim).coeffs for x in (u, v))
+    exact = rt.gram is not None and linalg.all_exact((u, v))
+    if exact:
+        scale, (u, v) = linalg.clear_denominators((u, v))
+        gram_den = rt.gram[0] * scale ** 2
+        inner = partial(linalg.contract, rt.gram[1])
+    else:
+        inner = partial(inner_per_call, rt.connection.metric)
+    w = [u[i] * v[j] - u[j] * v[i] for i, j in rt.pairs]
+    uu = inner(u, u)
+    norms = uu * inner(v, v)
+    uv = inner(u, v)
+    det = norms - uv * uv if w else 0
+    live = [p for p, x in enumerate(w) if x or isinstance(x, float)]
+    if len(live) == 1 and (exact or rt.op_den == 1):
+        w, table = [w[live[0]]], ((rt.lowered(live[0], live[0]),),)
+    else:
+        table = rt.op if exact or rt.op_den == 1 else rt.float_op
+    num = linalg.contract(table, w, w) if w else 0
+    if exact:
+        return (Fraction(num, rt.op_den * scale ** 4), Fraction(det, gram_den ** 2),
+                Fraction(uu, gram_den))
+    if not is_exact(det) and det <= TOLERANCE * norms < math.inf:
+        det = None if not norms and any(u) and any(v) else 0
+    return num, det, uu
 
 
 def curvature_operator_dense(conn: Connection) -> list:

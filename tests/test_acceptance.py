@@ -222,7 +222,7 @@ def test_criterion_5_flag_closed_forms():
         while done < 20:
             u, v = rand_pair(rng, 4)
             try:
-                pole_c, edge_c = linalg.orthonormal_pair(case.metric, list(u), list(v))
+                pole_c, edge_c = linalg.orthonormal_pair(case.metric, u, v)
             except DegeneratePlaneError:
                 continue
             done += 1

@@ -350,6 +350,14 @@ def test_flag_command(capsys):
     assert "-3/4" in out
 
 
+def test_flag_pole_at_minus_drift(capsys):
+    # F(y) = 1 - 0.99999999999 is about 1e-11, not 0: the flag is defined, and its
+    # curvature, on the plane of X and Z, is 0
+    code, out, err = run(capsys, "flag", "--case", "1", "--drift", "0,0,0.99999999999,0",
+                         "--pole", "0,0,-1,0", "--edge", "1,0,0,0")
+    assert (code, out, err) == (0, "flag curvature: 0\n", "")
+
+
 def test_flag_case4_at_special_parameters(capsys):
     code, doc, _ = run_json(capsys, "flag", "--case", "4",
                             "--alpha", "-1", "--beta", "0",

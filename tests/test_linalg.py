@@ -129,7 +129,8 @@ def test_gram_schmidt_orthogonal_not_normalized():
 
 def test_orthonormal_pair_identity_gram():
     gram = [[F(1), F(0)], [F(0), F(1)]]
-    u, v = linalg.orthonormal_pair(MetricTensor(gram), [F(3), F(0)], [F(4), F(4)])
+    u, v = linalg.orthonormal_pair(MetricTensor(gram), Vector([F(3), F(0)]),
+                                  Vector([F(4), F(4)]))
     assert linalg.contract(gram, u, u) == 1
     assert linalg.contract(gram, v, v) == 1
     assert linalg.contract(gram, u, v) == 0
@@ -140,7 +141,7 @@ def test_orthonormal_pair_identity_gram():
 def test_orthonormal_pair_rejects_dependent():
     gram = [[F(1), F(0)], [F(0), F(1)]]
     with pytest.raises(DegeneratePlaneError):
-        linalg.orthonormal_pair(MetricTensor(gram), [F(1), F(2)], [F(2), F(4)])
+        linalg.orthonormal_pair(MetricTensor(gram), Vector([F(1), F(2)]), Vector([F(2), F(4)]))
 
 
 def test_orthonormal_pair_random_planes(rng):
@@ -149,7 +150,7 @@ def test_orthonormal_pair_random_planes(rng):
         u = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
         v = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
         try:
-            a, b = linalg.orthonormal_pair(MetricTensor(gram), u, v)
+            a, b = linalg.orthonormal_pair(MetricTensor(gram), Vector(u), Vector(v))
         except DegeneratePlaneError:
             continue
         assert abs(linalg.contract(gram, a, a) - 1) < 1e-9
@@ -181,7 +182,7 @@ def test_orthonormal_pair_matches_fraction_oracle(rng):
     seen = set()
     for kind, u, v in cases:
         want = outcome(orthonormal_pair_fractions, grams[kind], u, v)
-        got = outcome(linalg.orthonormal_pair, MetricTensor(grams[kind]), u, v)
+        got = outcome(linalg.orthonormal_pair, MetricTensor(grams[kind]), Vector(u), Vector(v))
         assert got == want, (kind, u, v)
         seen.add(want if isinstance(want, tuple) else tuple(t for t, _ in want))
     # exact and float outputs, and both refusals, were all reached
@@ -322,6 +323,7 @@ def test_vector_rows_are_rows():
 
 def test_orthonormal_pair_int_gram_stays_exact():
     # int g(u,v) / int g(u,u) must not become a float division
-    u, v = linalg.orthonormal_pair(MetricTensor([[1, 0], [0, 1]]), [3, 0], [1, 2])
+    u, v = linalg.orthonormal_pair(MetricTensor([[1, 0], [0, 1]]), Vector([3, 0]),
+                                  Vector([1, 2]))
     assert u == [F(1), F(0)] and v == [F(0), F(1)]
     assert all(type(x) is F for x in u + v)

@@ -338,22 +338,38 @@ def test_directly_built_connection_stays_exact():
 
 def test_exact_curvature_and_basis_planes_skip_the_generic_paths(monkeypatch):
     """Counts, not timings: an exact riemann_tensor makes no linalg.contract call, the
-    basis planes read their rows without building op, and solve_cleared on int rows
-    clears no row."""
-    counts = dict.fromkeys(("contract", "clear_denominators"), 0)
+    basis planes read their rows without building op, an exact Vector is scanned and
+    cleared once, when its int form is first read, and solve_cleared on int rows clears
+    no row."""
+    counts = dict.fromkeys(("contract", "all_exact", "clear_denominators"), 0)
     for name in counts:
         def spy(*args, name=name, real=getattr(linalg, name)):
             counts[name] += 1
             return real(*args)
         monkeypatch.setattr(linalg, name, spy)
     exact_doc, _ = semidirect_documents(random.Random(20130524), 5)
-    conn = levi_civita(exact_doc.algebra(), exact_doc.metric)
+    metric = exact_doc.metric
+    conn = levi_civita(exact_doc.algebra(), metric)
     counts["contract"] = 0
     rt = riemann_tensor(conn)
     assert rt.gram is not None and counts["contract"] == 0
+    counts.update(all_exact=0, clear_denominators=0)
     for i, j in combinations(range(5), 2):
-        sectional(rt, exact_doc.metric, Vector.basis(5, i), Vector.basis(5, j))
-    assert "op" not in vars(rt)
+        sectional(rt, metric, Vector.basis(5, i), Vector.basis(5, j))
+    assert "op" not in vars(rt) and counts["all_exact"] == counts["clear_denominators"] == 0
+    rng = random.Random(20130526)
+    u, v, w = (Vector(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(5))
+               for _ in range(3))
+    drift = Vector([0, 0, 0, 0, F(1, 10 ** 6)])
+    assert all(x.ints for x in (u, v, w, drift))
+    assert counts["all_exact"] == counts["clear_denominators"] == 4
+    counts.update(all_exact=0, clear_denominators=0)
+    plane_form(rt, u, v)
+    r = curvature_apply(rt, u, v, w)
+    build_randers(metric, drift, conn)
+    metric.inner(u, w)
+    metric.inner(r, v)  # born with its int form
+    assert counts["all_exact"] == counts["clear_denominators"] == 0
     counts["clear_denominators"] = 0
     matrix, rhs = [[2, 1, 0], [1, 3, 1], [0, 1, 4]], [[1, 0, 0], [5, -2, 7]]
     den, solutions = linalg.solve_cleared(matrix, rhs)
