@@ -157,8 +157,10 @@ class LieAlgebra:
     def cleared_structure(self) -> tuple[int, list] | None:
         """(M, M * c) with M the lcm of the denominators of the structure constants c, None
         if an entry is a float: the int table that check_jacobi, levi_civita and
-        riemann_tensor read, cleared once per algebra."""
-        return linalg.cleared(self.structure)
+        riemann_tensor read, cleared once per algebra in one pass over its n^3 entries."""
+        n, flat = self.dim, linalg.cleared([x for b in self.structure for row in b for x in row])
+        return flat and (flat[0], [[flat[1][(i * n + j) * n:(i * n + j + 1) * n]
+                                    for j in range(n)] for i in range(n)])
 
     def antisymmetry_violations(self) -> list[tuple[int, int, int]]:
         """(i, j, k), i <= j, where c[i][j][k] + c[j][i][k] is not zero; on the int table
@@ -198,8 +200,9 @@ class MetricTensor:
     def cleared_gram(self) -> tuple[int, list] | None:
         """(L, L * gram) with L the lcm of the Gram denominators, None if an entry is a float:
         the int Gram matrix that inner, levi_civita, riemann_tensor and orthonormal_pair
-        read, cleared once per metric."""
-        return linalg.cleared(self.gram)
+        read, cleared once per metric in one pass over its n^2 entries."""
+        n, flat = self.dim, linalg.cleared([x for row in self.gram for x in row])
+        return flat and (flat[0], [flat[1][i * n:i * n + n] for i in range(n)])
 
     def inner(self, u, v) -> Scalar:
         """g(u, v): the int forms against cleared_gram, one Fraction, for an exact pair on an
@@ -215,7 +218,8 @@ class MetricTensor:
         return self.inner(v, v)
 
     def is_positive_definite(self) -> bool:
-        return linalg.is_positive_definite(self.gram)
+        return linalg.is_positive_definite(self.cleared_gram[1] if self.cleared_gram
+                                           else self.gram)
 
     def __repr__(self) -> str:
         return f"MetricTensor(dim={self.dim})"

@@ -53,6 +53,8 @@ MAX_GRID_POINTS = 256
 def _parse_grid(text: str, flag_name: str) -> range:
     lo, sep, hi = text.partition(":")
     try:
+        if not text.isascii() or "_" in text:  # int() also reads '٣' and '1_0'
+            raise ValueError(text)
         lo_n, hi_n = int(lo), int(hi)
     except ValueError as exc:
         if str(exc).startswith("Exceeds the limit"):  # the int-string digit limit

@@ -76,7 +76,7 @@ MAX_EXPR_BITS = 1 << 20
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[-+*/^()]))"
+    r"|(?P<op>\*\*|[-+*/^()]))", re.ASCII  # \d and \s: ASCII digits and spaces only
 )
 
 # How tightly each operator binds; "(" binds least, so no operator pops it.

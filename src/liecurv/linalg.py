@@ -9,11 +9,11 @@ global tolerance. One skip-zero contraction, `contract`, evaluates brackets,
 covariant derivatives, inner products and endomorphisms (riemann_tensor sums
 its rows, exact or float, in its own loops, in contract's order). It
 accumulates in the type of its products, so int tables stay in int arithmetic.
-`clear_denominators` turns an exact table into such a table times a common
+`cleared` turns one flat row of exact scalars into ints over their lcm
 denominator, so a caller builds one Fraction per result instead of one per
-multiply-add (E. Bareiss, Math. Comp. 22, 1968): once per table or Vector
-(Vector.ints), which `orthonormal_pair` reads. `solve_cleared` returns exact
-solutions as ints over their lcm denominator.
+multiply-add (E. Bareiss, Math. Comp. 22, 1968). Owners clear once: Vector.ints,
+MetricTensor.cleared_gram, LieAlgebra.cleared_structure, and _eliminate per
+non-int row. `solve_cleared` returns exact solutions as ints over their lcm.
 """
 
 from __future__ import annotations
@@ -26,16 +26,17 @@ from .errors import DegeneratePlaneError, InputError
 from .scalars import TOLERANCE, Scalar, is_exact, sqrt_scalar
 
 
-def _leaves(table) -> list:
-    """Entries of a nested table of uniform depth, in order. Every entry that
-    is not a scalar is a row: a list, a tuple or a Vector."""
-    while table and not isinstance(table[0], (int, Fraction, float)):
-        table = [x for sub in table for x in sub]
-    return table
-
-
-def all_exact(table) -> bool:
-    return all(is_exact(x) for x in _leaves(table))
+def cleared(entries: Sequence[Scalar]) -> tuple[int, list[int]] | None:
+    """(L, [L x for x in entries]) with L the lcm of the denominators, from one pass over a
+    flat sequence of scalars; an all-int row comes back as it is, over 1. None at the first
+    entry that is_exact refuses: a float, or a bool."""
+    ratios = []
+    for x in entries:
+        if type(x) is not int and not is_exact(x):
+            return None
+        ratios.append((x, 1) if type(x) is int else x.as_integer_ratio())
+    scale = math.lcm(*(d for _, d in ratios))
+    return scale, [n * (scale // d) for n, d in ratios]
 
 
 # --- elimination ------------------------------------------------------------
@@ -47,19 +48,18 @@ def _eliminate(rows: Sequence[Sequence[Scalar]], pivot_cols: int,
 
     Pivots are sought in the first pivot_cols columns only; row operations
     act on whole rows, so later columns carry right-hand sides along. Exact
-    mode scales each row to ints and takes the first nonzero entry as pivot
-    (any pivot gives the same answer); a row below the pivot row `top`
-    becomes top[c] * row - row[c] * top divided by its gcd, so every echelon
-    row is a nonzero int multiple of the Gaussian one. Float mode takes the
-    largest |x| and reads |x| <= TOLERANCE as zero. With swap=False only the
-    current row may hold the pivot, and a column whose entry there is zero
-    gets none. Returns (echelon rows, pivot columns, the type results are
-    built in: Fraction or float).
+    mode takes an int row as it is and clears any other with `cleared`, then
+    takes the first nonzero entry as pivot (any pivot gives the same answer);
+    a row below the pivot row `top` becomes top[c] * row - row[c] * top divided
+    by its gcd, so every echelon row is a nonzero int multiple of the Gaussian
+    one. Float mode takes the largest |x| and reads |x| <= TOLERANCE as zero.
+    With swap=False only the current row may hold the pivot, and a column whose
+    entry there is zero gets none. Returns (echelon rows, pivot columns, the
+    type results are built in: Fraction or float).
     """
-    ints = [all(type(x) is int for x in row) for row in rows]
-    kind = Fraction if all(ints) or all_exact(rows) else float
-    mat = ([list(row) if is_int else clear_denominators(row)[1] for row, is_int in zip(rows, ints)]
-           if kind is Fraction else [[float(x) for x in row] for row in rows])
+    forms = [(1, list(row)) if all(type(x) is int for x in row) else cleared(row) for row in rows]
+    kind = Fraction if all(forms) else float
+    mat = [f[1] for f in forms] if kind is Fraction else [[float(x) for x in row] for row in rows]
     pivots: list[int] = []
     for c in range(pivot_cols):
         r = len(pivots)
@@ -96,7 +96,7 @@ def _eliminate(rows: Sequence[Sequence[Scalar]], pivot_cols: int,
 
 def _primitive(vec: list[Fraction]) -> list[Fraction]:
     """Scale a nonzero vector to coprime integers with positive leading entry."""
-    ints = clear_denominators(vec)[1]
+    ints = cleared(vec)[1]
     g = math.gcd(*ints) if next(x for x in ints if x) > 0 else -math.gcd(*ints)
     return [Fraction(x // g) for x in ints]
 
@@ -136,8 +136,8 @@ def solve_cleared(matrix: Sequence[Sequence[Scalar]],
                   rhs_list: Sequence[Sequence[Scalar]]) -> tuple[int, list[list[Scalar]]]:
     """(d, Y) with Y[b] / d the solution of A x = b for each b in rhs_list, from one
     elimination. Exact input gives ints over the lcm d of the solutions' denominators,
-    i.e. clear_denominators of the Fraction solutions; any float gives d = 1 and the
-    float solutions."""
+    i.e. the Fraction solutions cleared together; any float gives d = 1 and the float
+    solutions."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise InputError("solve_many needs a square matrix")
@@ -170,7 +170,8 @@ def is_positive_definite(gram: Sequence[Sequence[Scalar]]) -> bool:
     The k-th pivot is the ratio of the k-th to the (k-1)-th leading minor.
     An exact pivot differs from it by a positive factor and a product of
     earlier pivots, so its sign is the ratio's while those are positive. A
-    float pivot must exceed TOLERANCE, the threshold that solve_many uses.
+    float pivot must exceed TOLERANCE, the threshold that solve_many uses. An
+    exact matrix may come cleared: a positive scale keeps every pivot's sign.
     """
     n = len(gram)
     mat, pivots, _ = _eliminate(gram, n, swap=False)
@@ -219,28 +220,6 @@ def contract(table, *vectors) -> Scalar | list[Scalar]:
                 acc = out[l]
                 out[l] = (p or 0.0) if acc is None else acc + p
     return [_ZERO if x is None else x for x in out]
-
-
-def clear_denominators(table) -> tuple[int, list]:
-    """(L, L * table) for an exact nested table, with L the lcm of its
-    denominators: every entry of the scaled table is an int."""
-    scale = math.lcm(*(x.denominator for x in _leaves(table)))
-
-    def scaled(t):
-        if t and not isinstance(t[0], (int, Fraction, float)):
-            return [scaled(s) for s in t]
-        out = []
-        for x in t:  # a loop: one as_integer_ratio per entry, the fastest read here
-            n, d = x.as_integer_ratio()
-            out.append(n * (scale // d))
-        return out
-
-    return scale, scaled(table)
-
-
-def cleared(table) -> tuple[int, list] | None:
-    """clear_denominators(table) for an exact table, None if an entry is a float."""
-    return clear_denominators(table) if all_exact(table) else None
 
 
 def orthonormal_pair(metric, u, v) -> tuple[list[Scalar], list[Scalar]]:

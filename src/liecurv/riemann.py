@@ -249,13 +249,13 @@ def sectional(rt: CurvatureTensor, metric: MetricTensor, u, v) -> tuple[Scalar, 
 
 
 def scalar_curvature(rt: CurvatureTensor, metric: MetricTensor) -> Scalar:
-    """Metric trace of the Ricci tensor, g^{jk} Ric_jk.
+    """Metric trace of the Ricci tensor, g^{jk} Ric_jk, in rt's own metric.
 
     Ric_jk sums row (i, j, k) at i over i < j and subtracts row (j, i, k) at i
-    over i > j, in ints when exact. g^{jk} comes from one Gram solve against
-    the rows of Ric, so rational metrics stay rational: on an exact tensor, the
-    int Ricci rows against the cleared Gram matrix (G, G g) of the metric passed
-    in, and the trace is scaled by G / den once.
+    over i > j, in ints when exact. g^{jk} comes from one Gram solve against the
+    rows of Ric: an exact tensor's cleared Gram matrix rt.gram = (G, G g), the
+    trace scaled by G / den once, else rt.connection.metric.gram. metric is
+    unused, kept for callers: rt carries the metric it was built in.
     """
     n = rt.dim
     ric = [[0] * n for _ in range(n)]
@@ -263,9 +263,6 @@ def scalar_curvature(rt: CurvatureTensor, metric: MetricTensor) -> Scalar:
         for k, num in enumerate(nums):
             ric[j][k] += num[i]
             ric[i][k] -= num[j]
-    cleared = metric.cleared_gram if rt.gram else None
-    if rt.gram and not cleared:
-        ric = [[Fraction(x, rt.den) for x in row] for row in ric]
-    scale, gram = (Fraction(cleared[0], rt.den), cleared[1]) if cleared else (1, metric.gram)
+    g, gram = rt.gram or (1, rt.connection.metric.gram)  # a float tensor's den is 1
     solved = linalg.solve_many(gram, ric)
-    return scale * sum((solved[k][k] for k in range(n)), Fraction(0))
+    return Fraction(g, rt.den) * sum((solved[k][k] for k in range(n)), Fraction(0))

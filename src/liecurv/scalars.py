@@ -72,7 +72,7 @@ def _non_finite(x: float) -> InputError:
 
 
 def parse_rational(text: str) -> Scalar:
-    """Parse a strict scalar literal: 'p/q', integer, or decimal.
+    """Parse a strict scalar literal: 'p/q', integer, or decimal, in ASCII digits.
 
     Decimal input (containing '.' or an exponent) comes back as float; the
     caller is responsible for flagging the surrounding document as
@@ -81,8 +81,9 @@ def parse_rational(text: str) -> Scalar:
     echoes at most the literal's first 40 characters.
     """
     s = text.strip()
-    if not s:
-        raise InputError("empty scalar literal")
+    if not s or not s.isascii() or "_" in s:  # int() and float() also read '٣' and '1_0'
+        raise InputError(f"bad scalar literal {shown_literal(text)}" if s
+                         else "empty scalar literal")
     try:
         if "/" not in s:
             return int(s)

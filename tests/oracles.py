@@ -92,11 +92,31 @@ def levi_civita_reference(alg: LieAlgebra, metric: MetricTensor) -> list:
     return [solutions[i * n:i * n + n] for i in range(n)]
 
 
+def cleared_nested(table) -> tuple[int, list] | None:
+    """(L, L * table) for a nested table of uniform depth, L the lcm of all its denominators,
+    every entry an int; None if an entry is not exact (a float or a bool). Every entry that
+    is not a scalar is a row: a list, a tuple or a Vector. linalg cleared nested tables this
+    way, in one call per table, before each owner cleared its flat entries."""
+    leaves = table
+    while leaves and not isinstance(leaves[0], (int, Fraction, float)):
+        leaves = [x for sub in leaves for x in sub]
+    if not all(is_exact(x) for x in leaves):
+        return None
+    scale = math.lcm(*(x.denominator for x in leaves))
+
+    def scaled(t):
+        if t and not isinstance(t[0], (int, Fraction, float)):
+            return [scaled(sub) for sub in t]
+        return [x.numerator * (scale // x.denominator) for x in t]
+
+    return scale, scaled(table)
+
+
 def connection_from_table(alg: LieAlgebra, metric: MetricTensor, gamma) -> Connection:
     """The Connection with Christoffel table gamma, stored as levi_civita stores it: gamma
     cleared to ints over one denominator, marked with the cleared Gram matrix, when gamma,
     the structure constants and the metric are all exact; else gamma as it is, over 1."""
-    cleared = linalg.cleared(gamma)
+    cleared = cleared_nested(gamma)
     if cleared and alg.cleared_structure is not None and metric.cleared_gram is not None:
         return Connection(alg, metric, cleared[1], cleared[0], metric.cleared_gram)
     return Connection(alg, metric, gamma, 1, None)
@@ -216,9 +236,9 @@ def curvature_apply_per_call(rt: CurvatureTensor, u, v, w) -> Vector:
     """riemann.curvature_apply as it cleared exact vectors on every call: u, v and w over one
     common denominator, one Fraction per component; any float contracts float_rows."""
     u, v, w = (as_vector(x, rt.dim).coeffs for x in (u, v, w))
-    exact = rt.gram is not None and linalg.all_exact((u, v, w))
+    exact = rt.gram is not None and cleared_nested((u, v, w))
     if exact:
-        scale, (u, v, w) = linalg.clear_denominators((u, v, w))
+        scale, (u, v, w) = exact
     wedge = [u[i] * v[j] - u[j] * v[i] for i, j in rt.pairs]
     out = linalg.contract(rt.rows if exact else rt.float_rows, wedge, w) if wedge else [0] * rt.dim
     return Vector(Fraction(x, rt.den * scale ** 3) for x in out) if exact else Vector(out)
@@ -228,9 +248,9 @@ def plane_form_per_call(rt: CurvatureTensor, u, v) -> tuple[Scalar, Scalar, Scal
     """riemann.plane_form as it cleared exact vectors on every call, over one common
     denominator, with inner_per_call for the norms of the rest."""
     u, v = (as_vector(x, rt.dim).coeffs for x in (u, v))
-    exact = rt.gram is not None and linalg.all_exact((u, v))
+    exact = rt.gram is not None and cleared_nested((u, v))
     if exact:
-        scale, (u, v) = linalg.clear_denominators((u, v))
+        scale, (u, v) = exact
         gram_den = rt.gram[0] * scale ** 2
         inner = partial(linalg.contract, rt.gram[1])
     else:
@@ -511,7 +531,7 @@ Expr = Union[tuple, int, float, str]
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[-+*/^()]))"
+    r"|(?P<op>\*\*|[-+*/^()]))", re.ASCII
 )
 
 

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import change_basis, rand_invertible, rand_vector
-from oracles import _after, bracket, check_jacobi_reference, check_para_hypercomplex, nijenhuis
-from liecurv import catalog, linalg
+from oracles import (_after, bracket, check_jacobi_reference, check_para_hypercomplex,
+                     cleared_nested, nijenhuis)
+from liecurv import catalog
 from liecurv.algebra import LieAlgebra, MetricTensor, Vector, as_vector, check_jacobi
 from liecurv.errors import DimensionMismatchError, InputError
 from liecurv.linalg import contract
@@ -131,7 +132,7 @@ def jacobi_inputs(rng, dim):
                                          for j in range(1, dim)})
     dense = change_basis(alg, MetricTensor.identity(dim), rand_invertible(rng, dim))[0]
     exact = [[list(row) for row in block] for block in dense.structure]
-    ints = linalg.clear_denominators(exact)[1]
+    ints = cleared_nested(exact)[1]
     inputs = []
     for label, table in (("exact", exact), ("int", ints),
                          ("float", [[[float(x) for x in row] for row in b] for b in exact])):

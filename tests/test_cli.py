@@ -14,6 +14,7 @@ from liecurv import catalog, exprs, randers, riemann
 from liecurv.algebra import Vector
 from liecurv.cli import MAX_GRID_POINTS, main
 from liecurv.documents import MAX_DIM, document_digest, load_document, serialize_document
+from liecurv.errors import InputError
 from liecurv.exprs import MAX_EXPR_BITS, MAX_EXPR_TOKENS, MAX_POWER_BITS
 
 ENVELOPE_KEYS = {"command", "digest", "discrepancies", "sections", "status"}
@@ -206,6 +207,39 @@ def test_bad_literal_is_echoed_as_a_short_prefix(capsys, fmt):
     code, _, err = run(capsys, "report", "--case", "4", f"--beta-grid={junk}", f"--format={fmt}")
     assert (code, err) == (1, f"error: --beta-grid must look like lo:hi, "
                               f"got {junk[:40] + '...'!r}\n")
+
+
+CASE4_PLANE = ["sectional", "--case", "4", "--u", "1,0,0,0", "--v", "0,1,0,0"]
+
+
+# int(), float() and re's \d read '٣' as 3, '1_0' as 10 and '１２' as 12; the literal
+# grammar is ASCII digits, so each is refused with exit 1, naming its flag or field.
+@pytest.mark.parametrize("argv, error", [
+    (CASE4_PLANE + ["--alpha", "٣", "--beta", "1_0"], "--alpha: bad scalar literal"),
+    (CASE4_PLANE + ["--alpha", "3", "--beta", "1_0"], "--beta: bad scalar literal"),
+    (CASE4_PLANE + ["--alpha", "１２", "--beta", "0"], "--alpha: bad scalar literal"),
+    (["report", "--case", "4", "--alpha-grid", "٣:٣", "--beta-grid", "0:0"],
+     "--alpha-grid must look like lo:hi"),
+    (["report", "--case", "4", "--alpha-grid", "3:3", "--beta-grid", "0_0:0"],
+     "--beta-grid must look like lo:hi"),
+])
+def test_non_ascii_digits_and_underscores_are_refused(capsys, argv, error):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith(f"error: {error}")
+
+
+@pytest.mark.parametrize("coeffs, field", [(["٣", "1_0"], "coeffs[0]"),
+                                           (["3", "1_0"], "coeffs[1]")])
+def test_document_literals_are_ascii(capsys, tmp_path, coeffs, field):
+    path = write_doc(tmp_path, {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": coeffs}]})
+    code, out, err = run(capsys, "check", path)
+    assert (code, out) == (1, "") and err.startswith(f"error: document.brackets[0].{field}: ")
+
+
+def test_expression_digits_are_ascii():
+    with pytest.raises(InputError, match="bad character"):
+        exprs.evaluate("٣*2")
+    assert exprs.evaluate("3*2") == 6
 
 
 def _shaped(**fields):

@@ -10,7 +10,7 @@ from liecurv.algebra import Vector
 from liecurv.documents import (document_digest, load_document, parse_document,
                                serialize_document)
 from liecurv.errors import InputError
-from liecurv.linalg import all_exact
+from liecurv.linalg import cleared
 
 F = Fraction
 
@@ -89,7 +89,7 @@ def test_params_restricted_to_known_names():
 
 def test_float_entries_mark_floating():
     doc = parse_document(minimal(drift=[0.25, 0, 0, 0]))
-    assert not all_exact(doc.drift)
+    assert cleared(doc.drift) is None and doc.drift.ints is None
     assert doc.drift[0] == 0.25
 
 

@@ -17,6 +17,8 @@ import pytest
 from liecurv.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+DOCUMENTS = Path(__file__).parent / "documents"
+DIM5, DIM6 = (str(DOCUMENTS / f"semidirect{n}_decimal.json") for n in (5, 6))
 
 COMMANDS = {
     "report_all": ["report", "--all"],
@@ -27,6 +29,15 @@ COMMANDS = {
     # entry, sectional value and the scalar, which 12 digits can hide.
     "analyze_case4_a0.5_b1_3_p17": ["analyze", "--case", "4", "--alpha=0.5", "--beta=1/3",
                                     "--precision", "17"],
+    # Decimal R semidirect_D R^(n-1) documents off the catalog, to 17 digits: the float
+    # Koszul solve, curvature rows and scalar trace at dims 5 and 6.
+    "analyze_semidirect5_decimal_p17": ["analyze", DIM5, "--precision", "17"],
+    "analyze_semidirect6_decimal_p17": ["analyze", DIM6, "--precision", "17"],
+    # Non-basis planes on the same float tensor: a mixed vector, and exact vectors.
+    "sectional_semidirect5_mixed_p17": ["sectional", DIM5, "--u", "1,0.5,0,0,0",
+                                        "--v", "0,1,0,1/2,0", "--precision", "17"],
+    "sectional_semidirect5_exact_p17": ["sectional", DIM5, "--u", "1,1/2,0,1,0",
+                                        "--v", "0,1,1/3,0,2", "--precision", "17"],
     "randers_case1_flag": ["randers", "--case", "1", "--drift", "0,0,1/2,0",
                            "--pole", "1,0,0,0", "--edge", "0,1,0,0"],
     "catalog_list": ["catalog", "list"],

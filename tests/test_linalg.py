@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import gram_schmidt, orthonormal_pair_fractions
+from oracles import cleared_nested, gram_schmidt, orthonormal_pair_fractions
 from liecurv import linalg
 from liecurv.algebra import MetricTensor, Vector
 from liecurv.errors import DegeneratePlaneError, InputError
@@ -72,7 +72,7 @@ def test_fraction_free_elimination_is_exact():
     give exact answers: solutions with zero residual, nullspace vectors of
     the right count, and Sylvester's criterion on independent minors. The int
     solve under solve_many is reduced: its (den, numerators) are
-    clear_denominators of the Fraction solutions."""
+    the Fraction solutions cleared together."""
     rng = random.Random(1968)
     seen = {True: 0, False: 0}
     for _ in range(150):
@@ -87,7 +87,7 @@ def test_fraction_free_elimination_is_exact():
                 assert all(type(v) is F for v in x)
                 assert [sum(F(a[i][j]) * x[j] for j in range(n)) for i in range(n)] == b
             den, nums = linalg.solve_cleared(a, rhs)
-            assert (den, nums) == linalg.clear_denominators(solutions)
+            assert (den, nums) == cleared_nested(solutions)
             assert all(type(v) is int for y in nums for v in y)
         basis = linalg.nullspace(a, n)
         assert len(basis) == n - linalg.rank(a) and (len(basis) == 0) == (minors[-1] != 0)
@@ -301,10 +301,15 @@ def test_contract_result_types():
 
 
 def test_clear_denominators():
-    scale, ints = linalg.clear_denominators([[F(1, 2), 3], [F(-1, 3), F(0)]])
-    assert (scale, ints) == (6, [[3, 18], [-2, 0]])
-    assert all(type(x) is int for row in ints for x in row)
-    assert linalg.clear_denominators(((1, -2), (0, 5))) == (1, [[1, -2], [0, 5]])
+    """linalg.cleared on flat rows; the nested reference in oracles on tables."""
+    scale, ints = linalg.cleared([F(1, 2), 3, F(-1, 3), F(0)])
+    assert (scale, ints) == (6, [3, 18, -2, 0])
+    assert all(type(x) is int for x in ints)
+    assert linalg.cleared((1, -2, 0, 5)) == (1, [1, -2, 0, 5])
+    assert linalg.cleared([]) == (1, [])
+    assert linalg.cleared([F(1, 2), 0.5]) is linalg.cleared([1, True]) is None
+    assert cleared_nested([[F(1, 2), 3], [F(-1, 3), F(0)]]) == (6, [[3, 18], [-2, 0]])
+    assert cleared_nested(((1, -2), (0, 5))) == (1, [[1, -2], [0, 5]])
 
 
 def test_vector_rows_are_rows():
@@ -314,8 +319,8 @@ def test_vector_rows_are_rows():
     vrows = [Vector(row) for row in rows]
     assert linalg.nullspace(vrows, 3) == linalg.nullspace(rows, 3) == [[3, -1, 0]]
     assert all(type(x) is F for x in linalg.nullspace(vrows, 3)[0])
-    assert (linalg.clear_denominators(vrows) == linalg.clear_denominators(rows)
-            == (21, [[7, 21, 0], [14, 42, 3]]))
+    assert ([linalg.cleared(r) for r in vrows] == [linalg.cleared(r) for r in rows]
+            == [(3, [1, 3, 0]), (21, [14, 42, 3])])
     # rows 10^-12 apart: exact rank 2, float rank 1
     near = [[1, 1], [1, 1 + F(1, 10 ** 12)]]
     assert linalg.rank([Vector(row) for row in near]) == linalg.rank(near) == 2

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import (cayley_rotation, change_basis, rand_fraction, rand_invertible,
                       rand_pd_metric, rand_vector)
-from oracles import (compatibility_residual, connection_from_table, curvature_apply_dense,
+from oracles import (cleared_nested, compatibility_residual, connection_from_table,
+                     curvature_apply_dense,
                      curvature_operator_dense, levi_civita_reference, riemann_tensor_dense,
                      scalar_curvature_gram_schmidt, scalar_curvature_table, sectional_dense,
                      sectional_plane_invariance_check, torsion)
@@ -98,19 +99,28 @@ def test_levi_civita_on_a_table_with_a_decimal_zero():
     assert gamma[1] == ((0.0, -0.5), (0.5, 0.0))
 
 
-def test_scalar_curvature_reads_the_metric_passed_in():
-    """On an exact tensor, scalar_curvature traces with the metric it is given: the
-    tensor's own, another exact one, or a float one, as the table trace does."""
+def test_scalar_curvature_reads_the_tensors_own_metric():
+    """scalar_curvature traces with the metric rt was built in, whatever metric is passed:
+    the tensor's own, another exact one or a float one. The scalar is scalar_curvature_table
+    in rt's own metric, the identical Fraction on an exact tensor and the same float bits on
+    a float one, for every metric passed."""
     rng = random.Random(20130522)
     for case_id in (1, 2, 3, 5, 6):
         case, _, rt = pipeline(case_id)
-        own = scalar_curvature(rt, case.metric)
-        assert own == scalar_curvature(rt, MetricTensor(case.metric.gram))
+        float_rt = riemann_tensor(levi_civita(case.algebra,
+                                              MetricTensor(case.metric.float_gram)))
         other = rand_pd_metric(rng, case.algebra.dim)
         floats = MetricTensor([[float(x) for x in row] for row in other.gram])
-        for metric in (other, floats):
-            got, want = scalar_curvature(rt, metric), scalar_curvature_table(rt, metric)
-            assert type(got) is type(want) and got == want
+        for tensor in (rt, float_rt):
+            want = scalar_curvature_table(tensor, tensor.connection.metric)
+            got = [scalar_curvature(tensor, metric)
+                   for metric in (case.metric, MetricTensor(case.metric.gram), other, floats)]
+            assert len({repr(x) for x in got}) == 1
+            got = got[0]
+            if tensor is rt:
+                assert type(got) is type(want) is F and got == want
+            else:
+                assert type(got) is float and repr(got) == repr(want)
 
 
 def test_torsion_free_and_compatible_everywhere(rng):
@@ -191,7 +201,7 @@ def test_curvature_apply_matches_dense_oracle():
                     for _ in range(3)]
         for u, v, w in triples:
             got, want = curvature_apply(rt, u, v, w), curvature_apply_dense(rt, u, v, w)
-            if rt.gram is not None and linalg.all_exact((u, v, w)):
+            if rt.gram is not None and cleared_nested((u, v, w)):
                 assert all(type(x) is F for x in list(got) + list(want)), (u, v, w)
                 assert got == want, (u, v, w)
                 checked["exact"] += 1
@@ -280,9 +290,12 @@ def test_riemann_tensor_matches_dense_oracle_on_wide_tables(monkeypatch):
     assert_matches_dense(float_doc.algebra(), float_doc.metric, True)
 
     cleared = []
-    clear = linalg.clear_denominators
-    monkeypatch.setattr(linalg, "clear_denominators",
-                        lambda table: cleared.append(table) or clear(table))
+    clear = linalg.cleared
+
+    def spy(entries):
+        cleared.append(list(entries))
+        return clear(entries)
+    monkeypatch.setattr(linalg, "cleared", spy)
     for case_id in (1, 3, 5):
         case = catalog.get_case(case_id)
         assert all(x.denominator == 1 for block in case.algebra.structure
@@ -296,16 +309,19 @@ def test_riemann_tensor_matches_dense_oracle_on_wide_tables(monkeypatch):
                    for row in block for x in row)
         conn = levi_civita(alg, metric)
         # the structure is cleared once per algebra and the Gram matrix once per metric,
-        # though levi_civita ran twice
-        assert [t for t in cleared if t is alg.structure] == [alg.structure]
-        assert [t for t in cleared if t is metric.gram] == [metric.gram]
+        # each in one flat pass over its entries, though levi_civita ran twice
+        flat_c = [x for block in ints for row in block for x in row]
+        flat_g = [x for row in metric.gram for x in row]
+        assert [t for t in cleared if t == flat_c] == [flat_c]
+        assert [t for t in cleared if t == flat_g] == [flat_g]
         cleared.clear()
         rt = riemann_tensor(conn)
         # riemann_tensor clears nothing and still takes the int path
         assert cleared == []
         assert rt.gram is metric.cleared_gram
         # the int path reads the connection's store: the solve's ints over their lcm
-        assert conn.gram is metric.cleared_gram and (conn.den, conn.rows) == clear(conn.gamma)
+        assert conn.gram is metric.cleared_gram
+        assert (conn.den, conn.rows) == cleared_nested(conn.gamma)
         assert all(type(x) is int or x == 0 for p in rt.rows for row in p for x in row)
 
 
@@ -324,7 +340,7 @@ def test_directly_built_connection_stays_exact():
         conn = levi_civita(alg, metric)
         direct = connection_from_table(alg, metric, conn.gamma)
         assert (direct.den, direct.rows) == (conn.den, conn.rows)
-        assert (conn.den, conn.rows) == linalg.clear_denominators(conn.gamma)
+        assert (conn.den, conn.rows) == cleared_nested(conn.gamma)
         assert direct.gram is conn.gram is metric.cleared_gram
         want, got = riemann_tensor(conn), riemann_tensor(direct)
         assert got.gram is metric.cleared_gram
@@ -337,43 +353,53 @@ def test_directly_built_connection_stays_exact():
 
 
 def test_exact_curvature_and_basis_planes_skip_the_generic_paths(monkeypatch):
-    """Counts, not timings: an exact riemann_tensor makes no linalg.contract call, the
-    basis planes read their rows without building op, an exact Vector is scanned and
-    cleared once, when its int form is first read, and solve_cleared on int rows clears
-    no row."""
-    counts = dict.fromkeys(("contract", "all_exact", "clear_denominators"), 0)
-    for name in counts:
-        def spy(*args, name=name, real=getattr(linalg, name)):
+    """Counts, not timings, of linalg.cleared and linalg.contract: levi_civita clears the
+    Gram matrix once per metric and the structure once per algebra; riemann_tensor (with no
+    contract call either), the basis planes, an exact is_positive_definite and
+    scalar_curvature clear nothing; an exact Vector is cleared once, when its int form is
+    first read, and not again by the readers of that form; an int row takes the den-1 path,
+    with no as_integer_ratio call, and solve_cleared on int rows clears no row."""
+    counts = dict.fromkeys(("contract", "cleared", "as_integer_ratio"), 0)
+    for owner, name in ((linalg, "contract"), (linalg, "cleared"), (F, "as_integer_ratio")):
+        def spy(*args, name=name, real=getattr(owner, name)):
             counts[name] += 1
             return real(*args)
-        monkeypatch.setattr(linalg, name, spy)
+        monkeypatch.setattr(owner, name, spy)
     exact_doc, _ = semidirect_documents(random.Random(20130524), 5)
-    metric = exact_doc.metric
-    conn = levi_civita(exact_doc.algebra(), metric)
-    counts["contract"] = 0
+    metric, alg = exact_doc.metric, exact_doc.algebra()
+    conn = levi_civita(alg, metric)
+    levi_civita(alg, metric)
+    assert counts["cleared"] == 2  # metric.cleared_gram, alg.cleared_structure
+    counts.update(contract=0, cleared=0)
     rt = riemann_tensor(conn)
     assert rt.gram is not None and counts["contract"] == 0
-    counts.update(all_exact=0, clear_denominators=0)
     for i, j in combinations(range(5), 2):
         sectional(rt, metric, Vector.basis(5, i), Vector.basis(5, j))
-    assert "op" not in vars(rt) and counts["all_exact"] == counts["clear_denominators"] == 0
+    assert "op" not in vars(rt)
+    assert metric.is_positive_definite()
+    assert type(scalar_curvature(rt, metric)) is F
+    assert counts["cleared"] == 0
     rng = random.Random(20130526)
     u, v, w = (Vector(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(5))
                for _ in range(3))
     drift = Vector([0, 0, 0, 0, F(1, 10 ** 6)])
     assert all(x.ints for x in (u, v, w, drift))
-    assert counts["all_exact"] == counts["clear_denominators"] == 4
-    counts.update(all_exact=0, clear_denominators=0)
+    assert counts["cleared"] == 4
+    counts["cleared"] = 0
     plane_form(rt, u, v)
     r = curvature_apply(rt, u, v, w)
     build_randers(metric, drift, conn)
     metric.inner(u, w)
     metric.inner(r, v)  # born with its int form
-    assert counts["all_exact"] == counts["clear_denominators"] == 0
-    counts["clear_denominators"] = 0
+    assert counts["cleared"] == 0
+    counts["as_integer_ratio"] = 0
+    assert Vector([3, 0, -2, 7, 1]).ints == (1, [3, 0, -2, 7, 1])
+    assert linalg.cleared([F(1, 2), 3, 0]) == (2, [1, 6, 0])
+    assert counts["cleared"] == 2 and counts["as_integer_ratio"] == 1  # the one Fraction
+    counts.update(cleared=0, as_integer_ratio=0)
     matrix, rhs = [[2, 1, 0], [1, 3, 1], [0, 1, 4]], [[1, 0, 0], [5, -2, 7]]
     den, solutions = linalg.solve_cleared(matrix, rhs)
-    assert counts["clear_denominators"] == 0
+    assert counts["cleared"] == counts["as_integer_ratio"] == 0
     assert [[F(x, den) for x in y] for y in solutions] == \
         linalg.solve_many([[F(x) for x in row] for row in matrix], rhs)
 
