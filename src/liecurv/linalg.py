@@ -5,15 +5,17 @@ depend on a tolerance. One Gaussian elimination serves solve, rank,
 nullspace and positive-definiteness. All-exact input is cleared to integer
 rows (an int row as it is) and eliminated fraction-free; any float entry
 switches the whole matrix to float arithmetic with partial pivoting and the
-global tolerance. One skip-zero contraction, `contract`, evaluates brackets,
-covariant derivatives, inner products and endomorphisms (riemann_tensor sums
-its rows, exact or float, in its own loops, in contract's order). It
-accumulates in the type of its products, so int tables stay in int arithmetic.
-`cleared` turns one flat row of exact scalars into ints over their lcm
-denominator, so a caller builds one Fraction per result instead of one per
-multiply-add (E. Bareiss, Math. Comp. 22, 1968). Owners clear once: Vector.ints,
+global tolerance. One back-substitution serves solve_cleared and nullspace: on
+exact rows it runs in ints scaled by the pivot product, so `solve_cleared` returns
+exact solutions as ints over their lcm and `nullspace` coprime int vectors (E.
+Bareiss, Math. Comp. 22, 1968). One skip-zero contraction, `contract`, evaluates
+brackets, covariant derivatives, inner products and endomorphisms (riemann_tensor
+sums its rows in its own loops, in contract's order). It accumulates in the type of
+its products, so int tables stay in int arithmetic. `cleared` turns one flat row of
+exact scalars into ints over their lcm denominator, so a caller builds one Fraction
+per result, not one per multiply-add. Owners clear once: Vector.ints,
 MetricTensor.cleared_gram, LieAlgebra.cleared_structure, and _eliminate per
-non-int row. `solve_cleared` returns exact solutions as ints over their lcm.
+non-int row.
 """
 
 from __future__ import annotations
@@ -94,42 +96,43 @@ def _eliminate(rows: Sequence[Sequence[Scalar]], pivot_cols: int,
     return mat, pivots, kind
 
 
-def _primitive(vec: list[Fraction]) -> list[Fraction]:
-    """Scale a nonzero vector to coprime integers with positive leading entry."""
-    ints = cleared(vec)[1]
-    g = math.gcd(*ints) if next(x for x in ints if x) > 0 else -math.gcd(*ints)
-    return [Fraction(x // g) for x in ints]
+def _back_substitute(mat, pivots: list[int], kind, width: int, targets) -> tuple[int, list]:
+    """(D, [D x for each target]), x of width `width` from the echelon rows of _eliminate.
+    A target below width is a free column, x[target] = 1, against zero right-hand sides; a
+    target at or past it is a right-hand-side column. Exact rows give D the pivot product: the
+    denominators of x divide D, so D x is an int vector and each step divides exactly."""
+    scale = math.prod(mat[r][c] for r, c in enumerate(pivots)) if kind is Fraction else 1
+    out = []
+    for k in targets:
+        y: list[Scalar] = [scale if j == k else 0 for j in range(width)]
+        for r in reversed(range(len(pivots))):
+            c, row = pivots[r], mat[r]
+            s = sum(row[j] * y[j] for j in range(c + 1, width) if y[j])
+            if k < width and not s:
+                continue  # x[c] stays the exact 0, not the signed 0.0 of 0 / row[c]
+            t = -s if k < width else scale * row[k] - s
+            y[c] = t // row[c] if kind is Fraction else t / row[c]
+        out.append(y)
+    return scale, out
 
 
 def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Scalar]]:
-    """Basis of {x : A x = 0}, one vector per free column.
-
-    Each vector sets its free column to 1, the other free columns to 0, and
-    back-substitutes the pivot columns. Exact vectors are then scaled to
-    coprime integers with a positive leading entry.
-    """
+    """Basis of {x : A x = 0}, one vector per free column, which it sets to 1 (the
+    other free columns 0) before back-substituting the pivot columns. An exact vector
+    is divided by its gcd, signed to a positive leading entry: coprime integers."""
     mat, pivots, kind = _eliminate(rows, ncols)
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        x: list[Scalar] = [0] * ncols
-        x[f] = 1
-        for r in reversed(range(len(pivots))):
-            c, row = pivots[r], mat[r]
-            s = sum(row[j] * x[j] for j in range(c + 1, ncols) if x[j])
-            x[c] = -s / kind(row[c]) if s else 0
-        basis.append(_primitive(x) if kind is Fraction else [float(v) for v in x])
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = _back_substitute(mat, pivots, kind, ncols, free)[1]
+    if kind is float:
+        return [[float(x) for x in y] for y in basis]
+    for y in basis:
+        g = math.gcd(*y) if next(x for x in y if x) > 0 else -math.gcd(*y)
+        y[:] = [Fraction(x // g) for x in y]
     return basis
 
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
     return len(_eliminate(rows, len(rows[0]) if rows else 0)[1])
-
-
-def solve_many(matrix: Sequence[Sequence[Scalar]],
-               rhs_list: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    """Solve A x = b for each b in rhs_list; one elimination, many columns."""
-    den, solutions = solve_cleared(matrix, rhs_list)
-    return [[x if isinstance(x, float) else Fraction(x, den) for x in y] for y in solutions]
 
 
 def solve_cleared(matrix: Sequence[Sequence[Scalar]],
@@ -140,23 +143,12 @@ def solve_cleared(matrix: Sequence[Sequence[Scalar]],
     solutions."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
-        raise InputError("solve_many needs a square matrix")
+        raise InputError("solve_cleared needs a square matrix")
     aug = [list(matrix[i]) + [b[i] for b in rhs_list] for i in range(n)]
     mat, pivots, kind = _eliminate(aug, n)
     if len(pivots) < n:
         raise InputError("singular matrix in solve")
-    # Exact rows are ints. The denominators of x divide the pivot product D,
-    # so y = D x is an int vector and each back-substitution step divides
-    # exactly; one gcd over D and every y then reduces y / D to lowest terms.
-    scale = math.prod(mat[r][r] for r in range(n)) if kind is Fraction else 1
-    solutions = []
-    for k in range(n, n + len(rhs_list)):
-        y: list[Scalar] = [0] * n
-        for r in reversed(range(n)):
-            row = mat[r]
-            t = scale * row[k] - sum(row[j] * y[j] for j in range(r + 1, n) if y[j])
-            y[r] = t // row[r] if kind is Fraction else t / row[r]
-        solutions.append(y)
+    scale, solutions = _back_substitute(mat, pivots, kind, n, range(n, n + len(rhs_list)))
     if kind is float:
         return 1, solutions
     g = math.gcd(scale, *(x for y in solutions for x in y))
@@ -170,7 +162,7 @@ def is_positive_definite(gram: Sequence[Sequence[Scalar]]) -> bool:
     The k-th pivot is the ratio of the k-th to the (k-1)-th leading minor.
     An exact pivot differs from it by a positive factor and a product of
     earlier pivots, so its sign is the ratio's while those are positive. A
-    float pivot must exceed TOLERANCE, the threshold that solve_many uses. An
+    float pivot must exceed TOLERANCE, the threshold that solve_cleared uses. An
     exact matrix may come cleared: a positive scale keeps every pivot's sign.
     """
     n = len(gram)

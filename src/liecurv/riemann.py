@@ -252,10 +252,10 @@ def scalar_curvature(rt: CurvatureTensor, metric: MetricTensor) -> Scalar:
     """Metric trace of the Ricci tensor, g^{jk} Ric_jk, in rt's own metric.
 
     Ric_jk sums row (i, j, k) at i over i < j and subtracts row (j, i, k) at i
-    over i > j, in ints when exact. g^{jk} comes from one Gram solve against the
-    rows of Ric: an exact tensor's cleared Gram matrix rt.gram = (G, G g), the
-    trace scaled by G / den once, else rt.connection.metric.gram. metric is
-    unused, kept for callers: rt carries the metric it was built in.
+    over i > j, in ints when exact. g^{jk} comes from one solve_cleared against the
+    rows of Ric: an exact tensor's cleared Gram matrix rt.gram = (G, G g), else
+    rt.connection.metric.gram. An exact solve's int trace over d makes one Fraction,
+    times G / den; a float solve gives the float sum. metric is unused, kept for callers.
     """
     n = rt.dim
     ric = [[0] * n for _ in range(n)]
@@ -264,5 +264,6 @@ def scalar_curvature(rt: CurvatureTensor, metric: MetricTensor) -> Scalar:
             ric[j][k] += num[i]
             ric[i][k] -= num[j]
     g, gram = rt.gram or (1, rt.connection.metric.gram)  # a float tensor's den is 1
-    solved = linalg.solve_many(gram, ric)
-    return Fraction(g, rt.den) * sum((solved[k][k] for k in range(n)), Fraction(0))
+    d, solved = linalg.solve_cleared(gram, ric)
+    trace = sum(solved[k][k] for k in range(n))
+    return trace if isinstance(trace, float) else Fraction(g * trace, rt.den * d)

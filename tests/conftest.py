@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from liecurv.algebra import LieAlgebra, MetricTensor, Vector
-from liecurv.linalg import rank, solve_many
-from oracles import bracket
+from liecurv.linalg import rank
+from oracles import bracket, solve_many
 
 
 def rand_fraction(rng: random.Random, span: int = 6, den: int = 4) -> Fraction:

@@ -12,6 +12,9 @@ on both trees and comparing the last line. Groups:
 - documents: `analyze --precision 17`, `scalar`, `parallel` and `check`, in
   text and JSON, on 200 seeded R semidirect_D R^(n-1) documents, dims 3-6,
   non-identity metrics, one in four decimal;
+- parallel: `analyze --precision 17`, `scalar` and `parallel`, in text and JSON, on 48
+  documents with parallel fields: a semidirect document of dim 3-5 times a central,
+  g-orthogonal abelian factor of dim 1 or 2 placed among its basis, half decimal;
 - vectors: `sectional`, `flag` and `randers`, each with `--precision 17`, in
   text and JSON, over cases 1, 2, 3 and 6 with exact and decimal drifts and
   exact, decimal and mixed vectors, and `sectional` on case 4 at two
@@ -38,6 +41,7 @@ from pathlib import Path
 from liecurv.cli import main
 
 DOCUMENTS = 200
+PARALLEL_DOCUMENTS = 48
 FORMATS = (["--format", "text"], ["--format", "json"])
 
 
@@ -52,14 +56,7 @@ def semidirect_document(rng: random.Random, dim: int, decimal: bool) -> dict:
     d = [[Fraction(0)] * m for _ in range(m)]
     for slot in rng.sample(range(m * m), m):
         d[slot // m][slot % m] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
-    low = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        low[i][i] = Fraction(rng.randint(1, 3), rng.randint(1, 2))
-    below = [(i, j) for i in range(dim) for j in range(i)]
-    for i, j in rng.sample(below, len(below) // 2):
-        low[i][j] = Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3))
-    gram = [[sum(low[i][k] * low[j][k] for k in range(dim)) for j in range(dim)]
-            for i in range(dim)]
+    gram = random_gram(rng, dim)
     brackets = []
     for j in range(1, dim):
         coeffs = [Fraction(0)] + [d[k][j - 1] for k in range(m)]
@@ -67,6 +64,44 @@ def semidirect_document(rng: random.Random, dim: int, decimal: bool) -> dict:
             brackets.append({"i": 0, "j": j, "coeffs": [_text(c, decimal) for c in coeffs]})
     return {"dim": dim, "brackets": brackets,
             "metric": [[_text(x, decimal) for x in row] for row in gram]}
+
+
+def random_gram(rng: random.Random, dim: int) -> list:
+    """L L^T for a random lower-triangular L with a positive diagonal."""
+    low = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        low[i][i] = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+    below = [(i, j) for i in range(dim) for j in range(i)]
+    for i, j in rng.sample(below, len(below) // 2):
+        low[i][j] = Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3))
+    return [[sum(low[i][k] * low[j][k] for k in range(dim)) for j in range(dim)]
+            for i in range(dim)]
+
+
+def parallel_document(rng: random.Random, base: int, factor: int, decimal: bool) -> dict:
+    """semidirect_document on `base` directions times an abelian factor R^factor, whose
+    directions sit at random indices among the others. The factor is central and
+    g-orthogonal to the rest, so each of its directions Z is a parallel field:
+    2 g(nabla_X Z, W) = g([W, X], Z) = 0."""
+    doc = semidirect_document(rng, base, decimal)
+    dim = base + factor
+    slots = sorted(rng.sample(range(dim), factor))
+    rest = [t for t in range(dim) if t not in slots]
+    zero = _text(Fraction(0), decimal)
+    metric = [[zero] * dim for _ in range(dim)]
+    for a, row in enumerate(doc["metric"]):
+        for b, x in enumerate(row):
+            metric[rest[a]][rest[b]] = x
+    for a, row in enumerate(random_gram(rng, factor)):
+        for b, x in enumerate(row):
+            metric[slots[a]][slots[b]] = _text(x, decimal)
+    brackets = []
+    for entry in doc["brackets"]:
+        coeffs = [zero] * dim
+        for a, c in enumerate(entry["coeffs"]):
+            coeffs[rest[a]] = c
+        brackets.append({"i": rest[entry["i"]], "j": rest[entry["j"]], "coeffs": coeffs})
+    return {"dim": dim, "brackets": brackets, "metric": metric}
 
 
 # Poles and edges: exact, decimal and mixed 4-vectors, signs both ways.
@@ -86,6 +121,17 @@ def document_runs(tmp: Path):
         path = tmp / f"doc{i:03d}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         for cmd in (["analyze", "--precision", "17"], ["scalar"], ["parallel"], ["check"]):
+            for fmt in FORMATS:
+                yield [cmd[0], str(path)] + cmd[1:] + fmt
+
+
+def parallel_runs(tmp: Path):
+    for i in range(PARALLEL_DOCUMENTS):
+        base, factor, decimal = 3 + (i // 2) % 3, 1 + (i // 6) % 2, i % 2 == 0
+        doc = parallel_document(random.Random(f"parallel:{i}"), base, factor, decimal)
+        path = tmp / f"parallel{i:03d}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for cmd in (["analyze", "--precision", "17"], ["scalar"], ["parallel"]):
             for fmt in FORMATS:
                 yield [cmd[0], str(path)] + cmd[1:] + fmt
 
@@ -115,7 +161,8 @@ def report_runs(tmp: Path):
         yield ["report", "--all"] + fmt
 
 
-GROUPS = {"documents": document_runs, "vectors": vector_runs, "report": report_runs}
+GROUPS = {"documents": document_runs, "parallel": parallel_runs, "vectors": vector_runs,
+          "report": report_runs}
 
 
 def run(argv: list, tmp: Path) -> bytes:

@@ -88,8 +88,118 @@ def levi_civita_reference(alg: LieAlgebra, metric: MetricTensor) -> list:
     half = Fraction(1, 2)
     rhs_list = [[half * (low[i][j][k] - low[j][k][i] + low[k][i][j]) for k in range(n)]
                 for i in range(n) for j in range(n)]
-    solutions = linalg.solve_many(g, rhs_list)
+    solutions = solve_many(g, rhs_list)
     return [solutions[i * n:i * n + n] for i in range(n)]
+
+
+def solve_many(matrix: Sequence[Sequence[Scalar]],
+               rhs_list: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
+    """Solve A x = b for each b in rhs_list; one elimination, many columns: solve_cleared's
+    ints over its denominator as Fractions, or its floats as they are."""
+    den, solutions = linalg.solve_cleared(matrix, rhs_list)
+    return [[x if isinstance(x, float) else Fraction(x, den) for x in y] for y in solutions]
+
+
+def _primitive(vec: list[Fraction]) -> list[Fraction]:
+    """Scale a nonzero vector to coprime integers with positive leading entry."""
+    ints = linalg.cleared(vec)[1]
+    g = math.gcd(*ints) if next(x for x in ints if x) > 0 else -math.gcd(*ints)
+    return [Fraction(x // g) for x in ints]
+
+
+def nullspace_two_loops(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Scalar]]:
+    """linalg.nullspace with its own back-substitution, as it was before it shared
+    solve_cleared's: a Fraction or float division per pivot, exact vectors cleared back
+    to ints by _primitive."""
+    mat, pivots, kind = linalg._eliminate(rows, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        x: list[Scalar] = [0] * ncols
+        x[f] = 1
+        for r in reversed(range(len(pivots))):
+            c, row = pivots[r], mat[r]
+            s = sum(row[j] * x[j] for j in range(c + 1, ncols) if x[j])
+            x[c] = -s / kind(row[c]) if s else 0
+        basis.append(_primitive(x) if kind is Fraction else [float(v) for v in x])
+    return basis
+
+
+def solve_cleared_two_loops(matrix: Sequence[Sequence[Scalar]],
+                            rhs_list: Sequence[Sequence[Scalar]]) -> tuple[int, list[list[Scalar]]]:
+    """linalg.solve_cleared with its own back-substitution, as it was before nullspace
+    shared it."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise InputError("solve_cleared needs a square matrix")
+    aug = [list(matrix[i]) + [b[i] for b in rhs_list] for i in range(n)]
+    mat, pivots, kind = linalg._eliminate(aug, n)
+    if len(pivots) < n:
+        raise InputError("singular matrix in solve")
+    # Exact rows are ints. The denominators of x divide the pivot product D,
+    # so y = D x is an int vector and each back-substitution step divides
+    # exactly; one gcd over D and every y then reduces y / D to lowest terms.
+    scale = math.prod(mat[r][r] for r in range(n)) if kind is Fraction else 1
+    solutions = []
+    for k in range(n, n + len(rhs_list)):
+        y: list[Scalar] = [0] * n
+        for r in reversed(range(n)):
+            row = mat[r]
+            t = scale * row[k] - sum(row[j] * y[j] for j in range(r + 1, n) if y[j])
+            y[r] = t // row[r] if kind is Fraction else t / row[r]
+        solutions.append(y)
+    if kind is float:
+        return 1, solutions
+    g = math.gcd(scale, *(x for y in solutions for x in y))
+    g = g if scale > 0 else -g
+    return scale // g, [[x // g for x in y] for y in solutions]
+
+
+def gauss_jordan(rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple[list, list[int]]:
+    """Reduced row echelon form over Fractions, plain Gauss-Jordan: pivots sought in the
+    first ncols columns in order, each pivot row divided by its pivot and its column
+    cleared above and below. Returns (rows, pivot columns)."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if p is None:
+            continue
+        mat[r], mat[p] = mat[p], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i, row in enumerate(mat):
+            if i != r and row[c]:
+                mat[i] = [x - row[c] * y for x, y in zip(row, mat[r])]
+        pivots.append(c)
+    return mat, pivots
+
+
+def nullspace_fractions(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Fraction]]:
+    """linalg.nullspace of exact rows from gauss_jordan: x[f] = 1 at a free column f, x[c]
+    = -rref[r][f] at the pivot column c of row r, scaled to coprime integers with a
+    positive leading entry."""
+    mat, pivots = gauss_jordan(rows, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(int(c == f)) for c in range(ncols)]
+        for r, c in enumerate(pivots):
+            x[c] = -mat[r][f]
+        ints = cleared_nested(x)[1]
+        g = math.gcd(*ints) * (1 if next(v for v in ints if v) > 0 else -1)
+        basis.append([Fraction(v // g) for v in ints])
+    return basis
+
+
+def solve_fractions(matrix: Sequence[Sequence[Scalar]],
+                    rhs_list: Sequence[Sequence[Scalar]]) -> tuple[int, list[list[int]]]:
+    """linalg.solve_cleared of an exact square system from gauss_jordan: the Fraction
+    solutions cleared together over their lcm denominator."""
+    n = len(matrix)
+    aug = [list(matrix[i]) + [b[i] for b in rhs_list] for i in range(n)]
+    mat, pivots = gauss_jordan(aug, n)
+    if len(pivots) < n:
+        raise InputError("singular matrix in solve")
+    return cleared_nested([[mat[r][k] for r in range(n)] for k in range(n, n + len(rhs_list))])
 
 
 def cleared_nested(table) -> tuple[int, list] | None:
@@ -361,7 +471,7 @@ def scalar_curvature_table(rt: CurvatureTensor, metric: MetricTensor) -> Scalar:
     n = rt.dim
     table = rt.table
     ric = [[sum(table[i][j][k][i] for i in range(n)) for k in range(n)] for j in range(n)]
-    solved = linalg.solve_many(metric.gram, ric)
+    solved = solve_many(metric.gram, ric)
     return sum((solved[k][k] for k in range(n)), Fraction(0))
 
 

@@ -10,7 +10,7 @@ from oracles import (cleared_nested, compatibility_residual, connection_from_tab
                      curvature_apply_dense,
                      curvature_operator_dense, levi_civita_reference, riemann_tensor_dense,
                      scalar_curvature_gram_schmidt, scalar_curvature_table, sectional_dense,
-                     sectional_plane_invariance_check, torsion)
+                     sectional_plane_invariance_check, solve_many, torsion)
 from test_exact_vs_float import is_exact_document, semidirect_documents, semidirect_objects
 from liecurv.documents import parse_document
 from liecurv import catalog, linalg
@@ -356,9 +356,10 @@ def test_exact_curvature_and_basis_planes_skip_the_generic_paths(monkeypatch):
     """Counts, not timings, of linalg.cleared and linalg.contract: levi_civita clears the
     Gram matrix once per metric and the structure once per algebra; riemann_tensor (with no
     contract call either), the basis planes, an exact is_positive_definite and
-    scalar_curvature clear nothing; an exact Vector is cleared once, when its int form is
-    first read, and not again by the readers of that form; an int row takes the den-1 path,
-    with no as_integer_ratio call, and solve_cleared on int rows clears no row."""
+    scalar_curvature and parallel_fields clear nothing; an exact Vector is cleared once, when
+    its int form is first read, and not again by the readers of that form; an int row takes
+    the den-1 path, with no as_integer_ratio call, and solve_cleared on int rows clears no
+    row."""
     counts = dict.fromkeys(("contract", "cleared", "as_integer_ratio"), 0)
     for owner, name in ((linalg, "contract"), (linalg, "cleared"), (F, "as_integer_ratio")):
         def spy(*args, name=name, real=getattr(owner, name)):
@@ -379,6 +380,11 @@ def test_exact_curvature_and_basis_planes_skip_the_generic_paths(monkeypatch):
     assert metric.is_positive_definite()
     assert type(scalar_curvature(rt, metric)) is F
     assert counts["cleared"] == 0
+    case = catalog.get_case(3)  # two parallel fields
+    case_conn = levi_civita(case.algebra, case.metric)
+    counts["cleared"] = 0
+    drifts = parallel_fields(case_conn)
+    assert len(drifts) == 2 and counts["cleared"] == 0
     rng = random.Random(20130526)
     u, v, w = (Vector(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(5))
                for _ in range(3))
@@ -401,7 +407,7 @@ def test_exact_curvature_and_basis_planes_skip_the_generic_paths(monkeypatch):
     den, solutions = linalg.solve_cleared(matrix, rhs)
     assert counts["cleared"] == counts["as_integer_ratio"] == 0
     assert [[F(x, den) for x in y] for y in solutions] == \
-        linalg.solve_many([[F(x) for x in row] for row in matrix], rhs)
+        solve_many([[F(x) for x in row] for row in matrix], rhs)
 
 
 def test_riemann_tensor_has_one_loop_for_both_stores(monkeypatch):
