@@ -205,12 +205,12 @@ class MetricTensor:
         return flat and (flat[0], [flat[1][i * n:i * n + n] for i in range(n)])
 
     def inner(self, u, v) -> Scalar:
-        """g(u, v): the int forms against cleared_gram, one Fraction, for an exact pair on an
-        exact Gram matrix; else the Gram matrix, or its float image when u or v is float_only."""
+        """g(u, v): bilinear on the int forms and cleared_gram, one Fraction, for an exact pair
+        on an exact Gram matrix; else contract on gram, or float_gram when u or v is float_only."""
         u, v = as_vector(u, self.dim), as_vector(v, self.dim)
         if self.cleared_gram and (fu := u.ints) and (fv := v.ints):
             (m, g), (du, a), (dv, b) = self.cleared_gram, fu, fv
-            return Fraction(linalg.contract(g, a, b), m * du * dv)
+            return Fraction(linalg.bilinear(g, a, b), m * du * dv)
         floats = u.float_only or v.float_only
         return linalg.contract(self.float_gram if floats else self.gram, u.coeffs, v.coeffs)
 

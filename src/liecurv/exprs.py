@@ -23,10 +23,10 @@ one memo keyed by the text. Sources run in order and fail as a stack machine
 would: each source's bound is read before its operators, and an unbound name
 raises after exactly the operators before it in postfix order.
 
-Exact values are evaluated on ints, and on unreduced (numerator,
-denominator) int pairs once a Fraction or a '/' is involved, so a result is
-one Fraction, built at the end, not one per operation. Since pairs are never
-reduced, a size bound formed as each operator is emitted holds for every
+Exact values are evaluated on ints, and on (numerator, denominator) int pairs
+once a Fraction or a '/' is involved, powers included, so a result is one
+Fraction, built at the end, not one per operation. Only a power's base is
+reduced, so a size bound formed as each operator is emitted holds for every
 intermediate, with bits the larger bit length of numerator and denominator
 (0 for a float): a op b has at most bits(a) + bits(b) + 1 bits, x^e at most
 n * bits(x) + bits(e) + 1, and -a as many as a. n is the |value| of an int
@@ -39,6 +39,7 @@ program whose bound exceeds MAX_EXPR_BITS is refused.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from fractions import Fraction
 from typing import Mapping
@@ -278,8 +279,8 @@ def _exact(op: str, a, b):
 
 
 def _apply(op: str, a, b) -> Scalar:
-    """a op b for a power, or when one operand is a float; a pair becomes a
-    reduced Fraction for '^', and next to a float n / d, correctly rounded."""
+    """a op b for a power, or when one operand is a float. An exact power is a pair in
+    lowest terms, a float one float's; next to a float a pair is n / d, correctly rounded."""
     if op != "^":
         try:
             a = a[0] / a[1] if a.__class__ is tuple else float(a)
@@ -295,22 +296,24 @@ def _apply(op: str, a, b) -> Scalar:
         if b == 0:
             raise InputError("division by zero in expression")
         return a / b
-    a = Fraction(*a) if a.__class__ is tuple else a
-    b = Fraction(*b) if b.__class__ is tuple else b
-    if b.denominator != 1 if is_exact(b) else not b.is_integer():
+    m, e = b if b.__class__ is tuple else (b, 1)
+    if m % e if b.__class__ in (int, tuple) else not b.is_integer():
         raise InputError("only integer exponents are supported")
-    if abs(b) > MAX_EXPONENT:
-        raise InputError(f"exponent {format_scalar(b)} is over the ceiling {MAX_EXPONENT}")
-    if is_exact(a):
-        a = Fraction(a)
-        bits = abs(int(b)) * max(a.numerator.bit_length(), a.denominator.bit_length())
+    if abs(m // e) > MAX_EXPONENT:  # a float b is b // 1, itself
+        raise InputError(f"exponent {format_scalar(m // e)} is over the ceiling {MAX_EXPONENT}")
+    k = int(m // e)
+    if a.__class__ in (int, tuple):  # reduced first, so the bits are those of its Fraction
+        n, d = a if a.__class__ is tuple else (a, 1)
+        n, d = n // (g := math.gcd(n, d)), d // g
+        bits = abs(k) * max(n.bit_length(), d.bit_length())
         if bits > MAX_POWER_BITS:
-            raise InputError(f"power of about {bits} bits is over the ceiling "
-                             f"{MAX_POWER_BITS}")
+            raise InputError(f"power of about {bits} bits is over the ceiling {MAX_POWER_BITS}")
+        if k < 0 and not n:
+            raise InputError("division by zero in expression")
+        return (n ** k, d ** k) if k >= 0 else ((d if n > 0 else -d) ** -k, abs(n) ** -k)
     try:
-        out = a ** int(b)
+        return a ** k
     except ZeroDivisionError:
         raise InputError("division by zero in expression") from None
     except OverflowError:
         raise InputError("expression overflows a float") from None
-    return (out.numerator, out.denominator) if isinstance(out, Fraction) else out

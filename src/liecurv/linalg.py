@@ -8,20 +8,20 @@ switches the whole matrix to float arithmetic with partial pivoting and the
 global tolerance. One back-substitution serves solve_cleared and nullspace: on
 exact rows it runs in ints scaled by the pivot product, so `solve_cleared` returns
 exact solutions as ints over their lcm and `nullspace` coprime int vectors (E.
-Bareiss, Math. Comp. 22, 1968). One skip-zero contraction, `contract`, evaluates
-brackets, covariant derivatives, inner products and endomorphisms (riemann_tensor
-sums its rows in its own loops, in contract's order). It accumulates in the type of
-its products, so int tables stay in int arithmetic. `cleared` turns one flat row of
-exact scalars into ints over their lcm denominator, so a caller builds one Fraction
-per result, not one per multiply-add. Owners clear once: Vector.ints,
-MetricTensor.cleared_gram, LieAlgebra.cleared_structure, and _eliminate per
-non-int row.
+Bareiss, Math. Comp. 22, 1968). One skip-zero contraction, `contract`, evaluates brackets,
+covariant derivatives, endomorphisms and float bilinear forms in the type of its products
+(riemann_tensor sums its rows in its own loops, in contract's order); exact bilinear forms,
+g(u, v), the plane's Gram determinant and w^T op w, are one int kernel, `bilinear`. `cleared`
+turns one flat row of exact scalars into ints over their lcm denominator, so a caller builds
+one Fraction per result, not one per multiply-add. Owners clear once: Vector.ints,
+MetricTensor.cleared_gram, LieAlgebra.cleared_structure, and _eliminate per non-int row.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import DegeneratePlaneError, InputError
@@ -31,10 +31,10 @@ from .scalars import TOLERANCE, Scalar, is_exact, sqrt_scalar
 def cleared(entries: Sequence[Scalar]) -> tuple[int, list[int]] | None:
     """(L, [L x for x in entries]) with L the lcm of the denominators, from one pass over a
     flat sequence of scalars; an all-int row comes back as it is, over 1. None at the first
-    entry that is_exact refuses: a float, or a bool."""
+    entry that is_exact refuses: a float, or a bool. An int or a Fraction skips that test."""
     ratios = []
     for x in entries:
-        if type(x) is not int and not is_exact(x):
+        if type(x) is not int and type(x) is not Fraction and not is_exact(x):
             return None
         ratios.append((x, 1) if type(x) is int else x.as_integer_ratio())
     scale = math.lcm(*(d for _, d in ratios))
@@ -214,6 +214,11 @@ def contract(table, *vectors) -> Scalar | list[Scalar]:
     return [_ZERO if x is None else x for x in out]
 
 
+def bilinear(table, u, v) -> int:
+    """sum of u[i] table[i][j] v[j] over ints; int 0 where contract gives Fraction(0)."""
+    return sum(x * sum(map(mul, row, v)) for x, row in zip(u, table) if x)
+
+
 def orthonormal_pair(metric, u, v) -> tuple[list[Scalar], list[Scalar]]:
     """Orthonormal (u_hat, v_hat) in a MetricTensor, spanning the same plane,
     pole ray preserved. u, v (Vectors) and the metric must be exact.
@@ -226,13 +231,13 @@ def orthonormal_pair(metric, u, v) -> tuple[list[Scalar], list[Scalar]]:
     """
     lg, g = metric.cleared_gram
     (lu, cu), (lv, cv) = u.ints, v.ints
-    uu = contract(g, cu, cu)
+    uu = bilinear(g, cu, cu)
     if not uu:
         raise DegeneratePlaneError("zero vector cannot span a plane")
     nu = sqrt_scalar(Fraction(uu, lg * lu * lu))
-    uv = contract(g, cu, cv)
+    uv = bilinear(g, cu, cv)
     w = [uu * y - uv * x for x, y in zip(cu, cv)]
-    ww = contract(g, w, w)
+    ww = bilinear(g, w, w)
     if not ww:
         raise DegeneratePlaneError("spanning vectors are linearly dependent")
     den = lv * uu  # positive: sqrt_scalar refused a negative uu

@@ -15,6 +15,10 @@ on both trees and comparing the last line. Groups:
 - parallel: `analyze --precision 17`, `scalar` and `parallel`, in text and JSON, on 48
   documents with parallel fields: a semidirect document of dim 3-5 times a central,
   g-orthogonal abelian factor of dim 1 or 2 placed among its basis, half decimal;
+- planes: `sectional` and `flag` with a zero drift, each with `--precision 17`, in
+  text and JSON, on a seeded subset of 40 `documents` documents whose metric is not
+  the identity, over three pairs of non-basis vectors per document: exact, decimal
+  against exact, and mixed;
 - vectors: `sectional`, `flag` and `randers`, each with `--precision 17`, in
   text and JSON, over cases 1, 2, 3 and 6 with exact and decimal drifts and
   exact, decimal and mixed vectors, and `sectional` on case 4 at two
@@ -42,6 +46,7 @@ from liecurv.cli import main
 
 DOCUMENTS = 200
 PARALLEL_DOCUMENTS = 48
+PLANE_DOCUMENTS = 40
 FORMATS = (["--format", "text"], ["--format", "json"])
 
 
@@ -113,11 +118,14 @@ DRIFTS = {1: ("0,0,1/2,0", "0,0,0.25,0"), 2: ("0,0,1/3,0", "0,0,0.4,0"),
           3: ("0,0,1/2,0", "0,0,0.3,0"), 6: ("0,0,1/3,0", "0,0,0.2,0")}
 
 
+def identity_document(i: int) -> dict:
+    """The i-th document of the documents group: dims 3-6, one in four decimal."""
+    return semidirect_document(random.Random(f"identity:{i}"), 3 + i % 4, (i // 4) % 4 == i % 4)
+
+
 def document_runs(tmp: Path):
     for i in range(DOCUMENTS):
-        dim = 3 + i % 4
-        decimal = (i // 4) % 4 == i % 4
-        doc = semidirect_document(random.Random(f"identity:{i}"), dim, decimal)
+        doc = identity_document(i)
         path = tmp / f"doc{i:03d}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         for cmd in (["analyze", "--precision", "17"], ["scalar"], ["parallel"], ["check"]):
@@ -134,6 +142,34 @@ def parallel_runs(tmp: Path):
         for cmd in (["analyze", "--precision", "17"], ["scalar"], ["parallel"]):
             for fmt in FORMATS:
                 yield [cmd[0], str(path)] + cmd[1:] + fmt
+
+
+def plane_vector(rng: random.Random, dim: int, kind: str) -> str:
+    """A vector with at least two nonzero entries: exact, decimal, or each entry either."""
+    while True:
+        xs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)]
+        if sum(map(bool, xs)) > 1:
+            return ",".join(_text(x, kind == "decimal" or kind == "mixed" and rng.random() < 0.5)
+                            for x in xs)
+
+
+def plane_runs(tmp: Path):
+    picks = sorted(random.Random("planes").sample(range(DOCUMENTS), PLANE_DOCUMENTS))
+    for i in picks:
+        doc = identity_document(i)
+        dim = doc["dim"]
+        if [[Fraction(x) for x in row] for row in doc["metric"]] == \
+                [[int(a == b) for b in range(dim)] for a in range(dim)]:
+            continue
+        path = tmp / f"plane{i:03d}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        rng = random.Random(f"planes:{i}")
+        for kinds in (("exact", "exact"), ("decimal", "exact"), ("mixed", "mixed")):
+            u, v = (plane_vector(rng, dim, kind) for kind in kinds)
+            for fmt in FORMATS:
+                yield ["sectional", str(path), f"--u={u}", f"--v={v}", "--precision", "17"] + fmt
+                yield (["flag", str(path), "--drift", ",".join("0" * dim), f"--pole={u}",
+                        f"--edge={v}", "--precision", "17"] + fmt)
 
 
 def vector_runs(tmp: Path):
@@ -161,8 +197,8 @@ def report_runs(tmp: Path):
         yield ["report", "--all"] + fmt
 
 
-GROUPS = {"documents": document_runs, "parallel": parallel_runs, "vectors": vector_runs,
-          "report": report_runs}
+GROUPS = {"documents": document_runs, "parallel": parallel_runs, "planes": plane_runs,
+          "vectors": vector_runs, "report": report_runs}
 
 
 def run(argv: list, tmp: Path) -> bytes:

@@ -48,6 +48,31 @@ def test_power_bit_ceiling():
             ev(src, a=a)
 
 
+def test_exact_powers_run_on_int_pairs(monkeypatch):
+    """An exact base to an exact integer power is a pair of int powers, in lowest terms, with
+    no Fraction power: the value and type of Fraction ** k, and its refusals in their order,
+    the bits judged on the reduced base."""
+    def no_power(*args):
+        raise AssertionError("Fraction.__pow__ called")
+    monkeypatch.setattr(Fraction, "__pow__", no_power)
+    for a in (0, 1, -1, 3, -2, Fraction(-6, 4), Fraction(5, 10), Fraction(7, 3)):
+        for k in range(-5, 6):
+            if a == 0 and k < 0:
+                continue
+            want = Fraction(a.numerator ** abs(k), a.denominator ** abs(k))
+            want = want if k >= 0 else 1 / want
+            for src in ("a^k", "a^(2*k/2)", "(a*6/6)^k"):
+                got = ev(src, a=a, k=k)
+                assert type(got) is Fraction and got == want, (src, a, k)
+    # 2^4095 * 2 / 2 is the pair (2^4096, 2): 2 * 4097 bits unreduced, 2 * 4096 reduced
+    assert ev("(a*2/2)^2", a=2 ** 4095) == 2 ** 8190
+    for src, message in (("0^(1/2)", "integer exponents"), ("0^(-130/2)", "exponent -65 is"),
+                         ("(a*1)^-65", "exponent -65 is"), ("(a/2)^64", "power of about 8256"),
+                         ("0^-3", "division by zero"), ("(0/5)^(-4/2)", "division by zero")):
+        with pytest.raises(InputError, match=message):
+            ev(src, a=2 ** 128 + 1)
+
+
 def test_variables_and_free_names():
     e = parse_expr("-(1+alpha)^2/2 - 2*beta^2 - 6")
     assert free_names(e) == {"alpha", "beta"}

@@ -11,6 +11,11 @@ from liecurv.algebra import MetricTensor, Vector
 from liecurv.errors import DegeneratePlaneError, InputError
 from liecurv.scalars import is_exact_zero
 
+try:
+    from hypothesis import example, given, settings, strategies as st
+except ImportError:  # only the hypothesis test below is skipped
+    st = None
+
 F = Fraction
 
 
@@ -298,6 +303,38 @@ def test_contract_result_types():
                 linalg.contract([[F(1)], [F(-1)]], [0.5, 0.5], [1]),
                 *linalg.contract([[-3, F(-2)]], [0.0])):
         assert got == 0 and type(got) is float and math.copysign(1, got) == 1
+
+
+if st is not None:
+    # small entries, exact zeros among them, and ints past 2^64 of either sign
+    ENTRIES = st.one_of(st.integers(-3, 3), st.just(0), st.integers(-2 ** 80, 2 ** 80))
+
+    @st.composite
+    def bilinear_inputs(draw):
+        """(table, u, v): an int table of 1-6 rows of 1-6 entries, some rows all zero, as
+        lists or tuples, and int vectors to fit, some all zero."""
+        rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        row = st.one_of(st.just([0] * cols), st.lists(ENTRIES, min_size=cols, max_size=cols))
+        table = draw(st.lists(row, min_size=rows, max_size=rows))
+        if draw(st.booleans()):
+            table = tuple(map(tuple, table))
+        u, v = (draw(st.one_of(st.just([0] * n), st.lists(ENTRIES, min_size=n, max_size=n)))
+                for n in (rows, cols))
+        return table, u, v
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(bilinear_inputs())
+    @example(((((-7,),), [2 ** 70], [2 ** 70])))  # a basis plane's ((op[p][p],),) on one w_p
+    @example(([[0, 0], [0, 0]], [1, -1], [2, 3]))
+    @example(([[1, 2], [3, 4]], [0, 0], [5, 6]))
+    @example(([[1, -1], [-1, 1]], [1, 1], [1, 1]))  # live terms that cancel
+    def test_bilinear_matches_contract_on_ints(inputs):
+        """linalg.bilinear is contract's value on int tables and vectors, always as an int:
+        int 0 where contract's sum reaches no term and gives Fraction(0)."""
+        table, u, v = inputs
+        got, want = linalg.bilinear(table, u, v), linalg.contract(table, u, v)
+        assert type(got) is int and got == want
+        assert type(want) is int or want == 0 and type(want) is F
 
 
 def test_clear_denominators():

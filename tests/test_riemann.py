@@ -8,7 +8,8 @@ from conftest import (cayley_rotation, change_basis, rand_fraction, rand_inverti
                       rand_pd_metric, rand_vector)
 from oracles import (cleared_nested, compatibility_residual, connection_from_table,
                      curvature_apply_dense,
-                     curvature_operator_dense, levi_civita_reference, riemann_tensor_dense,
+                     curvature_operator_dense, levi_civita_reference, plane_form_per_call,
+                     riemann_tensor_dense,
                      scalar_curvature_gram_schmidt, scalar_curvature_table, sectional_dense,
                      sectional_plane_invariance_check, solve_many, torsion)
 from test_exact_vs_float import is_exact_document, semidirect_documents, semidirect_objects
@@ -408,6 +409,31 @@ def test_exact_curvature_and_basis_planes_skip_the_generic_paths(monkeypatch):
     assert counts["cleared"] == counts["as_integer_ratio"] == 0
     assert [[F(x, den) for x in y] for y in solutions] == \
         solve_many([[F(x) for x in row] for row in matrix], rhs)
+
+
+def test_exact_bilinear_forms_make_no_contract_call(monkeypatch):
+    """Exact plane_form (a non-basis and a basis plane), flag_curvature, MetricTensor.inner and
+    orthonormal_pair read their int forms with linalg.bilinear: no linalg.contract call. A
+    mixed vector still contracts, so the spy sees the generic path where it runs."""
+    calls = []
+    monkeypatch.setattr(linalg, "contract", lambda *args, real=linalg.contract:
+                        calls.append(args) or real(*args))
+    case, conn, rt = pipeline(3)
+    rm = build_randers(case.metric, Vector([0, 0, F(1, 2), 0]), conn)
+    assert rm.berwald
+    u, v = Vector([F(1, 2), F(1, 3), 1, 0]), Vector([3, F(-4, 7), 0, F(2, 5)])
+    calls.clear()
+    numerator, det, uu = plane_form(rt, u, v)
+    basis = plane_form(rt, Vector.basis(4, 0), Vector.basis(4, 2))
+    k = flag_curvature(rm, rt, Flag(u, v))
+    inner = case.metric.inner(u, v)
+    pair = linalg.orthonormal_pair(case.metric, u, v)
+    assert calls == []
+    assert all(type(x) is F for x in (numerator, det, uu, *basis, k, inner, *pair[0]))
+    assert (numerator, det, uu) == plane_form_per_call(rt, u, v)
+    calls.clear()
+    plane_form(rt, u, Vector([3, 0.5, 0, 0]))
+    assert calls
 
 
 def test_riemann_tensor_has_one_loop_for_both_stores(monkeypatch):
