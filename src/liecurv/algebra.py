@@ -174,7 +174,7 @@ class LieAlgebra:
 
 
 class MetricTensor:
-    """Symmetric Gram matrix of a left-invariant metric on the basis."""
+    """Symmetric Gram matrix of a left-invariant metric; float_only: no exact nonzero entry."""
 
     def __init__(self, gram: Sequence[Sequence[Scalar]]):
         n = len(gram)
@@ -186,6 +186,7 @@ class MetricTensor:
                     raise InputError(f"metric is not symmetric at ({i}, {j})")
         self.dim = n
         self.gram = tuple(tuple(row) for row in gram)
+        self.float_only = all(isinstance(x, float) or not x for row in gram for x in row)
 
     @classmethod
     def identity(cls, dim: int) -> "MetricTensor":
@@ -205,12 +206,15 @@ class MetricTensor:
         return flat and (flat[0], [flat[1][i * n:i * n + n] for i in range(n)])
 
     def inner(self, u, v) -> Scalar:
-        """g(u, v): bilinear on the int forms and cleared_gram, one Fraction, for an exact pair
-        on an exact Gram matrix; else contract on gram, or float_gram when u or v is float_only."""
+        """g(u, v): an exact pair's int forms, with bilinear on cleared_gram (one Fraction) or
+        float_bilinear on a float_only gram; else contract (float_gram: one is float_only)."""
         u, v = as_vector(u, self.dim), as_vector(v, self.dim)
-        if self.cleared_gram and (fu := u.ints) and (fv := v.ints):
+        fu, fv = u.ints, v.ints
+        if fu and fv and self.cleared_gram:
             (m, g), (du, a), (dv, b) = self.cleared_gram, fu, fv
             return Fraction(linalg.bilinear(g, a, b), m * du * dv)
+        if fu and fv and self.float_only:
+            return linalg.float_bilinear(self.gram, fu[1], fv[1], fu[0] * fv[0])
         floats = u.float_only or v.float_only
         return linalg.contract(self.float_gram if floats else self.gram, u.coeffs, v.coeffs)
 

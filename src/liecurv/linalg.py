@@ -10,11 +10,11 @@ exact rows it runs in ints scaled by the pivot product, so `solve_cleared` retur
 exact solutions as ints over their lcm and `nullspace` coprime int vectors (E.
 Bareiss, Math. Comp. 22, 1968). One skip-zero contraction, `contract`, evaluates brackets,
 covariant derivatives, endomorphisms and float bilinear forms in the type of its products
-(riemann_tensor sums its rows in its own loops, in contract's order); exact bilinear forms,
-g(u, v), the plane's Gram determinant and w^T op w, are one int kernel, `bilinear`. `cleared`
-turns one flat row of exact scalars into ints over their lcm denominator, so a caller builds
-one Fraction per result, not one per multiply-add. Owners clear once: Vector.ints,
-MetricTensor.cleared_gram, LieAlgebra.cleared_structure, and _eliminate per non-int row.
+(riemann_tensor sums its rows in its own loops, in contract's order). Exact vectors'
+int forms meet an int table in `bilinear` (g(u, v), the Gram determinant, w^T op w) and a float
+one in `float_bilinear`, each coefficient one rounded int quotient, as contract's float(Fraction).
+`cleared` makes a flat row of exact scalars ints over their lcm: one Fraction per result. Owners
+clear once: Vector.ints, MetricTensor.cleared_gram, LieAlgebra.cleared_structure, _eliminate.
 """
 
 from __future__ import annotations
@@ -198,12 +198,7 @@ def contract(table, *vectors) -> Scalar | list[Scalar]:
     # A product of live exact factors is never zero, so a zero product is a
     # float +-0.0; a sum starts from it as 0.0, never as -0.0.
     if not isinstance(tail, (list, tuple)):
-        total = None
-        for w, entry in terms:
-            if entry:
-                p = w * entry
-                total = (p or 0.0) if total is None else total + p
-        return _ZERO if total is None else total
+        return summed(terms)
     out: list = [None] * len(tail)
     for w, row in terms:
         for l, entry in enumerate(row):
@@ -214,9 +209,27 @@ def contract(table, *vectors) -> Scalar | list[Scalar]:
     return [_ZERO if x is None else x for x in out]
 
 
+def summed(terms) -> Scalar:
+    """contract's sum of (coefficient, entry) terms, zero entries skipped: p or 0.0 at the first
+    product p (never -0.0), Fraction(0) where no term is live."""
+    total = None
+    for w, entry in terms:
+        if entry:
+            p = w * entry
+            total = (p or 0.0) if total is None else total + p
+    return _ZERO if total is None else total
+
+
 def bilinear(table, u, v) -> int:
     """sum of u[i] table[i][j] v[j] over ints; int 0 where contract gives Fraction(0)."""
     return sum(x * sum(map(mul, row, v)) for x, row in zip(u, table) if x)
+
+
+def float_bilinear(table, u, v, den: int) -> Scalar:
+    """contract(table, u / den, v) to the bit, for int vectors u, v and a table whose nonzero
+    entries are floats: contract's float(u_i v_j / den) is one correctly rounded int division."""
+    return summed([(x * y / den, e) for x, row in zip(u, table) if x
+                   for y, e in zip(v, row) if y and e])
 
 
 def orthonormal_pair(metric, u, v) -> tuple[list[Scalar], list[Scalar]]:

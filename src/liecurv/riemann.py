@@ -20,10 +20,10 @@ denominator, so each entry costs one Fraction, and only where it is read. Lowere
 they give op[(i,j)][(k,l)] = g(R(e_j,e_i)e_k, e_l) for i < j, k < l. With w = u^v, the
 sectional curvature of span{u, v} is w^T op w = g(R(v,u)u, v) over g(u,u) g(v,v) - g(u,v)^2,
 one op entry, lowered from its row alone, for a basis plane; R(u,v)x sums w_p R(e_i,e_j)x
-over the rows. Exact vectors read their int forms (Vector.ints) on an exact tensor, the
-plane's forms g(u,v) and w^T op w through linalg.bilinear, and nabla, entries and
-curvature_apply return vectors born with theirs, ints over the store's den. Float vectors
-contract float images of rows, op and g, each built once.
+over the rows. Exact vectors read their int forms (Vector.ints): an exact tensor's plane forms
+g(u,v) and w^T op w run on linalg.bilinear, and nabla, entries and curvature_apply return vectors
+born with theirs; a float tensor's plane forms round each int coefficient over its den once, as
+contract rounds its Fraction (linalg.float_bilinear). Float vectors contract float images.
 The Ricci tensor is the trace Ric(V,W) = tr(U -> R(U,V)W), i.e. Ric_jk = sum_i r[i][j][k][i],
 and the scalar curvature is its metric trace g^{jk} Ric_jk.
 """
@@ -206,15 +206,15 @@ def plane_form(rt: CurvatureTensor, u, v) -> tuple[Scalar, Scalar, Scalar]:
     """(w^T op w, g(u,u) g(v,v) - g(u,v)^2, g(u,u)) for w = u^v and g the metric of rt, the
     determinant 0 on a degenerate plane and in dim 1, where no plane exists. A basis plane
     (one live w_p) that reads op, not float_op, lowers op[p][p] from row p and leaves op
-    unbuilt. Exact u, v on an exact tensor read their int forms with linalg.bilinear, one
-    Fraction per result. Any float entry contracts in floats, exact zeros skipped, against
-    float_op and MetricTensor.inner; a float determinant <= TOLERANCE g(u,u) g(v,v) is 0, so the
-    angle decides, not the scale, or None when g(u,u) g(v,v) of nonzero u, v rounds to 0
-    (ROUNDED_PLANE), and an overflowed one is left to printing."""
+    unbuilt. Exact u, v read their int forms: with linalg.bilinear on an exact tensor, one
+    Fraction per result; on a float tensor, w^T op w with float_bilinear and the norms with
+    MetricTensor.inner. A float u or v contracts against float_op and inner; a float det <=
+    TOLERANCE g(u,u) g(v,v) is 0, so the angle decides, or None when g(u,u) g(v,v) of nonzero
+    u, v rounds to 0 (ROUNDED_PLANE); an overflowed one is left to printing."""
     u, v = (as_vector(x, rt.dim) for x in (u, v))
-    forms = [u.ints, v.ints] if rt.gram else [None]
-    exact = all(forms)
-    (du, a), (dv, b) = forms if exact else [(1, u.coeffs), (1, v.coeffs)]
+    forms = [u.ints, v.ints]
+    exact = (ints := all(forms)) and rt.gram
+    (du, a), (dv, b) = forms if ints else [(1, u.coeffs), (1, v.coeffs)]
     inner = partial(linalg.bilinear, rt.gram[1]) if exact else rt.connection.metric.inner
     u, v = (a, b) if exact else (u, v)  # what inner reads: the ints, or the Vectors
     w = [a[i] * b[j] - a[j] * b[i] for i, j in rt.pairs]
@@ -227,7 +227,8 @@ def plane_form(rt: CurvatureTensor, u, v) -> tuple[Scalar, Scalar, Scalar]:
         w, table = [w[live[0]]], ((rt.lowered(live[0], live[0]),),)
     else:
         table = rt.op if exact or rt.op_den == 1 else rt.float_op
-    num = (linalg.bilinear if exact else linalg.contract)(table, w, w) if w else 0
+    num = (linalg.bilinear(table, w, w) if exact else linalg.contract(table, w, w) if not ints
+           else linalg.float_bilinear(table, w, w, (du * dv) ** 2)) if w else 0
     if exact:
         gram_den = rt.gram[0] * du * dv
         return (Fraction(num, rt.op_den * (du * dv) ** 2), Fraction(det, gram_den ** 2),

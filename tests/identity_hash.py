@@ -17,8 +17,9 @@ on both trees and comparing the last line. Groups:
   g-orthogonal abelian factor of dim 1 or 2 placed among its basis, half decimal;
 - planes: `sectional` and `flag` with a zero drift, each with `--precision 17`, in
   text and JSON, on a seeded subset of 40 `documents` documents whose metric is not
-  the identity, over three pairs of non-basis vectors per document: exact, decimal
-  against exact, and mixed;
+  the identity, over four pairs of non-basis vectors per document: exact, decimal
+  against exact, mixed, and wide (exact entries p/q, q up to 10^6 and p of about 30
+  digits, so a coefficient over its denominator rounds far from a short float);
 - vectors: `sectional`, `flag` and `randers`, each with `--precision 17`, in
   text and JSON, over cases 1, 2, 3 and 6 with exact and decimal drifts and
   exact, decimal and mixed vectors, and `sectional` on case 4 at two
@@ -36,6 +37,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import random
 import sys
 import tempfile
@@ -144,10 +146,22 @@ def parallel_runs(tmp: Path):
                 yield [cmd[0], str(path)] + cmd[1:] + fmt
 
 
-def plane_vector(rng: random.Random, dim: int, kind: str) -> str:
-    """A vector with at least two nonzero entries: exact, decimal, or each entry either."""
+def wide_entry(rng: random.Random) -> Fraction:
+    """0 one time in four, else p/q in lowest terms, q up to 10^6 and p of 30 digits."""
+    if rng.random() < 0.25:
+        return Fraction(0)
     while True:
-        xs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)]
+        p, q = rng.choice((-1, 1)) * rng.randrange(10 ** 29, 10 ** 30), rng.randint(1, 10 ** 6)
+        if math.gcd(p, q) == 1:
+            return Fraction(p, q)
+
+
+def plane_vector(rng: random.Random, dim: int, kind: str) -> str:
+    """A vector with at least two nonzero entries: exact, decimal, each entry either, or wide
+    (exact, wide_entry)."""
+    while True:
+        xs = [wide_entry(rng) if kind == "wide" else
+              Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)]
         if sum(map(bool, xs)) > 1:
             return ",".join(_text(x, kind == "decimal" or kind == "mixed" and rng.random() < 0.5)
                             for x in xs)
@@ -164,7 +178,8 @@ def plane_runs(tmp: Path):
         path = tmp / f"plane{i:03d}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         rng = random.Random(f"planes:{i}")
-        for kinds in (("exact", "exact"), ("decimal", "exact"), ("mixed", "mixed")):
+        for kinds in (("exact", "exact"), ("decimal", "exact"), ("mixed", "mixed"),
+                      ("wide", "wide")):
             u, v = (plane_vector(rng, dim, kind) for kind in kinds)
             for fmt in FORMATS:
                 yield ["sectional", str(path), f"--u={u}", f"--v={v}", "--precision", "17"] + fmt

@@ -336,6 +336,65 @@ if st is not None:
         assert type(got) is int and got == want
         assert type(want) is int or want == 0 and type(want) is F
 
+    # ENTRIES, and numerators past 2^53, where rounding x and y before x y is off by an ulp
+    NUMERATORS = st.one_of(ENTRIES, st.integers(2 ** 53, 2 ** 80), st.integers(-2 ** 80, -2 ** 53))
+    # zeros of both signs and int 0, subnormals, and entries whose products overflow to inf
+    FLOAT_ENTRIES = st.one_of(st.sampled_from((0.0, -0.0, 0, 5e-324, -2.5e-320, 1e308, -1.7e308)),
+                              st.floats(allow_nan=False, allow_infinity=False))
+
+    @st.composite
+    def float_bilinear_inputs(draw):
+        """(table, u, v): a float table of 1-6 rows of 1-6 entries, some rows all zero, and
+        two exact Vectors to fit, each of user ints or of Fractions p/q with q up to 10^6."""
+        rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        row = st.one_of(st.just([0.0] * cols), st.lists(FLOAT_ENTRIES, min_size=cols,
+                                                         max_size=cols))
+        table = draw(st.lists(row, min_size=rows, max_size=rows))
+
+        def vector(n):
+            nums = draw(st.one_of(st.just([0] * n), st.lists(NUMERATORS, min_size=n, max_size=n)))
+            if draw(st.booleans()):
+                return Vector(nums)
+            return Vector([F(p, draw(st.integers(1, 10 ** 6))) for p in nums])
+        return table, vector(rows), vector(cols)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(float_bilinear_inputs())
+    @example(([[0.0, -0.0], [0, 0.0]], Vector([1, 2]), Vector([F(3, 7), 5])))  # no live entry
+    @example(([[0.5, 2.0]], Vector([F(0)]), Vector([1, 1])))  # no live coefficient
+    @example(([[-5e-324]], Vector([F(1, 10 ** 6)]), Vector([F(1, 10 ** 6)])))  # -0.0 product
+    @example(([[1e308, 1e308]], Vector([2 ** 80]), Vector([1, -1])))  # inf - inf: nan
+    @example(([[1.0]], Vector([666170095015151626098468]),  # float(x) * float(y) / den is
+              Vector([F(-999594411184038167267878, 592923)])))  # one ulp off
+    def test_float_bilinear_matches_contract_on_float_tables(inputs):
+        """linalg.float_bilinear on the int forms gives contract's result on the Fraction or
+        int coefficients to the bit, by repr and type: the same order, skips and start, one
+        rounding per coefficient, and Fraction(0) where no term is live."""
+        table, u, v = inputs
+        (du, a), (dv, b) = u.ints, v.ints
+        got = linalg.float_bilinear(table, a, b, du * dv)
+        want = linalg.contract(table, u.coeffs, v.coeffs)
+        assert (type(got), repr(got)) == (type(want), repr(want))
+
+
+def test_inner_on_float_and_mixed_grams():
+    """An exact pair on a Gram matrix of floats and exact zeros reads float_bilinear with
+    contract's bits; one exact nonzero entry among floats keeps contract, so g(e0, e0) on
+    [[1, 0.5], [0.5, 2]] reads only the 1 and stays exact."""
+    mixed = MetricTensor([[1, 0.5], [0.5, 2]])
+    assert not mixed.float_only
+    for e0, kind in (([1, 0], int), (Vector.basis(2, 0), F)):
+        got = mixed.inner(e0, e0)
+        assert type(got) is kind and got == 1
+    assert repr(mixed.inner([1, 0], [0, 1])) == "0.5"
+    floats = MetricTensor([[2.5, 0, -0.0], [0, 1e-310, 0.3], [-0.0, 0.3, 7.0]])
+    assert floats.float_only
+    pairs = [([1, 0, 0], [0, 1, 0]), ([F(1, 3), 2, F(-5, 7)], [3, F(1, 999_983), 1]),
+             ([0, F(2, 3), 0], [0, F(-4, 9), 0])]
+    for u, v in pairs:
+        got, want = floats.inner(u, v), linalg.contract(floats.gram, u, v)
+        assert (type(got), repr(got)) == (type(want), repr(want))
+
 
 def test_clear_denominators():
     """linalg.cleared on flat rows; the nested reference in oracles on tables."""

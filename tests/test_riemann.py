@@ -436,6 +436,30 @@ def test_exact_bilinear_forms_make_no_contract_call(monkeypatch):
     assert calls
 
 
+def test_exact_vectors_on_a_decimal_document_make_no_contract_call(monkeypatch):
+    """On a decimal document (a float tensor and a float Gram matrix) exact basis and non-basis
+    vectors read their int forms: plane_form, sectional and MetricTensor.inner go through
+    linalg.float_bilinear, make no linalg.contract call and build no vector's Fraction coeffs,
+    and give the bits of the Fraction contraction."""
+    calls = []
+    monkeypatch.setattr(linalg, "contract", lambda *args, real=linalg.contract:
+                        calls.append(args) or real(*args))
+    doc = semidirect_documents(random.Random(20130525), 4)[1]
+    rt = riemann_tensor(levi_civita(doc.algebra(), doc.metric))
+    assert rt.gram is None and all(type(x) is float for row in doc.metric.gram for x in row)
+    vectors = [Vector.basis(4, 0), Vector.basis(4, 2), Vector([3, -1, 0, 2], 7),
+               Vector([1, 4, -5, 0], 3)]
+    pairs = [(vectors[0], vectors[1]), (vectors[2], vectors[3]), (vectors[1], vectors[3])]
+    calls.clear()
+    got = [(plane_form(rt, u, v), sectional(rt, doc.metric, u, v), doc.metric.inner(u, v))
+           for u, v in pairs]
+    assert calls == []
+    assert all(x._coeffs is None for x in vectors)
+    for (form, _, inner), (u, v) in zip(got, pairs):
+        assert repr(form) == repr(plane_form_per_call(rt, u, v))
+        assert repr(inner) == repr(linalg.contract(doc.metric.gram, u.coeffs, v.coeffs))
+
+
 def test_riemann_tensor_has_one_loop_for_both_stores(monkeypatch):
     """Exact and float connections run the same commutator loop: riemann_tensor calls no
     linalg.contract on either."""
