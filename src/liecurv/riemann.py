@@ -23,7 +23,8 @@ one op entry, lowered from its row alone, for a basis plane; R(u,v)x sums w_p R(
 over the rows. Exact vectors read their int forms (Vector.ints): an exact tensor's plane forms
 g(u,v) and w^T op w run on linalg.bilinear, and nabla, entries and curvature_apply return vectors
 born with theirs; a float tensor's plane forms round each int coefficient over its den once, as
-contract rounds its Fraction (linalg.float_bilinear). Float vectors contract float images.
+contract rounds its Fraction (linalg.float_bilinear). Any other pair reads an exact op as Fractions,
+so a term is float only where a float is live in it; curvature_apply's floats read float rows.
 The Ricci tensor is the trace Ric(V,W) = tr(U -> R(U,V)W), i.e. Ric_jk = sum_i r[i][j][k][i],
 and the scalar curvature is its metric trace g^{jk} Ric_jk.
 """
@@ -104,9 +105,9 @@ class CurvatureTensor:
     """The store is rows: rows[p][k] / den is R(e_i, e_j) e_k for (i, j) = pairs[p], the p-th
     of combinations(range(dim), 2). gram is the connection's, so Connection.gram alone
     decides exactness. Exact: ints, gram = (G, G g), op_den = den G. Float: dens 1, gram
-    None. table, op, float_rows and float_op are images of the rows, each built on
-    first read: op[p][q] / op_den the op entries, float_rows and float_op rows / den and
-    op / op_den for float vectors to contract."""
+    None. op, op_values, float_rows and table are images of the rows built on first read:
+    op[p][q] / op_den the op entries; op_values them as Fractions, which a float meets as
+    x / op_den rounded once (a float times an int past 1e308 overflows); float_rows rows / den."""
 
     def __init__(self, conn: Connection, rows, den: int):
         self.connection, self.rows, self.den, self.gram = conn, rows, den, conn.gram
@@ -133,9 +134,8 @@ class CurvatureTensor:
         return tuple(tuple(tuple(x / self.den for x in row) for row in p) for p in self.rows)
 
     @cached_property
-    def float_op(self) -> tuple:
-        # int / int rounds once, where an int past 1e308 times a float would overflow
-        return tuple(tuple(x / self.op_den for x in row) for row in self.op)
+    def op_values(self) -> tuple:
+        return tuple(tuple(Fraction(x, self.op_den) for x in row) for row in self.op)
 
     @cached_property
     def table(self) -> tuple:
@@ -205,16 +205,15 @@ ROUNDED_PLANE = "the plane's g(u,u) g(v,v) rounds to 0 in float arithmetic"
 def plane_form(rt: CurvatureTensor, u, v) -> tuple[Scalar, Scalar, Scalar]:
     """(w^T op w, g(u,u) g(v,v) - g(u,v)^2, g(u,u)) for w = u^v and g the metric of rt, the
     determinant 0 on a degenerate plane and in dim 1, where no plane exists. A basis plane
-    (one live w_p) that reads op, not float_op, lowers op[p][p] from row p and leaves op
-    unbuilt. Exact u, v read their int forms: with linalg.bilinear on an exact tensor, one
-    Fraction per result; on a float tensor, w^T op w with float_bilinear and the norms with
-    MetricTensor.inner. A float u or v contracts against float_op and inner; a float det <=
-    TOLERANCE g(u,u) g(v,v) is 0, so the angle decides, or None when g(u,u) g(v,v) of nonzero
-    u, v rounds to 0 (ROUNDED_PLANE); an overflowed one is left to printing."""
+    (one live w_p) lowers op[p][p] from row p and leaves op unbuilt. Exact u, v read their int
+    forms: linalg.bilinear on an exact tensor, one Fraction per result; on a float tensor,
+    float_bilinear and MetricTensor.inner. A float u or v contracts op_values (an exact tensor)
+    or op, and inner; a float det <= TOLERANCE g(u,u) g(v,v) is 0, so the angle decides, or
+    None when g(u,u) g(v,v) of nonzero u, v rounds to 0 (ROUNDED_PLANE); an overflowed one is
+    left to printing."""
     u, v = (as_vector(x, rt.dim) for x in (u, v))
-    forms = [u.ints, v.ints]
-    exact = (ints := all(forms)) and rt.gram
-    (du, a), (dv, b) = forms if ints else [(1, u.coeffs), (1, v.coeffs)]
+    exact = (ints := u.ints and v.ints) and rt.gram
+    (du, a), (dv, b) = (u.ints, v.ints) if ints else [(1, u.coeffs), (1, v.coeffs)]
     inner = partial(linalg.bilinear, rt.gram[1]) if exact else rt.connection.metric.inner
     u, v = (a, b) if exact else (u, v)  # what inner reads: the ints, or the Vectors
     w = [a[i] * b[j] - a[j] * b[i] for i, j in rt.pairs]
@@ -223,16 +222,17 @@ def plane_form(rt: CurvatureTensor, u, v) -> tuple[Scalar, Scalar, Scalar]:
     uv = inner(u, v)  # uv * uv is inf past the float range, where uv ** 2 raises
     det = norms - uv * uv if w else 0
     live = [p for p, x in enumerate(w) if x or isinstance(x, float)]  # as contract reads w
-    if len(live) == 1 and (exact or rt.op_den == 1):  # a basis plane: op[p][p] from row p
-        w, table = [w[live[0]]], ((rt.lowered(live[0], live[0]),),)
+    values = rt.gram and not exact  # an exact tensor's op read as its exact values
+    if len(live) == 1:  # a basis plane: op[p][p] from row p
+        x = rt.lowered(live[0], live[0])
+        w, table = [w[live[0]]], ((Fraction(x, rt.op_den) if values else x,),)
     else:
-        table = rt.op if exact or rt.op_den == 1 else rt.float_op
+        table = rt.op_values if values else rt.op
     num = (linalg.bilinear(table, w, w) if exact else linalg.contract(table, w, w) if not ints
            else linalg.float_bilinear(table, w, w, (du * dv) ** 2)) if w else 0
     if exact:
-        gram_den = rt.gram[0] * du * dv
-        return (Fraction(num, rt.op_den * (du * dv) ** 2), Fraction(det, gram_den ** 2),
-                Fraction(uu, rt.gram[0] * du * du))
+        return (Fraction(num, rt.op_den * (du * dv) ** 2),
+                Fraction(det, (rt.gram[0] * du * dv) ** 2), Fraction(uu, rt.gram[0] * du * du))
     if not is_exact(det) and det <= TOLERANCE * norms < math.inf:
         det = None if not norms and any(a) and any(b) else 0
     return num, det, uu

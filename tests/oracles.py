@@ -322,7 +322,7 @@ def basis_plane_from_op(rt: CurvatureTensor, i: int, j: int) -> tuple[Scalar, Sc
     op, as plane_form read every plane before a basis plane read op[p][p] from row p."""
     n = rt.dim
     w = [int(q == (i, j)) for q in combinations(range(n), 2)]
-    num = linalg.contract(rt.op if rt.gram or rt.op_den == 1 else rt.float_op, w, w)
+    num = linalg.contract(rt.op, w, w)
     num = Fraction(num, rt.op_den) if rt.gram else num
     return num, num / plane_form(rt, Vector.basis(n, i), Vector.basis(n, j))[1]
 
@@ -356,7 +356,8 @@ def curvature_apply_per_call(rt: CurvatureTensor, u, v, w) -> Vector:
 
 def plane_form_per_call(rt: CurvatureTensor, u, v) -> tuple[Scalar, Scalar, Scalar]:
     """riemann.plane_form as it cleared exact vectors on every call, over one common
-    denominator, with inner_per_call for the norms of the rest."""
+    denominator, with inner_per_call for the norms of the rest, whose w^T op w reads an
+    exact tensor's op as Fractions op / op_den."""
     u, v = (as_vector(x, rt.dim).coeffs for x in (u, v))
     exact = rt.gram is not None and cleared_nested((u, v))
     if exact:
@@ -370,11 +371,8 @@ def plane_form_per_call(rt: CurvatureTensor, u, v) -> tuple[Scalar, Scalar, Scal
     norms = uu * inner(v, v)
     uv = inner(u, v)
     det = norms - uv * uv if w else 0
-    live = [p for p, x in enumerate(w) if x or isinstance(x, float)]
-    if len(live) == 1 and (exact or rt.op_den == 1):
-        w, table = [w[live[0]]], ((rt.lowered(live[0], live[0]),),)
-    else:
-        table = rt.op if exact or rt.op_den == 1 else rt.float_op
+    table = rt.op if exact or not rt.gram else [[Fraction(x, rt.op_den) for x in row]
+                                                for row in rt.op]
     num = linalg.contract(table, w, w) if w else 0
     if exact:
         return (Fraction(num, rt.op_den * scale ** 4), Fraction(det, gram_den ** 2),

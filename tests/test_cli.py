@@ -284,6 +284,19 @@ def test_sectional(capsys):
     assert doc["sections"]["numerator"] == "-4"
 
 
+@pytest.mark.parametrize("case, u, v, numerator", [
+    ("6", "1,0,0,0", "2,0,0.25,1", "1/4"),
+    ("6", "1,0,0,0", "2,0,1/4,1", "1/4"),
+    ("1", "2,0,0.25,1", "3,4,0,0", "-89"),
+    ("6", "2,0,0.25,1", "3,4,0,0", "-39/4"),
+])
+def test_a_float_coefficient_makes_the_numerator_float_only_where_it_is_live(
+        capsys, case, u, v, numerator):
+    # whatever the tensor's op_den: 4 on case 6, 1 on case 1
+    code, out, _ = run(capsys, "sectional", "--case", case, "--u", u, "--v", v)
+    assert code == 0 and out.startswith(f"numerator: {numerator}\n"), out
+
+
 def test_sectional_degenerate_plane(capsys):
     code, _, err = run(capsys, "sectional", "--case", "1",
                        "--u", "1,2,0,0", "--v", "2,4,0,0")
