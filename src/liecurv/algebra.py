@@ -59,11 +59,6 @@ class Vector:
         return self._ints or None
 
     @property
-    def float_only(self) -> bool:
-        """A coefficient is a float and the others are floats or exact zeros."""
-        return not self.ints and not [x for x in self._coeffs if x and not isinstance(x, float)]
-
-    @property
     def dim(self) -> int:
         return len(self._ints[1] if self._coeffs is None else self._coeffs)
 
@@ -174,7 +169,10 @@ class LieAlgebra:
 
 
 class MetricTensor:
-    """Symmetric Gram matrix of a left-invariant metric; float_only: no exact nonzero entry."""
+    """Symmetric Gram matrix of a left-invariant metric; entries, its nonzero entries for
+    linalg.form; float_only: no exact nonzero entry, so exact pairs meet it as int forms."""
+
+    entries = cached_property(lambda self: linalg.nonzero_entries(self.gram))
 
     def __init__(self, gram: Sequence[Sequence[Scalar]]):
         n = len(gram)
@@ -194,10 +192,6 @@ class MetricTensor:
                     for i in range(dim)])
 
     @cached_property
-    def float_gram(self) -> tuple:
-        return tuple(tuple(map(float, row)) for row in self.gram)
-
-    @cached_property
     def cleared_gram(self) -> tuple[int, list] | None:
         """(L, L * gram) with L the lcm of the Gram denominators, None if an entry is a float:
         the int Gram matrix that inner, levi_civita, riemann_tensor and orthonormal_pair
@@ -206,17 +200,21 @@ class MetricTensor:
         return flat and (flat[0], [flat[1][i * n:i * n + n] for i in range(n)])
 
     def inner(self, u, v) -> Scalar:
-        """g(u, v): an exact pair's int forms, with bilinear on cleared_gram (one Fraction) or
-        float_bilinear on a float_only gram; else contract (float_gram: one is float_only)."""
+        """g(u, v): the pair's int forms read once, then inner_read."""
         u, v = as_vector(u, self.dim), as_vector(v, self.dim)
-        fu, fv = u.ints, v.ints
-        if fu and fv and self.cleared_gram:
-            (m, g), (du, a), (dv, b) = self.cleared_gram, fu, fv
-            return Fraction(linalg.bilinear(g, a, b), m * du * dv)
-        if fu and fv and self.float_only:
-            return linalg.float_bilinear(self.gram, fu[1], fv[1], fu[0] * fv[0])
-        floats = u.float_only or v.float_only
-        return linalg.contract(self.float_gram if floats else self.gram, u.coeffs, v.coeffs)
+        return self.inner_read(u, u.ints, v, v.ints)
+
+    def inner_read(self, u: Vector, fu, v: Vector, fv) -> Scalar:
+        """g(u, v) from the int forms fu = u.ints, fv = v.ints the caller has read: an exact pair
+        on cleared_gram by linalg.bilinear (one Fraction), any other pair by linalg.form, on
+        the int forms over a float_only gram, else on the coefficients (contract's value)."""
+        if fu and fv:
+            if self.cleared_gram:
+                (m, g), (du, a), (dv, b) = self.cleared_gram, fu, fv
+                return Fraction(linalg.bilinear(g, a, b), m * du * dv)
+            if self.float_only:
+                return linalg.form(self.entries, fu[1], fv[1], fu[0] * fv[0])
+        return linalg.form(self.entries, u.coeffs, v.coeffs)
 
     def norm_sq(self, v) -> Scalar:
         return self.inner(v, v)

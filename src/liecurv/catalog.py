@@ -23,6 +23,7 @@ holds); the report passes when every section does.
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 from dataclasses import asdict, dataclass, field
@@ -307,14 +308,17 @@ class CaseReport:
 
 
 def _vectors_match(a: Vector, b: Vector) -> bool:
+    if (fa := a.ints) and (fb := b.ints):  # x / da == y / db as x db == y da
+        return [x * fb[0] for x in fa[1]] == [y * fa[0] for y in fb[1]]
     return all(approx_equal(x, y) for x, y in zip(a, b))
 
 
 def _rand_vector(rng: random.Random, dim: int) -> Vector:
-    while True:
-        v = Vector(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim))
-        if not v.is_zero():
-            return v
+    while True:  # p/q, born with its int form over the lcm of the reduced denominators
+        pq = [(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim)]
+        if any(p for p, _ in pq):
+            den = math.lcm(*(q // math.gcd(p, q) for p, q in pq))
+            return Vector([p * den // q for p, q in pq], den)
 
 
 def _coord_env(params: dict, pole, edge) -> dict:

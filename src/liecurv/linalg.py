@@ -9,12 +9,12 @@ global tolerance. One back-substitution serves solve_cleared and nullspace: on
 exact rows it runs in ints scaled by the pivot product, so `solve_cleared` returns
 exact solutions as ints over their lcm and `nullspace` coprime int vectors (E.
 Bareiss, Math. Comp. 22, 1968). One skip-zero contraction, `contract`, evaluates brackets,
-covariant derivatives, endomorphisms and float bilinear forms in the type of its products
-(riemann_tensor sums its rows in its own loops, in contract's order). Exact vectors'
-int forms meet an int table in `bilinear` (g(u, v), the Gram determinant, w^T op w) and a float
-one in `float_bilinear`, each coefficient one rounded int quotient, as contract's float(Fraction).
-`cleared` makes a flat row of exact scalars ints over their lcm: one Fraction per result. Owners
-clear once: Vector.ints, MetricTensor.cleared_gram, LieAlgebra.cleared_structure, _eliminate.
+covariant derivatives and endomorphisms in the type of its products (riemann_tensor sums its rows
+in its own loops, in contract's order). A scalar form x^T T y sums T's nonzero entries, listed once
+by T's owner (`nonzero_entries`), in `form`, contract's value to the bit; exact vectors' int forms
+meet an int table in `bilinear` (g(u, v), the Gram determinant, w^T op w). `cleared` makes a flat
+row of exact scalars ints over their lcm: one Fraction per result. Owners clear once: Vector.ints,
+MetricTensor.cleared_gram, LieAlgebra.cleared_structure, _eliminate.
 """
 
 from __future__ import annotations
@@ -195,10 +195,10 @@ def contract(table, *vectors) -> Scalar | list[Scalar]:
     tail = table
     for _ in vectors:
         tail = tail[0]
+    if scalar := not isinstance(tail, (list, tuple)):  # one sum: each entry a row of one
+        terms, tail = [(w, (entry,)) for w, entry in terms], (0,)
     # A product of live exact factors is never zero, so a zero product is a
     # float +-0.0; a sum starts from it as 0.0, never as -0.0.
-    if not isinstance(tail, (list, tuple)):
-        return summed(terms)
     out: list = [None] * len(tail)
     for w, row in terms:
         for l, entry in enumerate(row):
@@ -206,18 +206,8 @@ def contract(table, *vectors) -> Scalar | list[Scalar]:
                 p = w * entry
                 acc = out[l]
                 out[l] = (p or 0.0) if acc is None else acc + p
-    return [_ZERO if x is None else x for x in out]
-
-
-def summed(terms) -> Scalar:
-    """contract's sum of (coefficient, entry) terms, zero entries skipped: p or 0.0 at the first
-    product p (never -0.0), Fraction(0) where no term is live."""
-    total = None
-    for w, entry in terms:
-        if entry:
-            p = w * entry
-            total = (p or 0.0) if total is None else total + p
-    return _ZERO if total is None else total
+    out = [_ZERO if x is None else x for x in out]
+    return out[0] if scalar else out
 
 
 def bilinear(table, u, v) -> int:
@@ -225,11 +215,27 @@ def bilinear(table, u, v) -> int:
     return sum(x * sum(map(mul, row, v)) for x, row in zip(u, table) if x)
 
 
-def float_bilinear(table, u, v, den: int) -> Scalar:
-    """contract(table, u / den, v) to the bit, for int vectors u, v and a table whose nonzero
-    entries are floats: contract's float(u_i v_j / den) is one correctly rounded int division."""
-    return summed([(x * y / den, e) for x, row in zip(u, table) if x
-                   for y, e in zip(v, row) if y and e])
+def nonzero_entries(table, den: int | None = None) -> list:
+    """(i, j, e, f) per nonzero x = table[i][j], row by row: e is x or Fraction(x, den), f its
+    float, or e for a float and past 2^1022, where a float meets e and raises as in contract."""
+    entries = [(i, j, x if den is None else Fraction(x, den)) for i, row in enumerate(table)
+               for j, x in enumerate(row) if x]
+    return [(i, j, e, e if isinstance(e, float) or e.numerator.bit_length()
+             > e.denominator.bit_length() + 1022 else float(e)) for i, j, e in entries]
+
+
+def form(entries, x, y, den: int = 0) -> Scalar:
+    """x^T T y over entries = nonzero_entries(T): contract(T, x, y) to the bit (order, live
+    coefficients, start). A float coefficient x_i y_j meets f, the bits of float * Fraction, an
+    exact one e. den > 0: int forms x, y over den on a float T, x_i y_j / den rounded once."""
+    total = None
+    for i, j, e, f in entries:
+        a, b = x[i], y[j]
+        if (a or isinstance(a, float)) and (b or isinstance(b, float)):
+            w = a * b / den if den else a * b
+            p = w * f if type(w) is float else w * e
+            total = (p or 0.0) if total is None else total + p
+    return _ZERO if total is None else total
 
 
 def orthonormal_pair(metric, u, v) -> tuple[list[Scalar], list[Scalar]]:

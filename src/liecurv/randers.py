@@ -15,10 +15,10 @@ The fundamental tensor
 
 is kept for printing and for the fixtures' fundamental-tensor checks. g_y takes one
 pole and a list of pairs: g(y,y), g(Q,y) and sqrt(g(y,y)) are built once per pole, and
-g(Q,u), g(y,u) once per vector. Every product is MetricTensor.inner, so each value is the
-one six inner products per pair give, bit for bit in floats. Exact zeros short-circuit the
-square-root terms in both, so the drift = 0 limit degenerates to g exactly, not merely
-within tolerance.
+g(Q,u), g(y,u) and each vector's int form once per vector; every product is one
+MetricTensor.inner_read, inner's value bit for bit. The pair (y, y) is F^2, which the sum
+loses to cancellation as y nears -Q. Exact zeros short-circuit the square-root terms, so the
+drift = 0 limit degenerates to g exactly, not merely within tolerance.
 """
 
 from __future__ import annotations
@@ -113,23 +113,26 @@ def g_y(rm: RandersMetric, ybar, pairs) -> list[Scalar]:
 
     Closed form of (1/2) d^2/ds dt F^2(ybar + s u + t v) at s = t = 0. Terms whose exact
     coefficient vanishes are skipped so no irrational square root contaminates an exact
-    result; the root is taken once, when a term first needs it.
+    result; the root is taken once, when a term first needs it. (y, y) is _randers_f's F^2.
     """
     ybar = as_vector(ybar, rm.dim)
     pairs = [(as_vector(u, rm.dim), as_vector(v, rm.dim)) for u, v in pairs]
-    g = rm.base
-    gyy = g.norm_sq(ybar)
+    g, q, fy, fq = rm.base.inner_read, rm.drift, ybar.ints, rm.drift.ints
+    gyy = g(ybar, fy, ybar, fy)
     if not gyy:  # a nonzero pole is judged by the float range, not by its size
         raise UndefinedAtOriginError(
             _ROUNDED_OUT if any(ybar) else "fundamental tensor is undefined at y = 0")
-    gqy = g.inner(rm.drift, ybar)
-    dots, root, out = {}, None, []  # id(u): (g(Q,u), g(y,u)), once per vector
+    gqy = g(q, fq, ybar, fy)
+    dots, root, out = {}, None, []  # id(u): (u.ints, g(Q,u), g(y,u)), once per vector
     for u, v in pairs:
+        if u is ybar is v:
+            out.append(gyy if is_exact_zero(gqy) else _randers_f(gyy, gqy)[1])
+            continue
         for x in (u, v):
             if id(x) not in dots:
-                dots[id(x)] = g.inner(rm.drift, x), g.inner(ybar, x)
-        (gqu, gyu), (gqv, gyv), guv = dots[id(u)], dots[id(v)], g.inner(u, v)
-        total = guv + gqu * gqv
+                dots[id(x)] = (fx := x.ints), g(q, fq, x, fx), g(ybar, fy, x, fx)
+        (fu, gqu, gyu), (fv, gqv, gyv) = dots[id(u)], dots[id(v)]
+        total = (guv := g(u, fu, v, fv)) + gqu * gqv
         t3 = gqy * gyv * gyu
         t4 = gqu * gyv + gqy * guv + gqv * gyu
         if root is None and not (is_exact_zero(t3) and is_exact_zero(t4)):

@@ -22,9 +22,9 @@ sectional curvature of span{u, v} is w^T op w = g(R(v,u)u, v) over g(u,u) g(v,v)
 one op entry, lowered from its row alone, for a basis plane; R(u,v)x sums w_p R(e_i,e_j)x
 over the rows. Exact vectors read their int forms (Vector.ints): an exact tensor's plane forms
 g(u,v) and w^T op w run on linalg.bilinear, and nabla, entries and curvature_apply return vectors
-born with theirs; a float tensor's plane forms round each int coefficient over its den once, as
-contract rounds its Fraction (linalg.float_bilinear). Any other pair reads an exact op as Fractions,
-so a term is float only where a float is live in it; curvature_apply's floats read float rows.
+born with theirs. Any other plane form is linalg.form on the nonzero entries of op or g, contract's
+value: a term is float only where a float is live in it (an exact op read as Fractions), and a
+float tensor meets exact vectors' int forms. curvature_apply's floats read float rows.
 The Ricci tensor is the trace Ric(V,W) = tr(U -> R(U,V)W), i.e. Ric_jk = sum_i r[i][j][k][i],
 and the scalar curvature is its metric trace g^{jk} Ric_jk.
 """
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import combinations
 
 from . import linalg
@@ -49,12 +49,8 @@ class Connection:
     coefficients as Fractions or floats, is an image of the rows built on first read."""
 
     def __init__(self, alg: LieAlgebra, metric: MetricTensor, rows, den: int, gram):
-        self.algebra, self.metric = alg, metric
+        self.algebra, self.metric, self.dim = alg, metric, alg.dim
         self.rows, self.den, self.gram = rows, den, gram
-
-    @property
-    def dim(self) -> int:
-        return self.algebra.dim
 
     @cached_property
     def gamma(self) -> tuple:
@@ -105,18 +101,13 @@ class CurvatureTensor:
     """The store is rows: rows[p][k] / den is R(e_i, e_j) e_k for (i, j) = pairs[p], the p-th
     of combinations(range(dim), 2). gram is the connection's, so Connection.gram alone
     decides exactness. Exact: ints, gram = (G, G g), op_den = den G. Float: dens 1, gram
-    None. op, op_values, float_rows and table are images of the rows built on first read:
-    op[p][q] / op_den the op entries; op_values them as Fractions, which a float meets as
-    x / op_den rounded once (a float times an int past 1e308 overflows); float_rows rows / den."""
+    None. Images of the rows built on first read: op, op[p][q] / op_den the op entries;
+    op_entries, its nonzero ones for linalg.form; float_rows, rows / den; and table."""
 
     def __init__(self, conn: Connection, rows, den: int):
         self.connection, self.rows, self.den, self.gram = conn, rows, den, conn.gram
         self.op_den = den * self.gram[0] if self.gram else 1
-        self.pairs = list(combinations(range(conn.dim), 2))
-
-    @property
-    def dim(self) -> int:
-        return self.connection.dim
+        self.dim, self.pairs = conn.dim, list(combinations(range(conn.dim), 2))
 
     @cached_property
     def op(self) -> tuple:
@@ -133,9 +124,8 @@ class CurvatureTensor:
     def float_rows(self) -> tuple:
         return tuple(tuple(tuple(x / self.den for x in row) for row in p) for p in self.rows)
 
-    @cached_property
-    def op_values(self) -> tuple:
-        return tuple(tuple(Fraction(x, self.op_den) for x in row) for row in self.op)
+    op_entries = cached_property(lambda self: linalg.nonzero_entries(
+        self.op, self.op_den if self.gram else None))
 
     @cached_property
     def table(self) -> tuple:
@@ -205,31 +195,30 @@ ROUNDED_PLANE = "the plane's g(u,u) g(v,v) rounds to 0 in float arithmetic"
 def plane_form(rt: CurvatureTensor, u, v) -> tuple[Scalar, Scalar, Scalar]:
     """(w^T op w, g(u,u) g(v,v) - g(u,v)^2, g(u,u)) for w = u^v and g the metric of rt, the
     determinant 0 on a degenerate plane and in dim 1, where no plane exists. A basis plane
-    (one live w_p) lowers op[p][p] from row p and leaves op unbuilt. Exact u, v read their int
-    forms: linalg.bilinear on an exact tensor, one Fraction per result; on a float tensor,
-    float_bilinear and MetricTensor.inner. A float u or v contracts op_values (an exact tensor)
-    or op, and inner; a float det <= TOLERANCE g(u,u) g(v,v) is 0, so the angle decides, or
-    None when g(u,u) g(v,v) of nonzero u, v rounds to 0 (ROUNDED_PLANE); an overflowed one is
-    left to printing."""
+    (one live w_p) lowers op[p][p] from row p and leaves op unbuilt. The int forms, read once,
+    pick the route: an exact pair on an exact tensor is linalg.bilinear, one Fraction per
+    result; any other is linalg.form on op's nonzero entries, norms from inner_read. A float
+    det <= TOLERANCE g(u,u) g(v,v) is 0, so the angle decides, or None when g(u,u) g(v,v) of
+    nonzero u, v rounds to 0 (ROUNDED_PLANE); an overflowed one is left to printing."""
     u, v = (as_vector(x, rt.dim) for x in (u, v))
-    exact = (ints := u.ints and v.ints) and rt.gram
-    (du, a), (dv, b) = (u.ints, v.ints) if ints else [(1, u.coeffs), (1, v.coeffs)]
-    inner = partial(linalg.bilinear, rt.gram[1]) if exact else rt.connection.metric.inner
-    u, v = (a, b) if exact else (u, v)  # what inner reads: the ints, or the Vectors
+    fu, fv = u.ints, v.ints
+    exact = (ints := fu and fv) and rt.gram
+    (du, a), (dv, b) = (fu, fv) if ints else [(1, u.coeffs), (1, v.coeffs)]
+    inner = ((lambda x, fx, y, fy: linalg.bilinear(rt.gram[1], fx[1], fy[1])) if exact
+             else rt.connection.metric.inner_read)
     w = [a[i] * b[j] - a[j] * b[i] for i, j in rt.pairs]
-    uu = inner(u, u)
-    norms = uu * inner(v, v)
-    uv = inner(u, v)  # uv * uv is inf past the float range, where uv ** 2 raises
+    uu = inner(u, fu, u, fu)
+    norms = uu * inner(v, fv, v, fv)
+    uv = inner(u, fu, v, fv)  # uv * uv is inf past the float range, where uv ** 2 raises
     det = norms - uv * uv if w else 0
     live = [p for p, x in enumerate(w) if x or isinstance(x, float)]  # as contract reads w
-    values = rt.gram and not exact  # an exact tensor's op read as its exact values
     if len(live) == 1:  # a basis plane: op[p][p] from row p
-        x = rt.lowered(live[0], live[0])
-        w, table = [w[live[0]]], ((Fraction(x, rt.op_den) if values else x,),)
+        w, table = [w[live[0]]], ((rt.lowered(live[0], live[0]),),)
+        entries = None if exact else linalg.nonzero_entries(table, rt.op_den if rt.gram else None)
     else:
-        table = rt.op_values if values else rt.op
-    num = (linalg.bilinear(table, w, w) if exact else linalg.contract(table, w, w) if not ints
-           else linalg.float_bilinear(table, w, w, (du * dv) ** 2)) if w else 0
+        table, entries = (rt.op, None) if exact else (None, rt.op_entries)
+    num = (linalg.bilinear(table, w, w) if exact else
+           linalg.form(entries, w, w, (du * dv) ** 2 if ints else 0)) if w else 0
     if exact:
         return (Fraction(num, rt.op_den * (du * dv) ** 2),
                 Fraction(det, (rt.gram[0] * du * dv) ** 2), Fraction(uu, rt.gram[0] * du * du))

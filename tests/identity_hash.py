@@ -24,10 +24,14 @@ on both trees and comparing the last line. Groups:
   text and JSON, over cases 1, 2, 3 and 6 with exact and decimal drifts and
   exact, decimal and mixed vectors, and `sectional` on case 4 at two
   parameter points;
-- report: `report --all` in text and JSON.
+- report: `report --all` in text and JSON;
+- randers: `randers` and `flag`, each with `--precision 17`, in text and JSON, on the
+  `parallel` documents, whose metrics are not the identity: the drift a scaled parallel
+  field along the abelian factor, exact or decimal, and three pole and edge pairs per
+  document, exact, decimal, and mixed against exact.
 
 The documents come from the generator below, seeded by string, so the set
-does not depend on PYTHONHASHSEED. It takes about 8 s on one core. pytest
+does not depend on PYTHONHASHSEED. It takes about 15 s on one core. pytest
 does not collect this file.
 """
 
@@ -85,11 +89,12 @@ def random_gram(rng: random.Random, dim: int) -> list:
             for i in range(dim)]
 
 
-def parallel_document(rng: random.Random, base: int, factor: int, decimal: bool) -> dict:
+def parallel_document(rng: random.Random, base: int, factor: int,
+                      decimal: bool) -> tuple[dict, list, list]:
     """semidirect_document on `base` directions times an abelian factor R^factor, whose
-    directions sit at random indices among the others. The factor is central and
-    g-orthogonal to the rest, so each of its directions Z is a parallel field:
-    2 g(nabla_X Z, W) = g([W, X], Z) = 0."""
+    directions sit at random indices among the others, with those indices and the factor's
+    exact Gram matrix. The factor is central and g-orthogonal to the rest, so each of its
+    directions Z is a parallel field: 2 g(nabla_X Z, W) = g([W, X], Z) = 0."""
     doc = semidirect_document(rng, base, decimal)
     dim = base + factor
     slots = sorted(rng.sample(range(dim), factor))
@@ -99,7 +104,8 @@ def parallel_document(rng: random.Random, base: int, factor: int, decimal: bool)
     for a, row in enumerate(doc["metric"]):
         for b, x in enumerate(row):
             metric[rest[a]][rest[b]] = x
-    for a, row in enumerate(random_gram(rng, factor)):
+    factor_gram = random_gram(rng, factor)
+    for a, row in enumerate(factor_gram):
         for b, x in enumerate(row):
             metric[slots[a]][slots[b]] = _text(x, decimal)
     brackets = []
@@ -108,7 +114,7 @@ def parallel_document(rng: random.Random, base: int, factor: int, decimal: bool)
         for a, c in enumerate(entry["coeffs"]):
             coeffs[rest[a]] = c
         brackets.append({"i": rest[entry["i"]], "j": rest[entry["j"]], "coeffs": coeffs})
-    return {"dim": dim, "brackets": brackets, "metric": metric}
+    return {"dim": dim, "brackets": brackets, "metric": metric}, slots, factor_gram
 
 
 # Poles and edges: exact, decimal and mixed 4-vectors, signs both ways.
@@ -135,12 +141,20 @@ def document_runs(tmp: Path):
                 yield [cmd[0], str(path)] + cmd[1:] + fmt
 
 
-def parallel_runs(tmp: Path):
+def parallel_documents(tmp: Path):
+    """(path, document, factor slots, factor Gram matrix, decimal) for each document of the
+    parallel group, written under tmp."""
     for i in range(PARALLEL_DOCUMENTS):
         base, factor, decimal = 3 + (i // 2) % 3, 1 + (i // 6) % 2, i % 2 == 0
-        doc = parallel_document(random.Random(f"parallel:{i}"), base, factor, decimal)
+        doc, slots, gram = parallel_document(random.Random(f"parallel:{i}"), base, factor,
+                                             decimal)
         path = tmp / f"parallel{i:03d}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
+        yield path, doc, slots, gram, decimal
+
+
+def parallel_runs(tmp: Path):
+    for path, *_ in parallel_documents(tmp):
         for cmd in (["analyze", "--precision", "17"], ["scalar"], ["parallel"]):
             for fmt in FORMATS:
                 yield [cmd[0], str(path)] + cmd[1:] + fmt
@@ -207,13 +221,39 @@ def vector_runs(tmp: Path):
                         "--v", VECTORS[(3 * a + 1) % n], "--precision", "17"] + fmt)
 
 
+def parallel_drift(rng: random.Random, dim: int, slots: list, gram: list, decimal: bool) -> str:
+    """A drift along the abelian factor, c / (2 m) with c an int vector on the factor's slots
+    and m an int at least the g-norm of c, so g(Q,Q) <= 1/4: a parallel field, written
+    exact or as decimals."""
+    c = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in slots]
+    norm_sq = sum(x * g * y for x, row in zip(c, gram) for y, g in zip(c, row))
+    m = math.isqrt(math.ceil(norm_sq)) + 1
+    drift = [Fraction(0)] * dim
+    for slot, x in zip(slots, c):
+        drift[slot] = Fraction(x, 2 * m)
+    return ",".join(_text(x, decimal) for x in drift)
+
+
+def randers_runs(tmp: Path):
+    for i, (path, doc, slots, gram, decimal) in enumerate(parallel_documents(tmp)):
+        rng = random.Random(f"randers:{i}")
+        dim = doc["dim"]
+        drift = parallel_drift(rng, dim, slots, gram, decimal != (i % 4 == 1))
+        for kinds in (("exact", "exact"), ("decimal", "decimal"), ("mixed", "exact")):
+            pole, edge = (plane_vector(rng, dim, kind) for kind in kinds)
+            for cmd in ("randers", "flag"):
+                for fmt in FORMATS:
+                    yield [cmd, str(path), f"--drift={drift}", f"--pole={pole}", f"--edge={edge}",
+                           "--precision", "17"] + fmt
+
+
 def report_runs(tmp: Path):
     for fmt in FORMATS:
         yield ["report", "--all"] + fmt
 
 
 GROUPS = {"documents": document_runs, "parallel": parallel_runs, "planes": plane_runs,
-          "vectors": vector_runs, "report": report_runs}
+          "vectors": vector_runs, "report": report_runs, "randers": randers_runs}
 
 
 def run(argv: list, tmp: Path) -> bytes:

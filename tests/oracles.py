@@ -20,7 +20,7 @@ from liecurv.algebra import JacobiReport, LieAlgebra, MetricTensor, Vector, as_v
 from liecurv.errors import (DegeneratePlaneError, DimensionMismatchError, InputError,
                             NonBerwaldError, PreconditionError, UndefinedAtOriginError)
 from liecurv.exprs import MAX_EXPONENT, MAX_POWER_BITS
-from liecurv.randers import _ROUNDED_OUT, Flag, RandersMetric, g_y, randers_norm
+from liecurv.randers import _ROUNDED_OUT, Flag, RandersMetric, _randers_f, g_y, randers_norm
 from liecurv.riemann import Connection, CurvatureTensor, plane_form, sectional
 from liecurv.scalars import (TOLERANCE, Scalar, approx_equal, format_scalar, is_exact,
                              is_exact_zero, is_zero, scalar_to_json, sqrt_scalar)
@@ -239,16 +239,25 @@ def berwald_reference(conn: Connection, drift) -> bool:
 
 
 @contextlib.contextmanager
-def fraction_gram():
-    """Inside, MetricTensor.inner contracts float vectors against the Fraction Gram
-    matrix, each product a float times a Fraction, as it did before the float image:
-    inner, g_y, plane_form and flag_curvature take that mixed path."""
-    image = MetricTensor.__dict__["float_gram"]
-    MetricTensor.float_gram = property(lambda self: self.gram)
+def fraction_forms():
+    """Inside, linalg.form contracts the Fraction tables: each form's entries, read as their
+    exact values, make a dense table that linalg.contract reads, each product of a float
+    coefficient a float times a Fraction, as MetricTensor.inner did before any float image;
+    int forms over a den contract as their Fractions x / den. inner, g_y, plane_form and
+    flag_curvature take that path."""
+    kernel = linalg.form
+
+    def contracted(entries, x, y, den=0):
+        table = [[0] * len(y) for _ in x]
+        for i, j, e, _ in entries:
+            table[i][j] = e
+        return linalg.contract(table, [Fraction(a, den) for a in x] if den else x, y)
+
+    linalg.form = contracted
     try:
         yield
     finally:
-        MetricTensor.float_gram = image
+        linalg.form = kernel
 
 
 def torsion(conn: Connection, i: int, j: int) -> Vector:
@@ -339,7 +348,8 @@ def inner_per_call(metric: MetricTensor, u, v) -> Scalar:
     u, v = (as_vector(x, metric.dim).coeffs for x in (u, v))
     floats = any(any(isinstance(x, float) for x in c)
                  and all(isinstance(x, float) or not x for x in c) for c in (u, v))
-    return linalg.contract(metric.float_gram if floats else metric.gram, u, v)
+    gram = [[float(x) for x in row] for row in metric.gram] if floats else metric.gram
+    return linalg.contract(gram, u, v)
 
 
 def curvature_apply_per_call(rt: CurvatureTensor, u, v, w) -> Vector:
@@ -475,7 +485,8 @@ def scalar_curvature_table(rt: CurvatureTensor, metric: MetricTensor) -> Scalar:
 
 def g_y_pointwise(rm: RandersMetric, ybar, u, v) -> Scalar:
     """g_y(u, v) for one pair, as randers.g_y computed it before it took a list of pairs:
-    g(y,y) and six MetricTensor.inner products, the square root taken per call."""
+    g(y,y) and six MetricTensor.inner products, the square root taken per call. The pair
+    (y, y), the pole object at both places, is F^2 from g(y,y) and g(Q,y), as g_y gives it."""
     ybar, u, v = (as_vector(x, rm.dim) for x in (ybar, u, v))
     g = rm.base
     gyy = g.norm_sq(ybar)
@@ -483,6 +494,9 @@ def g_y_pointwise(rm: RandersMetric, ybar, u, v) -> Scalar:
         raise UndefinedAtOriginError(
             _ROUNDED_OUT if any(ybar) else "fundamental tensor is undefined at y = 0")
     q = rm.drift
+    if u is ybar is v:
+        beta = g.inner(q, ybar)
+        return gyy if is_exact_zero(beta) else _randers_f(gyy, beta)[1]
     guv, gqu, gqv, gqy, gyu, gyv = (g.inner(a, b) for a, b in (
         (u, v), (q, u), (q, v), (q, ybar), (ybar, u), (ybar, v)))
     total = guv + gqu * gqv

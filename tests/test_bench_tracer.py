@@ -47,6 +47,7 @@ def test_the_bench_tracer_installs_and_restores_every_name():
         conn = riemann.levi_civita(LieAlgebra.from_brackets(2, {(0, 1): [0, 1]}), metric)
         tracer.begin_op(0)
         riemann.sectional(riemann.riemann_tensor(conn), metric, Vector([1.0, 0]), [0, 1])
+        metric.inner(Vector([1.0, 0]), [0, 1])  # sectional reads g through inner_read
         tracer.end_op()
         assert tracer.calls["riemann.sectional"] == 1
         assert tracer.calls["algebra.MetricTensor.inner"] >= 1

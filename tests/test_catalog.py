@@ -216,3 +216,43 @@ def test_mutated_case4_forms_match_golden():
 
 if __name__ == "__main__":  # regenerate the golden: PYTHONPATH=src python tests/test_catalog.py
     MUTATED_GOLDEN.write_text(mutated_case4_report(), encoding="utf-8")
+
+
+def test_rand_vector_is_born_with_the_old_draws_int_form():
+    """catalog._rand_vector makes the same rng.randint calls in the same order as the Fraction
+    construction it replaced, and is born with that construction's int form: over 2000 draws
+    from several seeds, equal coefficients, equal `ints` (the lcm of the reduced denominators)
+    and the same state of the generator afterwards."""
+    import random
+
+    def old(rng, dim):
+        while True:
+            v = Vector(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim))
+            if not v.is_zero():
+                return v
+
+    draws = 0
+    for seed in (0, 1, 7, 11, 20131017):
+        new_rng, old_rng = random.Random(seed), random.Random(seed)
+        for k in range(400):
+            dim = 1 + k % 6
+            got, want = catalog._rand_vector(new_rng, dim), old(old_rng, dim)
+            assert got._coeffs is None  # born with its int form
+            assert got.ints == want.ints and got.coeffs == want.coeffs
+            assert all(type(x) is Fraction for x in got.coeffs)
+            draws += 1
+        assert new_rng.getstate() == old_rng.getstate()
+    assert draws == 2000
+
+
+def test_vectors_match_reads_exact_int_forms():
+    """catalog._vectors_match compares two exact vectors by their int forms, with
+    approx_equal's exact verdict, and keeps approx_equal's tolerance for any float."""
+    a = Vector([Fraction(1, 2), Fraction(-2, 3), 0])
+    assert catalog._vectors_match(a, Vector([3, -4, 0], 6))
+    assert catalog._vectors_match(a, Vector([Fraction(2, 4), Fraction(-4, 6), Fraction(0)]))
+    assert not catalog._vectors_match(a, Vector([3, -4, 1], 6))
+    assert not catalog._vectors_match(a, Vector([Fraction(1, 2) + Fraction(1, 10 ** 30),
+                                                 Fraction(-2, 3), 0]))
+    assert catalog._vectors_match(a, Vector([0.5, -2 / 3 + 1e-12, 0.0]))
+    assert not catalog._vectors_match(a, Vector([0.5, -2 / 3 + 1e-6, 0.0]))

@@ -343,7 +343,7 @@ if st is not None:
                               st.floats(allow_nan=False, allow_infinity=False))
 
     @st.composite
-    def float_bilinear_inputs(draw):
+    def float_table_inputs(draw):
         """(table, u, v): a float table of 1-6 rows of 1-6 entries, some rows all zero, and
         two exact Vectors to fit, each of user ints or of Fractions p/q with q up to 10^6."""
         rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
@@ -359,28 +359,92 @@ if st is not None:
         return table, vector(rows), vector(cols)
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
-    @given(float_bilinear_inputs())
+    @given(float_table_inputs())
     @example(([[0.0, -0.0], [0, 0.0]], Vector([1, 2]), Vector([F(3, 7), 5])))  # no live entry
     @example(([[0.5, 2.0]], Vector([F(0)]), Vector([1, 1])))  # no live coefficient
     @example(([[-5e-324]], Vector([F(1, 10 ** 6)]), Vector([F(1, 10 ** 6)])))  # -0.0 product
     @example(([[1e308, 1e308]], Vector([2 ** 80]), Vector([1, -1])))  # inf - inf: nan
     @example(([[1.0]], Vector([666170095015151626098468]),  # float(x) * float(y) / den is
               Vector([F(-999594411184038167267878, 592923)])))  # one ulp off
-    def test_float_bilinear_matches_contract_on_float_tables(inputs):
-        """linalg.float_bilinear on the int forms gives contract's result on the Fraction or
-        int coefficients to the bit, by repr and type: the same order, skips and start, one
+    def test_form_on_int_forms_matches_contract_on_float_tables(inputs):
+        """linalg.form on the int forms over their den gives contract's result on the Fraction
+        or int coefficients to the bit, by repr and type: the same order, skips and start, one
         rounding per coefficient, and Fraction(0) where no term is live."""
         table, u, v = inputs
         (du, a), (dv, b) = u.ints, v.ints
-        got = linalg.float_bilinear(table, a, b, du * dv)
+        got = linalg.form(linalg.nonzero_entries(table), a, b, du * dv)
         want = linalg.contract(table, u.coeffs, v.coeffs)
         assert (type(got), repr(got)) == (type(want), repr(want))
 
+    # exact entries, huge ones whose float overflows among them, and FLOAT_ENTRIES
+    TABLE_ENTRIES = st.one_of(
+        FLOAT_ENTRIES, st.integers(-3, 3), st.integers(-2 ** 80, 2 ** 80),
+        st.builds(F, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6)),
+        st.sampled_from((F(10 ** 400, 7), -10 ** 320, F(1, 10 ** 400))))
+    # floats of every size: zeros of both signs, subnormals, and ones whose products overflow
+    COEFFS = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, 1e200, -1e300)),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+    @st.composite
+    def form_inputs(draw):
+        """(table, x, y): a table of 1-6 rows of 1-6 TABLE_ENTRIES, some rows all zero, and
+        coefficient vectors to fit, each exact (ints or Fractions), float, mixed or all dead
+        (exact zeros)."""
+        rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        row = st.one_of(st.just([0] * cols), st.lists(TABLE_ENTRIES, min_size=cols,
+                                                       max_size=cols))
+        table = draw(st.lists(row, min_size=rows, max_size=rows))
+
+        def vector(n):
+            kind = draw(st.sampled_from(("exact", "float", "mixed", "dead")))
+            exact = st.one_of(NUMERATORS, st.builds(F, NUMERATORS, st.integers(1, 10 ** 6)))
+            entry = {"exact": exact, "float": COEFFS, "mixed": st.one_of(exact, COEFFS),
+                     "dead": st.sampled_from((0, F(0)))}[kind]
+            return draw(st.lists(entry, min_size=n, max_size=n))
+        return table, vector(rows), vector(cols)
+
+    class FloatShy(F):
+        """A Fraction that fails any arithmetic with a float: an entry that a float
+        coefficient must never meet."""
+
+        def __mul__(self, other):
+            assert not isinstance(other, float), "a float coefficient met an exact entry"
+            return F.__mul__(self, other)
+
+        __rmul__ = __mul__
+
+    def outcome(compute):
+        """(type, repr) of a result, or the type of the error it raised."""
+        try:
+            got = compute()
+        except OverflowError as exc:
+            return type(exc)
+        return type(got), repr(got)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(form_inputs())
+    @example(([[0.0, -0.0], [0, 5e-324]], [1.0, 0.5], [F(1, 3), 0.0]))  # a -0.0 first product
+    @example(([[1, 2]], [0], [1.0, 2.0]))  # no live coefficient: Fraction(0)
+    @example(([[F(1, 3)]], [0.0], [F(2)]))  # a live float 0.0 makes the sum 0.0
+    @example(([[F(10 ** 400, 7)]], [1.0], [1]))  # a float meets an entry past 1e308
+    @example(([[1e308, 1e308]], [1e200], [1, -1]))  # inf - inf: nan
+    def test_form_matches_contract(inputs):
+        """linalg.form over nonzero_entries is contract's scalar x^T T y, compared by type and
+        repr, or the same OverflowError: its order, live coefficients, start and Fraction(0)
+        where no term is live. A float coefficient meets each entry's float, never its exact
+        value (FloatShy entries give the same result)."""
+        table, x, y = inputs
+        entries = linalg.nonzero_entries(table)
+        want = outcome(lambda: linalg.contract(table, x, y))
+        assert outcome(lambda: linalg.form(entries, x, y)) == want
+        shy = [(i, j, FloatShy(e) if isinstance(e, F) else e, f) for i, j, e, f in entries]
+        assert outcome(lambda: linalg.form(shy, x, y)) == want
+
 
 def test_inner_on_float_and_mixed_grams():
-    """An exact pair on a Gram matrix of floats and exact zeros reads float_bilinear with
-    contract's bits; one exact nonzero entry among floats keeps contract, so g(e0, e0) on
-    [[1, 0.5], [0.5, 2]] reads only the 1 and stays exact."""
+    """An exact pair on a Gram matrix of floats and exact zeros reads linalg.form on its int
+    forms, with contract's bits; one exact nonzero entry among floats keeps the coefficients,
+    so g(e0, e0) on [[1, 0.5], [0.5, 2]] reads only the 1 and stays exact."""
     mixed = MetricTensor([[1, 0.5], [0.5, 2]])
     assert not mixed.float_only
     for e0, kind in (([1, 0], int), (Vector.basis(2, 0), F)):

@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import change_basis, invert, rand_fraction, rand_invertible, rand_vector
-from oracles import (flag_curvature_four_g_y, fraction_gram, g_y_hessian_oracle,
+from oracles import (flag_curvature_four_g_y, fraction_forms, g_y_hessian_oracle,
                      g_y_pointwise, sectional_dense)
 from test_exact_vs_float import close, semidirect_documents
 from test_riemann import assert_same_outcome, decimal_vector
-from liecurv import catalog
+from liecurv import catalog, linalg
 from liecurv.algebra import MetricTensor, Vector
 from liecurv.errors import (DegeneratePlaneError, NonBerwaldError,
                             NormBoundError, UndefinedAtOriginError)
@@ -356,10 +356,10 @@ def test_exact_and_float_agree_at_every_scale(k):
 
 def test_float_flags_on_exact_tensors_match_the_fraction_path():
     """MetricTensor.inner, g_y, plane_form and flag_curvature with float vectors on exact
-    tensors: contracting the float images gives the bits, compared by repr, that
-    contracting the Fraction tables gives (oracles.fraction_gram). Flags orthonormalized
-    as catalog.reproduce does, raw poles with irrational norms, decimal and mixed poles;
-    identity metrics and the cases carried to Gram matrices with thirds."""
+    tensors: linalg.form, each float coefficient meeting an entry's float, gives the bits,
+    compared by repr, that contracting the Fraction tables gives (oracles.fraction_forms).
+    Flags orthonormalized as catalog.reproduce does, raw poles with irrational norms, decimal
+    and mixed poles; identity metrics and the cases carried to Gram matrices with thirds."""
     rng = random.Random(20130525)
     setups = [(catalog.get_case(i, **params), None) for i, params in
               ((1, {}), (6, {}), (4, {"alpha": F(-1), "beta": F(0)}))]
@@ -390,7 +390,7 @@ def test_float_flags_on_exact_tensors_match_the_fraction_path():
                         *g_y(rm, pole, [(pole, pole), (pole, edge), (edge, edge)]
                              + list(zip(basis, basis[1:] + basis[:1])))]
             values = run()
-            with fraction_gram():
+            with fraction_forms():
                 want = [repr(x) for x in run()]
             assert [repr(x) for x in values] == want, (pole, edge)
             floats += isinstance(values[3], float)
@@ -607,3 +607,65 @@ def test_parallel_fields_match_connection(rng):
             for _ in range(5):
                 u = rand_vector(rng, 4)
                 assert conn.derivative(u, q).is_zero()
+
+
+def test_g_y_at_the_pole_is_f_squared_near_minus_q():
+    """g_y(y, y), the pole object at both places, is F(y)^2 from _randers_f. At two poles near
+    -Q on case 1, drift (0, 0, 1 - 10^-k, 0) and pole (10^-e, 0, -1, 0) for (k, e) = (8, 4) and
+    (6, 3), the term-by-term sum cancelled to a relative error of 0.97 and 9e-5; now it is
+    within 4 ulps of F^2 = (sqrt(g(y,y)) + g(Q,y))^2 to 60 digits. The same pole as decimals
+    carries the rounding of g(y,y) = 1 + 10^-8 into F, so there the bound is 10^-7,
+    relative. A zero g(Q,y) gives g(y,y) itself: the same Fraction, even where its root is
+    irrational."""
+    case = catalog.get_case(1)
+
+    def f_squared(drift, pole):
+        yy, beta = (sum(F(a) * F(b) for a, b in zip(x, pole)) for x in (pole, drift))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            root = (decimal.Decimal(yy.numerator) / yy.denominator).sqrt()
+            return (root + decimal.Decimal(beta.numerator) / beta.denominator) ** 2
+
+    for k, e in ((8, 4), (6, 3)):
+        for exact in (True, False):
+            q, eps = (1 - F(1, 10 ** k), F(1, 10 ** e)) if exact else (1 - 10.0 ** -k,
+                                                                         10.0 ** -e)
+            drift, pole = Vector([0, 0, q, 0]), Vector([eps, 0, -1 if exact else -1.0, 0])
+            rm = build_randers(case.metric, drift, case.connection)
+            (got,) = g_y(rm, pole, [(pole, pole)])
+            want = f_squared(drift, pole)
+            error = abs(decimal.Decimal(got) - want)
+            if exact:
+                assert error <= 4 * decimal.Decimal(math.ulp(float(want))), (k, got, want)
+            else:
+                assert error <= want / 10 ** 7, (k, got, want)
+    rm = build_randers(case.metric, Vector([0, 0, F(1, 2), 0]), case.connection)
+    pole = Vector([1, F(1, 3), 0, 1])  # g(y,y) = 19/9, its root irrational; g(Q,y) = 0
+    got = g_y(rm, pole, [(pole, pole), (pole, Vector([1, F(1, 3), 0, 1]))])
+    assert got[0] == F(19, 9) and type(got[0]) is F
+    assert got[1] == F(19, 9)
+
+
+def test_float_poles_on_case_1_make_no_contract_call(monkeypatch):
+    """On case 1 with a float pole (orthonormal_pair's output when a norm is irrational), g_y,
+    MetricTensor.inner, plane_form and flag_curvature sum the live entries of g and op in
+    linalg.form: no linalg.contract call, and the bits of the contraction."""
+    case = catalog.get_case(1)
+    rm = build_randers(case.metric, Vector([0, 0, F(1, 3), 0]), case.connection)
+    rt = case.curvature
+    pole, edge = map(Vector, orthonormal_pair(case.metric, Vector([1, 2, 0, 1]),
+                                              Vector([0, 1, F(1, 2), 3])))
+    assert all(type(x) is float for x in (*pole, *edge))
+    r = curvature_apply(rt, edge, pole, pole)
+
+    def run():
+        return [*g_y(rm, pole, [(pole, pole), (pole, edge), (edge, edge), (r, edge)]),
+                case.metric.inner(pole, edge), case.metric.inner(rm.drift, pole),
+                *plane_form(rt, pole, edge), flag_curvature(rm, rt, Flag(pole, edge))]
+    with fraction_forms():
+        want = [repr(x) for x in run()]
+    calls = []
+    monkeypatch.setattr(linalg, "contract", lambda *args: calls.append(args))
+    got = run()
+    assert calls == []
+    assert [repr(x) for x in got] == want

@@ -108,8 +108,8 @@ def test_scalar_curvature_reads_the_tensors_own_metric():
     rng = random.Random(20130522)
     for case_id in (1, 2, 3, 5, 6):
         case, _, rt = pipeline(case_id)
-        float_rt = riemann_tensor(levi_civita(case.algebra,
-                                              MetricTensor(case.metric.float_gram)))
+        float_rt = riemann_tensor(levi_civita(case.algebra, MetricTensor(
+            [[float(x) for x in row] for row in case.metric.gram])))
         other = rand_pd_metric(rng, case.algebra.dim)
         floats = MetricTensor([[float(x) for x in row] for row in other.gram])
         for tensor in (rt, float_rt):
@@ -413,11 +413,13 @@ def test_exact_curvature_and_basis_planes_skip_the_generic_paths(monkeypatch):
 
 def test_exact_bilinear_forms_make_no_contract_call(monkeypatch):
     """Exact plane_form (a non-basis and a basis plane), flag_curvature, MetricTensor.inner and
-    orthonormal_pair read their int forms with linalg.bilinear: no linalg.contract call. A
-    mixed vector still contracts, so the spy sees the generic path where it runs."""
+    orthonormal_pair read their int forms with linalg.bilinear: no linalg.contract or
+    linalg.form call. A mixed vector takes linalg.form, so the spy sees the generic path where
+    it runs."""
     calls = []
-    monkeypatch.setattr(linalg, "contract", lambda *args, real=linalg.contract:
-                        calls.append(args) or real(*args))
+    for name in ("contract", "form"):
+        monkeypatch.setattr(linalg, name, lambda *args, real=getattr(linalg, name):
+                            calls.append(args) or real(*args))
     case, conn, rt = pipeline(3)
     rm = build_randers(case.metric, Vector([0, 0, F(1, 2), 0]), conn)
     assert rm.berwald
@@ -439,8 +441,8 @@ def test_exact_bilinear_forms_make_no_contract_call(monkeypatch):
 def test_exact_vectors_on_a_decimal_document_make_no_contract_call(monkeypatch):
     """On a decimal document (a float tensor and a float Gram matrix) exact basis and non-basis
     vectors read their int forms: plane_form, sectional and MetricTensor.inner go through
-    linalg.float_bilinear, make no linalg.contract call and build no vector's Fraction coeffs,
-    and give the bits of the Fraction contraction."""
+    linalg.form over the int forms, make no linalg.contract call and build no vector's Fraction
+    coeffs, and give the bits of the Fraction contraction."""
     calls = []
     monkeypatch.setattr(linalg, "contract", lambda *args, real=linalg.contract:
                         calls.append(args) or real(*args))
