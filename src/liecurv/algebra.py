@@ -8,11 +8,10 @@ brackets only for i < j and the antisymmetric completion is generated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .errors import DimensionMismatchError, InputError
@@ -230,12 +229,14 @@ class MetricTensor:
 # --- Jacobi -----------------------------------------------------------------
 
 
-@dataclass
 class JacobiReport:
     """Outcome of the antisymmetry scan and the Jacobi identity scan."""
 
-    antisymmetry_violations: list = field(default_factory=list)
-    violations: list = field(default_factory=list)  # (i, j, k, residual Vector)
+    def __init__(self, antisymmetry_violations: list | None = None,
+                 violations: list | None = None):
+        self.antisymmetry_violations = ([] if antisymmetry_violations is None
+                                        else antisymmetry_violations)
+        self.violations = [] if violations is None else violations  # (i, j, k, residual Vector)
 
     @property
     def antisymmetry_ok(self) -> bool:

@@ -24,15 +24,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import re
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from importlib import resources
 
 from . import exprs
-from .algebra import JacobiReport, LieAlgebra, MetricTensor, Vector, check_jacobi
+from .algebra import JacobiReport, LieAlgebra, Vector, check_jacobi
 from .documents import Document, parse_document
 from .errors import DegeneratePlaneError, InputError
 from .linalg import orthonormal_pair, rank
@@ -50,8 +49,8 @@ _FUNDAMENTAL = ("pole_pole", "pole_edge", "edge_edge", "flag_numerator")
 @cache
 def _load() -> tuple[list, list]:
     """(parsed fixture list, raw text lines), read once per process."""
-    text = resources.files("liecurv").joinpath("data/cases.json").read_text("utf-8")
-    return json.loads(text), text.splitlines()
+    with open(os.path.join(os.path.dirname(__file__), "data/cases.json"), encoding="utf-8") as f:
+        return json.loads(text := f.read()), text.splitlines()
 
 
 def case_ids() -> list[int]:
@@ -85,19 +84,11 @@ def _coerce_param(name: str, value) -> Scalar:
     raise InputError(f"parameter {name} must be a rational or decimal")
 
 
-@dataclass
 class Geometry:
     """One document's stage chain; each stage runs once, on first use."""
 
-    document: Document
-
-    @property
-    def metric(self) -> MetricTensor:
-        return self.document.metric
-
-    @property
-    def params(self) -> dict:
-        return self.document.params
+    def __init__(self, document: Document):
+        self.document, self.metric, self.params = document, document.metric, document.params
 
     @cached_property
     def algebra(self) -> LieAlgebra:
@@ -128,11 +119,10 @@ class Geometry:
         return parallel_fields(self.connection)
 
 
-@dataclass
 class CatalogCase(Geometry):
-    id: int
-    name: str
-    expected: dict
+    def __init__(self, document: Document, id: int, name: str, expected: dict):
+        super().__init__(document)
+        self.id, self.name, self.expected = id, name, expected
 
     def _eval(self, text: str, env: dict | None = None) -> Scalar:
         """text over env, which binds the parameters too; by default them alone."""
@@ -257,40 +247,34 @@ def fixture_line(case_id: int, item: str) -> int:
 # --- reproduce ----------------------------------------------------------------
 
 
-@dataclass
 class Discrepancy:
-    case: int
-    item: str
-    paper_value: str
-    computed_value: str
-    fixture_line: int
-    annotated: bool = False
-    derivation: str | None = None
+    def __init__(self, case: int, item: str, paper_value: str, computed_value: str,
+                 fixture_line: int, annotated: bool = False, derivation: str | None = None):
+        self.case, self.item, self.fixture_line = case, item, fixture_line
+        self.paper_value, self.computed_value = paper_value, computed_value
+        self.annotated, self.derivation = annotated, derivation
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        if self.derivation is None:
-            del out["derivation"]
-        return out
+        extra = {} if self.derivation is None else {"derivation": self.derivation}
+        return {"case": self.case, "item": self.item, "paper_value": self.paper_value,
+                "computed_value": self.computed_value, "fixture_line": self.fixture_line,
+                "annotated": self.annotated, **extra}
 
 
-@dataclass
 class ReportItem:
-    name: str
-    passed: bool
-    detail: str = ""
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name, self.passed, self.detail = name, passed, detail
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass
 class CaseReport:
-    case_id: int
-    name: str
-    params: dict
-    items: list = field(default_factory=list)
-    discrepancies: list = field(default_factory=list)
+    def __init__(self, case_id: int, name: str, params: dict,
+                 items: list | None = None, discrepancies: list | None = None):
+        self.case_id, self.name, self.params = case_id, name, params
+        self.items = [] if items is None else items
+        self.discrepancies = [] if discrepancies is None else discrepancies
 
     @property
     def passed(self) -> bool:

@@ -13,26 +13,24 @@ codes: 0 success, 1 input error, 2 mathematical precondition violation,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 
 from . import catalog
 from .algebra import Vector
-from .documents import document_digest, load_document
+from .documents import Document, document_digest, load_document
 from .errors import InputError, LiecurvError, NonBerwaldError, PreconditionError
 from .randers import Flag, build_randers, flag_curvature, g_y, randers_norm
 from .riemann import sectional
 from .scalars import format_scalar, is_zero, parse_rational, scalar_to_json, shown_literal
 
 
-@dataclasses.dataclass
 class CommandResult:
-    sections: dict
-    text: list
-    discrepancies: list = dataclasses.field(default_factory=list)
-    status: int = 0
+    def __init__(self, sections: dict, text: list, discrepancies: list | None = None,
+                 status: int = 0):
+        self.sections, self.text, self.status = sections, text, status
+        self.discrepancies = [] if discrepancies is None else discrepancies
 
 
 def _parse_vector(text: str, dim: int, flag_name: str) -> Vector:
@@ -80,8 +78,11 @@ def _resolve_document(args) -> catalog.Geometry:
                              "put params in the document instead")
         geo = catalog.Geometry(load_document(args.document))
     if args.drift is not None:
-        drift = _parse_vector(args.drift, geo.document.dim, "--drift")
-        geo = dataclasses.replace(geo, document=dataclasses.replace(geo.document, drift=drift))
+        doc = geo.document
+        doc = Document(doc.dim, doc.labels, doc.brackets, doc.metric,
+                       _parse_vector(args.drift, doc.dim, "--drift"), doc.params)
+        geo = (catalog.CatalogCase(doc, geo.id, geo.name, geo.expected)
+               if isinstance(geo, catalog.CatalogCase) else catalog.Geometry(doc))
     return geo
 
 

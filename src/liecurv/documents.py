@@ -20,10 +20,8 @@ parameterized catalog case ships.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-from dataclasses import dataclass
 
 from . import exprs
 from .algebra import LieAlgebra, MetricTensor, Vector, default_labels
@@ -42,14 +40,11 @@ _PARAM_KEYS = {"alpha", "beta"}
 _BRACKET_KEYS = {"i", "j", "coeffs"}
 
 
-@dataclass
 class Document:
-    dim: int
-    labels: tuple
-    brackets: dict  # (i, j) -> tuple of Scalars, i < j
-    metric: MetricTensor
-    drift: Vector | None
-    params: dict
+    def __init__(self, dim: int, labels: tuple, brackets: dict, metric: MetricTensor,
+                 drift: Vector | None, params: dict):
+        self.dim, self.labels, self.brackets = dim, labels, brackets  # (i, j) -> Scalars, i < j
+        self.metric, self.drift, self.params = metric, drift, params
 
     def algebra(self) -> LieAlgebra:
         return LieAlgebra.from_brackets(self.dim, self.brackets, self.labels)
@@ -226,6 +221,7 @@ def document_digest(doc: Document) -> str:
     serialize_document round-trips every float, so documents that differ in
     any float get different digests.
     """
+    import hashlib  # only the document commands stamp a digest
     canonical = json.dumps(serialize_document(doc), sort_keys=True,
                            separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

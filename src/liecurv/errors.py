@@ -5,8 +5,6 @@ code 1) and violated mathematical preconditions (PreconditionError, CLI exit
 code 2). Everything else is a bug.
 """
 
-from __future__ import annotations
-
 
 class LiecurvError(Exception):
     """Base class for all library errors."""

@@ -41,8 +41,8 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .errors import InputError
 from .scalars import Scalar, format_scalar, is_exact

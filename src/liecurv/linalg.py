@@ -20,9 +20,9 @@ MetricTensor.cleared_gram, LieAlgebra.cleared_structure, _eliminate.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
 
 from .errors import DegeneratePlaneError, InputError
 from .scalars import TOLERANCE, Scalar, is_exact, sqrt_scalar

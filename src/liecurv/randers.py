@@ -23,8 +23,6 @@ drift = 0 limit degenerates to g exactly, not merely within tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .algebra import MetricTensor, Vector, as_vector
 from .errors import (DegeneratePlaneError, InputError, NonBerwaldError,
@@ -33,26 +31,23 @@ from .riemann import ROUNDED_PLANE, Connection, CurvatureTensor, plane_form
 from .scalars import Scalar, format_scalar, is_exact_zero, is_zero, sqrt_scalar
 
 
-@dataclass
 class RandersMetric:
     """A validated Randers structure; build through build_randers."""
 
-    base: MetricTensor
-    drift: Vector
-    berwald: bool
-    drift_norm_sq: Scalar
+    def __init__(self, base: MetricTensor, drift: Vector, berwald: bool, drift_norm_sq: Scalar):
+        self.base, self.drift, self.berwald = base, drift, berwald
+        self.drift_norm_sq = drift_norm_sq
 
     @property
     def dim(self) -> int:
         return self.base.dim
 
 
-@dataclass
 class Flag:
     """A flag: pole direction y and a transverse edge spanning the plane."""
 
-    pole: Vector
-    edge: Vector
+    def __init__(self, pole: Vector, edge: Vector):
+        self.pole, self.edge = pole, edge
 
 
 def parallel_fields(conn: Connection) -> list[Vector]:

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
 
 from .errors import InputError, PreconditionError
 
-Scalar = Union[int, Fraction, float]
+Scalar = int | Fraction | float
 
 # Global absolute tolerance for floating-mode residual checks.
 TOLERANCE = 1e-9

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import random
@@ -13,7 +12,8 @@ from test_exact_vs_float import close, semidirect_objects
 from liecurv import catalog, exprs, randers, riemann
 from liecurv.algebra import Vector
 from liecurv.cli import MAX_GRID_POINTS, main
-from liecurv.documents import MAX_DIM, document_digest, load_document, serialize_document
+from liecurv.documents import (MAX_DIM, Document, document_digest, load_document,
+                               serialize_document)
 from liecurv.errors import InputError
 from liecurv.exprs import MAX_EXPR_BITS, MAX_EXPR_TOKENS, MAX_POWER_BITS
 
@@ -113,7 +113,8 @@ DOCUMENT_COMMANDS = {
 
 
 def _with_drift(doc, *drift):
-    return dataclasses.replace(doc, drift=Vector(Fraction(x) for x in drift))
+    return Document(doc.dim, doc.labels, doc.brackets, doc.metric,
+                    Vector(Fraction(x) for x in drift), doc.params)
 
 
 @pytest.mark.parametrize("source", ["file", "case4", "drift_override"])
@@ -1010,3 +1011,43 @@ def test_cli_import_does_not_load_numpy():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# Stdlib machinery that the CLI path must not pull in: each costs a cold process
+# milliseconds (dataclasses brings inspect, ast and dis along).
+HEAVY_MODULES = ("dataclasses", "inspect", "typing", "importlib.resources", "hashlib")
+
+
+def _newly_loaded(code: str) -> tuple[set, bool]:
+    """(modules a fresh interpreter loads while running code, beyond the ones it
+    started with; whether hashlib is loaded at the end). -S skips site, whose .pth
+    files may preload some of HEAVY_MODULES; the comparison holds either way."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = ("import sys\nbefore = set(sys.modules)\n" + code
+              + "\nnew = sorted(set(sys.modules) - before)\nimport json\n"
+              "print(json.dumps([new, 'hashlib' in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    new, hashlib_loaded = json.loads(proc.stdout.splitlines()[-1])
+    return set(new), hashlib_loaded
+
+
+def test_cli_import_loads_no_heavy_stdlib_module():
+    new, _ = _newly_loaded("import liecurv.cli")
+    assert "liecurv.cli" in new and "liecurv.catalog" in new
+    assert not new & set(HEAVY_MODULES), sorted(new & set(HEAVY_MODULES))
+
+
+def test_only_document_commands_load_hashlib():
+    new, _ = _newly_loaded("from liecurv.cli import main\nmain(['catalog', 'list'])")
+    assert "liecurv.cli" in new and "hashlib" not in new
+    _, hashlib_loaded = _newly_loaded("from liecurv.cli import main\n"
+                                      "assert main(['scalar', '--case', '1']) == 0")
+    assert hashlib_loaded
+
+
+def test_fixture_text_is_the_packaged_resource():
+    from importlib import resources
+    text = resources.files("liecurv").joinpath("data/cases.json").read_text("utf-8")
+    assert catalog._load() == (json.loads(text), text.splitlines())
