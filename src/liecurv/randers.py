@@ -23,11 +23,15 @@ drift = 0 limit degenerates to g exactly, not merely within tolerance.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+from operator import mul
+
 from . import linalg
 from .algebra import MetricTensor, Vector, as_vector
 from .errors import (DegeneratePlaneError, InputError, NonBerwaldError,
                      NormBoundError, UndefinedAtOriginError)
-from .riemann import ROUNDED_PLANE, Connection, CurvatureTensor, plane_form
+from .riemann import ROUNDED_PLANE, Connection, CurvatureTensor, plane_sums
 from .scalars import Scalar, format_scalar, is_exact_zero, is_zero, sqrt_scalar
 
 
@@ -54,12 +58,10 @@ def parallel_fields(conn: Connection) -> list[Vector]:
     """Basis of left-invariant fields Q with nabla_U Q = 0 for all U.
 
     The condition is the dim^2 x dim linear system sum_j gamma[i][j][k] Q_j = 0, solved
-    on the connection's rows, den gamma, which have its nullspace. It is exact in rational
-    mode, so 'dimension 0 vs 1' never hinges on a tolerance.
+    on the connection's rows, den gamma (Connection.system), which have its nullspace. It is
+    exact in rational mode, so 'dimension 0 vs 1' never hinges on a tolerance.
     """
-    n = conn.dim
-    rows = [[conn.rows[i][j][k] for j in range(n)] for i in range(n) for k in range(n)]
-    return [Vector(b) for b in linalg.nullspace(rows, n)]
+    return [Vector(b) for b in linalg.nullspace(conn.system, conn.dim)]
 
 
 def build_randers(metric: MetricTensor, drift, conn: Connection) -> RandersMetric:
@@ -74,12 +76,13 @@ def build_randers(metric: MetricTensor, drift, conn: Connection) -> RandersMetri
     if not norm_sq < 1:
         raise NormBoundError(
             f"drift must satisfy g(Q,Q) < 1 strictly, got g(Q,Q) = {format_scalar(norm_sq)}")
-    # an exact drift on an exact store tests den * gamma on its int form for exact zeros; else
-    # gamma is read at value scale, rows / den, so the tolerance of is_zero does not grow with den
-    form = conn.gram and drift.ints
-    gamma, q = ((conn.rows, form[1]) if form else
-                ([[[x / conn.den for x in row] for row in block] for block in conn.rows], drift))
-    berwald = all(is_zero(x) for block in gamma for x in linalg.contract(block, q))
+    # an exact drift on an exact store: int dot products with Connection.system; else gamma is
+    # read at value scale, rows / den, so the tolerance of is_zero does not grow with den
+    if form := conn.gram and drift.ints:
+        berwald = not any(sum(map(mul, row, form[1])) for row in conn.system)
+    else:
+        gamma = [[[x / conn.den for x in row] for row in block] for block in conn.rows]
+        berwald = all(is_zero(x) for block in gamma for x in linalg.contract(block, drift))
     return RandersMetric(base=metric, drift=drift, berwald=berwald,
                          drift_norm_sq=norm_sq)
 
@@ -145,29 +148,28 @@ def g_y(rm: RandersMetric, ybar, pairs) -> list[Scalar]:
 def flag_curvature(rm: RandersMetric, rt: CurvatureTensor, flag: Flag) -> Scalar:
     """Flag curvature K(P, y) of the plane P = span{y, e} with pole y and edge e.
 
-    Only supported for Berwald type (parallel drift), where the curvature of
-    the Chern connection is the Riemannian tensor of g. The definition
+    Only supported for Berwald type (parallel drift), where the curvature of the Chern
+    connection is the Riemannian tensor of g. The definition
 
         K(P, y) = g_y(R(e,y)y, e) / (g_y(y,y) g_y(e,e) - g_y(y,e)^2)
 
-    then reduces to g(y,y) K_g(P) / F(y)^2. Write alpha = sqrt(g(y,y)),
-    beta = g(Q,y) and F = alpha + beta. Both sides are unchanged when e is
-    replaced by e + t y, so take e orthogonal to y in g. Since Q is parallel,
-    R(.,.)Q = 0, so w = R(e,y)y satisfies g(w,y) = 0 and
-    g(w,Q) = -g(R(e,y)Q, y) = 0, and the closed form of g_y gives
-    g_y(w, e) = (F/alpha) g(w, e). With g(y,e) = 0 it also gives
-    g_y(y,y) = F^2, g_y(y,e) = F g(Q,e) and
-    g_y(e,e) = (F/alpha) g(e,e) + g(Q,e)^2, so the plane determinant is
-    F^3 g(e,e) / alpha. The ratio is g(w,e) / (F^2 g(e,e)), and
-    K_g(P) = g(w,e) / (alpha^2 g(e,e)), which riemann.plane_form gives as
-    the form op on the 2-form y^e over the Gram determinant of the plane.
+    then reduces to g(y,y) K_g(P) / F(y)^2. Write alpha = sqrt(g(y,y)), beta = g(Q,y) and
+    F = alpha + beta. Both sides are unchanged when e is replaced by e + t y, so take e
+    orthogonal to y in g. Since Q is parallel, R(.,.)Q = 0, so w = R(e,y)y satisfies
+    g(w,y) = 0 and g(w,Q) = -g(R(e,y)Q, y) = 0, and the closed form of g_y gives
+    g_y(w, e) = (F/alpha) g(w, e). With g(y,e) = 0 it also gives g_y(y,y) = F^2,
+    g_y(y,e) = F g(Q,e) and g_y(e,e) = (F/alpha) g(e,e) + g(Q,e)^2, so the plane determinant
+    is F^3 g(e,e) / alpha. The ratio is g(w,e) / (F^2 g(e,e)), and
+    K_g(P) = g(w,e) / (alpha^2 g(e,e)), which riemann.plane_sums gives as the form op on the
+    2-form y^e over the Gram determinant of the plane.
 
-    F and F^2 come from _randers_f, which randers_norm reads too. For beta < 0,
-    alpha + beta cancels as y nears -Q: F is (g(y,y) - beta^2) / (alpha - beta),
-    its numerator positive by Cauchy-Schwarz, and F^2 = F F. Else F^2 is
-    g(y,y) + 2 beta alpha + beta^2. An exact zero beta returns K_g(P) itself,
-    so a zero drift, or a pole g-orthogonal to the drift, never meets an
-    irrational square root.
+    F and F^2 come from _randers_f, which randers_norm reads too. For beta < 0, alpha + beta
+    cancels as y nears -Q: F is (g(y,y) - beta^2) / (alpha - beta), its numerator positive by
+    Cauchy-Schwarz, and F^2 = F F. Else F^2 is g(y,y) + 2 beta alpha + beta^2. An exact zero
+    beta returns K_g(P) itself, so a zero drift, or a pole g-orthogonal to the drift, never
+    meets an irrational square root. An exact flag (pole, edge, drift and both Gram matrices
+    exact) stays in ints: plane_sums' sums and one bilinear for beta. Where alpha is rational
+    the result is one Fraction; else _randers_f reads the exact g(y,y) and beta.
     """
     if not rm.berwald:
         raise NonBerwaldError(
@@ -175,16 +177,25 @@ def flag_curvature(rm: RandersMetric, rt: CurvatureTensor, flag: Flag) -> Scalar
             "this Randers metric has nabla Q != 0")
     if rt.dim != rm.dim:
         raise InputError("curvature tensor dimension differs from Randers metric")
-    pole, edge = (as_vector(x, rm.dim) for x in (flag.pole, flag.edge))
-    numerator, den, yy = plane_form(rt, pole, edge)
+    pole, edge = as_vector(flag.pole, rm.dim), as_vector(flag.edge, rm.dim)
+    num, den, yy, dens = plane_sums(rt, pole, edge)
     if not yy:  # a nonzero pole is judged by the float range, not by its size
         raise UndefinedAtOriginError(_ROUNDED_OUT if any(pole) else "flag pole must be nonzero")
     if not den:
         raise DegeneratePlaneError(ROUNDED_PLANE if den is None else
                                    "flag pole and edge are linearly dependent")
-    k = numerator / den
-    beta = rm.base.inner(rm.drift, pole)
-    if is_exact_zero(beta):
+    fq, cg, beta = rm.drift.ints, rm.base.cleared_gram, None
+    if dens:  # an exact plane: K_g = kn / kd and g(y,y) = yy / a
+        (dy, y), a, kn, kd = pole.ints, dens[2], num * rt.gram[0] ** 2, rt.op_den * den
+        if fq and cg:  # and an exact drift, beta = b / bb: ints until the result
+            if not (b := linalg.bilinear(cg[1], fq[1], y)):
+                return Fraction(kn, kd)
+            bb = cg[0] * fq[0] * dy
+            if (s := math.isqrt(yy * a)) ** 2 == yy * a and (f := s * bb + b * a):
+                return Fraction(yy * kn * a * bb * bb, kd * f * f)  # sqrt(g(y,y)) = s / a
+            beta = Fraction(b, bb)
+    k, yy = (Fraction(kn, kd), Fraction(yy, a)) if dens else (num / den, yy)
+    if beta is None and is_exact_zero(beta := rm.base.inner(rm.drift, pole)):
         return k
     f_sq = _randers_f(yy, beta)[1]
     if not f_sq:

@@ -45,12 +45,15 @@ from .scalars import TOLERANCE, Scalar, is_exact
 class Connection:
     """The store is rows: rows[i][j][l] / den is the coefficient of e_l in nabla_{e_i} e_j,
     as levi_civita's solve returns it. Exact (structure and metric exact): ints, gram =
-    MetricTensor.cleared_gram. Float: den 1, gram None. gamma, the table of those
-    coefficients as Fractions or floats, is an image of the rows built on first read."""
+    MetricTensor.cleared_gram. Float: den 1, gram None. Images of the rows built on first read:
+    gamma, those coefficients as Fractions or floats; system, the dim^2 x dim rows of nabla Q,
+    row (i, k) rows[i][j][k] over j."""
 
     def __init__(self, alg: LieAlgebra, metric: MetricTensor, rows, den: int, gram):
         self.algebra, self.metric, self.dim = alg, metric, alg.dim
         self.rows, self.den, self.gram = rows, den, gram
+
+    system = cached_property(lambda self: [col for block in self.rows for col in zip(*block)])
 
     @cached_property
     def gamma(self) -> tuple:
@@ -194,13 +197,19 @@ ROUNDED_PLANE = "the plane's g(u,u) g(v,v) rounds to 0 in float arithmetic"
 
 def plane_form(rt: CurvatureTensor, u, v) -> tuple[Scalar, Scalar, Scalar]:
     """(w^T op w, g(u,u) g(v,v) - g(u,v)^2, g(u,u)) for w = u^v and g the metric of rt, the
-    determinant 0 on a degenerate plane and in dim 1, where no plane exists. A basis plane
-    (one live w_p) lowers op[p][p] from row p and leaves op unbuilt. The int forms, read once,
-    pick the route: an exact pair on an exact tensor is linalg.bilinear, one Fraction per
-    result; any other is linalg.form on op's nonzero entries, norms from inner_read. A float
+    determinant 0 on a degenerate plane and in dim 1, where no plane exists (plane_sums)."""
+    num, det, uu, dens = plane_sums(rt, *(as_vector(x, rt.dim) for x in (u, v)))
+    return tuple(map(Fraction, (num, det, uu), dens)) if dens else (num, det, uu)
+
+
+def plane_sums(rt: CurvatureTensor, u: Vector, v: Vector) -> tuple:
+    """(num, det, uu, dens), the one route of plane_form, sectional and flag_curvature. A basis
+    plane (one live w_p) lowers op[p][p] from row p and leaves op unbuilt. The int forms, read
+    once, pick the route: an exact pair on an exact tensor is linalg.bilinear, ints that
+    plane_form divides once by dens = (op_den (du dv)^2, (G du dv)^2, G du^2); any other is
+    linalg.form on op's nonzero entries, norms from inner_read, and dens None. A float
     det <= TOLERANCE g(u,u) g(v,v) is 0, so the angle decides, or None when g(u,u) g(v,v) of
     nonzero u, v rounds to 0 (ROUNDED_PLANE); an overflowed one is left to printing."""
-    u, v = (as_vector(x, rt.dim) for x in (u, v))
     fu, fv = u.ints, v.ints
     exact = (ints := fu and fv) and rt.gram
     (du, a), (dv, b) = (fu, fv) if ints else [(1, u.coeffs), (1, v.coeffs)]
@@ -220,11 +229,11 @@ def plane_form(rt: CurvatureTensor, u, v) -> tuple[Scalar, Scalar, Scalar]:
     num = (linalg.bilinear(table, w, w) if exact else
            linalg.form(entries, w, w, (du * dv) ** 2 if ints else 0)) if w else 0
     if exact:
-        return (Fraction(num, rt.op_den * (du * dv) ** 2),
-                Fraction(det, (rt.gram[0] * du * dv) ** 2), Fraction(uu, rt.gram[0] * du * du))
+        g, d = rt.gram[0], du * dv
+        return num, det, uu, (rt.op_den * d * d, (g * d) ** 2, g * du * du)
     if not is_exact(det) and det <= TOLERANCE * norms < math.inf:
         det = None if not norms and any(a) and any(b) else 0
-    return num, det, uu
+    return num, det, uu, None
 
 
 def sectional(rt: CurvatureTensor, metric: MetricTensor, u, v) -> tuple[Scalar, Scalar]:

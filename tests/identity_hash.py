@@ -27,11 +27,13 @@ on both trees and comparing the last line. Groups:
 - report: `report --all` in text and JSON;
 - randers: `randers` and `flag`, each with `--precision 17`, in text and JSON, on the
   `parallel` documents, whose metrics are not the identity: the drift a scaled parallel
-  field along the abelian factor, exact or decimal, and three pole and edge pairs per
-  document, exact, decimal, and mixed against exact.
+  field along the abelian factor, exact or decimal, and four pole and edge pairs per
+  document: exact, decimal, mixed against exact, and a small int pole whose g-norm is
+  rational and g(Q,y) nonzero (rational_pole) against an exact edge, so that on exact
+  documents with an exact drift `flag` returns the one Fraction of its rational root.
 
 The documents come from the generator below, seeded by string, so the set
-does not depend on PYTHONHASHSEED. It takes about 15 s on one core. pytest
+does not depend on PYTHONHASHSEED. It takes about 16 s on one core. pytest
 does not collect this file.
 """
 
@@ -40,6 +42,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import random
@@ -234,13 +237,30 @@ def parallel_drift(rng: random.Random, dim: int, slots: list, gram: list, decima
     return ",".join(_text(x, decimal) for x in drift)
 
 
+def rational_pole(metric: list, drift: str) -> str:
+    """The first int vector y in itertools.product(range(-2, 3)) order whose g-norm is rational
+    and g(Q, y) nonzero, g and Q read as the exact values of their text."""
+    g = [[Fraction(x) for x in row] for row in metric]
+    scale = math.lcm(*(x.denominator for row in g for x in row))
+    g = [[int(x * scale) for x in row] for row in g]  # scale times g, in ints
+    q = [Fraction(x) for x in drift.split(",")]
+    for y in itertools.product(range(-2, 3), repeat=len(g)):
+        yy = scale * sum(a * b * c for a, row in zip(y, g) for b, c in zip(row, y))
+        if yy and math.isqrt(yy) ** 2 == yy and \
+                sum(a * b * c for a, row in zip(q, g) for b, c in zip(row, y)):
+            return ",".join(map(str, y))
+    raise ValueError("no pole of rational g-norm with entries in -2..2")
+
+
 def randers_runs(tmp: Path):
     for i, (path, doc, slots, gram, decimal) in enumerate(parallel_documents(tmp)):
         rng = random.Random(f"randers:{i}")
         dim = doc["dim"]
         drift = parallel_drift(rng, dim, slots, gram, decimal != (i % 4 == 1))
-        for kinds in (("exact", "exact"), ("decimal", "decimal"), ("mixed", "exact")):
-            pole, edge = (plane_vector(rng, dim, kind) for kind in kinds)
+        pairs = [[plane_vector(rng, dim, kind) for kind in kinds]
+                 for kinds in (("exact", "exact"), ("decimal", "decimal"), ("mixed", "exact"))]
+        pairs.append([rational_pole(doc["metric"], drift), plane_vector(rng, dim, "exact")])
+        for pole, edge in pairs:
             for cmd in ("randers", "flag"):
                 for fmt in FORMATS:
                     yield [cmd, str(path), f"--drift={drift}", f"--pole={pole}", f"--edge={edge}",

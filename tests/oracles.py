@@ -21,7 +21,8 @@ from liecurv.errors import (DegeneratePlaneError, DimensionMismatchError, InputE
                             NonBerwaldError, PreconditionError, UndefinedAtOriginError)
 from liecurv.exprs import MAX_EXPONENT, MAX_POWER_BITS
 from liecurv.randers import _ROUNDED_OUT, Flag, RandersMetric, _randers_f, g_y, randers_norm
-from liecurv.riemann import Connection, CurvatureTensor, plane_form, sectional
+from liecurv.riemann import (ROUNDED_PLANE, Connection, CurvatureTensor, plane_form,
+                             sectional)
 from liecurv.scalars import (TOLERANCE, Scalar, approx_equal, format_scalar, is_exact,
                              is_exact_zero, is_zero, scalar_to_json, sqrt_scalar)
 
@@ -48,6 +49,33 @@ def flag_curvature_four_g_y(rm: RandersMetric, rt: CurvatureTensor,
     rvyy = curvature_apply_dense(rt, edge, pole, pole)
     num, yy, ee, ye = g_y(rm, pole, [(rvyy, edge), (pole, pole), (edge, edge), (pole, edge)])
     return num / (yy * ee - ye ** 2)
+
+
+def flag_curvature_per_call(rm: RandersMetric, rt: CurvatureTensor, flag: Flag) -> Scalar:
+    """randers.flag_curvature as it read every flag through plane_form's three values and
+    MetricTensor.inner: K_g(P) = numerator / det, beta = g(Q,y), and g(y,y) K_g(P) / F^2 with
+    F^2 from _randers_f, an exact flag paying one Fraction per step."""
+    if not rm.berwald:
+        raise NonBerwaldError(
+            "flag curvature requires a parallel drift (Berwald type); "
+            "this Randers metric has nabla Q != 0")
+    if rt.dim != rm.dim:
+        raise InputError("curvature tensor dimension differs from Randers metric")
+    pole, edge = (as_vector(x, rm.dim) for x in (flag.pole, flag.edge))
+    numerator, den, yy = plane_form(rt, pole, edge)
+    if not yy:
+        raise UndefinedAtOriginError(_ROUNDED_OUT if any(pole) else "flag pole must be nonzero")
+    if not den:
+        raise DegeneratePlaneError(ROUNDED_PLANE if den is None else
+                                   "flag pole and edge are linearly dependent")
+    k = numerator / den
+    beta = rm.base.inner(rm.drift, pole)
+    if is_exact_zero(beta):
+        return k
+    f_sq = _randers_f(yy, beta)[1]
+    if not f_sq:
+        raise UndefinedAtOriginError(_ROUNDED_OUT)
+    return yy * k / f_sq
 
 
 def bracket(alg: LieAlgebra, u, v) -> Vector:

@@ -107,3 +107,29 @@ def test_connection_store_matches_the_koszul_table(seed, dim, identity, move, va
         assert rm.berwald == berwald_reference(conn, drift)
     for drift in drifts[:-1]:
         assert build_randers(metric, [float(x) for x in drift], conn).berwald
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32), dim=st.integers(2, 6), identity=st.booleans(),
+       move=st.sampled_from(sorted(MOVES)), variant=st.sampled_from(("exact", "float")))
+def test_berwald_test_matches_the_reference(seed, dim, identity, move, variant):
+    # an exact drift on an exact store is judged by int dot products with Connection.system,
+    # the rows parallel_fields solves; every drift must be judged as gamma Q = 0 judges it:
+    # parallel drifts, the zero drift and drifts off the parallel span
+    alg, metric, rng = geometry(seed, dim, identity, move, variant)
+    n = alg.dim
+    conn = levi_civita(alg, metric)
+    assert conn.system == [tuple(conn.rows[i][j][k] for j in range(n))
+                           for i in range(n) for k in range(n)]
+    par = parallel_fields(conn)
+    coeffs = [rng.randint(-2, 2) for _ in par]
+    combined = [sum(c * q[i] for c, q in zip(coeffs, par)) for i in range(n)]
+    parallel = [small(metric, q) for q in par[:2] + [combined] * any(combined)] + [[0] * n]
+    # a random drift, and drifts that only the rows a random half of the system leaves out
+    # can tell from a parallel one
+    kept = [row for row in conn.system if rng.random() < 0.5] or [[0] * n]
+    drifts = parallel + [small(metric, q) for q in [rand_vector(rng, n)]
+                         + linalg.nullspace(kept, n)[:3]]
+    for drift in drifts + [[float(x) for x in q] for q in drifts]:
+        assert build_randers(metric, drift, conn).berwald == berwald_reference(conn, drift)
+    assert all(build_randers(metric, q, conn).berwald for q in parallel)

@@ -302,17 +302,20 @@ def test_flag_near_minus_drift_keeps_its_digits():
 
 
 def test_flag_reads_the_metric_once(monkeypatch):
-    # g(Q,y) only: on an exact flag g(y,y), the plane's numerator and its Gram
-    # determinant all come from riemann.plane_form's cleared pass
+    # an exact flag reads the cleared tables once, in ints: plane_sums gives g(y,y), the
+    # plane's numerator and its Gram determinant, one bilinear gives g(Q,y), and none of
+    # MetricTensor.inner, linalg.form or linalg.contract runs
     _, _, rt, rm = setup(1, Z_HALF)
     calls = []
-    inner = MetricTensor.inner
+    inner, form, contract = MetricTensor.inner, linalg.form, linalg.contract
     monkeypatch.setattr(MetricTensor, "inner",
-                        lambda self, u, v: calls.append(1) or inner(self, u, v))
+                        lambda self, u, v: calls.append("inner") or inner(self, u, v))
+    monkeypatch.setattr(linalg, "form", lambda *a: calls.append("form") or form(*a))
+    monkeypatch.setattr(linalg, "contract", lambda *a: calls.append("contract") or contract(*a))
     pole = Vector([F(2, 3), F(1, 3), F(2, 3), F(0)])
     edge = Vector([F(1, 3), F(2, 3), F(-2, 3), F(0)])
     assert flag_curvature(rm, rt, Flag(pole, edge)) == F(-1, 16)
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_flag_requires_berwald():
