@@ -2,7 +2,8 @@
 
 Conventions: a basis e_0..e_{n-1} with [e_i, e_j] = sum_k c[i][j][k] e_k.
 Structure constants are stored as a dense dim x dim x dim table; inputs list
-brackets only for i < j and the antisymmetric completion is generated.
+brackets only for i < j and the antisymmetric completion is generated. An exact
+Vector keeps its one int form, Vector.ints, which MetricTensor.inner_read(u, v) reads itself.
 """
 
 from __future__ import annotations
@@ -199,15 +200,14 @@ class MetricTensor:
         return flat and (flat[0], [flat[1][i * n:i * n + n] for i in range(n)])
 
     def inner(self, u, v) -> Scalar:
-        """g(u, v): the pair's int forms read once, then inner_read."""
-        u, v = as_vector(u, self.dim), as_vector(v, self.dim)
-        return self.inner_read(u, u.ints, v, v.ints)
+        """g(u, v) for any two vectors of the metric's dimension: inner_read."""
+        return self.inner_read(as_vector(u, self.dim), as_vector(v, self.dim))
 
-    def inner_read(self, u: Vector, fu, v: Vector, fv) -> Scalar:
-        """g(u, v) from the int forms fu = u.ints, fv = v.ints the caller has read: an exact pair
-        on cleared_gram by linalg.bilinear (one Fraction), any other pair by linalg.form, on
-        the int forms over a float_only gram, else on the coefficients (contract's value)."""
-        if fu and fv:
+    def inner_read(self, u: Vector, v: Vector) -> Scalar:
+        """g(u, v) from the int forms fu = u.ints, fv = v.ints: an exact pair on cleared_gram by
+        linalg.bilinear (one Fraction), any other pair by linalg.form, on the int forms over a
+        float_only gram, else on the coefficients (contract's value)."""
+        if (fu := u.ints) and (fv := v.ints):
             if self.cleared_gram:
                 (m, g), (du, a), (dv, b) = self.cleared_gram, fu, fv
                 return Fraction(linalg.bilinear(g, a, b), m * du * dv)

@@ -364,27 +364,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     sub.add_parser("check", parents=[common, doc_input],
-                   help="validate a document: antisymmetry, Jacobi, metric")
+                   help="validate a document: antisymmetry, Jacobi, metric"
+                   ).set_defaults(run=cmd_check)
     sub.add_parser("analyze", parents=[common, doc_input],
-                   help="connection, curvature, sectional, scalar, parallel")
+                   help="connection, curvature, sectional, scalar, parallel"
+                   ).set_defaults(run=cmd_analyze)
     p = sub.add_parser("sectional", parents=[common, doc_input],
                        help="sectional curvature of span{u, v}")
+    p.set_defaults(run=cmd_sectional)
     p.add_argument("--u", required=True, help="first spanning vector")
     p.add_argument("--v", required=True, help="second spanning vector")
     sub.add_parser("scalar", parents=[common, doc_input],
-                   help="scalar curvature")
+                   help="scalar curvature").set_defaults(run=cmd_scalar)
     sub.add_parser("parallel", parents=[common, doc_input],
-                   help="basis of parallel left-invariant fields")
+                   help="basis of parallel left-invariant fields").set_defaults(run=cmd_parallel)
     p = sub.add_parser("randers", parents=[common, doc_input],
                        help="Randers metric report for a parallel drift")
+    p.set_defaults(run=cmd_randers)
     p.add_argument("--pole", help="reference vector for the fundamental tensor")
     p.add_argument("--edge", help="with --pole: edge vector for flag curvature")
     p = sub.add_parser("flag", parents=[common, doc_input],
                        help="flag curvature of one flag")
+    p.set_defaults(run=cmd_flag)
     p.add_argument("--pole", required=True)
     p.add_argument("--edge", required=True)
     p = sub.add_parser("report", parents=[common],
                        help="reproduce catalog fixtures and diff")
+    p.set_defaults(run=cmd_report)
     p.add_argument("--all", action="store_true", help="all six cases")
     p.add_argument("--case", type=int, help="one case id")
     p.add_argument("--alpha-grid", default="-2:1", help="inclusive grid lo:hi")
@@ -392,21 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the JSON report to this file")
     p = sub.add_parser("catalog", parents=[common],
                        help="catalog operations")
+    p.set_defaults(run=cmd_catalog)
     p.add_argument("action", choices=("list",))
     return parser
-
-
-_COMMANDS = {
-    "check": cmd_check,
-    "analyze": cmd_analyze,
-    "sectional": cmd_sectional,
-    "scalar": cmd_scalar,
-    "parallel": cmd_parallel,
-    "randers": cmd_randers,
-    "flag": cmd_flag,
-    "report": cmd_report,
-    "catalog": cmd_catalog,
-}
 
 
 def _write_report(path: str, mode: str, text: str) -> None:
@@ -424,10 +418,10 @@ def main(argv=None) -> int:
             raise InputError(f"--precision must be at least 1, got {args.precision}")
         if "document" in args:  # the commands built on the doc_input parser
             geo = _resolve_document(args)
-            result = _COMMANDS[args.cmd](args, geo)
+            result = args.run(args, geo)
             digest = document_digest(geo.document)  # after any --drift override
         else:
-            result, digest = _COMMANDS[args.cmd](args), None
+            result, digest = args.run(args), None
         if args.strict and result.discrepancies and result.status == 0:
             result.status = 3
         out = getattr(args, "out", None)  # only `report` takes --out

@@ -15,10 +15,12 @@ The fundamental tensor
 
 is kept for printing and for the fixtures' fundamental-tensor checks. g_y takes one
 pole and a list of pairs: g(y,y), g(Q,y) and sqrt(g(y,y)) are built once per pole, and
-g(Q,u), g(y,u) and each vector's int form once per vector; every product is one
-MetricTensor.inner_read, inner's value bit for bit. The pair (y, y) is F^2, which the sum
+g(Q,u) and g(y,u) once per vector; every product is one MetricTensor.inner_read on the
+vectors' own int forms, inner's value bit for bit. The pair (y, y) is F^2, which the sum
 loses to cancellation as y nears -Q. Exact zeros short-circuit the square-root terms, so the
-drift = 0 limit degenerates to g exactly, not merely within tolerance.
+drift = 0 limit degenerates to g exactly, not merely within tolerance. build_randers reads
+every drift from Connection.system, the rows parallel_fields solves; flag_curvature reads K_g
+from riemann.plane_sums' sums and denominators.
 """
 
 from __future__ import annotations
@@ -76,13 +78,14 @@ def build_randers(metric: MetricTensor, drift, conn: Connection) -> RandersMetri
     if not norm_sq < 1:
         raise NormBoundError(
             f"drift must satisfy g(Q,Q) < 1 strictly, got g(Q,Q) = {format_scalar(norm_sq)}")
-    # an exact drift on an exact store: int dot products with Connection.system; else gamma is
-    # read at value scale, rows / den, so the tolerance of is_zero does not grow with den
+    # an exact drift on an exact store: int dot products; else each row at value scale, x / den,
+    # so is_zero's tolerance does not grow with den, over the terms contract reads, in its order
     if form := conn.gram and drift.ints:
         berwald = not any(sum(map(mul, row, form[1])) for row in conn.system)
     else:
-        gamma = [[[x / conn.den for x in row] for row in block] for block in conn.rows]
-        berwald = all(is_zero(x) for block in gamma for x in linalg.contract(block, drift))
+        q = [(j, x) for j, x in enumerate(drift) if x or isinstance(x, float)]
+        berwald = all(is_zero(sum(x * e for j, x in q if (e := row[j] / conn.den)))
+                      for row in conn.system)
     return RandersMetric(base=metric, drift=drift, berwald=berwald,
                          drift_norm_sq=norm_sq)
 
@@ -115,22 +118,22 @@ def g_y(rm: RandersMetric, ybar, pairs) -> list[Scalar]:
     """
     ybar = as_vector(ybar, rm.dim)
     pairs = [(as_vector(u, rm.dim), as_vector(v, rm.dim)) for u, v in pairs]
-    g, q, fy, fq = rm.base.inner_read, rm.drift, ybar.ints, rm.drift.ints
-    gyy = g(ybar, fy, ybar, fy)
+    g, q = rm.base.inner_read, rm.drift
+    gyy = g(ybar, ybar)
     if not gyy:  # a nonzero pole is judged by the float range, not by its size
         raise UndefinedAtOriginError(
             _ROUNDED_OUT if any(ybar) else "fundamental tensor is undefined at y = 0")
-    gqy = g(q, fq, ybar, fy)
-    dots, root, out = {}, None, []  # id(u): (u.ints, g(Q,u), g(y,u)), once per vector
+    gqy = g(q, ybar)
+    dots, root, out = {}, None, []  # id(u): (g(Q,u), g(y,u)), once per vector
     for u, v in pairs:
         if u is ybar is v:
             out.append(gyy if is_exact_zero(gqy) else _randers_f(gyy, gqy)[1])
             continue
         for x in (u, v):
             if id(x) not in dots:
-                dots[id(x)] = (fx := x.ints), g(q, fq, x, fx), g(ybar, fy, x, fx)
-        (fu, gqu, gyu), (fv, gqv, gyv) = dots[id(u)], dots[id(v)]
-        total = (guv := g(u, fu, v, fv)) + gqu * gqv
+                dots[id(x)] = g(q, x), g(ybar, x)
+        (gqu, gyu), (gqv, gyv) = dots[id(u)], dots[id(v)]
+        total = (guv := g(u, v)) + gqu * gqv
         t3 = gqy * gyv * gyu
         t4 = gqu * gyv + gqy * guv + gqv * gyu
         if root is None and not (is_exact_zero(t3) and is_exact_zero(t4)):
@@ -186,7 +189,7 @@ def flag_curvature(rm: RandersMetric, rt: CurvatureTensor, flag: Flag) -> Scalar
                                    "flag pole and edge are linearly dependent")
     fq, cg, beta = rm.drift.ints, rm.base.cleared_gram, None
     if dens:  # an exact plane: K_g = kn / kd and g(y,y) = yy / a
-        (dy, y), a, kn, kd = pole.ints, dens[2], num * rt.gram[0] ** 2, rt.op_den * den
+        (dy, y), a, kn, kd = pole.ints, dens[2], num * dens[1], dens[0] * den
         if fq and cg:  # and an exact drift, beta = b / bb: ints until the result
             if not (b := linalg.bilinear(cg[1], fq[1], y)):
                 return Fraction(kn, kd)

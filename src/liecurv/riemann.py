@@ -213,12 +213,12 @@ def plane_sums(rt: CurvatureTensor, u: Vector, v: Vector) -> tuple:
     fu, fv = u.ints, v.ints
     exact = (ints := fu and fv) and rt.gram
     (du, a), (dv, b) = (fu, fv) if ints else [(1, u.coeffs), (1, v.coeffs)]
-    inner = ((lambda x, fx, y, fy: linalg.bilinear(rt.gram[1], fx[1], fy[1])) if exact
+    inner = ((lambda x, y: linalg.bilinear(rt.gram[1], x.ints[1], y.ints[1])) if exact
              else rt.connection.metric.inner_read)
     w = [a[i] * b[j] - a[j] * b[i] for i, j in rt.pairs]
-    uu = inner(u, fu, u, fu)
-    norms = uu * inner(v, fv, v, fv)
-    uv = inner(u, fu, v, fv)  # uv * uv is inf past the float range, where uv ** 2 raises
+    uu = inner(u, u)
+    norms = uu * inner(v, v)
+    uv = inner(u, v)  # uv * uv is inf past the float range, where uv ** 2 raises
     det = norms - uv * uv if w else 0
     live = [p for p, x in enumerate(w) if x or isinstance(x, float)]  # as contract reads w
     if len(live) == 1:  # a basis plane: op[p][p] from row p

@@ -48,14 +48,13 @@ def sqrt_scalar(x: Scalar) -> Scalar:
     if is_exact(x):
         if x < 0:
             raise InputError("square root of negative scalar")
-        f = Fraction(x)
-        rn = math.isqrt(f.numerator)
-        rd = math.isqrt(f.denominator)
-        if rn * rn == f.numerator and rd * rd == f.denominator:
+        n, d = x.as_integer_ratio()
+        rn, rd = math.isqrt(n), math.isqrt(d)
+        if rn * rn == n and rd * rd == d:
             return Fraction(rn, rd)
         try:
-            root = math.sqrt(f)
-        except OverflowError:  # float(f) is past the float range
+            root = math.sqrt(x)
+        except OverflowError:  # float(x) is past the float range
             raise _non_finite(math.inf) from None
         if not root:
             raise PreconditionError("a positive exact value under a square root "

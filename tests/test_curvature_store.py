@@ -6,7 +6,8 @@ compared with the four-contraction form of oracles.riemann_reference, and every 
 sectional curvature, read from its row alone, with the one read from the whole op. Four
 vectors of drawn kinds (exact, decimal, mixed or basis, with Fraction(0) and -0.0 entries)
 go through plane_form, curvature_apply, MetricTensor.inner and build_randers, which read
-their int forms, and through the references that clear them on every call.
+their int forms, and through the references that clear them on every call. On exact draws,
+the second Bianchi identity holds exactly on basis quadruples.
 """
 
 from fractions import Fraction
@@ -97,3 +98,28 @@ def test_curvature_store_matches_the_contractions(seed, dim, identity, move, var
         assert same(metric.inner(a, b), inner_per_call(metric, a, b)), (a, b)
     drift = Vector(small(metric, q))
     assert build_randers(metric, drift, conn).berwald == berwald_reference(conn, drift)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32), dim=st.integers(2, 6), identity=st.booleans(),
+       move=st.sampled_from(sorted(MOVES)))
+def test_second_bianchi_identity(seed, dim, identity, move):
+    # (nabla_X R)(Y,Z)W + (nabla_Y R)(Z,X)W + (nabla_Z R)(X,Y)W = 0 exactly on basis
+    # quadruples of exact tables, with X, Y, Z distinct where the dimension allows
+    alg, metric, rng = geometry(seed, dim, identity, move, "exact")
+    conn = levi_civita(alg, metric)
+    rt, nabla = riemann_tensor(conn), conn.derivative
+    e = [Vector.basis(dim, i) for i in range(dim)]
+
+    def r(y, z, w):
+        return curvature_apply(rt, y, z, w)
+
+    def nabla_r(x, y, z, w):  # (nabla_x R)(y, z)w for left-invariant fields
+        return (nabla(x, r(y, z, w)) - r(nabla(x, y), z, w) - r(y, nabla(x, z), w)
+                - r(y, z, nabla(x, w)))
+
+    for _ in range(4):
+        i, j, k = rng.sample(range(dim), 3) if dim > 2 else (0, 1, rng.randrange(2))
+        x, y, z, w = e[i], e[j], e[k], e[rng.randrange(dim)]
+        total = nabla_r(x, y, z, w) + nabla_r(y, z, x, w) + nabla_r(z, x, y, w)
+        assert all(type(t) is Fraction and not t for t in total), (i, j, k, total)
