@@ -23,6 +23,15 @@ one memo keyed by the text. Sources run in order and fail as a stack machine
 would: each source's bound is read before its operators, and an unbound name
 raises after exactly the operators before it in postfix order.
 
+Programs run in two tiers. _run interprets each program and counts its runs
+per binding kinds, the class (int, Fraction or float) of each name's value.
+Once a program with an operator has run PROMOTE_AT times at the same kinds,
+exprgen generates one straight-line Python function for them, kept on the
+memoized program, and later runs at those kinds call it (type feedback, U.
+Hoelzle and D. Ungar 1994). Unbound names and other binding types stay
+interpreted. Both tiers give the same values, types, float bits and errors,
+in the same order.
+
 Exact values are evaluated on ints, and on (numerator, denominator) int pairs
 once a Fraction or a '/' is involved, powers included, so a result is one
 Fraction, built at the end, not one per operation. Only a power's base is
@@ -74,6 +83,16 @@ MAX_EXPR_TOKENS = 1024
 # costliest input found under both ceilings, 512 factors of a 2040-bit
 # Fraction, takes 2.7 s (CPython 3.11, 2-vCPU Xeon).
 MAX_EXPR_BITS = 1 << 20
+
+# Runs of one program at the same binding kinds after which _run generates
+# Python for it. Generating case 4's 170-operator R(V,U)U/sectional group takes
+# 3.3 ms and saves 59 us a run (78 -> 19 us), so it pays off after 57 runs;
+# programs of 3 to 27 operators after 80 to 150 (CPython 3.11, 2-vCPU VM). In
+# a single-point `report --case 4` only one program, with no operator, runs 64 times.
+PROMOTE_AT = 64
+
+_DIV_ZERO = "division by zero in expression"
+_OVERFLOW = "expression overflows a float"
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
@@ -179,9 +198,10 @@ def evaluate_all(sources: tuple, env: Mapping[str, Scalar] | None = None) -> lis
 
 @functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
 def _compile(sources: tuple) -> tuple:
-    """(registers holding the literals, ((name, register), ...), and per source
-    (bound, code, result register, ((name, its instructions before its first use), ...))),
-    with the bound (c, ((name, k), ...)) standing for c + sum(k * bits(value of name))."""
+    """(registers holding the literals, ((name, register), ...), per source
+    (bound, code, result register, ((name, its instructions before its first use), ...)),
+    and the tier table _run fills, None for a program with no operator), with the bound
+    (c, ((name, k), ...)) standing for c + sum(k * bits(value of name))."""
     regs: list = []
     slots: dict = {}  # (type, repr) of a literal, ("var", name) or (op, i, j) -> register
     segments = []
@@ -218,12 +238,24 @@ def _compile(sources: tuple) -> tuple:
         segments.append(((c, tuple(sorted(weights.items()))), tuple(code), result,
                          tuple(loads.items())))
     names = tuple((key[1], slot) for key, slot in slots.items() if key[0] == "var")
-    return tuple(regs), names, tuple(segments)
+    return tuple(regs), names, tuple(segments), {} if any(s[1] for s in segments) else None
 
 
 def _run(program: tuple, env: Mapping[str, Scalar]) -> list:
     """Each compiled source's value, in order; see evaluate."""
-    init, names, segments = program
+    init, names, segments, tiers = program
+    if tiers is not None:  # per binding kinds, a run count or the generated function
+        kinds = tuple([env.get(name).__class__ for name, _ in names])
+        count = tiers.get(kinds, 0)
+        if count.__class__ is not int:
+            return count(env)
+        tiers[kinds] = count + 1
+        if count >= PROMOTE_AT:
+            from .exprgen import generate
+            run = generate(program, kinds)
+            if run is not None:
+                tiers[kinds] = run
+                return run(env)
     regs, bits = list(init), {}
     for name, slot in names:
         if name in env:
@@ -239,8 +271,7 @@ def _run(program: tuple, env: Mapping[str, Scalar]) -> list:
         for name, k in weights:
             bound += k * bits.get(name, 0)
         if bound > MAX_EXPR_BITS:
-            raise InputError(f"expression of up to {bound} bits is over the ceiling "
-                             f"{MAX_EXPR_BITS}")
+            raise _over(bound)
         missing = next((load for load in loads if load[0] not in env), None)
         for op, i, j, k in code if missing is None else code[:missing[1]]:
             a = regs[i]
@@ -259,6 +290,10 @@ def _run(program: tuple, env: Mapping[str, Scalar]) -> list:
     return out
 
 
+def _over(bound: int) -> InputError:
+    return InputError(f"expression of up to {bound} bits is over the ceiling {MAX_EXPR_BITS}")
+
+
 def _exact(op: str, a, b):
     """a op b for + - * / on ints and (n, d) pairs: int + - * int stays an
     int, anything else is a pair, cross-multiplied and never reduced. A
@@ -271,7 +306,7 @@ def _exact(op: str, a, b):
         return n * m, d * e
     if op == "/":
         if not m:
-            raise InputError("division by zero in expression")
+            raise InputError(_DIV_ZERO)
         return (n * e, d * m) if m > 0 else (-n * e, -d * m)
     if d != e:
         n, m, d = n * e, m * d, d * e
@@ -286,7 +321,7 @@ def _apply(op: str, a, b) -> Scalar:
             a = a[0] / a[1] if a.__class__ is tuple else float(a)
             b = b[0] / b[1] if b.__class__ is tuple else float(b)
         except OverflowError:
-            raise InputError("expression overflows a float") from None
+            raise InputError(_OVERFLOW) from None
         if op == "+":
             return a + b
         if op == "-":
@@ -294,7 +329,7 @@ def _apply(op: str, a, b) -> Scalar:
         if op == "*":
             return a * b
         if b == 0:
-            raise InputError("division by zero in expression")
+            raise InputError(_DIV_ZERO)
         return a / b
     m, e = b if b.__class__ is tuple else (b, 1)
     if m % e if b.__class__ in (int, tuple) else not b.is_integer():
@@ -309,11 +344,11 @@ def _apply(op: str, a, b) -> Scalar:
         if bits > MAX_POWER_BITS:
             raise InputError(f"power of about {bits} bits is over the ceiling {MAX_POWER_BITS}")
         if k < 0 and not n:
-            raise InputError("division by zero in expression")
+            raise InputError(_DIV_ZERO)
         return (n ** k, d ** k) if k >= 0 else ((d if n > 0 else -d) ** -k, abs(n) ** -k)
     try:
         return a ** k
     except ZeroDivisionError:
-        raise InputError("division by zero in expression") from None
+        raise InputError(_DIV_ZERO) from None
     except OverflowError:
-        raise InputError("expression overflows a float") from None
+        raise InputError(_OVERFLOW) from None

@@ -124,7 +124,7 @@ def g_y(rm: RandersMetric, ybar, pairs) -> list[Scalar]:
         raise UndefinedAtOriginError(
             _ROUNDED_OUT if any(ybar) else "fundamental tensor is undefined at y = 0")
     gqy = g(q, ybar)
-    dots, root, out = {}, None, []  # id(u): (g(Q,u), g(y,u)), once per vector
+    dots, root, out = {id(ybar): (gqy, gyy)}, None, []  # id(u): (g(Q,u), g(y,u)), once per vector
     for u, v in pairs:
         if u is ybar is v:
             out.append(gyy if is_exact_zero(gqy) else _randers_f(gyy, gqy)[1])

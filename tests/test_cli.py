@@ -1047,6 +1047,18 @@ def test_only_document_commands_load_hashlib():
     assert hashlib_loaded
 
 
+def test_cold_commands_generate_no_code():
+    """No program of a single-point report or of catalog list runs exprs.PROMOTE_AT times
+    at one binding kind, so neither imports the code generator; a program that does, does."""
+    for argv in (["report", "--case", "4", "--alpha-grid=-1:-1", "--beta-grid=0:0"],
+                 ["catalog", "list"]):
+        new, _ = _newly_loaded(f"from liecurv.cli import main\nassert main({argv!r}) == 0")
+        assert "liecurv.cli" in new and "liecurv.exprgen" not in new, argv
+    new, _ = _newly_loaded("from liecurv import exprs\nfor a in range(exprs.PROMOTE_AT + 1):\n"
+                           "    assert exprs.evaluate('a + 1', {'a': a}) == a + 1")
+    assert "liecurv.exprgen" in new
+
+
 def test_fixture_text_is_the_packaged_resource():
     from importlib import resources
     text = resources.files("liecurv").joinpath("data/cases.json").read_text("utf-8")

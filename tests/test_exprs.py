@@ -177,6 +177,7 @@ def test_bound_holds_for_every_intermediate(monkeypatch):
 
     monkeypatch.setattr(exprs, "_exact", recording(exprs._exact))
     monkeypatch.setattr(exprs, "_apply", recording(exprs._apply))
+    exprs._compile.cache_clear()  # no program promoted past the spies by earlier runs
     rng = random.Random(8)
     envs = [{name: Fraction(rng.randint(-99, 99), rng.randint(1, 40)) for name in NAMES},
             {name: rng.randint(-10 ** 6, 10 ** 6) for name in NAMES},
@@ -351,6 +352,32 @@ def group_outcome(run, sources, env):
         return str(exc)
 
 
+def tiers(monkeypatch):
+    """Yield "interpreted", then "promoted", each on a fresh compile memo: the second
+    with every program generated on its first run at bound names (promotion count 0)."""
+    for tier, count in (("interpreted", exprs.PROMOTE_AT), ("promoted", 0)):
+        exprs._compile.cache_clear()
+        monkeypatch.setattr(exprs, "PROMOTE_AT", count)
+        yield tier
+
+
+def spy_operators(monkeypatch) -> list:
+    """(op, a, b) of every operator that runs through _exact or _apply, in order."""
+    calls = []
+    for name in ("_exact", "_apply"):
+        def spy(op, a, b, real=getattr(exprs, name)):
+            calls.append((op, a, b))
+            return real(op, a, b)
+        monkeypatch.setattr(exprs, name, spy)
+    return calls
+
+
+def assert_served_by(tier, sources):
+    """Every binding kind the group ran at was interpreted, or served by generated code."""
+    runs = exprs._compile(tuple(sources))[3].values()
+    assert runs and all(callable(run) == (tier == "promoted") for run in runs)
+
+
 def test_errors_keep_stack_machine_order(monkeypatch):
     for src, message in (("1/0 + q", "division by zero"), ("q + 1/0", "unbound variable 'q'")):
         for run in (evaluate, evaluate_reference):
@@ -364,38 +391,108 @@ def test_errors_keep_stack_machine_order(monkeypatch):
             with pytest.raises(InputError, match=re.escape(message)):
                 run(sources, {"a": 2, "b": 3})
     # each source's bound is read before its own operators, after the sources
-    # before it have run
-    calls = []
-    monkeypatch.setattr(exprs, "_exact", lambda op, a, b: calls.append(op) or a + b)
+    # before it have run; generated code sends only powers through _apply
+    calls = spy_operators(monkeypatch)
     big = {"a": 2 ** (MAX_EXPR_BITS // 2 - 1), "b": 1}
-    with pytest.raises(InputError, match=f"bits is over the ceiling {MAX_EXPR_BITS}$"):
-        exprs.evaluate_all(("b + 1", "1/0 + a*a"), big)
-    assert calls == ["+"]
-    monkeypatch.undo()
-    with pytest.raises(InputError, match="division by zero"):
-        exprs.evaluate_all(("1/0", "a*a"), big)
+    sources = ("b^2 + 1", "1/0 + a*a")
+    for tier in tiers(monkeypatch):
+        calls.clear()
+        with pytest.raises(InputError, match=f"bits is over the ceiling {MAX_EXPR_BITS}$"):
+            exprs.evaluate_all(sources, big)
+        assert calls == ([("^", 1, 2), ("+", (1, 1), 1)] if tier == "interpreted"
+                         else [("^", 1, 2)])
+        assert_served_by(tier, sources)
+        with pytest.raises(InputError, match="division by zero"):
+            exprs.evaluate_all(("1/0", "a*a"), big)
+        assert_served_by(tier, ("1/0", "a*a"))
 
 
 def test_shared_subexpressions_are_computed_once(monkeypatch):
-    calls = []
-
-    def spy(op, a, b):
-        calls.append((op, a, b))
-        return real(op, a, b)
-
-    real = exprs._exact
-    monkeypatch.setattr(exprs, "_exact", spy)
-    env = {"a": 2, "tb": 3, "b": 5, "ta": 7}
-    assert evaluate("(a*tb-b*ta)^2+(a*tb-b*ta)", env) == (6 - 35) ** 2 + (6 - 35)
-    assert calls == [("*", 2, 3), ("*", 5, 7), ("-", 6, 35), ("+", (841, 1), -29)]
-    # case 4's closed forms at one sample share their wedges across the group
+    calls = spy_operators(monkeypatch)
+    wedge = "(a*tb-b*ta)^2+(a*tb-b*ta)"
+    # case 4's closed forms at one sample share their wedges and their powers
+    # of (1+alpha) and alpha across the group
     case = catalog.get_case(4, alpha=-1, beta=0)
     forms = (*case.expected["rvuu"], case.expected["sectional_numerator"])
     env = dict(case.params, a=Fraction(1, 2), b=-2, c=Fraction(3, 4), d=1, ta=Fraction(-1, 3),
                tb=1, tc=0, td=Fraction(5, 2))
-    calls.clear()
-    separate = [evaluate(src, env) for src in forms]
-    alone = len(calls)
-    calls.clear()
-    assert exprs.evaluate_all(forms, env) == separate
-    assert len(calls) < alone
+    for tier in tiers(monkeypatch):
+        calls.clear()
+        assert evaluate(wedge, {"a": 2, "tb": 3, "b": 5, "ta": 7}) == (6 - 35) ** 2 + (6 - 35)
+        interpreted = [("*", 2, 3), ("*", 5, 7), ("-", 6, 35), ("^", -29, 2),
+                       ("+", (841, 1), -29)]
+        assert calls == (interpreted if tier == "interpreted" else [("^", -29, 2)])
+        assert_served_by(tier, (wedge,))
+        calls.clear()
+        separate = [evaluate(src, env) for src in forms]
+        alone = len(calls)
+        calls.clear()
+        assert exprs.evaluate_all(forms, env) == separate
+        assert len(calls) < alone
+        assert_served_by(tier, forms)
+
+
+def test_generated_code_matches_the_interpreter(monkeypatch):
+    """Programs drawn as test_postfix_matches_recursive_reference draws them, alone and in
+    groups, run on the interpreter and promoted on their first run, at int, Fraction,
+    float and mixed bindings, with zero divisors and values near the edges of the float
+    range: each run gives the same values, types and float bits (a float's repr is the
+    shortest string that reads back to its bits, sign of zero included), or the same
+    refusal."""
+    monkeypatch.setattr(exprs, "PROMOTE_AT", 0)
+    rng = random.Random(1994)
+
+    def compiled(sources):
+        kept = []
+        for src in sources:
+            try:
+                parse_expr(src)
+            except InputError:
+                continue
+            kept.append(src)
+        return kept
+
+    fixtures = compiled(rng.sample(fixture_strings(), 60))
+    # and a negated zero meeting a float, which must stay 0.0, not become -0.0
+    draws = compiled([random_tokens(rng) for _ in range(600)]
+                     + [grammar_expr(rng, rng.randint(1, 4)) for _ in range(250)]
+                     + ["-a * 0.5", "-(a / b) * 2.0", "-alpha / 3 - 0.0"])
+    groups = [(src,) for src in fixtures + draws]
+    for _ in range(40):
+        size = rng.randint(2, 4)
+        start = rng.randrange(len(fixtures) - size)
+        groups += [tuple(fixtures[start:start + size]), tuple(rng.sample(draws, size))]
+    names = sorted(set().union(*(free_names(parse_expr(src)) for src in fixtures + draws)))
+    # all int, all Fraction, all float, and the three side by side; each kind's first
+    # value is zero, its first four are small and the others lie at the edges of the
+    # float range
+    pools = {int: (0, 2, -3, 7, 2 ** 1023, -(2 ** 1100)),
+             Fraction: (Fraction(0), Fraction(-5, 3), Fraction(7, 4), Fraction(1, 2),
+                        Fraction(1, 10 ** 400), Fraction(-(10 ** 400), 3)),
+             float: (0.0, -0.0, 0.25, -3.5, 5e-324, 1.7e308)}
+    envs = [{name: rng.choice(pools[kinds[k % len(kinds)]][:size])
+             for k, name in enumerate(names)}
+            for kinds in ((int,), (Fraction,), (float,), (float, Fraction, int))
+            for size in (1, 4, 6, 6)]
+    promoted = 0
+    for group in groups:
+        program = exprs._compile.__wrapped__(group)  # with a fresh tier table
+        interpreted = (*program[:3], None)
+        for env in envs:
+            want = group_outcome(exprs._run, interpreted, env)
+            assert group_outcome(exprs._run, program, env) == want, (group, env)
+        if program[3] is not None:
+            assert program[3] and all(map(callable, program[3].values())), group
+            promoted += 1
+    assert promoted > 250
+
+
+def test_unbound_names_and_other_classes_stay_interpreted(monkeypatch):
+    monkeypatch.setattr(exprs, "PROMOTE_AT", 0)
+    program = exprs._compile.__wrapped__(("a*b + 1",))
+    for _ in range(3):
+        with pytest.raises(InputError, match="unbound variable 'b'"):
+            exprs._run(program, {"a": 2})
+        assert exprs._run(program, {"a": True, "b": 2}) == [3]
+        assert exprs._run(program, {"a": 0.5, "b": Fraction(4)}) == [3.0]
+    assert [count.__class__ for count in program[3].values()] == [int, int, type(exprs._run)]

@@ -74,6 +74,20 @@ def test_randers_norm_values():
     assert randers_norm(rm, Vector([F(3), F(4), F(0), F(0)])) == 5
 
 
+def test_randers_norm_at_the_zero_vector_is_zero():
+    """F(0) = 0 in the zero vector's own arithmetic: Fraction(0) for exact coefficients and
+    0.0 for float ones, whether the metric and drift are exact or floating."""
+    case, _, _, rm = setup(1, Z_HALF)
+    gram = MetricTensor([[float(x) for x in row] for row in case.metric.gram])
+    floating = build_randers(gram, Vector([0.0, 0.0, 0.5, 0.0]), levi_civita(case.algebra, gram))
+    for metric in (rm, floating):
+        for zero in (Vector.zero(4), [F(0)] * 4, [0] * 4):
+            value = randers_norm(metric, zero)
+            assert value == 0 and value.__class__ is F
+        value = randers_norm(metric, [0.0] * 4)
+        assert value == 0 and value.__class__ is float
+
+
 def test_randers_norm_positive_for_nonzero(rng):
     _, _, _, rm = setup(1, Z_HALF)
     for _ in range(50):

@@ -33,6 +33,12 @@ def test_sqrt_exact_on_perfect_squares():
     assert sqrt_scalar(Fraction(0)) == 0
 
 
+def test_sqrt_of_zero_keeps_its_type():
+    exact, floating = sqrt_scalar(Fraction(0)), sqrt_scalar(0.0)
+    assert exact == 0 and exact.__class__ is Fraction
+    assert floating == 0 and floating.__class__ is float
+
+
 def test_sqrt_falls_back_to_float():
     x = sqrt_scalar(Fraction(2))
     assert isinstance(x, float)
