@@ -341,15 +341,46 @@ def cmd_catalog(args) -> CommandResult:
 # --- dispatch -----------------------------------------------------------------
 
 
+def _terminal_columns() -> int:
+    """shutil.get_terminal_size().columns without importing shutil, which loads bz2, lzma,
+    zlib and fnmatch: a positive COLUMNS, else the width of sys.__stdout__'s terminal, else
+    80."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns > 0:
+        return columns
+    try:
+        return os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+    except (AttributeError, ValueError, OSError):
+        return 80
+
+
+class _Formatter(argparse.HelpFormatter):
+    """argparse's HelpFormatter, its default width from _terminal_columns."""
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
+        super().__init__(prog, indent_increment, max_help_position,
+                         _terminal_columns() - 2 if width is None else width)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and so each of its sub-parsers, formatting with _Formatter."""
+
+    def __init__(self, *args, formatter_class=_Formatter, **kwargs):
+        super().__init__(*args, formatter_class=formatter_class, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--precision", type=int, default=12,
                         help="significant digits for floating output")
     common.add_argument("--strict", action="store_true",
                         help="exit 3 when the discrepancy ledger is nonempty")
 
-    doc_input = argparse.ArgumentParser(add_help=False)
+    doc_input = _Parser(add_help=False)
     doc_input.add_argument("document", nargs="?",
                            help="path to a JSON algebra document")
     doc_input.add_argument("--case", type=int, help="built-in catalog case id")
@@ -357,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     doc_input.add_argument("--beta", help="case parameter (with --case)")
     doc_input.add_argument("--drift", help="drift vector, e.g. 0,0,1/2,0")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liecurv",
         description="Left-invariant Riemannian and Randers geometry from "
                     "Lie algebra structure constants.")

@@ -34,7 +34,7 @@ from .algebra import MetricTensor, Vector, as_vector
 from .errors import (DegeneratePlaneError, InputError, NonBerwaldError,
                      NormBoundError, UndefinedAtOriginError)
 from .riemann import ROUNDED_PLANE, Connection, CurvatureTensor, plane_sums
-from .scalars import Scalar, format_scalar, is_exact_zero, is_zero, sqrt_scalar
+from .scalars import Scalar, _non_finite, format_scalar, is_exact_zero, is_zero, sqrt_scalar
 
 
 class RandersMetric:
@@ -172,7 +172,9 @@ def flag_curvature(rm: RandersMetric, rt: CurvatureTensor, flag: Flag) -> Scalar
     beta returns K_g(P) itself, so a zero drift, or a pole g-orthogonal to the drift, never
     meets an irrational square root. An exact flag (pole, edge, drift and both Gram matrices
     exact) stays in ints: plane_sums' sums and one bilinear for beta. Where alpha is rational
-    the result is one Fraction; else _randers_f reads the exact g(y,y) and beta.
+    the result is one Fraction; else each float _randers_f would take of a Fraction is one
+    correctly rounded int true division, so the value keeps its bits. A zero F^2 is
+    UndefinedAtOriginError, and an F^2, g(y,y) K_g or value past the float range InputError.
     """
     if not rm.berwald:
         raise NonBerwaldError(
@@ -187,7 +189,7 @@ def flag_curvature(rm: RandersMetric, rt: CurvatureTensor, flag: Flag) -> Scalar
     if not den:
         raise DegeneratePlaneError(ROUNDED_PLANE if den is None else
                                    "flag pole and edge are linearly dependent")
-    fq, cg, beta = rm.drift.ints, rm.base.cleared_gram, None
+    fq, cg = rm.drift.ints, rm.base.cleared_gram
     if dens:  # an exact plane: K_g = kn / kd and g(y,y) = yy / a
         (dy, y), a, kn, kd = pole.ints, dens[2], num * dens[1], dens[0] * den
         if fq and cg:  # and an exact drift, beta = b / bb: ints until the result
@@ -196,11 +198,29 @@ def flag_curvature(rm: RandersMetric, rt: CurvatureTensor, flag: Flag) -> Scalar
             bb = cg[0] * fq[0] * dy
             if (s := math.isqrt(yy * a)) ** 2 == yy * a and (f := s * bb + b * a):
                 return Fraction(yy * kn * a * bb * bb, kd * f * f)  # sqrt(g(y,y)) = s / a
-            beta = Fraction(b, bb)
+            try:  # sqrt_scalar refuses a g(y,y) past the float range or rounding to 0
+                root = math.sqrt(g := yy / a) or sqrt_scalar(Fraction(yy, a))
+            except OverflowError:
+                root = sqrt_scalar(Fraction(yy, a))
+            if b < 0:
+                f = (yy * bb * bb - a * b * b) / (a * bb * bb) / (root - b / bb)
+                return _over_f_sq(yy, kn, a * kd, f * f)
+            return _over_f_sq(yy, kn, a * kd, g + 2 * b / bb * root + b * b / (bb * bb))
     k, yy = (Fraction(kn, kd), Fraction(yy, a)) if dens else (num / den, yy)
-    if beta is None and is_exact_zero(beta := rm.base.inner(rm.drift, pole)):
+    if is_exact_zero(beta := rm.base.inner(rm.drift, pole)):
         return k
-    f_sq = _randers_f(yy, beta)[1]
+    return _over_f_sq(yy, k, 1, _randers_f(yy, beta)[1])
+
+
+def _over_f_sq(yy: Scalar, k: Scalar, d: int, f_sq: Scalar) -> float:
+    """yy k / d / f_sq: g(y,y) K_g = yy k / d (d > 0) over F^2, refused where F^2 is 0 or
+    F^2, g(y,y) K_g or the value leaves the float range."""
     if not f_sq:
         raise UndefinedAtOriginError(_ROUNDED_OUT)
-    return yy * k / f_sq
+    try:
+        value = yy * k / d / f_sq if math.isfinite(f_sq) else f_sq
+    except OverflowError:  # an exact g(y,y) K_g past the float range
+        value = math.inf if (yy > 0) == (k > 0) else -math.inf
+    if not math.isfinite(value):
+        raise _non_finite(value)
+    return value

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from test_exact_vs_float import close, semidirect_objects
-from liecurv import catalog, exprs, randers, riemann
+from liecurv import catalog, cli, exprs, randers, riemann
 from liecurv.algebra import Vector
 from liecurv.cli import MAX_GRID_POINTS, main
 from liecurv.documents import (MAX_DIM, Document, document_digest, load_document,
@@ -404,6 +405,17 @@ def test_flag_pole_at_minus_drift(capsys):
     code, out, err = run(capsys, "flag", "--case", "1", "--drift", "0,0,0.99999999999,0",
                          "--pole", "0,0,-1,0", "--edge", "1,0,0,0")
     assert (code, out, err) == (0, "flag curvature: 0\n", "")
+
+
+@pytest.mark.parametrize("pole", [f"{13 * 10 ** 153},0,{13 * 10 ** 153 // 7},0",
+                                  "1.3e154,0,1.857142857142857e153,0"],
+                         ids=["exact", "decimal"])
+def test_flag_past_the_float_range_exits_one(capsys, pole):
+    # F^2 is past the float range: the value, about -0.894, used to print as 0
+    code, out, err = run(capsys, "flag", "--case", "1", "--drift", "0,0,1/3,0",
+                         "--pole", pole, "--edge", "0,1,0,0")
+    assert (code, out) == (1, "") and err == ("error: floating result inf is not finite: "
+                                              "the computation left the float range\n")
 
 
 def test_flag_case4_at_special_parameters(capsys):
@@ -1018,19 +1030,19 @@ def test_cli_import_does_not_load_numpy():
 HEAVY_MODULES = ("dataclasses", "inspect", "typing", "importlib.resources", "hashlib")
 
 
-def _newly_loaded(code: str) -> tuple[set, bool]:
+def _newly_loaded(code: str) -> tuple[set, set]:
     """(modules a fresh interpreter loads while running code, beyond the ones it
-    started with; whether hashlib is loaded at the end). -S skips site, whose .pth
+    started with; the modules loaded at the end). -S skips site, whose .pth
     files may preload some of HEAVY_MODULES; the comparison holds either way."""
     src = Path(__file__).resolve().parents[1] / "src"
     script = ("import sys\nbefore = set(sys.modules)\n" + code
               + "\nnew = sorted(set(sys.modules) - before)\nimport json\n"
-              "print(json.dumps([new, 'hashlib' in sys.modules]))")
+              "print(json.dumps([new, sorted(sys.modules)]))")
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
-    new, hashlib_loaded = json.loads(proc.stdout.splitlines()[-1])
-    return set(new), hashlib_loaded
+    new, loaded = json.loads(proc.stdout.splitlines()[-1])
+    return set(new), set(loaded)
 
 
 def test_cli_import_loads_no_heavy_stdlib_module():
@@ -1040,11 +1052,23 @@ def test_cli_import_loads_no_heavy_stdlib_module():
 
 
 def test_only_document_commands_load_hashlib():
-    new, _ = _newly_loaded("from liecurv.cli import main\nmain(['catalog', 'list'])")
+    # nor shutil, which argparse's HelpFormatter imports for a width it is not given
+    new, loaded = _newly_loaded("from liecurv.cli import main\nmain(['catalog', 'list'])")
     assert "liecurv.cli" in new and "hashlib" not in new
-    _, hashlib_loaded = _newly_loaded("from liecurv.cli import main\n"
-                                      "assert main(['scalar', '--case', '1']) == 0")
-    assert hashlib_loaded
+    assert "shutil" not in loaded
+    _, loaded = _newly_loaded("from liecurv.cli import main\n"
+                              "assert main(['scalar', '--case', '1']) == 0")
+    assert "hashlib" in loaded
+
+
+@pytest.mark.parametrize("columns", [None, "0", "40", "200", "abc"])
+def test_help_is_formatted_at_the_terminal_width(monkeypatch, columns):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    assert cli._terminal_columns() == shutil.get_terminal_size().columns
+    assert cli._Formatter("liecurv")._width == shutil.get_terminal_size().columns - 2
 
 
 def test_cold_commands_generate_no_code():

@@ -7,7 +7,8 @@ and one float image), with parallel, zero and non-parallel drifts, exact or deci
 poles of rational and irrational g-norm with g(Q,y) < 0, = 0 and > 0, basis flags, zero
 poles and dependent edges, each exact, decimal or mixed. flag_curvature must give what
 oracles.flag_curvature_per_call gives: the same type and repr, or the same exception type
-and message.
+and message. Few draws reach an exact flag whose g(y,y) is no rational square, which ends in
+floats formed from ints, so a derandomized test lists such flags, refusals included.
 """
 
 import itertools
@@ -119,3 +120,56 @@ def test_flag_curvature_matches_the_per_call_route(source, drift, pole_kind, edg
     got = outcome(lambda: flag_curvature(rm, rt, Flag(Vector(pole), Vector(edge))))
     want = outcome(lambda: flag_curvature_per_call(rm, rt, Flag(Vector(pole), Vector(edge))))
     assert got == want, (source, q, pole, edge)
+
+
+# catalog cases 1, 2, 3, 6, case 4 at (-1, 0) and the drawn rotated 6-dim metric
+ROOTED = [0, 1, 2, 3, 4, len(CASES) + DRAWN.index((51, 6, "rotation", "exact"))]
+
+
+def irrational_root(metric, pole) -> bool:
+    yy = metric.norm_sq(Vector(pole))
+    return not (square(yy.numerator) and square(yy.denominator))
+
+
+@pytest.mark.parametrize("source", ROOTED)
+def test_irrational_root_flags_match_the_per_call_route(source):
+    """Exact flags whose g(y,y) is no rational square, on a parallel drift: g(Q,y) < 0 and > 0,
+    poles near -Q on a drift with g(Q,Q) = 1 - 1e-6, and poles scaled so that g(y,y) is past
+    the float range, rounds to 0, or is subnormal. Each gives what the per-call route gives;
+    a pole at 10^160 is an InputError and one at 10^-170 a PreconditionError."""
+    metric, rt, drifts, _ = setting(source)
+    rng, n = random.Random(f"rooted:{source}"), metric.dim
+    q = drifts[0]
+    bound = 1 - Fraction(1, 10 ** 6)  # t^2 g(Q,Q) <= bound < 1
+    t = Fraction(math.isqrt(int(10 ** 18 * bound / metric.norm_sq(Vector(q)))), 10 ** 9)
+    near = [t * x for x in q]
+    flags = []  # (drift, pole, label)
+    while len(flags) < 8:
+        y = list(rand_vector(rng, n))
+        if irrational_root(metric, y) and metric.inner(Vector(q), Vector(y)):
+            flags += [(q, y, "raw"), (q, [-x for x in y], "raw")]
+    for _ in range(3):
+        e = rand_vector(rng, n)
+        flags.append((near, [Fraction(a, 1000) - b for a, b in zip(e, near)], "near"))
+    y = flags[0][1]
+    for scale, label in ((10 ** 160, "over"), (Fraction(1, 10 ** 170), "under"),
+                         (Fraction(1, 10 ** 161), "subnormal")):
+        flags.append((q, [scale * x for x in y], label))
+    edges = [list(rand_vector(rng, n))] + [list(Vector.basis(n, k)) for k in range(n)]
+    signs = set()
+    for drift, pole, label in flags:
+        rm = build_randers(metric, drift, rt.connection)
+        beta = metric.inner(Vector(drift), Vector(pole))
+        assert rm.berwald and beta and irrational_root(metric, pole), (label, pole)
+        assert label != "near" or beta < 0
+        signs.add(beta > 0)
+        for edge in edges:
+            if not any(edge[i] * pole[j] != edge[j] * pole[i] for i in range(n) for j in range(n)):
+                continue  # a basis edge along the pole
+            got = outcome(lambda: flag_curvature(rm, rt, Flag(Vector(pole), Vector(edge))))
+            want = outcome(lambda: flag_curvature_per_call(rm, rt,
+                                                           Flag(Vector(pole), Vector(edge))))
+            assert got == want, (label, pole, edge)
+            expected = {"over": "InputError", "under": "PreconditionError"}.get(label, "float")
+            assert label == "subnormal" or got[0] == expected, (label, got)
+    assert signs == {False, True}

@@ -11,9 +11,9 @@ from oracles import (flag_curvature_four_g_y, fraction_forms, g_y_hessian_oracle
                      g_y_pointwise, sectional_dense)
 from test_exact_vs_float import close, semidirect_documents
 from test_riemann import assert_same_outcome, decimal_vector
-from liecurv import catalog, linalg
+from liecurv import catalog, linalg, randers
 from liecurv.algebra import MetricTensor, Vector
-from liecurv.errors import (DegeneratePlaneError, NonBerwaldError,
+from liecurv.errors import (DegeneratePlaneError, InputError, NonBerwaldError,
                             NormBoundError, UndefinedAtOriginError)
 from liecurv.linalg import is_positive_definite, orthonormal_pair
 from liecurv.randers import (Flag, build_randers, flag_curvature, g_y,
@@ -330,6 +330,49 @@ def test_flag_reads_the_metric_once(monkeypatch):
     edge = Vector([F(1, 3), F(2, 3), F(-2, 3), F(0)])
     assert flag_curvature(rm, rt, Flag(pole, edge)) == F(-1, 16)
     assert calls == []
+
+
+def test_an_irrational_root_flag_finishes_in_ints(monkeypatch):
+    # an exact flag whose g(y,y) is no rational square forms each float from plane_sums' ints,
+    # one int true division apiece: neither _randers_f nor sqrt_scalar runs, and randers
+    # builds no Fraction
+    _, _, rt, rm = setup(1, Z_HALF)
+    calls = []
+    for name in ("_randers_f", "sqrt_scalar", "Fraction"):
+        real = getattr(randers, name)
+        monkeypatch.setattr(randers, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    for pole in ([1, 1, 1, 0], [1, 1, -1, 0]):  # g(y,y) = 3, beta = 1/2 and -1/2
+        assert type(flag_curvature(rm, rt, Flag(Vector(pole), Vector.basis(4, 1)))) is float
+    assert calls == []
+
+
+N = 13 * 10 ** 153  # g(y,y) of (N, 0, N // 7, 0) is 1.72e308, inside the float range
+
+
+@pytest.mark.parametrize("case_id, drift, pole, edge", [
+    (1, [0, 0, F(1, 3), 0], [N, 0, N // 7, 0], [0, 1, 0, 0]),  # F^2 past the float range
+    (2, [0, 0, 0, F(1, 3)], [N, 0, 0, N // 7], [0, 1, 0, 0]),
+    (3, [0, 0, F(1, 3), F(1, 5)], [N, 0, N // 7, 0], [0, 1, 0, 0]),
+    (6, [0, 0, F(-1, 3), 0], [0, N, N // 7, 0], [0, 0, 0, 1]),  # g(y,y) K_g past it
+])
+@pytest.mark.parametrize("decimal_part", [None, "pole", "drift"])
+def test_flag_refuses_values_past_the_float_range(case_id, drift, pole, edge, decimal_part):
+    """Near the top of the float range F^2, or g(y,y) K_g, leaves it: the flag is refused as a
+    non-finite result, where it came back as -0.0, or as a raw OverflowError. The value is
+    homogeneous in the pole, and 1/1000 of the pole gives it."""
+    def value(scale):
+        q, y = ([float(x) for x in xs] if decimal_part == part else xs
+                for xs, part in ((drift, "drift"), ([x // scale for x in pole], "pole")))
+        _, _, rt, rm = setup(case_id, Vector(q))
+        return flag_curvature(rm, rt, Flag(Vector(y), Vector(edge)))
+
+    with pytest.raises(InputError, match=r"^floating result -?inf is not finite"):
+        value(1)
+    got = value(1000)
+    assert type(got) is float and math.isfinite(got) and got < 0
+    if case_id == 1:
+        assert got == pytest.approx(-0.893750301684039, rel=1e-12)
 
 
 def test_flag_requires_berwald():
