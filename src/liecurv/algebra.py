@@ -71,17 +71,6 @@ class Vector:
     def __len__(self) -> int:
         return self.dim
 
-    def __add__(self, other: "Vector") -> "Vector":
-        return Vector(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        return Vector(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def scale(self, s: Scalar) -> "Vector":
-        return Vector(s * a for a in self.coeffs)
-
-    __rmul__ = scale
-
     def is_zero(self) -> bool:
         return all(is_zero(a) for a in self.coeffs)
 

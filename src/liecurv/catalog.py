@@ -32,7 +32,7 @@ from functools import cache, cached_property
 
 from . import exprs
 from .algebra import JacobiReport, LieAlgebra, Vector, check_jacobi
-from .documents import Document, parse_document
+from .documents import Document, _read_scalar, parse_document
 from .errors import DegeneratePlaneError, InputError
 from .linalg import orthonormal_pair, rank
 from .randers import Flag, build_randers, flag_curvature, g_y, parallel_fields
@@ -57,13 +57,14 @@ def case_ids() -> list[int]:
     return [entry["id"] for entry in _load()[0]]
 
 
+def _free_names(texts) -> set:
+    """The names that the fixture strings among texts read."""
+    return set().union(*(exprs.free_names(exprs.parse_expr(t))
+                         for t in texts if isinstance(t, str)))
+
+
 def _needs_params(entry: dict) -> bool:
-    names = set()
-    for b in entry["brackets"]:
-        for c in b["coeffs"]:
-            if isinstance(c, str):
-                names |= exprs.free_names(exprs.parse_expr(c))
-    return bool(names & {"alpha", "beta"})
+    return bool(_free_names(c for b in entry["brackets"] for c in b["coeffs"]) & {"alpha", "beta"})
 
 
 def case_summaries() -> list[dict]:
@@ -125,8 +126,9 @@ class CatalogCase(Geometry):
         self.id, self.name, self.expected = id, name, expected
 
     def _eval(self, text: str, env: dict | None = None) -> Scalar:
-        """text over env, which binds the parameters too; by default them alone."""
-        return exprs.evaluate(text, self.params if env is None else env)
+        """A fixture string, read literal-first as parse_document reads the same file, over
+        env, which binds the parameters too; by default them alone."""
+        return _read_scalar(text, f"case {self.id}", self.params if env is None else env)
 
     def _eval_vector(self, coeffs, env: dict | None = None) -> Vector:
         return Vector(self._eval(c, env) for c in coeffs)
@@ -146,8 +148,8 @@ class CatalogCase(Geometry):
         cond = self.expected["parallel"]["condition"]
         if cond is None:
             return True
-        return all(approx_equal(self.params.get(k, Fraction(0)),
-                                exprs.evaluate(v, {})) for k, v in cond.items())
+        return all(approx_equal(self.params.get(k, Fraction(0)), self._eval(v, {}))
+                   for k, v in cond.items())
 
     def expected_parallel(self) -> list[Vector]:
         if not self.parallel_applicable():
@@ -161,10 +163,7 @@ class CatalogCase(Geometry):
     def drift_vars(self) -> list[str]:
         if self.expected["randers"] is None:
             return []
-        names: set = set()
-        for c in self.expected["randers"]["drift"]:
-            names |= exprs.free_names(exprs.parse_expr(c))
-        return sorted(names - set(self.params))
+        return sorted(_free_names(self.expected["randers"]["drift"]) - set(self.params))
 
     def drift_vector(self, env: dict) -> Vector:
         return self._eval_vector(self.expected["randers"]["drift"], {**self.params, **env})

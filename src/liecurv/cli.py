@@ -13,6 +13,7 @@ codes: 0 success, 1 input error, 2 mathematical precondition violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -341,46 +342,31 @@ def cmd_catalog(args) -> CommandResult:
 # --- dispatch -----------------------------------------------------------------
 
 
-def _terminal_columns() -> int:
-    """shutil.get_terminal_size().columns without importing shutil, which loads bz2, lzma,
-    zlib and fnmatch: a positive COLUMNS, else the width of sys.__stdout__'s terminal, else
-    80."""
+def _formatter(prog: str) -> argparse.HelpFormatter:
+    """argparse's HelpFormatter at its default width, shutil.get_terminal_size().columns - 2,
+    found without importing shutil, which loads bz2, lzma, zlib and fnmatch: a positive
+    COLUMNS, else the width of sys.__stdout__'s terminal, else 80."""
     try:
         columns = int(os.environ["COLUMNS"])
     except (KeyError, ValueError):
         columns = 0
-    if columns > 0:
-        return columns
-    try:
-        return os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
-    except (AttributeError, ValueError, OSError):
-        return 80
-
-
-class _Formatter(argparse.HelpFormatter):
-    """argparse's HelpFormatter, its default width from _terminal_columns."""
-
-    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
-        super().__init__(prog, indent_increment, max_help_position,
-                         _terminal_columns() - 2 if width is None else width)
-
-
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser, and so each of its sub-parsers, formatting with _Formatter."""
-
-    def __init__(self, *args, formatter_class=_Formatter, **kwargs):
-        super().__init__(*args, formatter_class=formatter_class, **kwargs)
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+        except (AttributeError, ValueError, OSError):
+            columns = 80
+    return argparse.HelpFormatter(prog, width=columns - 2)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, formatter_class=_formatter)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--precision", type=int, default=12,
                         help="significant digits for floating output")
     common.add_argument("--strict", action="store_true",
                         help="exit 3 when the discrepancy ledger is nonempty")
 
-    doc_input = _Parser(add_help=False)
+    doc_input = argparse.ArgumentParser(add_help=False, formatter_class=_formatter)
     doc_input.add_argument("document", nargs="?",
                            help="path to a JSON algebra document")
     doc_input.add_argument("--case", type=int, help="built-in catalog case id")
@@ -388,11 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     doc_input.add_argument("--beta", help="case parameter (with --case)")
     doc_input.add_argument("--drift", help="drift vector, e.g. 0,0,1/2,0")
 
-    parser = _Parser(
-        prog="liecurv",
+    parser = argparse.ArgumentParser(
+        prog="liecurv", formatter_class=_formatter,
         description="Left-invariant Riemannian and Randers geometry from "
                     "Lie algebra structure constants.")
-    sub = parser.add_subparsers(dest="cmd", required=True)
+    sub = parser.add_subparsers(dest="cmd", required=True, parser_class=functools.partial(
+        argparse.ArgumentParser, formatter_class=_formatter))
 
     sub.add_parser("check", parents=[common, doc_input],
                    help="validate a document: antisymmetry, Jacobi, metric"

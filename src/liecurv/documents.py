@@ -51,8 +51,8 @@ class Document:
 
 
 def _read_scalar(value, where: str, params: dict) -> Scalar:
-    """One document scalar: an int, a float, a literal or an expression over
-    the declared params."""
+    """One document or catalog fixture scalar: an int, a float, a literal or an
+    expression over the declared params."""
     if isinstance(value, bool):
         raise InputError(f"{where}: booleans are not scalars")
     if isinstance(value, int):

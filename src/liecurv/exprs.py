@@ -54,10 +54,10 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from .errors import InputError
-from .scalars import Scalar, format_scalar, is_exact
+from .scalars import Scalar, format_scalar, is_exact, parse_rational
 
 # Distinct sources and groups kept by the compile memo; reproducing all six
-# catalog cases compiles 35 sources alone and 11 groups.
+# catalog cases compiles 20 sources alone and 11 groups.
 PARSE_CACHE_SIZE = 4096
 
 # Largest |n| accepted in x^n. An exact power is computed in full, so without
@@ -88,7 +88,7 @@ MAX_EXPR_BITS = 1 << 20
 # Python for it. Generating case 4's 170-operator R(V,U)U/sectional group takes
 # 3.3 ms and saves 59 us a run (78 -> 19 us), so it pays off after 57 runs;
 # programs of 3 to 27 operators after 80 to 150 (CPython 3.11, 2-vCPU VM). In
-# a single-point `report --case 4` only one program, with no operator, runs 64 times.
+# a single-point `report --case 4` no program runs more than 21 times.
 PROMOTE_AT = 64
 
 _DIV_ZERO = "division by zero in expression"
@@ -118,13 +118,7 @@ def _tokenize(src: str) -> list:
         pos = m.end()
         num, name, op = m.group("num", "name", "op")
         if num is not None:
-            if any(ch in num for ch in ".eE"):
-                tokens.append(float(num))
-            else:
-                try:
-                    tokens.append(int(num))
-                except ValueError as exc:  # past the int-string digit limit
-                    raise InputError(f"integer literal too long: {exc}") from None
+            tokens.append(float(num) if any(ch in num for ch in ".eE") else parse_rational(num))
         elif name is not None:
             tokens.append(("var", name))
         else:

@@ -13,14 +13,14 @@ The fundamental tensor
                 - g(Q,y) g(y,u) g(y,v) / g(y,y)^(3/2)
                 + ( g(Q,u) g(y,v) + g(Q,y) g(u,v) + g(Q,v) g(y,u) ) / sqrt(g(y,y))
 
-is kept for printing and for the fixtures' fundamental-tensor checks. g_y takes one
-pole and a list of pairs: g(y,y), g(Q,y) and sqrt(g(y,y)) are built once per pole, and
-g(Q,u) and g(y,u) once per vector; every product is one MetricTensor.inner_read on the
-vectors' own int forms, inner's value bit for bit. The pair (y, y) is F^2, which the sum
+is kept for printing and for the fixtures' fundamental-tensor checks. g_y takes one pole and
+a list of pairs: g(y,y), g(Q,y) and sqrt(g(y,y)) are built once per pole, and g(Q,u) and
+g(y,u) once per vector; every product is one MetricTensor.inner_read on the vectors' own int
+forms, inner's value bit for bit. A pair (y, y), y the pole in value, is F^2, which the sum
 loses to cancellation as y nears -Q. Exact zeros short-circuit the square-root terms, so the
 drift = 0 limit degenerates to g exactly, not merely within tolerance. build_randers reads
-every drift from Connection.system, the rows parallel_fields solves; flag_curvature reads K_g
-from riemann.plane_sums' sums and denominators.
+every drift from Connection.system, the rows parallel_fields solves; flag_curvature reads
+K_g from riemann.plane_sums' sums and denominators.
 """
 
 from __future__ import annotations
@@ -114,7 +114,8 @@ def g_y(rm: RandersMetric, ybar, pairs) -> list[Scalar]:
 
     Closed form of (1/2) d^2/ds dt F^2(ybar + s u + t v) at s = t = 0. Terms whose exact
     coefficient vanishes are skipped so no irrational square root contaminates an exact
-    result; the root is taken once, when a term first needs it. (y, y) is _randers_f's F^2.
+    result; the root is taken once, when a term first needs it. A pair of two vectors equal to
+    ybar in value is _randers_f's F^2, from the first one's g(y,u) and g(Q,u).
     """
     ybar = as_vector(ybar, rm.dim)
     pairs = [(as_vector(u, rm.dim), as_vector(v, rm.dim)) for u, v in pairs]
@@ -133,6 +134,9 @@ def g_y(rm: RandersMetric, ybar, pairs) -> list[Scalar]:
             if id(x) not in dots:
                 dots[id(x)] = g(q, x), g(ybar, x)
         (gqu, gyu), (gqv, gyv) = dots[id(u)], dots[id(v)]
+        if v == ybar == u:  # u's own values: a float copy of an exact pole stays float
+            out.append(gyu if is_exact_zero(gqu) else _randers_f(gyu, gqu)[1])
+            continue
         total = (guv := g(u, v)) + gqu * gqv
         t3 = gqy * gyv * gyu
         t4 = gqu * gyv + gqy * guv + gqv * gyu

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations
 from typing import Mapping, Sequence, Union
 
@@ -78,6 +79,21 @@ def flag_curvature_per_call(rm: RandersMetric, rt: CurvatureTensor, flag: Flag) 
     return yy * k / f_sq
 
 
+def vadd(*vectors: Vector) -> Vector:
+    """vectors[0] + vectors[1] + ..., coefficient by coefficient, left to right."""
+    return Vector(reduce(operator.add, xs) for xs in zip(*vectors))
+
+
+def vsub(*vectors: Vector) -> Vector:
+    """vectors[0] - vectors[1] - ..., coefficient by coefficient, left to right."""
+    return Vector(reduce(operator.sub, xs) for xs in zip(*vectors))
+
+
+def vscale(v: Vector, s: Scalar) -> Vector:
+    """s v, coefficient by coefficient."""
+    return Vector(s * a for a in v)
+
+
 def bracket(alg: LieAlgebra, u, v) -> Vector:
     """[u, v] extended bilinearly from the structure constants."""
     u = as_vector(u, alg.dim)
@@ -99,9 +115,9 @@ def check_jacobi_reference(alg: LieAlgebra) -> JacobiReport:
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 ei, ej, ek = (Vector.basis(n, t) for t in (i, j, k))
-                residual = (bracket(alg, bracket(alg, ei, ej), ek)
-                            + bracket(alg, bracket(alg, ej, ek), ei)
-                            + bracket(alg, bracket(alg, ek, ei), ej))
+                residual = vadd(bracket(alg, bracket(alg, ei, ej), ek),
+                                bracket(alg, bracket(alg, ej, ek), ei),
+                                bracket(alg, bracket(alg, ek, ei), ej))
                 if not residual.is_zero():
                     report.violations.append((i, j, k, residual))
     return report
@@ -291,8 +307,8 @@ def fraction_forms():
 def torsion(conn: Connection, i: int, j: int) -> Vector:
     """nabla_i e_j - nabla_j e_i - [e_i, e_j]; zero for Levi-Civita."""
     n = conn.dim
-    return (conn.nabla(i, j) - conn.nabla(j, i)
-            - bracket(conn.algebra, Vector.basis(n, i), Vector.basis(n, j)))
+    return vsub(conn.nabla(i, j), conn.nabla(j, i),
+                bracket(conn.algebra, Vector.basis(n, i), Vector.basis(n, j)))
 
 
 def compatibility_residual(conn: Connection, i: int, j: int, k: int) -> Scalar:
@@ -589,8 +605,8 @@ def sectional_plane_invariance_check(rt: CurvatureTensor, metric: MetricTensor,
     n = rt.dim
     u = as_vector(u, n)
     v = as_vector(v, n)
-    u2 = u.scale(a) + v.scale(b)
-    v2 = u.scale(c) + v.scale(d)
+    u2 = vadd(vscale(u, a), vscale(v, b))
+    v2 = vadd(vscale(u, c), vscale(v, d))
     _, value = sectional(rt, metric, u, v)
     _, value2 = sectional(rt, metric, u2, v2)
     return PlaneInvarianceReport(value, value2)
@@ -631,8 +647,8 @@ def nijenhuis(alg: LieAlgebra, j, u, v) -> Vector:
         return Vector(linalg.contract(j, w.coeffs))
 
     ju, jv = apply(u), apply(v)
-    return (bracket(alg, ju, jv) - apply(bracket(alg, ju, v) + bracket(alg, u, jv))
-            + apply(apply(bracket(alg, u, v))))
+    return vadd(vsub(bracket(alg, ju, jv), apply(vadd(bracket(alg, ju, v), bracket(alg, u, jv)))),
+                apply(apply(bracket(alg, u, v))))
 
 
 def check_para_hypercomplex(alg: LieAlgebra, j1, j2) -> dict[str, list[str]]:

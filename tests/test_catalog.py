@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 from oracles import bracket
-from liecurv import catalog
+from liecurv import catalog, exprs
 from liecurv.algebra import Vector
+from liecurv.documents import _read_scalar
 from liecurv.errors import InputError
 
 F = Fraction
@@ -258,3 +259,57 @@ def test_vectors_match_reads_exact_int_forms():
                                                  Fraction(-2, 3), 0]))
     assert catalog._vectors_match(a, Vector([0.5, -2 / 3 + 1e-12, 0.0]))
     assert not catalog._vectors_match(a, Vector([0.5, -2 / 3 + 1e-6, 0.0]))
+
+
+# fixture keys that hold prose or labels, not scalars
+_NOT_SCALARS = {"derivation", "item", "sign"}
+
+
+def _scalar_strings(node, key=None):
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _scalar_strings(v, k)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _scalar_strings(v, key)
+    elif isinstance(node, str) and key not in _NOT_SCALARS:
+        yield node
+
+
+CASE_POINTS = [(1, None, None), (2, None, None), (3, None, None), (4, F(-1), F(0)),
+               (4, F(1, 2), F(1, 3)), (4, 0.5, F(2)), (5, None, None), (6, None, None)]
+POINT_IDS = ["1", "2", "3", "4(-1,0)", "4(1/2,1/3)", "4(0.5,2)", "5", "6"]
+
+
+@pytest.mark.parametrize("case_id, alpha, beta", CASE_POINTS, ids=POINT_IDS)
+def test_fixture_strings_read_as_exprs_evaluates_them(case_id, alpha, beta):
+    """The literal-first document reader gives every scalar string of the fixture the value
+    and type that exprs.evaluate gives it: brackets, metric rows, and the expected block with
+    its drift, closed forms and annotations, over the parameters, a pole, an edge and a drift."""
+    entry = next(e for e in catalog._load()[0] if e["id"] == case_id)
+    case = catalog.get_case(case_id, alpha=alpha, beta=beta)
+    env = catalog._coord_env(case.params, (F(1, 3), F(-2), F(5, 7), F(1)),
+                             (F(2), F(1, 5), F(-1, 2), F(3)))
+    env.update(q=F(1, 4), q1=F(-1, 6), q2=F(2, 9))
+    metric = entry["metric"] if isinstance(entry["metric"], list) else []
+    texts = list(_scalar_strings([entry["brackets"], metric, entry["expected"]]))
+    assert texts
+    for text in texts:
+        got, want = _read_scalar(text, "fixture", env), exprs.evaluate(text, env)
+        assert type(got) is type(want) and repr(got) == repr(want), (text, got, want)
+
+
+@pytest.mark.parametrize("case_id, alpha, beta", CASE_POINTS, ids=POINT_IDS)
+def test_reproduce_runs_no_program_without_operator_and_name(monkeypatch, case_id, alpha, beta):
+    """A literal fixture string is read by parse_rational, not run as an expression program:
+    one reproduce runs exprs._run only on programs with an operator or a name."""
+    run, bare = exprs._run, []
+
+    def counted(program, env):
+        if program[3] is None and not program[1]:
+            bare.append(program)
+        return run(program, env)
+
+    monkeypatch.setattr(exprs, "_run", counted)
+    catalog.reproduce(catalog.get_case(case_id, alpha=alpha, beta=beta))
+    assert not bare

@@ -1052,13 +1052,23 @@ def test_cli_import_loads_no_heavy_stdlib_module():
 
 
 def test_only_document_commands_load_hashlib():
-    # nor shutil, which argparse's HelpFormatter imports for a width it is not given
-    new, loaded = _newly_loaded("from liecurv.cli import main\nmain(['catalog', 'list'])")
+    new, _ = _newly_loaded("from liecurv.cli import main\nmain(['catalog', 'list'])")
     assert "liecurv.cli" in new and "hashlib" not in new
-    assert "shutil" not in loaded
     _, loaded = _newly_loaded("from liecurv.cli import main\n"
                               "assert main(['scalar', '--case', '1']) == 0")
     assert "hashlib" in loaded
+    # no command loads shutil, which argparse's HelpFormatter imports for a width it is not
+    # given: all nine, each on a catalog case, in one interpreter
+    drift, pole, edge = "--drift=0,0,1/2,0", "--pole=1,0,0,0", "--edge=0,1,0,0"
+    commands = [["check", "--case", "1"], ["analyze", "--case", "1"],
+                ["sectional", "--case", "1", "--u=1,0,0,0", "--v=0,1,0,0"],
+                ["scalar", "--case", "1"], ["parallel", "--case", "1"],
+                ["randers", "--case", "1", drift, pole, edge],
+                ["flag", "--case", "1", drift, pole, edge],
+                ["report", "--case", "1"], ["catalog", "list"]]
+    _, loaded = _newly_loaded("from liecurv.cli import main\n" + "".join(
+        f"assert main({argv!r}) == 0\n" for argv in commands))
+    assert "liecurv.catalog" in loaded and "shutil" not in loaded
 
 
 @pytest.mark.parametrize("columns", [None, "0", "40", "200", "abc"])
@@ -1067,8 +1077,7 @@ def test_help_is_formatted_at_the_terminal_width(monkeypatch, columns):
         monkeypatch.delenv("COLUMNS", raising=False)
     else:
         monkeypatch.setenv("COLUMNS", columns)
-    assert cli._terminal_columns() == shutil.get_terminal_size().columns
-    assert cli._Formatter("liecurv")._width == shutil.get_terminal_size().columns - 2
+    assert cli._formatter("liecurv")._width == shutil.get_terminal_size().columns - 2
 
 
 def test_cold_commands_generate_no_code():

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from oracles import (basis_plane_from_op, berwald_reference,  # noqa: E402
                      curvature_apply_per_call, inner_per_call, plane_form_per_call,
-                     riemann_reference)
+                     riemann_reference, vadd, vsub)
 from test_connection_store import MOVES, geometry, small  # noqa: E402
 from liecurv.algebra import Vector  # noqa: E402
 from liecurv.randers import build_randers  # noqa: E402
@@ -115,11 +115,11 @@ def test_second_bianchi_identity(seed, dim, identity, move):
         return curvature_apply(rt, y, z, w)
 
     def nabla_r(x, y, z, w):  # (nabla_x R)(y, z)w for left-invariant fields
-        return (nabla(x, r(y, z, w)) - r(nabla(x, y), z, w) - r(y, nabla(x, z), w)
-                - r(y, z, nabla(x, w)))
+        return vsub(nabla(x, r(y, z, w)), r(nabla(x, y), z, w), r(y, nabla(x, z), w),
+                    r(y, z, nabla(x, w)))
 
     for _ in range(4):
         i, j, k = rng.sample(range(dim), 3) if dim > 2 else (0, 1, rng.randrange(2))
         x, y, z, w = e[i], e[j], e[k], e[rng.randrange(dim)]
-        total = nabla_r(x, y, z, w) + nabla_r(y, z, x, w) + nabla_r(z, x, y, w)
+        total = vadd(nabla_r(x, y, z, w), nabla_r(y, z, x, w), nabla_r(z, x, y, w))
         assert all(type(t) is Fraction and not t for t in total), (i, j, k, total)

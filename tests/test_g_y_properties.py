@@ -15,6 +15,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from oracles import vadd, vscale  # noqa: E402
 from liecurv.algebra import LieAlgebra, MetricTensor, Vector  # noqa: E402
 from liecurv.randers import build_randers, g_y, randers_norm  # noqa: E402
 from liecurv.riemann import levi_civita  # noqa: E402
@@ -45,7 +46,7 @@ def randers_data(draw):
     q = vector()
     norm_sq = metric.norm_sq(q)
     if norm_sq >= 1:
-        q = q.scale(Fraction(1, 1 + math.ceil(norm_sq)))
+        q = vscale(q, Fraction(1, 1 + math.ceil(norm_sq)))
     y = vector()
     if y.is_zero():
         y = Vector.basis(n, 0)
@@ -60,12 +61,12 @@ def randers_data(draw):
 def test_g_y_properties(data):
     metric, conn, q, y, u, v, w, s, c = data
     rm = build_randers(metric, q, conn)
-    uv, vu, lin, wv, yy = g_y(rm, y, [(u, v), (v, u), (u.scale(s) + w, v), (w, v), (y, y)])
+    uv, vu, lin, wv, yy = g_y(rm, y, [(u, v), (v, u), (vadd(vscale(u, s), w), v), (w, v), (y, y)])
     assert agree(uv, vu)  # symmetric
     assert agree(lin, s * uv + wv)  # bilinear
     f = randers_norm(rm, y)
     assert agree(yy, f * f)  # g_y(y, y) = F(y)^2
-    assert agree(g_y(rm, y.scale(c), [(u, v)])[0], uv)  # unchanged by y -> c y, c > 0
+    assert agree(g_y(rm, vscale(y, c), [(u, v)])[0], uv)  # unchanged by y -> c y, c > 0
     base = build_randers(metric, Vector.zero(metric.dim), conn)
     got = g_y(base, y, [(u, v), (w, v)])  # a zero drift gives the base metric, exactly
     assert got == [metric.inner(u, v), metric.inner(w, v)]

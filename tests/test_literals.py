@@ -70,3 +70,14 @@ def test_ascii_grids_keep_their_range(lo, hi):
         assert _parse_grid(f"{lo}:{hi}", "--alpha-grid") == range(lo, hi + 1)
     with pytest.raises(InputError):
         _parse_grid(f"{lo}:{hi}_0", "--beta-grid")
+
+
+def test_an_over_long_integer_literal_is_refused_alike_in_an_expression():
+    """The tokenizer reads an integer literal through parse_rational, so an expression
+    refuses one past the int-string digit limit with parse_rational's own message."""
+    with pytest.raises(InputError) as literal:
+        parse_rational("9" * 5000)
+    with pytest.raises(InputError) as expression:
+        exprs.parse_expr("1+" + "9" * 5000)
+    assert str(literal.value).startswith("integer literal too long: ")
+    assert str(expression.value) == str(literal.value)

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import change_basis, invert, rand_fraction, rand_invertible, rand_vector
 from oracles import (flag_curvature_four_g_y, fraction_forms, g_y_hessian_oracle,
-                     g_y_pointwise, sectional_dense)
+                     g_y_pointwise, sectional_dense, vadd, vscale, vsub)
 from test_exact_vs_float import close, semidirect_documents
 from test_riemann import assert_same_outcome, decimal_vector
 from liecurv import catalog, linalg, randers
@@ -69,7 +69,7 @@ def test_norm_bound_is_strict():
 def test_randers_norm_values():
     _, _, _, rm = setup(1, Z_HALF)
     assert randers_norm(rm, Vector.basis(4, 2)) == F(3, 2)
-    assert randers_norm(rm, Vector.basis(4, 2).scale(F(-1))) == F(1, 2)
+    assert randers_norm(rm, vscale(Vector.basis(4, 2), F(-1))) == F(1, 2)
     assert randers_norm(rm, Vector.basis(4, 0)) == 1
     assert randers_norm(rm, Vector([F(3), F(4), F(0), F(0)])) == 5
 
@@ -99,11 +99,11 @@ def test_norm_is_positively_homogeneous_only(rng):
     _, _, _, rm = setup(1, Z_HALF)
     y = Vector([F(3), F(0), F(4), F(0)])  # perfect square norm: stays exact
     assert randers_norm(rm, y) == 7
-    assert randers_norm(rm, y.scale(F(3))) == 21
+    assert randers_norm(rm, vscale(y, F(3))) == 21
     # reversing direction changes the value: the metric is genuinely Finsler
-    assert randers_norm(rm, y.scale(F(-1))) == 3
+    assert randers_norm(rm, vscale(y, F(-1))) == 3
     y2 = Vector([F(1), F(0), F(1), F(0)])
-    assert abs(randers_norm(rm, y2.scale(F(3))) - 3 * randers_norm(rm, y2)) < 1e-12
+    assert abs(randers_norm(rm, vscale(y2, F(3))) - 3 * randers_norm(rm, y2)) < 1e-12
 
 
 # --- fundamental tensor --------------------------------------------------------
@@ -121,7 +121,7 @@ def test_g_y_symmetric_bilinear(rng):
         y = rand_vector(rng, 4)
         u, v, w = (rand_vector(rng, 4) for _ in range(3))
         s = F(rng.randint(-3, 3), rng.randint(1, 2))
-        uv, vu, lhs, wv = g_y(rm, y, [(u, v), (v, u), (u.scale(s) + w, v), (w, v)])
+        uv, vu, lhs, wv = g_y(rm, y, [(u, v), (v, u), (vadd(vscale(u, s), w), v), (w, v)])
         assert uv == vu
         rhs = s * uv + wv
         assert abs(lhs - rhs) < 1e-12 if isinstance(lhs, float) else lhs == rhs
@@ -131,7 +131,7 @@ def test_g_y_zero_homogeneous_in_reference(rng):
     _, _, _, rm = setup(1, Z_HALF)
     for _ in range(20):
         y, u, v = (rand_vector(rng, 4) for _ in range(3))
-        (scaled,) = g_y(rm, y.scale(F(rng.randint(1, 9))), [(u, v)])
+        (scaled,) = g_y(rm, vscale(y, F(rng.randint(1, 9))), [(u, v)])
         (plain,) = g_y(rm, y, [(u, v)])
         if isinstance(plain, float) or isinstance(scaled, float):
             assert abs(scaled - plain) < 1e-9
@@ -206,7 +206,7 @@ def test_g_y_matches_pointwise_oracle():
         n = metric.dim
         q = random_drift(rng, metric, basis)
         drifts = [Vector.zero(n), q, Vector(float(x) for x in q), random_drift(
-            rng, metric, [mixed_vector(rng, n).scale(F(1, 4 + 4 * n))])]
+            rng, metric, [vscale(mixed_vector(rng, n), F(1, 4 + 4 * n))])]
         basis_pairs = [(Vector.basis(n, i), Vector.basis(n, j))
                        for i in range(n) for j in range(n)]
         for k in range(12):
@@ -385,7 +385,7 @@ def test_flag_rejects_degenerate_flags():
     _, _, rt, rm = setup(1, Z_HALF)
     u = Vector([F(1), F(1), F(0), F(0)])
     with pytest.raises(DegeneratePlaneError):
-        flag_curvature(rm, rt, Flag(u, u.scale(F(2))))
+        flag_curvature(rm, rt, Flag(u, vscale(u, F(2))))
     with pytest.raises(UndefinedAtOriginError):
         flag_curvature(rm, rt, Flag(Vector.zero(4), u))
 
@@ -407,7 +407,7 @@ def test_exact_and_float_agree_at_every_scale(k):
     wants = values(pole, edge, u)
     assert all(type(w) is F for w in wants)
     for s in (F(1, 10 ** k), 10.0 ** -k):
-        gots = values(pole.scale(s), edge.scale(s), u.scale(s))
+        gots = values(vscale(pole, s), vscale(edge, s), vscale(u, s))
         for got, want in zip(gots, wants):
             assert got == want if type(s) is F else close(want, got), (s, got, want)
         with pytest.raises(DegeneratePlaneError):
@@ -434,7 +434,7 @@ def test_float_flags_on_exact_tensors_match_the_fraction_path():
         conn = levi_civita(alg, metric)
         rt = riemann_tensor(conn)
         (q,) = parallel_fields(conn)
-        rm = build_randers(metric, q.scale(F(1, 2 + 2 * int(metric.norm_sq(q)))), conn)
+        rm = build_randers(metric, vscale(q, F(1, 2 + 2 * int(metric.norm_sq(q)))), conn)
         flags = [tuple(map(Vector, orthonormal_pair(metric, rand_vector(rng, 4),
                                                     rand_vector(rng, 4)))) for _ in range(8)]
         flags += [(Vector([1, 1, 1, 0]), rand_vector(rng, 4)),
@@ -506,10 +506,10 @@ def random_drift(rng, metric, basis):
     """A random combination of the parallel basis, scaled into g(Q,Q) < 1."""
     q = Vector.zero(metric.dim)
     for b in basis:
-        q = q + b.scale(rand_fraction(rng, span=3))
+        q = vadd(q, vscale(b, rand_fraction(rng, span=3)))
     norm_sq = metric.norm_sq(q)
     if norm_sq >= 1:
-        q = q.scale(F(1, 2 * math.ceil(norm_sq)))
+        q = vscale(q, F(1, 2 * math.ceil(norm_sq)))
     return q
 
 
@@ -541,7 +541,7 @@ def test_flag_matches_four_g_y_oracle():
                 pole = rand_vector(rng, 4)
             if shape == 2 and not q.is_zero():
                 # project the pole to g(Q, pole) = 0
-                pole = pole - q.scale(metric.inner(q, pole) / metric.norm_sq(q))
+                pole = vsub(pole, vscale(q, metric.inner(q, pole) / metric.norm_sq(q)))
                 if pole.is_zero():
                     continue
             edge = rand_vector(rng, 4)
@@ -619,15 +619,15 @@ def test_flag_matches_dense_and_four_g_y_oracles():
             flags.append(Flag(decimal_vector(rng, n), rand_vector(rng, n)))
         y, d = rand_vector(rng, n), decimal_vector(rng, n)
         flags += [Flag(Vector.zero(n), y), Flag(Vector([0.0] * n), d),
-                  Flag(y, y.scale(F(5, 3))), Flag(d, d.scale(-0.5)),
+                  Flag(y, vscale(y, F(5, 3))), Flag(d, vscale(d, -0.5)),
                   Flag(y, Vector.zero(n)), Flag(d, Vector([0.0] * n))]
         # a basis field that is not parallel (a flat algebra has none), scaled
         # into g(Q,Q) < 1
         i = next((i for i in range(n) if any(
             not conn.derivative(Vector.basis(n, m), Vector.basis(n, i)).is_zero()
             for m in range(n))), None)
-        bent = [] if i is None else [build_randers(metric, Vector.basis(n, i).scale(
-            F(1, 2 * math.ceil(metric.gram[i][i]))), conn)]
+        bent = [] if i is None else [build_randers(metric, vscale(
+            Vector.basis(n, i), F(1, 2 * math.ceil(metric.gram[i][i]))), conn)]
         assert not any(rm.berwald for rm in bent), label
         for rm, tensor in [(b, t) for b in bent for t in (rt, other_dim)] + [
                 (randers[0], other_dim)]:
@@ -692,18 +692,23 @@ def test_g_y_at_the_pole_is_f_squared_near_minus_q():
                                                                          10.0 ** -e)
             drift, pole = Vector([0, 0, q, 0]), Vector([eps, 0, -1 if exact else -1.0, 0])
             rm = build_randers(case.metric, drift, case.connection)
-            (got,) = g_y(rm, pole, [(pole, pole)])
             want = f_squared(drift, pole)
-            error = abs(decimal.Decimal(got) - want)
-            if exact:
-                assert error <= 4 * decimal.Decimal(math.ulp(float(want))), (k, got, want)
-            else:
-                assert error <= want / 10 ** 7, (k, got, want)
+            # the pole object, an equal copy, and the pole as a list (two Vectors in the pair)
+            for y in (pole, Vector(list(pole)), list(pole)):
+                (got,) = g_y(rm, pole, [(y, y)])
+                error = abs(decimal.Decimal(got) - want)
+                if exact:
+                    assert error <= 4 * decimal.Decimal(math.ulp(float(want))), (k, y, got, want)
+                else:
+                    assert error <= want / 10 ** 7, (k, y, got, want)
     rm = build_randers(case.metric, Vector([0, 0, F(1, 2), 0]), case.connection)
     pole = Vector([1, F(1, 3), 0, 1])  # g(y,y) = 19/9, its root irrational; g(Q,y) = 0
     got = g_y(rm, pole, [(pole, pole), (pole, Vector([1, F(1, 3), 0, 1]))])
     assert got[0] == F(19, 9) and type(got[0]) is F
     assert got[1] == F(19, 9)
+    pole, copy = Vector([1, 0, 0, 1]), Vector([1.0, 0.0, 0.0, 1.0])  # a float copy stays float
+    got = g_y(rm, pole, [(pole, pole), (copy, copy)])
+    assert got == [2, 2.0] and [type(x) for x in got] == [F, float]
 
 
 def test_float_poles_on_case_1_make_no_contract_call(monkeypatch):
