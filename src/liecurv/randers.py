@@ -127,9 +127,6 @@ def g_y(rm: RandersMetric, ybar, pairs) -> list[Scalar]:
     gqy = g(q, ybar)
     dots, root, out = {id(ybar): (gqy, gyy)}, None, []  # id(u): (g(Q,u), g(y,u)), once per vector
     for u, v in pairs:
-        if u is ybar is v:
-            out.append(gyy if is_exact_zero(gqy) else _randers_f(gyy, gqy)[1])
-            continue
         for x in (u, v):
             if id(x) not in dots:
                 dots[id(x)] = g(q, x), g(ybar, x)

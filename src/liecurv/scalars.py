@@ -82,20 +82,18 @@ def parse_rational(text: str) -> Scalar:
     if not s or not s.isascii() or "_" in s:  # int() and float() also read '٣' and '1_0'
         raise InputError(f"bad scalar literal {shown_literal(text)}" if s
                          else "empty scalar literal")
-    if s.lstrip("+-")[:1].isdigit():  # else int() cannot read s, nor the numerator
-        try:
-            if "/" not in s:
-                return int(s)
-            num, _, den = s.partition("/")
-            return Fraction(int(num), int(den))
-        except ZeroDivisionError:
-            raise InputError(f"bad rational literal {shown_literal(text)}: "
-                             "zero denominator") from None
-        except ValueError as exc:
-            if str(exc).startswith("Exceeds the limit"):  # the int-string digit limit
-                raise InputError(f"integer literal too long: {exc}") from None
-    if "/" in s:
-        raise InputError(f"bad rational literal {shown_literal(text)}")
+    try:
+        if "/" not in s:
+            return int(s)
+        num, _, den = s.partition("/")
+        return Fraction(int(num), int(den))
+    except ZeroDivisionError:
+        raise InputError(f"bad rational literal {shown_literal(text)}: zero denominator") from None
+    except ValueError as exc:
+        if str(exc).startswith("Exceeds the limit"):  # the int-string digit limit
+            raise InputError(f"integer literal too long: {exc}") from None
+        if "/" in s:
+            raise InputError(f"bad rational literal {shown_literal(text)}") from None
     if any(ch in s for ch in ".eE"):
         try:
             out = float(s)

@@ -313,3 +313,11 @@ def test_reproduce_runs_no_program_without_operator_and_name(monkeypatch, case_i
     monkeypatch.setattr(exprs, "_run", counted)
     catalog.reproduce(catalog.get_case(case_id, alpha=alpha, beta=beta))
     assert not bare
+
+
+def test_a_fixture_string_past_the_float_range_names_its_case():
+    """A fixture string is read as parse_document reads a document scalar, so its error names
+    where it came from: at alpha = 1e155, case 4's expected scalar (4-(1+alpha)^2)/4 overflows."""
+    with pytest.raises(InputError) as info:
+        catalog.reproduce(catalog.get_case(4, alpha=1e155, beta=0))
+    assert str(info.value) == "case 4: expression overflows a float"

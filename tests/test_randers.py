@@ -670,13 +670,13 @@ def test_parallel_fields_match_connection(rng):
 
 
 def test_g_y_at_the_pole_is_f_squared_near_minus_q():
-    """g_y(y, y), the pole object at both places, is F(y)^2 from _randers_f. At two poles near
-    -Q on case 1, drift (0, 0, 1 - 10^-k, 0) and pole (10^-e, 0, -1, 0) for (k, e) = (8, 4) and
-    (6, 3), the term-by-term sum cancelled to a relative error of 0.97 and 9e-5; now it is
-    within 4 ulps of F^2 = (sqrt(g(y,y)) + g(Q,y))^2 to 60 digits. The same pole as decimals
-    carries the rounding of g(y,y) = 1 + 10^-8 into F, so there the bound is 10^-7,
-    relative. A zero g(Q,y) gives g(y,y) itself: the same Fraction, even where its root is
-    irrational."""
+    """g_y(y, y), y the pole object, an equal copy or a list, is F(y)^2 from _randers_f. At
+    two poles near -Q on case 1, drift (0, 0, 1 - 10^-k, 0) and pole (10^-e, 0, -1, 0) for
+    (k, e) = (8, 4) and (6, 3), the term-by-term sum cancelled to a relative error of 0.97 and
+    9e-5; now it is within 4 ulps of F^2 = (sqrt(g(y,y)) + g(Q,y))^2 to 60 digits. The same
+    pole as decimals carries the rounding of g(y,y) = 1 + 10^-8 into F, so there the bound is
+    10^-7, relative. A zero g(Q,y) gives g(y,y) itself: the same Fraction, even where its root
+    is irrational, and a float copy of an exact pole gives a float."""
     case = catalog.get_case(1)
 
     def f_squared(drift, pole):
