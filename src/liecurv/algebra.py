@@ -183,10 +183,18 @@ class MetricTensor:
     @cached_property
     def cleared_gram(self) -> tuple[int, list] | None:
         """(L, L * gram) with L the lcm of the Gram denominators, None if an entry is a float:
-        the int Gram matrix that inner, levi_civita, riemann_tensor and orthonormal_pair
-        read, cleared once per metric in one pass over its n^2 entries."""
+        the int Gram matrix that inner, is_positive_definite, levi_civita (and the curvature
+        tensor, as Connection.gram), flag_curvature and orthonormal_pair read, and
+        cleared_inverse inverts, cleared once per metric in one pass over its n^2 entries."""
         n, flat = self.dim, linalg.cleared([x for row in self.gram for x in row])
         return flat and (flat[0], [flat[1][i * n:i * n + n] for i in range(n)])
+
+    @cached_property
+    def cleared_inverse(self) -> tuple[int, list]:
+        """(d, Y), Y / d the inverse of cleared_gram's G (symmetric, as G is), from one
+        solve_cleared against the identity columns: levi_civita's and scalar_curvature's."""
+        eye = [[int(i == j) for i in range(self.dim)] for j in range(self.dim)]
+        return linalg.solve_cleared(self.cleared_gram[1], eye)
 
     def inner(self, u, v) -> Scalar:
         """g(u, v) for any two vectors of the metric's dimension: inner_read."""

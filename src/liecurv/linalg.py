@@ -8,7 +8,9 @@ switches the whole matrix to float arithmetic with partial pivoting and the
 global tolerance. One back-substitution serves solve_cleared and nullspace: on
 exact rows it runs in ints scaled by the pivot product, so `solve_cleared` returns
 exact solutions as ints over their lcm and `nullspace` coprime int vectors (E.
-Bareiss, Math. Comp. 22, 1968). One skip-zero contraction, `contract`, evaluates brackets,
+Bareiss, Math. Comp. 22, 1968); an exact Gram matrix is inverted by one solve_cleared
+against the identity columns (MetricTensor.cleared_inverse), whose ints give the Koszul
+solutions and g^{jk} as dot products. One skip-zero contraction, `contract`, evaluates brackets,
 covariant derivatives and endomorphisms in the type of its products (riemann_tensor sums its rows
 in its own loops, in contract's order). A scalar form x^T T y sums T's nonzero entries, listed once
 by T's owner (`nonzero_entries`), in `form`, contract's value to the bit; exact vectors' int forms

@@ -9,9 +9,10 @@ With the structure constants lowered once, c_abk = g([e_a,e_b], e_k), the
 right-hand side is (c_ijk - c_jki + c_kij) / 2 for U = e_i, V = e_j, W = e_k.
 Exact input is read as ints: the structure constants and the Gram matrix are
 each cleared once (LieAlgebra.cleared_structure, MetricTensor.cleared_gram),
-the Koszul system is solved over ints, and the connection keeps the solve's
-int rows over their one denominator (Connection.rows, den), which
-riemann_tensor, parallel_fields and the Berwald test read.
+and the Gram matrix inverted once (MetricTensor.cleared_inverse), whose int rows
+give every Koszul solution as dot products and g^{jk} for the scalar curvature.
+The connection keeps the int rows over their one denominator (Connection.rows,
+den), which riemann_tensor, parallel_fields and the Berwald test read.
 
 Curvature convention: R(U,V)W = nabla_U nabla_V W - nabla_V nabla_U W
 - nabla_[U,V] W. The one store is the rows R(e_i,e_j)e_k for i < j: R(e_j,e_i) is
@@ -26,7 +27,7 @@ born with theirs. Any other plane form is linalg.form on the nonzero entries of 
 value: a term is float only where a float is live in it (an exact op read as Fractions), and a
 float tensor meets exact vectors' int forms. curvature_apply's floats read float rows.
 The Ricci tensor is the trace Ric(V,W) = tr(U -> R(U,V)W), i.e. Ric_jk = sum_i r[i][j][k][i],
-and the scalar curvature is its metric trace g^{jk} Ric_jk.
+and the scalar curvature is its metric trace g^{jk} Ric_jk, from the same inverse.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from operator import mul
 
 from . import linalg
 from .algebra import LieAlgebra, MetricTensor, Vector, as_vector
@@ -73,12 +75,12 @@ def levi_civita(alg: LieAlgebra, metric: MetricTensor) -> Connection:
     """Solve the Koszul system for every basis pair.
 
     Exact input reads the int tables of LieAlgebra.cleared_structure (M, C = M c) and
-    MetricTensor.cleared_gram (L, G = L g). C lowered by G is L M times the lowered
-    constants, so the right-hand side R_ij formed from it is 2 L M times the Koszul
-    one, and (2 M G) gamma_ij = R_ij. One fraction-free elimination solves all dim^2
-    pairs and returns gamma as ints over their lcm denominator, the connection's store.
-    Float input runs the same code with M = L = 1; doubling a float matrix is exact, so
-    the float store has the bits of g x = R / 2.
+    MetricTensor.cleared_gram (L, G = L g). C lowered by G in int dot products is L M times
+    the lowered constants, so the right-hand side R_ij formed from it is 2 L M times the
+    Koszul one, and gamma_ij = Y R_ij / (2 M d) for cleared_inverse's Y / d = G^-1: all dim^3
+    numerators and 2 M d over their gcd are the store, ints over their lcm denominator.
+    Float input lowers by contract and runs one solve_cleared against 2 g, an exact doubling,
+    so the float store has the bits of g x = R / 2.
     """
     if metric.dim != alg.dim:
         raise DimensionMismatchError("metric dimension differs from algebra")
@@ -88,14 +90,19 @@ def levi_civita(alg: LieAlgebra, metric: MetricTensor) -> Connection:
     exact = alg.cleared_structure is not None and metric.cleared_gram is not None
     (m, c), (_, g) = ((alg.cleared_structure, metric.cleared_gram) if exact
                       else ((1, alg.structure), (1, metric.gram)))
-    low = [[linalg.contract(g, c[a][b]) for b in range(n)] for a in range(n)]
-    if exact:
-        # the Fraction(0) of a sum no term reaches becomes int 0, so the right-hand side is
-        # all ints; a float table keeps its 0.0 entries, and with them the float solve
-        low = [[[x or 0 for x in row] for row in block] for block in low]
+    # contract's Fraction(0), a float-path sum no term reaches, enters as int 0; a 0.0 stays
+    low = [[[sum(map(mul, c_ab, row)) for row in g] if exact else
+             [x if x or isinstance(x, float) else 0 for x in linalg.contract(g, c_ab)]
+             for c_ab in block] for block in c]
     rhs_list = [[low[i][j][k] - low[j][k][i] + low[k][i][j] for k in range(n)]
                 for i in range(n) for j in range(n)]
-    den, solutions = linalg.solve_cleared([[2 * m * x for x in row] for row in g], rhs_list)
+    if exact:
+        d, inv = metric.cleared_inverse
+        nums = [[sum(map(mul, y, rhs)) for y in inv] for rhs in rhs_list]
+        common = math.gcd(2 * m * d, *(x for y in nums for x in y))
+        den, solutions = 2 * m * d // common, [[x // common for x in y] for y in nums]
+    else:
+        den, solutions = linalg.solve_cleared([[2 * x for x in row] for row in g], rhs_list)
     return Connection(alg, metric, [solutions[i * n:i * n + n] for i in range(n)], den,
                       metric.cleared_gram if exact else None)
 
@@ -252,10 +259,10 @@ def scalar_curvature(rt: CurvatureTensor, metric: MetricTensor) -> Scalar:
     """Metric trace of the Ricci tensor, g^{jk} Ric_jk, in rt's own metric.
 
     Ric_jk sums row (i, j, k) at i over i < j and subtracts row (j, i, k) at i
-    over i > j, in ints when exact. g^{jk} comes from one solve_cleared against the
-    rows of Ric: an exact tensor's cleared Gram matrix rt.gram = (G, G g), else
-    rt.connection.metric.gram. An exact solve's int trace over d makes one Fraction,
-    times G / den; a float solve gives the float sum. metric is unused, kept for callers.
+    over i > j, in ints when exact. An exact tensor reads g^{jk} = L Y / d, from rt.gram =
+    (L, L g) and the metric's cleared_inverse (d, Y): the int trace sum_jk Y_jk Ric_jk makes
+    one Fraction, times L / (den d). A float tensor solves rt.connection.metric.gram against
+    the rows of Ric once and sums the float diagonal. metric is unused, kept for callers.
     """
     n = rt.dim
     ric = [[0] * n for _ in range(n)]
@@ -263,7 +270,10 @@ def scalar_curvature(rt: CurvatureTensor, metric: MetricTensor) -> Scalar:
         for k, num in enumerate(nums):
             ric[j][k] += num[i]
             ric[i][k] -= num[j]
-    g, gram = rt.gram or (1, rt.connection.metric.gram)  # a float tensor's den is 1
-    d, solved = linalg.solve_cleared(gram, ric)
-    trace = sum(solved[k][k] for k in range(n))
-    return trace if isinstance(trace, float) else Fraction(g * trace, rt.den * d)
+    if rt.gram:
+        d, inv = rt.connection.metric.cleared_inverse
+        trace = sum(sum(map(mul, y, row)) for y, row in zip(inv, ric))
+        return Fraction(rt.gram[0] * trace, rt.den * d)
+    d, solved = linalg.solve_cleared(rt.connection.metric.gram, ric)
+    trace = sum(solved[k][k] for k in range(n))  # ints only for an all-0 Ric on an exact g
+    return trace if isinstance(trace, float) else Fraction(trace, d)

@@ -136,6 +136,24 @@ def levi_civita_reference(alg: LieAlgebra, metric: MetricTensor) -> list:
     return [solutions[i * n:i * n + n] for i in range(n)]
 
 
+def koszul_store_reference(alg: LieAlgebra, metric: MetricTensor) -> tuple[int, list]:
+    """(den, rows) of the Koszul system solved with one right-hand side per basis pair: the
+    structure constants lowered by contract (int tables M c and L g when all exact), the dim^2
+    right-hand sides against 2 M L g in one solve_cleared, its ints over their lcm
+    denominator, or its floats over 1."""
+    n = alg.dim
+    exact = alg.cleared_structure is not None and metric.cleared_gram is not None
+    (m, c), (_, g) = ((alg.cleared_structure, metric.cleared_gram) if exact
+                      else ((1, alg.structure), (1, metric.gram)))
+    low = [[linalg.contract(g, c[a][b]) for b in range(n)] for a in range(n)]
+    if exact:
+        low = [[[x or 0 for x in row] for row in block] for block in low]
+    rhs_list = [[low[i][j][k] - low[j][k][i] + low[k][i][j] for k in range(n)]
+                for i in range(n) for j in range(n)]
+    den, solutions = linalg.solve_cleared([[2 * m * x for x in row] for row in g], rhs_list)
+    return den, [solutions[i * n:i * n + n] for i in range(n)]
+
+
 def solve_many(matrix: Sequence[Sequence[Scalar]],
                rhs_list: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     """Solve A x = b for each b in rhs_list; one elimination, many columns: solve_cleared's

@@ -3,9 +3,10 @@
 hypothesis draws R x_D R^(n-1) algebras in dims 2-6 with a rand_pd_metric or the
 identity metric, optionally moved to another basis (a random integer one or a
 Cayley rotation), as an exact table, as its float image, or with one zero
-structure constant written as a decimal 0.0. The Connection keeps Gamma as the
-Koszul solve returns it; every read of that store is compared with the Fraction
-(or float) table the Koszul system gives as written.
+structure constant written as a decimal 0.0. The Connection's store is compared
+with the Koszul system solved with one right-hand side per basis pair, its scalar
+curvature with the dense table's trace, and every read of that store with the
+Fraction (or float) table the Koszul system gives as written.
 """
 
 import math
@@ -21,12 +22,13 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from conftest import (cayley_rotation, change_basis, rand_invertible,  # noqa: E402
                       rand_vector)
 from oracles import (berwald_reference, compatibility_residual,  # noqa: E402
-                     levi_civita_reference, torsion)
+                     koszul_store_reference, levi_civita_reference, scalar_curvature_table,
+                     torsion)
 from test_exact_vs_float import semidirect_documents  # noqa: E402
 from liecurv import linalg  # noqa: E402
 from liecurv.algebra import LieAlgebra, MetricTensor  # noqa: E402
 from liecurv.randers import build_randers, parallel_fields  # noqa: E402
-from liecurv.riemann import levi_civita  # noqa: E402
+from liecurv.riemann import levi_civita, riemann_tensor, scalar_curvature  # noqa: E402
 
 
 def vanishes(x, scale) -> bool:
@@ -70,6 +72,9 @@ def geometry(seed: int, dim: int, identity: bool, move: str, variant: str):
 # an exact store with den past 10^13 and three parallel fields: den times the rounding of a
 # decimal drift in its span is far past TOLERANCE, its value far below
 @example(seed=51, dim=6, identity=True, move="rotation", variant="exact")
+# a rotated rand_pd_metric: a Gram matrix with denominators (L = 8575), so the scalar's
+# factor L / (den d) is read
+@example(seed=4, dim=4, identity=False, move="rotation", variant="exact")
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(seed=st.integers(0, 2 ** 32), dim=st.integers(2, 6), identity=st.booleans(),
        move=st.sampled_from(sorted(MOVES)),
@@ -84,6 +89,12 @@ def test_connection_store_matches_the_koszul_table(seed, dim, identity, move, va
     else:
         assert conn.gram is None and conn.den == 1
         assert all(type(x) is float for block in conn.rows for row in block for x in row)
+    # the store is the one solve of the dim^2 Koszul right-hand sides: the same ints over the
+    # same den when exact, the same float bits else; the scalar is the dense table's trace
+    assert repr((conn.den, conn.rows)) == repr(koszul_store_reference(alg, metric))
+    rt = riemann_tensor(conn)
+    scalar, want = scalar_curvature(rt, metric), scalar_curvature_table(rt, metric)
+    assert type(scalar) is type(want) and repr(scalar) == repr(want)
     # the Fraction image is the Koszul solve as written, Fraction for Fraction, bit for bit
     gamma = [[list(row) for row in block] for block in conn.gamma]
     assert repr(gamma) == repr(levi_civita_reference(alg, metric))

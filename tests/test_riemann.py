@@ -8,7 +8,7 @@ import pytest
 from conftest import (cayley_rotation, change_basis, rand_fraction, rand_invertible,
                       rand_pd_metric, rand_vector)
 from oracles import (cleared_nested, compatibility_residual, connection_from_table,
-                     curvature_apply_dense,
+                     curvature_apply_dense, koszul_store_reference,
                      curvature_operator_dense, levi_civita_reference, plane_form_per_call,
                      riemann_tensor_dense,
                      scalar_curvature_gram_schmidt, scalar_curvature_table, sectional_dense,
@@ -49,6 +49,69 @@ def test_levi_civita_rejects_degenerate_metric():
     alg = LieAlgebra.from_brackets(2, {})
     with pytest.raises(InputError):
         levi_civita(alg, MetricTensor([[F(1), F(0)], [F(0), F(0)]]))
+
+
+def test_a_singular_or_indefinite_metric_is_refused_before_its_inverse():
+    """An exact metric that is not positive definite is refused by levi_civita's
+    positive-definiteness test, before MetricTensor.cleared_inverse is formed: a singular
+    Gram matrix would fail inside that solve with another message, an indefinite one not at
+    all."""
+    alg = LieAlgebra.from_brackets(2, {(0, 1): [0, F(1, 2)]})
+    for gram in ([[F(1), F(0)], [F(0), F(0)]], [[1, 2], [2, 4]], [[1, 0], [0, -1]],
+                 [[F(1, 3), 2], [2, F(1, 2)]]):
+        metric = MetricTensor(gram)
+        with pytest.raises(InputError, match="^metric must be positive definite$"):
+            levi_civita(alg, metric)
+        assert "cleared_inverse" not in vars(metric)
+
+
+def test_exact_connection_and_scalar_share_one_inverse(monkeypatch):
+    """An exact levi_civita followed by scalar_curvature on a fresh metric makes one
+    linalg.solve_cleared call, with dim right-hand sides (the metric's cleared_inverse), and
+    a second levi_civita on the same metric makes none."""
+    calls = []
+
+    def spy(matrix, rhs_list, real=linalg.solve_cleared):
+        calls.append(len(rhs_list))
+        return real(matrix, rhs_list)
+    monkeypatch.setattr(linalg, "solve_cleared", spy)
+    rng = random.Random(20130527)
+    for dim in (2, 3, 4, 5, 6):
+        doc, _ = semidirect_documents(rng, dim)
+        alg, metric = doc.algebra(), doc.metric
+        calls.clear()
+        rt = riemann_tensor(levi_civita(alg, metric))
+        assert type(scalar_curvature(rt, metric)) is F
+        assert calls == [dim]
+        levi_civita(alg, metric)
+        levi_civita(doc.algebra(), metric)
+        assert calls == [dim]
+
+
+def test_levi_civita_on_decimal_documents_does_no_fraction_arithmetic(monkeypatch):
+    """An all-decimal document has float structure constants and a float Gram matrix; the
+    sums that no term reaches (the brackets of a basis vector with itself, or of two
+    vectors of the abelian ideal) are contract's Fraction(0), and the Koszul right-hand side
+    reads them as int 0: no Fraction operator runs, and the store is the float solve's."""
+    rng = random.Random(20130528)
+    docs = [semidirect_documents(rng, dim)[1] for dim in (2, 3, 4, 5, 6)]
+    algebras = [doc.algebra() for doc in docs]
+    want = [koszul_store_reference(alg, doc.metric) for alg, doc in zip(algebras, docs)]
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic on the float path")
+    for name in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow"):
+        for dunder in (f"__{name}__", f"__r{name}__"):
+            monkeypatch.setattr(F, dunder, refuse)
+    for dunder in ("__neg__", "__pos__", "__abs__"):
+        monkeypatch.setattr(F, dunder, refuse)
+    got = []
+    for alg, doc in zip(algebras, docs):
+        assert alg.cleared_structure is None and doc.metric.cleared_gram is None
+        conn = levi_civita(alg, doc.metric)
+        got.append((conn.den, conn.rows))
+    monkeypatch.undo()
+    assert repr(got) == repr(want)
 
 
 def mixed_documents(rng):
