@@ -183,18 +183,16 @@ class MetricTensor:
     @cached_property
     def cleared_gram(self) -> tuple[int, list] | None:
         """(L, L * gram) with L the lcm of the Gram denominators, None if an entry is a float:
-        the int Gram matrix that inner, is_positive_definite, levi_civita (and the curvature
-        tensor, as Connection.gram), flag_curvature and orthonormal_pair read, and
-        cleared_inverse inverts, cleared once per metric in one pass over its n^2 entries."""
+        the int Gram matrix of inner, levi_civita (and Connection.gram), flag_curvature,
+        orthonormal_pair and cleared_inverse, cleared once per metric in one pass over n^2."""
         n, flat = self.dim, linalg.cleared([x for row in self.gram for x in row])
         return flat and (flat[0], [flat[1][i * n:i * n + n] for i in range(n)])
 
     @cached_property
-    def cleared_inverse(self) -> tuple[int, list]:
-        """(d, Y), Y / d the inverse of cleared_gram's G (symmetric, as G is), from one
-        solve_cleared against the identity columns: levi_civita's and scalar_curvature's."""
-        eye = [[int(i == j) for i in range(self.dim)] for j in range(self.dim)]
-        return linalg.solve_cleared(self.cleared_gram[1], eye)
+    def cleared_inverse(self) -> tuple[int, list] | None:
+        """(d, Y), Y / d = G^-1 (symmetric) for cleared_gram's G or a float gram (d = 1), from
+        one linalg.positive_inverse; None if not positive definite (is_positive_definite)."""
+        return linalg.positive_inverse(self.cleared_gram[1] if self.cleared_gram else self.gram)
 
     def inner(self, u, v) -> Scalar:
         """g(u, v) for any two vectors of the metric's dimension: inner_read."""
@@ -216,8 +214,7 @@ class MetricTensor:
         return self.inner(v, v)
 
     def is_positive_definite(self) -> bool:
-        return linalg.is_positive_definite(self.cleared_gram[1] if self.cleared_gram
-                                           else self.gram)
+        return self.cleared_inverse is not None
 
     def __repr__(self) -> str:
         return f"MetricTensor(dim={self.dim})"

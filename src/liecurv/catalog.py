@@ -156,10 +156,6 @@ class CatalogCase(Geometry):
             return []
         return [self._eval_vector(row) for row in self.expected["parallel"]["basis"]]
 
-    def randers_applicable(self) -> bool:
-        return (self.expected["randers"] is not None
-                and bool(self.expected_parallel()))
-
     def drift_vars(self) -> list[str]:
         if self.expected["randers"] is None:
             return []
@@ -405,7 +401,7 @@ def reproduce(case: CatalogCase, samples: int = 20, seed: int = 11) -> CaseRepor
     computed_par = case.parallel
     expected_par = case.expected_parallel()
     if not (len(computed_par) == len(expected_par)
-            and (not computed_par or rank(computed_par) == rank(expected_par)
+            and (not computed_par or len(computed_par) == rank(expected_par)
                  == rank(computed_par + expected_par))):
         record("parallel", ", ".join(describe(v) for v in expected_par) or "none",
                ", ".join(describe(v) for v in computed_par) or "none", str)
@@ -414,7 +410,7 @@ def reproduce(case: CatalogCase, samples: int = 20, seed: int = 11) -> CaseRepor
     if case.expected["randers"] is None:
         verdict("randers", "not applicable: no parallel fields")
         return report
-    if not case.randers_applicable():
+    if not expected_par:
         verdict("randers", "not applicable at these parameters")
         return report
     names = case.drift_vars()

@@ -1,21 +1,20 @@
 """Small dense linear algebra over exact rationals, with float fallbacks.
 
-Exact mode is the point: nullspace dimensions and table comparisons must not
-depend on a tolerance. One Gaussian elimination serves solve, rank,
-nullspace and positive-definiteness. All-exact input is cleared to integer
-rows (an int row as it is) and eliminated fraction-free; any float entry
-switches the whole matrix to float arithmetic with partial pivoting and the
-global tolerance. One back-substitution serves solve_cleared and nullspace: on
-exact rows it runs in ints scaled by the pivot product, so `solve_cleared` returns
-exact solutions as ints over their lcm and `nullspace` coprime int vectors (E.
-Bareiss, Math. Comp. 22, 1968); an exact Gram matrix is inverted by one solve_cleared
-against the identity columns (MetricTensor.cleared_inverse), whose ints give the Koszul
-solutions and g^{jk} as dot products. One skip-zero contraction, `contract`, evaluates brackets,
-covariant derivatives and endomorphisms in the type of its products (riemann_tensor sums its rows
-in its own loops, in contract's order). A scalar form x^T T y sums T's nonzero entries, listed once
-by T's owner (`nonzero_entries`), in `form`, contract's value to the bit; exact vectors' int forms
-meet an int table in `bilinear` (g(u, v), the Gram determinant, w^T op w). `cleared` makes a flat
-row of exact scalars ints over their lcm: one Fraction per result. Owners clear once: Vector.ints,
+Exact mode is the point: nullspace dimensions and table comparisons must not depend on a tolerance.
+One Gaussian elimination serves solve, rank, nullspace and positive_inverse. All-exact input is
+cleared to integer rows (an int row as it is) and eliminated fraction-free; any float entry switches
+the whole matrix to float arithmetic with partial pivoting and the global tolerance. One
+back-substitution serves the three solvers: on exact rows it runs in ints scaled by the pivot
+product, so `solve_cleared` and `positive_inverse` return exact solutions as ints over their lcm
+(`lowest_terms`) and `nullspace` coprime int vectors (E. Bareiss, Math. Comp. 22, 1968).
+positive_inverse eliminates [G | I] once without row swaps: its pivot signs decide
+positive-definiteness, and an exact inverse's ints give the Koszul solutions and g^{jk} as dot
+products (MetricTensor.cleared_inverse). One skip-zero contraction, `contract`, evaluates brackets,
+covariant derivatives and endomorphisms in the type of its products (riemann_tensor sums its rows in
+its own loops, in contract's order). A scalar form x^T T y sums T's nonzero entries, listed once by
+T's owner (`nonzero_entries`), in `form`, contract's value to the bit; exact vectors' int forms meet
+an int table in `bilinear` (g(u, v), the Gram determinant, w^T op w). `cleared` makes a flat row of
+exact scalars ints over their lcm: one Fraction per result. Owners clear once: Vector.ints,
 MetricTensor.cleared_gram, LieAlgebra.cleared_structure, _eliminate.
 """
 
@@ -151,25 +150,28 @@ def solve_cleared(matrix: Sequence[Sequence[Scalar]],
     if len(pivots) < n:
         raise InputError("singular matrix in solve")
     scale, solutions = _back_substitute(mat, pivots, kind, n, range(n, n + len(rhs_list)))
-    if kind is float:
-        return 1, solutions
-    g = math.gcd(scale, *(x for y in solutions for x in y))
+    return (1, solutions) if kind is float else lowest_terms(scale, solutions)
+
+
+def lowest_terms(scale: int, rows: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """The int rows over scale as ints over their lcm denominator d > 0: (d, rows')."""
+    g = math.gcd(scale, *(x for y in rows for x in y))
     g = g if scale > 0 else -g
-    return scale // g, [[x // g for x in y] for y in solutions]
+    return scale // g, [[x // g for x in y] for y in rows]
 
 
-def is_positive_definite(gram: Sequence[Sequence[Scalar]]) -> bool:
-    """Sylvester: eliminating without row swaps gives only positive pivots.
-
-    The k-th pivot is the ratio of the k-th to the (k-1)-th leading minor.
-    An exact pivot differs from it by a positive factor and a product of
-    earlier pivots, so its sign is the ratio's while those are positive. A
-    float pivot must exceed TOLERANCE, the threshold that solve_cleared uses. An
-    exact matrix may come cleared: a positive scale keeps every pivot's sign.
-    """
+def positive_inverse(gram: Sequence[Sequence[Scalar]]) -> tuple[int, list[list[Scalar]]] | None:
+    """(d, Y), Y / d the inverse of gram, by one elimination of [gram | I] without row swaps;
+    None unless every pivot is positive (Sylvester: the k-th has the sign of the k-th over the
+    (k-1)-th leading minor while the earlier ones are positive, on a cleared gram too; a float
+    one must exceed TOLERANCE). Exact, it pivots as solve_cleared would; float, d = 1."""
     n = len(gram)
-    mat, pivots, _ = _eliminate(gram, n, swap=False)
-    return len(pivots) == n and all(mat[r][r] > 0 for r in range(n))
+    mat, pivots, kind = _eliminate([list(row) + [int(i == j) for j in range(n)]
+                                    for i, row in enumerate(gram)], n, swap=False)
+    if len(pivots) < n or any(mat[r][r] <= 0 for r in range(n)):
+        return None
+    scale, inverse = _back_substitute(mat, pivots, kind, n, range(n, 2 * n))
+    return (1, inverse) if kind is float else lowest_terms(scale, inverse)
 
 
 # --- contraction and metric helpers -----------------------------------------

@@ -9,8 +9,9 @@ With the structure constants lowered once, c_abk = g([e_a,e_b], e_k), the
 right-hand side is (c_ijk - c_jki + c_kij) / 2 for U = e_i, V = e_j, W = e_k.
 Exact input is read as ints: the structure constants and the Gram matrix are
 each cleared once (LieAlgebra.cleared_structure, MetricTensor.cleared_gram),
-and the Gram matrix inverted once (MetricTensor.cleared_inverse), whose int rows
-give every Koszul solution as dot products and g^{jk} for the scalar curvature.
+and the Gram matrix inverted in the elimination that tests its positive-definiteness
+(MetricTensor.cleared_inverse), whose int rows give every Koszul solution as dot products
+and g^{jk} for the scalar curvature.
 The connection keeps the int rows over their one denominator (Connection.rows,
 den), which riemann_tensor, parallel_fields and the Berwald test read.
 
@@ -98,9 +99,8 @@ def levi_civita(alg: LieAlgebra, metric: MetricTensor) -> Connection:
                 for i in range(n) for j in range(n)]
     if exact:
         d, inv = metric.cleared_inverse
-        nums = [[sum(map(mul, y, rhs)) for y in inv] for rhs in rhs_list]
-        common = math.gcd(2 * m * d, *(x for y in nums for x in y))
-        den, solutions = 2 * m * d // common, [[x // common for x in y] for y in nums]
+        den, solutions = linalg.lowest_terms(
+            2 * m * d, [[sum(map(mul, y, rhs)) for y in inv] for rhs in rhs_list])
     else:
         den, solutions = linalg.solve_cleared([[2 * x for x in row] for row in g], rhs_list)
     return Connection(alg, metric, [solutions[i * n:i * n + n] for i in range(n)], den,

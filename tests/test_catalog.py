@@ -64,7 +64,9 @@ def test_parallel_condition_gates_case4():
     case = catalog.get_case(4, alpha=F(2), beta=F(1))
     assert not case.parallel_applicable()
     assert case.expected_parallel() == []
-    assert not case.randers_applicable()
+    randers = next(i for i in catalog.reproduce(case, samples=2, seed=1).items
+                   if i.name == "randers")
+    assert randers.detail == "not applicable at these parameters"
 
 
 def test_drift_vars():

@@ -77,7 +77,8 @@ def test_fraction_free_elimination_is_exact():
     give exact answers: solutions with zero residual, nullspace vectors of
     the right count, and Sylvester's criterion on independent minors. The int
     solve under solve_many is reduced: its (den, numerators) are
-    the Fraction solutions cleared together."""
+    the Fraction solutions cleared together; so is positive_inverse's (d, Y), with
+    G Y = d I exactly whenever the leading minors say G is positive definite."""
     rng = random.Random(1968)
     seen = {True: 0, False: 0}
     for _ in range(150):
@@ -100,24 +101,42 @@ def test_fraction_free_elimination_is_exact():
         sym = [[a[i][j] + a[j][i] + (2 * n * 36 if i == j and rng.random() < 0.7 else 0)
                 for j in range(n)] for i in range(n)]
         want = all(leibniz_det([row[:k] for row in sym[:k]]) > 0 for k in range(1, n + 1))
-        assert linalg.is_positive_definite(sym) == want
+        inverse = linalg.positive_inverse(sym)
+        assert (inverse is not None) == want
+        if want:
+            d, y = inverse
+            assert d > 0 and all(type(v) is int for row in y for v in row)
+            assert math.gcd(d, *(v for row in y for v in row)) == 1
+            assert [[sum(F(sym[i][k]) * y[k][j] for k in range(n)) for j in range(n)]
+                    for i in range(n)] == [[d * (i == j) for j in range(n)] for i in range(n)]
         seen[want] += 1
     assert seen[True] > 20 and seen[False] > 20
 
 
-def test_is_positive_definite():
-    assert linalg.is_positive_definite([[F(2), F(1)], [F(1), F(2)]])
-    assert not linalg.is_positive_definite([[F(1), F(0)], [F(0), F(0)]])
-    assert not linalg.is_positive_definite([[F(-1)]])
-    assert not linalg.is_positive_definite([[F(0), F(1)], [F(1), F(0)]])
+def test_positive_inverse():
+    """None unless every pivot of the swap-free elimination is positive; else (d, Y) with
+    Y / d the inverse, ints over their lcm when exact."""
+    assert linalg.positive_inverse([[F(2), F(1)], [F(1), F(2)]]) == (3, [[2, -1], [-1, 2]])
+    assert linalg.positive_inverse([[F(1), F(0)], [F(0), F(0)]]) is None
+    assert linalg.positive_inverse([[F(-1)]]) is None
+    assert linalg.positive_inverse([[F(0), F(1)], [F(1), F(0)]]) is None
+    # nonsingular, but its elimination needs a row swap, which positive_inverse never makes
+    assert linalg.positive_inverse([[0, 1], [1, 0]]) is None
+    assert linalg.solve_cleared([[0, 1], [1, 0]], [[1, 0], [0, 1]]) == (1, [[0, 1], [1, 0]])
+    # positive definite with an off-diagonal entry larger than the diagonal one above it
+    d, y = linalg.positive_inverse([[1, F(3, 2)], [F(3, 2), 3]])
+    assert [[F(x, d) for x in row] for row in y] == [[4, -2], [-2, F(4, 3)]]
+    assert (d, y) == (3, [[12, -6], [-6, 4]])
     # float pivots, not leading minors, are held to TOLERANCE: a small-scale
     # metric is positive definite, as its exact twin is
     small = [[0.005 if i == j else 0.0 for j in range(4)] for i in range(4)]
-    assert linalg.is_positive_definite(small)
-    assert linalg.is_positive_definite([[F(1, 200) if i == j else F(0) for j in range(4)]
-                                        for i in range(4)])
+    assert linalg.positive_inverse(small) == (1, [[200.0 if i == j else 0.0 for j in range(4)]
+                                                  for i in range(4)])
+    assert linalg.positive_inverse([[F(1, 200) if i == j else F(0) for j in range(4)]
+                                    for i in range(4)]) == (1, [[200 * (i == j) for j in range(4)]
+                                                                for i in range(4)])
     # a pivot at or below TOLERANCE is zero, as in solve_many
-    assert not linalg.is_positive_definite([[1e6, 0.0], [0.0, 1e-10]])
+    assert linalg.positive_inverse([[1e6, 0.0], [0.0, 1e-10]]) is None
     with pytest.raises(InputError):
         solve_many([[1e6, 0.0], [0.0, 1e-10]], [[1.0, 1.0]])
 

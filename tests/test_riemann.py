@@ -53,28 +53,29 @@ def test_levi_civita_rejects_degenerate_metric():
 
 def test_a_singular_or_indefinite_metric_is_refused_before_its_inverse():
     """An exact metric that is not positive definite is refused by levi_civita's
-    positive-definiteness test, before MetricTensor.cleared_inverse is formed: a singular
-    Gram matrix would fail inside that solve with another message, an indefinite one not at
-    all."""
+    positive-definiteness test, whose swap-free elimination leaves MetricTensor.cleared_inverse
+    None: an inverse formed first would fail on a singular Gram matrix with another message,
+    and not at all on an indefinite one."""
     alg = LieAlgebra.from_brackets(2, {(0, 1): [0, F(1, 2)]})
     for gram in ([[F(1), F(0)], [F(0), F(0)]], [[1, 2], [2, 4]], [[1, 0], [0, -1]],
                  [[F(1, 3), 2], [2, F(1, 2)]]):
         metric = MetricTensor(gram)
         with pytest.raises(InputError, match="^metric must be positive definite$"):
             levi_civita(alg, metric)
-        assert "cleared_inverse" not in vars(metric)
+        assert metric.cleared_inverse is None
 
 
 def test_exact_connection_and_scalar_share_one_inverse(monkeypatch):
     """An exact levi_civita followed by scalar_curvature on a fresh metric makes one
-    linalg.solve_cleared call, with dim right-hand sides (the metric's cleared_inverse), and
-    a second levi_civita on the same metric makes none."""
+    linalg.positive_inverse call, of the dim x dim Gram matrix (the metric's cleared_inverse),
+    and no solve_cleared call; a second levi_civita on the same metric makes none."""
     calls = []
 
-    def spy(matrix, rhs_list, real=linalg.solve_cleared):
-        calls.append(len(rhs_list))
-        return real(matrix, rhs_list)
-    monkeypatch.setattr(linalg, "solve_cleared", spy)
+    def spy(gram, real=linalg.positive_inverse):
+        calls.append(len(gram))
+        return real(gram)
+    monkeypatch.setattr(linalg, "positive_inverse", spy)
+    monkeypatch.setattr(linalg, "solve_cleared", None)  # a call raises TypeError
     rng = random.Random(20130527)
     for dim in (2, 3, 4, 5, 6):
         doc, _ = semidirect_documents(rng, dim)
@@ -86,6 +87,27 @@ def test_exact_connection_and_scalar_share_one_inverse(monkeypatch):
         levi_civita(alg, metric)
         levi_civita(doc.algebra(), metric)
         assert calls == [dim]
+
+
+def test_one_elimination_per_exact_metric(monkeypatch):
+    """A fresh exact metric's positive-definiteness verdict, its Koszul connection and its
+    scalar curvature share one linalg._eliminate call: the swap-free elimination of [G | I],
+    whose pivots decide the verdict and whose back-substitution is cleared_inverse."""
+    calls = []
+
+    def spy(rows, pivot_cols, swap=True, real=linalg._eliminate):
+        calls.append((len(rows), pivot_cols, swap))
+        return real(rows, pivot_cols, swap)
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    rng = random.Random(20130529)
+    for dim in (2, 3, 4, 5, 6):
+        doc, _ = semidirect_documents(rng, dim)
+        alg, metric = doc.algebra(), doc.metric
+        calls.clear()
+        assert metric.is_positive_definite()
+        rt = riemann_tensor(levi_civita(alg, metric))
+        assert type(scalar_curvature(rt, metric)) is F
+        assert calls == [(dim, dim, False)]
 
 
 def test_levi_civita_on_decimal_documents_does_no_fraction_arithmetic(monkeypatch):
